@@ -42,6 +42,10 @@ EXIT_LOW_STATISTICS = 3
 EXIT_INFEASIBLE = 4
 
 
+class InputError(ValueError):
+    """An input file, such as an event log, cannot be read or fitted."""
+
+
 def _write_csv(path, schema: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(f"# {schema}\n")
@@ -74,6 +78,8 @@ def cmd_simulate(args) -> int:
         parser, args.seed, args.out_dir, args.threads)
     if args.n_slots is not None:
         n_slots = args.n_slots
+    if n_slots <= 0:
+        raise ConfigError(f"n_slots: must be positive, got {n_slots}")
     out_dir = _ensure_out_dir(out_dir)
     log = simulate_run(scheme, source, geometry, n_slots, seed, threads=threads)
     log_path = os.path.join(out_dir, "events.jsonl")
@@ -95,8 +101,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    log = EventLog.read_jsonl(args.log)
-    fit = estimate_visibility(log)
+    try:
+        log = EventLog.read_jsonl(args.log)
+    except (OSError, TypeError, ValueError, KeyError) as exc:
+        raise InputError(f"unreadable event log {args.log}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    try:
+        fit = estimate_visibility(log)
+    except ValueError as exc:
+        raise InputError(f"cannot fit event log {args.log}: {exc}") from exc
     out_dir = _ensure_out_dir(args.out_dir or "out")
     rows = [[f"{d:.12g}", s, t] for d, s, t in fit.table]
     _write_csv(os.path.join(out_dir, "fringe_fit.csv"), FIT_CSV_SCHEMA,
@@ -290,6 +303,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except LowStatisticsError as exc:
         print(f"low statistics: {exc}", file=sys.stderr)

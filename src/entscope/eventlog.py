@@ -5,15 +5,36 @@ A record is one detector click: (time slot, telescope id, detector id in
 speed; serialization is line-oriented JSON with a schema-version header line
 so logs are streamable and diffable.  Serialization is byte-deterministic for
 identical runs.
+
+The canonical record line is part of schema v1: compact JSON with sorted
+keys, e.g. ``{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}``.  The
+writer emits only that layout, and the reader parses blocks of canonical
+lines column-wise.  Any other valid JSON record line (whitespace, another key
+order) is still accepted and parsed line by line with ``json.loads``.
 """
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
 SCHEMA = "entscope.eventlog.v1"
+
+# Records formatted per write() call; bounds the text held in memory.
+WRITE_BLOCK_RECORDS = 1 << 16
+# Characters read per block; larger blocks raise peak RSS for no speed gain.
+READ_BLOCK_CHARS = 1 << 20
+
+_INDEX = r"(0|[1-9][0-9]{0,17})"  # no leading zeros; always fits in int64
+# One canonical v1 record line.  Group 1 holds the "acc", "delta" and "det"
+# fields, which take few distinct values; each distinct text is decoded once
+# by json.loads, which also rejects a malformed delta.  Groups 2 and 3 are
+# slot and tel.
+_CANONICAL_LINE = re.compile(
+    r'^\{("acc":(?:true|false),"delta":[-+.eE0-9]+,"det":[12]),'
+    r'"slot":' + _INDEX + r',"tel":' + _INDEX + r'\}\n', re.MULTILINE)
 
 
 @dataclass
@@ -64,46 +85,103 @@ class EventLog:
             "deltas": list(self.deltas),
             "meta": self.meta,
         }
-        deltas = np.asarray(self.deltas, dtype=float)
+        # Every line starts with one of 4 * n_deltas prefixes, indexed by
+        # (accepted * n_deltas + delta index) * 2 + (detector - 1).
+        prefixes = [
+            _dumps({"acc": acc, "delta": float(d), "det": det})[:-1] + ',"slot":'
+            for acc in (False, True) for d in self.deltas for det in (1, 2)]
+        code = (self.accepted * len(self.deltas) + self.delta_index) * 2 + self.detector - 1
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-            for i in range(len(self.slot)):
-                rec = {
-                    "acc": bool(self.accepted[i]),
-                    "delta": float(deltas[self.delta_index[i]]),
-                    "det": int(self.detector[i]),
-                    "slot": int(self.slot[i]),
-                    "tel": int(self.telescope[i]),
-                }
-                fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_dumps(header) + "\n")
+            for start in range(0, len(self.slot), WRITE_BLOCK_RECORDS):
+                block = slice(start, start + WRITE_BLOCK_RECORDS)
+                fh.write("".join([
+                    f'{prefixes[c]}{s},"tel":{t}}}\n' for c, s, t in zip(
+                        code[block].tolist(), self.slot[block].tolist(),
+                        self.telescope[block].tolist())]))
 
     @classmethod
     def read_jsonl(cls, path) -> "EventLog":
         with open(path, "r", encoding="ascii") as fh:
             header = json.loads(fh.readline())
-            if header.get("schema") != SCHEMA:
-                raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
+            schema = header.get("schema") if isinstance(header, dict) else None
+            if schema != SCHEMA:
+                raise ValueError(f"{path}: unsupported schema {schema!r}")
             deltas = tuple(float(d) for d in header["deltas"])
-            lookup = {d: i for i, d in enumerate(deltas)}
-            cols = {"slot": [], "tel": [], "det": [], "acc": [], "di": []}
-            for line in fh:
-                rec = json.loads(line)
-                cols["slot"].append(rec["slot"])
-                cols["tel"].append(rec["tel"])
-                cols["det"].append(rec["det"])
-                cols["acc"].append(rec["acc"])
-                cols["di"].append(lookup[rec["delta"]])
+            reader = _RecordReader({d: i for i, d in enumerate(deltas)})
+            tail = ""
+            while block := fh.read(READ_BLOCK_CHARS):
+                block = tail + block
+                cut = block.rfind("\n") + 1
+                reader.add_block(block[:cut])
+                tail = block[cut:]
+            if tail:  # last line without a newline
+                reader.add_lines([tail])
+        slot, tel, det, acc, di = reader.columns()
         return cls(
             scheme=header["scheme"],
             n_slots=int(header["n_slots"]),
             deltas=deltas,
-            slot=np.array(cols["slot"], dtype=np.int64),
-            telescope=np.array(cols["tel"], dtype=np.int64),
-            detector=np.array(cols["det"], dtype=np.int64),
-            accepted=np.array(cols["acc"], dtype=bool),
-            delta_index=np.array(cols["di"], dtype=np.int64),
+            slot=slot,
+            telescope=tel,
+            detector=det,
+            accepted=acc,
+            delta_index=di,
             meta=header.get("meta", {}),
         )
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+class _RecordReader:
+    """Accumulates record columns from blocks of whole lines.
+
+    A block whose every line is canonical is parsed with one regex pass; the
+    few distinct "acc"/"delta"/"det" texts are decoded once each by
+    json.loads and mapped through ``lookup``, so an unknown delta raises
+    KeyError exactly as the per-line path does.  Any other block goes through
+    the per-line json.loads path, the reference for every input.
+    """
+
+    def __init__(self, lookup: dict) -> None:
+        self.lookup = lookup
+        self.codes: dict[str, int] = {}     # "acc"/"delta"/"det" text -> code
+        self.fields: list[tuple[bool, int, int]] = []  # code -> (acc, di, det)
+        self.blocks: list[tuple[np.ndarray, ...]] = []
+        self.add_lines(())  # typed empty columns, so a log may hold no records
+
+    def add_block(self, block: str) -> None:
+        found = _CANONICAL_LINE.findall(block)
+        if not found or len(found) != block.count("\n"):
+            self.add_lines(block.split("\n")[:-1])
+            return
+        keys, slot, tel = zip(*found)
+        for key in set(keys).difference(self.codes):
+            rec = json.loads("{" + key + "}")
+            self.codes[key] = len(self.fields)
+            self.fields.append((rec["acc"], self.lookup[rec["delta"]], rec["det"]))
+        code = np.fromiter(map(self.codes.__getitem__, keys), np.int64, len(keys))
+        acc, di, det = np.array(self.fields, dtype=np.int64)[code].T
+        self.blocks.append((np.array(slot, dtype=np.int64),
+                            np.array(tel, dtype=np.int64), det, acc.astype(bool), di))
+
+    def add_lines(self, lines) -> None:
+        cols: tuple[list, ...] = ([], [], [], [], [])
+        for line in lines:
+            rec = json.loads(line)
+            cols[0].append(rec["slot"])
+            cols[1].append(rec["tel"])
+            cols[2].append(rec["det"])
+            cols[3].append(rec["acc"])
+            cols[4].append(self.lookup[rec["delta"]])
+        self.blocks.append(tuple(
+            np.array(c, dtype=bool if k == 3 else np.int64) for k, c in enumerate(cols)))
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """(slot, tel, det, acc, delta index) over every block read."""
+        return tuple(np.concatenate(c) for c in zip(*self.blocks))
 
 
 def fringe_counts(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -618,15 +618,15 @@ def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
 
     if cols["slot"]:
         slot = np.concatenate(cols["slot"])
-        order = np.argsort(slot, kind="stable")
         # Secondary order (telescope, detector) within a slot: records were
         # appended telescope-major per outcome, and each (tel, det) appears at
         # most once per slot, so a stable sort keyed by slot then tel then det
-        # gives a canonical log.
+        # gives a canonical log.  The key packs the three exactly for any
+        # telescope count.
         tel = np.concatenate(cols["tel"])
         det = np.concatenate(cols["det"])
-        composite = slot * 100 + tel * 10 + det
-        order = np.argsort(composite, kind="stable")
+        key = (slot * (int(tel.max()) + 1) + tel) * 2 + (det - 1)
+        order = np.argsort(key, kind="stable")
         log_arrays = dict(
             slot=slot[order],
             telescope=tel[order],

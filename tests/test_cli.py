@@ -1,4 +1,5 @@
 """End-to-end command-line runs against the bundled presets."""
+import hashlib
 import math
 import re
 from pathlib import Path
@@ -43,6 +44,70 @@ def test_simulate_is_byte_deterministic(tmp_path, capsys):
     logs = [(d / "events.jsonl").read_bytes() for d in dirs]
     assert logs[0] == logs[1]
     assert first_line(dirs[0] / "summary.csv") == f"# {SUMMARY_CSV_SCHEMA}"
+
+
+def test_simulate_demo_log_matches_recorded_sha256(tmp_path, capsys):
+    # The bytes of the per-record json.dumps writer; criterion 9 only
+    # compares two reruns of the current code with each other.
+    assert main(["simulate", "--config", preset("entangled_demo.ini"),
+                 "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "events.jsonl").read_bytes()).hexdigest()
+    assert digest == "2b56bba6b9a4f22c8060911ca7c8f107917a9a15e6b6d46c75431833f1a1deeb"
+
+
+def test_simulate_zero_slots_is_config_error(tmp_path, capsys):
+    code = main(["simulate", "--config", preset("entangled_demo.ini"),
+                 "--n-slots", "0", "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n_slots")
+    assert err.count("\n") == 1
+
+
+def _cut_mid_line(text: str) -> str:
+    return text[:text.rindex("\n", 0, len(text) // 2) + 20]
+
+
+def _corrupt_line(text: str) -> str:
+    lines = text.splitlines(keepends=True)
+    lines[len(lines) // 2] = lines[len(lines) // 2].replace(":", "=", 1)
+    return "".join(lines)
+
+
+def _single_delta(text: str) -> str:
+    lines = [re.sub(r'"delta":[-0-9.e]+', '"delta":0.0', line)
+             for line in text.splitlines(keepends=True)]
+    return "".join(lines).replace(lines[0], re.sub(
+        r'"deltas":\[[^]]*\]', '"deltas":[0.0]', lines[0]), 1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_cut_mid_line, "unreadable event log .*JSONDecodeError"),
+    (_corrupt_line, "unreadable event log .*JSONDecodeError"),
+    (lambda t: t.replace("entscope.eventlog.v1", "entscope.eventlog.v0", 1),
+     "unreadable event log .*unsupported schema"),
+    (lambda t: t.replace('"delta":0.0,', '"delta":0.1,'),
+     "unreadable event log .*KeyError: 0.1"),
+    (_single_delta, "cannot fit event log .*two distinct delta"),
+], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta"])
+def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
+    assert main(["simulate", "--config", preset("entangled_demo.ini"),
+                 "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
+    log = tmp_path / "events.jsonl"
+    log.write_text(edit(log.read_text()))
+    capsys.readouterr()
+    assert main(["estimate", "--log", str(log),
+                 "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.match("input error: " + message, err), err
+    assert err.count("\n") == 1
+
+
+def test_estimate_missing_log_is_input_error(tmp_path, capsys):
+    code = main(["estimate", "--log", str(tmp_path / "absent.jsonl"),
+                 "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "input error: unreadable event log" in capsys.readouterr().err
 
 
 def test_simulate_seed_changes_the_log(tmp_path):

@@ -1,11 +1,17 @@
 """Event-log columns, JSONL round trips, and coincidence counting."""
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entscope import eventlog
 from entscope.eventlog import SCHEMA, EventLog, fringe_counts, pair_counts
+
+COLUMNS = ("slot", "telescope", "detector", "accepted", "delta_index")
 
 
 def two_slot_log(**overrides) -> EventLog:
@@ -53,11 +59,123 @@ def test_jsonl_layout(tmp_path):
     assert len(lines) == 5
 
 
+def reference_records(log: EventLog) -> list[dict]:
+    """One dict per record, built field by field from the columns."""
+    return [{"acc": bool(log.accepted[i]),
+             "delta": float(log.deltas[log.delta_index[i]]),
+             "det": int(log.detector[i]),
+             "slot": int(log.slot[i]),
+             "tel": int(log.telescope[i])} for i in range(len(log))]
+
+
+def reference_jsonl(log: EventLog, loose=()) -> str:
+    """The v1 text from one json.dumps per line.  Records whose index is in
+    loose are written non-canonically: spaces and reversed key order."""
+    header = {"schema": SCHEMA, "scheme": log.scheme, "n_slots": log.n_slots,
+              "deltas": list(log.deltas), "meta": log.meta}
+    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    for i, rec in enumerate(reference_records(log)):
+        if i in loose:
+            lines.append(json.dumps(dict(reversed(list(rec.items())))))
+        else:
+            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_columns(a: EventLog, b: EventLog) -> None:
+    assert (a.scheme, a.n_slots, a.deltas, a.meta) == \
+        (b.scheme, b.n_slots, b.deltas, b.meta)
+    for name in COLUMNS:
+        assert getattr(a, name).dtype == getattr(b, name).dtype
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+DELTAS = st.one_of(st.sampled_from([1e-05, -0.0, 3.141592653589793, 1e300]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def event_logs(draw):
+    deltas = tuple(draw(st.lists(DELTAS, min_size=1, max_size=16, unique=True)))
+    n_tel = draw(st.integers(1, 32))
+    n = draw(st.integers(0, 120))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    slot = sorted(column(st.integers(0, 2 ** 40)))
+    return EventLog(
+        scheme=draw(st.sampled_from(["direct", "entangled", "w_state"])),
+        n_slots=(slot[-1] if slot else 0) + draw(st.integers(1, 3)),
+        deltas=deltas, slot=slot,
+        telescope=column(st.integers(0, n_tel - 1)),
+        detector=column(st.sampled_from([1, 2])),
+        accepted=column(st.booleans()),
+        delta_index=column(st.integers(0, len(deltas) - 1)),
+        meta={"seed": draw(st.integers(0, 2 ** 63))})
+
+
+@settings(max_examples=80, deadline=None)
+@given(log=event_logs(), write_block=st.sampled_from([1, 7, 1 << 16]),
+       read_block=st.sampled_from([40, 1000, 1 << 20]), data=st.data())
+def test_write_read_round_trip_matches_per_record_reference(
+        tmp_path_factory, log, write_block, read_block, data):
+    path = tmp_path_factory.mktemp("roundtrip") / "events.jsonl"
+    with mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", write_block), \
+            mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+        log.write_jsonl(path)
+        assert path.read_text() == reference_jsonl(log)
+        assert_same_columns(EventLog.read_jsonl(path), log)
+        # Non-canonical lines anywhere in the body read the same.
+        loose = data.draw(st.sets(st.integers(0, max(len(log) - 1, 0))))
+        path.write_text(reference_jsonl(log, loose))
+        assert_same_columns(EventLog.read_jsonl(path), log)
+
+
+def test_non_canonical_lines_read_like_canonical(tmp_path):
+    canonical = tmp_path / "canonical.jsonl"
+    two_slot_log().write_jsonl(canonical)
+    header = canonical.read_text().splitlines()[0]
+    loose = tmp_path / "loose.jsonl"
+    loose.write_text(header + "\n" + "\n".join([
+        '{"tel": 0, "slot": 0, "det": 1, "delta": 0.0, "acc": true}',
+        '{"acc":true,"delta":0.0,"det":1,"slot":0, "tel":1}',
+        '{"slot":1,"tel":0,"acc":true,"det":2,"delta":1.5707963267948966}',
+        '  {"acc":true,"delta":1.5707963267948966,"det":1,"slot":1,"tel":1}',
+    ]))  # and no final newline
+    assert_same_columns(EventLog.read_jsonl(loose), EventLog.read_jsonl(canonical))
+
+
+@pytest.mark.parametrize("body, error", [
+    ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}\n'
+     '{"acc":true,"delta":0.0,"det":1,"sl', json.JSONDecodeError),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}\n'
+     '{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":1', json.JSONDecodeError),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}\n\n', json.JSONDecodeError),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":007,"tel":0}\n', json.JSONDecodeError),
+    ('x{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}\n', json.JSONDecodeError),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}x\n', json.JSONDecodeError),
+    ('{"acc":true,"delta":0..0,"det":1,"slot":0,"tel":0}\n', json.JSONDecodeError),
+    ('{"acc":true,"delta":0.5,"det":1,"slot":0,"tel":0}\n', KeyError),
+    ('{"acc":true, "delta":0.5,"det":1,"slot":0,"tel":0}\n', KeyError),
+])
+def test_read_raises_on_cut_or_corrupt_bodies(tmp_path, body, error):
+    path = tmp_path / "events.jsonl"
+    two_slot_log().write_jsonl(path)
+    header = path.read_text().splitlines()[0]
+    path.write_text(header + "\n" + body)
+    with pytest.raises(error):
+        EventLog.read_jsonl(path)
+
+
 def test_read_rejects_other_schemas(tmp_path):
     path = tmp_path / "alien.jsonl"
     path.write_text('{"schema":"somethingelse.v9","deltas":[],"n_slots":0,'
                     '"scheme":"direct","meta":{}}\n')
     with pytest.raises(ValueError, match="unsupported schema"):
+        EventLog.read_jsonl(path)
+    path.write_text('["entscope.eventlog.v1"]\n')
+    with pytest.raises(ValueError, match="unsupported schema None"):
         EventLog.read_jsonl(path)
 
 

@@ -213,6 +213,20 @@ def test_w_state_monte_carlo_discard_and_fringe():
         assert abs(succ / tot - expected) < five_sigma(expected, tot)
 
 
+@pytest.mark.parametrize("n_tel", [11, 32])
+def test_w_state_log_is_canonical_for_many_telescopes(n_tel):
+    config = SchemeConfig(kind="w_state", n_telescopes=n_tel,
+                          w_phases=(0.0,) * n_tel)
+    positions = tuple(float(p) for p in np.linspace(0.0, 300.0, n_tel))
+    log = simulate_run(config, binary_with_visibility(0.8),
+                       (positions, WAVELENGTH), 3000, seed=4)
+    assert log.telescope.max() >= 10
+    order = np.lexsort((log.detector, log.telescope, log.slot))
+    assert np.array_equal(order, np.arange(len(log)))
+    assert sum(t for _, t in pair_counts(log, n_tel).values()) == \
+        np.count_nonzero(log.accepted) // 2
+
+
 def test_simulate_run_deterministic_and_thread_invariant():
     config = SchemeConfig(kind="entangled", delta_schedule=(0.0, 1.0, 2.0))
     src = binary_with_visibility(0.5)
