@@ -59,8 +59,7 @@ def _ensure_out_dir(out_dir: str) -> str:
     return out_dir
 
 
-def _delta_summary_rows(log: EventLog):
-    deltas, successes, totals = fringe_counts(log)
+def _delta_summary_rows(log: EventLog, successes: np.ndarray, totals: np.ndarray):
     rows = []
     for i, d in enumerate(log.deltas):
         corr = int(successes[i]) if i < len(successes) else 0
@@ -91,10 +90,11 @@ def cmd_simulate(args) -> int:
                    ["tel_i", "tel_j", "correlated", "accepted"], rows)
         accepted = sum(t for _, (_, t) in table)
     else:
+        _, successes, totals = fringe_counts(log)
         _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_CSV_SCHEMA,
                    ["delta", "correlated", "anticorrelated", "accepted"],
-                   _delta_summary_rows(log))
-        accepted = int(fringe_counts(log)[2].sum())
+                   _delta_summary_rows(log, successes, totals))
+        accepted = int(totals.sum())
     print(f"simulated {n_slots} slots ({scheme.kind}); {accepted} accepted "
           f"coincidences -> {log_path}")
     return EXIT_OK

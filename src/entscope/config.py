@@ -9,7 +9,7 @@ One file can describe a whole scenario; each section feeds one module:
     [baseline]   vector, wavelength (or positions for telescope arrays)
     [repeater]   segments, length_km, distill_rounds, schedule, ...
     [sensitivity] budget preset name plus field overrides
-    [reconstruct] grid, pixel_scale, oversample
+    [reconstruct] grid, pixel_scale
 
 Unknown keys raise ConfigError naming the section and field, so typos do
 not silently fall back to defaults.

@@ -166,16 +166,6 @@ class FockRegister:
             {k: v / n for k, v in self.amplitudes.items()},
         )
 
-    def inner(self, other: "FockRegister") -> complex:
-        """<self|other>."""
-        if (self.mode_count, self.photon_cutoff) != (other.mode_count, other.photon_cutoff):
-            raise ValueError("registers live in different spaces")
-        return sum(
-            self.amplitudes[k].conjugate() * v
-            for k, v in other.amplitudes.items()
-            if k in self.amplitudes
-        )
-
     def to_vector(self) -> np.ndarray:
         index = basis_index(self.mode_count, self.photon_cutoff)
         vec = np.zeros(len(index), dtype=complex)
@@ -257,11 +247,6 @@ class DensityOperator:
         states = basis_states(self.mode_count, self.photon_cutoff)
         diag = np.real(np.diag(self.matrix))
         return {occ: float(p) for occ, p in zip(states, diag)}
-
-    def fidelity_to(self, reg: FockRegister) -> float:
-        """<psi|rho|psi> for a pure target."""
-        vec = reg.to_vector()
-        return float(np.real(vec.conjugate() @ self.matrix @ vec))
 
     def tensor(self, other: "DensityOperator", photon_cutoff: int | None = None) -> "DensityOperator":
         cutoff = (
@@ -537,12 +522,3 @@ def post_select(distribution: dict[Occupation, float], predicate
     if acceptance <= 0.0:
         raise EmptyPostSelectionError("post-selection accepts probability zero")
     return {k: v / acceptance for k, v in accepted.items()}, acceptance
-
-
-def sample_outcome(state: State, detectors, rng: np.random.Generator) -> Occupation:
-    """Draw one click pattern from the exact outcome distribution."""
-    dist = outcome_distribution(state, detectors)
-    patterns = list(dist.keys())
-    probs = np.array([dist[p] for p in patterns])
-    probs = probs / probs.sum()
-    return patterns[rng.choice(len(patterns), p=probs)]

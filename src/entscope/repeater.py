@@ -483,48 +483,79 @@ def _expected_max_geometric(e1: float, e2: float) -> float:
     return e1 + e2 - 1.0 / (q1 + q2 - q1 * q2)
 
 
-def _distill_schedule(state: EntangledPairState, slots: float, rounds: int
-                      ) -> tuple[EntangledPairState, float, int]:
-    used = 0
-    for _ in range(rounds):
-        step = sscg_distill(state, state)
-        if step.output is None or step.success_probability <= 0.0:
-            break
-        slots = _expected_max_geometric(slots, slots) / step.success_probability
-        state = step.output
-        used += 1
-    return state, slots, used
+@dataclass(frozen=True)
+class _PlanNode:
+    """One distinct node of a chain's schedule tree.
+
+    A leaf (children None) is heralded generation: geometric attempts with
+    per-attempt success p at `rate` attempts per slot.  Any other node
+    repeats an attempt -- sample children[0], then children[1], keep the
+    later delivery time -- until a coin with probability p succeeds: a swap,
+    or a distillation round (both children the same node).  state, slots,
+    used and prob_slot are the analytic model's values for the node output.
+    """
+
+    state: EntangledPairState
+    slots: float
+    used: int
+    prob_slot: float
+    p: float
+    children: tuple[int, int] | None = None
+    rate: float = 1.0
 
 
-def _chain_analytic(links: list[LinkModel], policy: ChainPolicy
-                    ) -> tuple[EntangledPairState, float, int, float]:
-    """Returns (state, expected slots, rounds used, memoryless per-slot prob)."""
+def _chain_plan(links: list[LinkModel], policy: ChainPolicy) -> list[_PlanNode]:
+    """The chain's schedule tree with children before parents, root last.
 
-    def leaf(link: LinkModel):
-        state = heralded_pair_state(link, policy.double_excitation_weight)
-        q = link.transmission()
-        slots = 1.0 / (q * link.attempt_rate)
-        state, slots, used = _distill_schedule(state, slots, policy.rounds_at(0))
-        return state, slots, used, q * link.attempt_rate
+    Identical subtrees (the same links) share one node; the analytic values
+    are computed once per node, in the float order of the nested schedule.
+    """
+    plan: list[_PlanNode] = []
+    built: dict[tuple[LinkModel, ...], int] = {}
 
-    def node(segment_links: list[LinkModel], level_of_parent: int):
+    def distill(idx: int, rounds: int) -> int:
+        for _ in range(rounds):
+            node = plan[idx]
+            step = sscg_distill(node.state, node.state)
+            if step.output is None or step.success_probability <= 0.0:
+                break
+            p = step.success_probability
+            plan.append(_PlanNode(
+                step.output, _expected_max_geometric(node.slots, node.slots) / p,
+                node.used + 1, node.prob_slot, p, (idx, idx)))
+            idx = len(plan) - 1
+        return idx
+
+    def build(segment_links: tuple[LinkModel, ...]) -> int:
+        if segment_links in built:
+            return built[segment_links]
         if len(segment_links) == 1:
-            return leaf(segment_links[0])
-        mid = (len(segment_links) + 1) // 2
-        left = node(segment_links[:mid], level_of_parent + 1)
-        right = node(segment_links[mid:], level_of_parent + 1)
-        swap = entanglement_swap(left[0], right[0])
-        if swap.output is None or swap.success_probability <= 0.0:
-            raise ConfigError("chain cannot produce entanglement (swap never succeeds)")
-        slots = _expected_max_geometric(left[1], right[1]) / swap.success_probability
-        prob_slot = left[3] * right[3] * swap.success_probability
-        state = swap.output
-        level = _depth_of(len(segment_links))
-        state, slots, used = _distill_schedule(state, slots, policy.rounds_at(level))
-        return state, slots, left[2] + right[2] + used, prob_slot
+            link = segment_links[0]
+            q = link.transmission()
+            plan.append(_PlanNode(
+                heralded_pair_state(link, policy.double_excitation_weight),
+                1.0 / (q * link.attempt_rate), 0, q * link.attempt_rate, q,
+                rate=link.attempt_rate))
+            idx = distill(len(plan) - 1, policy.rounds_at(0))
+        else:
+            mid = (len(segment_links) + 1) // 2
+            a, b = build(segment_links[:mid]), build(segment_links[mid:])
+            left, right = plan[a], plan[b]
+            swap = entanglement_swap(left.state, right.state)
+            if swap.output is None or swap.success_probability <= 0.0:
+                raise ConfigError("chain cannot produce entanglement (swap never succeeds)")
+            p = swap.success_probability
+            plan.append(_PlanNode(
+                swap.output, _expected_max_geometric(left.slots, right.slots) / p,
+                left.used + right.used, left.prob_slot * right.prob_slot * p, p,
+                (a, b)))
+            idx = distill(len(plan) - 1,
+                          policy.rounds_at(_depth_of(len(segment_links))))
+        built[segment_links] = idx
+        return idx
 
-    state, slots, used, prob_slot = node(links, 0)
-    return state, slots, used, prob_slot
+    build(tuple(links))
+    return plan
 
 
 def _depth_of(n_segments: int) -> int:
@@ -543,6 +574,12 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
     succeed within one slot).  Monte Carlo mode samples the schedule's
     delivery times over n_trials and reports rate = trials / total slots;
     the state and fidelity always come from the analytic ensemble average.
+
+    The with-memory Monte Carlo draws exactly what a recursive scalar
+    sampler would -- one rng.geometric per generation, then one rng.random
+    per swap or distillation coin, depth first, left before right -- and
+    leaves rng where that sampler leaves it, so a seed gives the same
+    result either way (see _mc_total_slots).
     """
     if segments < 1:
         raise ConfigError(f"segments must be >= 1, got {segments}")
@@ -551,69 +588,209 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
         raise ConfigError(f"need one link per segment ({segments}), "
                           f"got {len(link_list)}")
     policy = policy or ChainPolicy()
-    state, slots, used, prob_slot = _chain_analytic(link_list, policy)
-    if not policy.with_memory:
-        slots = 1.0 / prob_slot
+    plan = _chain_plan(link_list, policy)
+    root = plan[-1]
+    slots = root.slots if policy.with_memory else 1.0 / root.prob_slot
     if rng is not None:
-        total = _mc_total_slots(link_list, policy, rng, n_trials, prob_slot)
+        if policy.with_memory:
+            total = _mc_total_slots(plan, rng, n_trials)
+        else:
+            total = float(rng.geometric(root.prob_slot, size=n_trials).sum())
         slots = total / n_trials
-    return ChainResult(rate=min(1.0 / slots, 1.0), fidelity=state.fidelity(),
-                       distill_rounds_used=used, final_state=state,
+    return ChainResult(rate=min(1.0 / slots, 1.0), fidelity=root.state.fidelity(),
+                       distill_rounds_used=root.used, final_state=root.state,
                        expected_slots=slots)
 
 
-def _mc_total_slots(links: list[LinkModel], policy: ChainPolicy,
-                    rng: np.random.Generator, n_trials: int,
-                    prob_slot: float) -> float:
-    if not policy.with_memory:
-        return float(rng.geometric(prob_slot, size=n_trials).sum())
+# ---------------------------------------------------------------------------
+# Monte Carlo over the plan
+# ---------------------------------------------------------------------------
 
-    # Success probabilities of each protocol step depend only on the analytic
-    # states, which are deterministic; precompute them per tree node.
-    def build(segment_links: list[LinkModel]):
-        if len(segment_links) == 1:
-            link = segment_links[0]
-            q = link.transmission()
-            rate = link.attempt_rate
-            base_state = heralded_pair_state(link, policy.double_excitation_weight)
+# Uniforms per window of the table evaluator.  Tables are rebuilt per window,
+# so memory is bounded by it, not by trial length.  A node gets tables when
+# TABLE_SPAN of its samples are expected to fit in one window.
+MC_WINDOW = 4096
+TABLE_SPAN = 16
 
-            def raw() -> float:
-                return float(rng.geometric(q)) / rate
-            return _attach_distill(raw, base_state, policy.rounds_at(0), rng)
-        mid = (len(segment_links) + 1) // 2
-        left_state, left_sample = build(segment_links[:mid])
-        right_state, right_sample = build(segment_links[mid:])
-        swap = entanglement_swap(left_state, right_state)
-        p_swap = swap.success_probability
-
-        def sample() -> float:
-            t = max(left_sample(), right_sample())
-            while rng.random() >= p_swap:
-                t += max(left_sample(), right_sample())
-            return t
-        return _attach_distill(sample, swap.output,
-                               policy.rounds_at(_depth_of(len(segment_links))), rng)
-
-    _, sampler = build(links)
-    return float(sum(sampler() for _ in range(n_trials)))
+# numpy's Generator.geometric draws by sequential search, one next_double
+# per sample, at p >= this literal and by inversion of an exponential below.
+_GEOMETRIC_SEARCH_MIN_P = 0.333333333333333333333333
 
 
-def _attach_distill(sample, state: EntangledPairState, rounds: int,
-                    rng: np.random.Generator):
-    for _ in range(rounds):
-        step = sscg_distill(state, state)
-        if step.output is None or step.success_probability <= 0.0:
-            break
-        inner, p_d = sample, step.success_probability
+def _geometric_search_sums(p: float) -> np.ndarray:
+    """numpy's running sums for the sequential-search geometric sampler.
 
-        def rounded(inner=inner, p_d=p_d) -> float:
-            t = max(inner(), inner())
-            while rng.random() >= p_d:
-                t += max(inner(), inner())
-            return t
-        sample = rounded
-        state = step.output
-    return state, sample
+    Its loop (sum = prod = p; while U > sum: prod *= 1 - p; sum += prod)
+    returns the first k with U <= sums[k - 1].  The table stops where the
+    sum stops changing; prod itself need not reach 0 (for p < 1/2 it sticks
+    at the smallest subnormal).  A U above the last sum, which numpy's loop
+    never leaves, maps to len(sums) + 1.
+    """
+    total = prod = p
+    sums = [total]
+    while True:
+        prod *= 1.0 - p
+        nxt = total + prod
+        if nxt == total:
+            return np.array(sums)
+        total = nxt
+        sums.append(total)
+
+
+def _geometric_from_uniforms(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Geometric samples rng.geometric(p) would return for next doubles u."""
+    return np.searchsorted(sums, u) + 1
+
+
+def _expected_reads(plan: list[_PlanNode]) -> list[float]:
+    """Mean number of uniforms (leaf draws plus coins) per sample of each node."""
+    reads: list[float] = []
+    for node in plan:
+        if node.children is None:
+            reads.append(1.0)
+        else:
+            a, b = node.children
+            reads.append((reads[a] + reads[b] + 1.0) / node.p)
+    return reads
+
+
+class _ScalarDraws:
+    """Draws straight from the generator, one call per leaf or coin."""
+
+    def __init__(self, plan: list[_PlanNode], rng: np.random.Generator) -> None:
+        self.plan, self.rng = plan, rng
+
+    def whole(self, idx: int) -> float | None:
+        node = self.plan[idx]
+        if node.children is None:
+            return float(self.rng.geometric(node.p)) / node.rate
+        return None
+
+    def coin(self, p: float) -> bool:
+        return self.rng.random() < p
+
+    def finish(self) -> None:
+        pass
+
+
+class _BlockDraws:
+    """Uniforms drawn MC_WINDOW at a time, with per-node outcome tables.
+
+    For each window of uniforms u[0:W] and each plan node, end[i] and val[i]
+    say where a sample of the node starting at offset i stops (the offset of
+    its next unread uniform) and what delivery time it returns.  An end of
+    INV = W + 1 marks a sample that runs past the window; offsets W and INV
+    are invalid starts.  A leaf reads one uniform; a repeat node chains its
+    attempts, each of which ends at the coin after its two children, and a
+    retry chain is summed by pointer jumping.  Only valid for plans whose
+    leaves all take the search branch with rate 1 (integer slot counts, so
+    the order of additions does not matter).
+    """
+
+    def __init__(self, plan: list[_PlanNode], rng: np.random.Generator,
+                 width: int) -> None:
+        self.plan, self.rng, self.width = plan, rng, width
+        self.sums = {i: _geometric_search_sums(node.p)
+                     for i, node in enumerate(plan) if node.children is None}
+        # Leaves always get tables; a node whose samples rarely fit in a
+        # window is descended instead.
+        self.tabled = [i for i, (node, reads) in enumerate(zip(plan, _expected_reads(plan)))
+                       if node.children is None or reads * TABLE_SPAN <= width]
+        n = width + 2
+        # Coins read at an invalid offset look successful and end at INV.
+        self.u = np.full(n, -1.0)
+        self.step = np.minimum(np.arange(1, n + 1), width + 1)
+        self.end: list[np.ndarray | None] = [None] * len(plan)
+        self.val: list[np.ndarray | None] = [None] * len(plan)
+        self.pos = width
+        self.saved = None
+
+    def _slide(self) -> None:
+        w, n = self.width, self.width + 2
+        self.saved = self.rng.bit_generator.state
+        self.rng.random(out=self.u[:w])
+        for i in self.tabled:
+            node = self.plan[i]
+            if node.children is None:
+                val = np.zeros(n, dtype=np.int64)
+                val[:w] = _geometric_from_uniforms(self.sums[i], self.u[:w])
+                self.end[i], self.val[i] = self.step, val
+                continue
+            a, b = node.children
+            mid = self.end[a]
+            coin_at = self.end[b][mid]
+            value = np.maximum(self.val[a], self.val[b][mid])
+            ok = self.u[coin_at] < node.p
+            after = self.step[coin_at]
+            # Attempt from i: success ends the node at `after`; failure
+            # retries from `after`.  packed = (end << 32) + summed value, with
+            # a zero sink at index n for finished chains.
+            packed = np.zeros(n + 1, dtype=np.int64)
+            np.multiply(after << 32, ok, out=packed[:n])
+            packed[:n] += value
+            nxt = np.full(n + 1, n)
+            np.maximum(after, ok * n, out=nxt[:n])
+            while nxt.min() < n:
+                packed += packed[nxt]
+                nxt = nxt[nxt]
+            self.end[i] = packed[:n] >> 32
+            self.val[i] = packed[:n] & 0xFFFFFFFF
+        self.pos = 0
+
+    def whole(self, idx: int) -> int | None:
+        if self.pos == self.width:
+            self._slide()
+        end = self.end[idx]
+        if end is None or end[self.pos] > self.width:
+            return None
+        value = int(self.val[idx][self.pos])
+        self.pos = int(end[self.pos])
+        return value
+
+    def coin(self, p: float) -> bool:
+        if self.pos == self.width:
+            self._slide()
+        self.pos += 1
+        return bool(self.u[self.pos - 1] < p)
+
+    def finish(self) -> None:
+        """Rewind the generator to just after the last uniform consumed."""
+        if self.saved is not None and self.pos < self.width:
+            self.rng.bit_generator.state = self.saved
+            self.rng.random(self.pos)
+
+
+def _sample(plan: list[_PlanNode], idx: int, draws) -> float:
+    """One delivery time of plan node idx: whole from `draws` where it can
+    give one (a leaf, or a table entry that fits the window), else attempt
+    by attempt through the node's children."""
+    value = draws.whole(idx)
+    if value is not None:
+        return value
+    node = plan[idx]
+    a, b = node.children
+    t = max(_sample(plan, a, draws), _sample(plan, b, draws))
+    while not draws.coin(node.p):
+        t += max(_sample(plan, a, draws), _sample(plan, b, draws))
+    return t
+
+
+def _mc_total_slots(plan: list[_PlanNode], rng: np.random.Generator,
+                    n_trials: int) -> float:
+    """Summed delivery time of n_trials root samples.
+
+    Plans whose leaves all draw by numpy's search branch at rate 1 use
+    _BlockDraws: each leaf and coin reads one double, so rng.random(W) holds
+    the doubles the scalar calls would read, and integer sums make the
+    result exact.  Any other plan draws scalar by scalar.
+    """
+    tabulable = all(node.rate == 1.0 and node.p >= _GEOMETRIC_SEARCH_MIN_P
+                    for node in plan if node.children is None)
+    draws = _BlockDraws(plan, rng, MC_WINDOW) if tabulable else _ScalarDraws(plan, rng)
+    root = len(plan) - 1
+    total = float(sum(_sample(plan, root, draws) for _ in range(n_trials)))
+    draws.finish()
+    return total
 
 
 def figure_of_merit(rate: float, efficiency: float, bandwidth_nm: float) -> float:

@@ -384,12 +384,6 @@ def effective_visibility(config: SchemeConfig, v: complex) -> complex:
     return complex(v) * config.overlap_factor()
 
 
-def double_pair_rate_ok(config: SchemeConfig, slot_rate: float,
-                        dark_equivalent_cps: float) -> bool:
-    """True when double-pair background stays below the dark-count-equivalent bound."""
-    return config.double_pair_prob * slot_rate <= dark_equivalent_cps
-
-
 @dataclass(frozen=True)
 class _Outcome:
     probability: float

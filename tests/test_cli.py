@@ -204,6 +204,20 @@ def test_repeater_demo_is_deterministic(tmp_path, capsys):
         (tmp_path / "b" / "chain.csv").read_bytes()
 
 
+def test_repeater_demo_monte_carlo_matches_recorded_sha256(tmp_path, capsys):
+    # Recorded from the recursive scalar sampler; the table evaluator must
+    # draw the same doubles.
+    ini = tmp_path / "demo_mc.ini"
+    ini.write_text(Path(preset("repeater_demo.ini")).read_text()
+                   .replace("mode = analytic", "mode = monte-carlo")
+                   .replace("n_trials = 20000", "n_trials = 2000"))
+    assert main(["repeater", "--config", str(ini),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "run" / "chain.csv").read_bytes()).hexdigest()
+    assert digest == "0057c6a046b07fa9d78e8c01583c0f7e42f06f6f3bb1aeccb45c5c253afb34a6"
+
+
 def test_sensitivity_presets(tmp_path, capsys):
     assert main(["sensitivity", "--config", preset("chara_like.ini"),
                  "--out-dir", str(tmp_path)]) == 0

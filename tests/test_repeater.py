@@ -1,12 +1,13 @@
 """Repeater links, pair family, distillation, swapping, chains."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entscope import oracle
+from entscope import oracle, repeater
 from entscope.errors import ConfigError
 from entscope.fock import apply_loss
 from entscope.repeater import (
@@ -22,7 +23,10 @@ from entscope.repeater import (
     pair_family_projection,
     sscg_distill,
     transmit_pair,
+    _depth_of,
     _expected_max_geometric,
+    _geometric_from_uniforms,
+    _geometric_search_sums,
 )
 from entscope.rng import stream
 
@@ -338,3 +342,151 @@ def test_chain_validation():
         chain_simulate(0, LinkModel())
     with pytest.raises(ConfigError):
         chain_simulate(3, [LinkModel(), LinkModel()])
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo evaluator against the recursive scalar sampler
+# ---------------------------------------------------------------------------
+
+def _reference_chain(links, policy, rng, n_trials):
+    """The nested schedule as a recursive closure sampler: one
+    rng.geometric per generation and one rng.random per coin, depth first.
+    The analytic part repeats the same tree walk in the same float order."""
+
+    def distill(state, slots, rounds):
+        used = 0
+        for _ in range(rounds):
+            step = sscg_distill(state, state)
+            if step.output is None or step.success_probability <= 0.0:
+                break
+            slots = _expected_max_geometric(slots, slots) / step.success_probability
+            state = step.output
+            used += 1
+        return state, slots, used
+
+    def analytic(segment_links):
+        if len(segment_links) == 1:
+            link = segment_links[0]
+            state = heralded_pair_state(link, policy.double_excitation_weight)
+            q = link.transmission()
+            state, slots, used = distill(state, 1.0 / (q * link.attempt_rate),
+                                         policy.rounds_at(0))
+            return state, slots, used, q * link.attempt_rate
+        mid = (len(segment_links) + 1) // 2
+        left, right = analytic(segment_links[:mid]), analytic(segment_links[mid:])
+        swap = entanglement_swap(left[0], right[0])
+        if swap.output is None or swap.success_probability <= 0.0:
+            raise ConfigError("chain cannot produce entanglement")
+        slots = _expected_max_geometric(left[1], right[1]) / swap.success_probability
+        prob_slot = left[3] * right[3] * swap.success_probability
+        state, slots, used = distill(swap.output, slots,
+                                     policy.rounds_at(_depth_of(len(segment_links))))
+        return state, slots, left[2] + right[2] + used, prob_slot
+
+    def attach_distill(sample, state, rounds):
+        for _ in range(rounds):
+            step = sscg_distill(state, state)
+            if step.output is None or step.success_probability <= 0.0:
+                break
+            inner, p_d = sample, step.success_probability
+
+            def rounded(inner=inner, p_d=p_d):
+                t = max(inner(), inner())
+                while rng.random() >= p_d:
+                    t += max(inner(), inner())
+                return t
+            sample = rounded
+            state = step.output
+        return state, sample
+
+    def build(segment_links):
+        if len(segment_links) == 1:
+            link = segment_links[0]
+            q, rate = link.transmission(), link.attempt_rate
+
+            def raw():
+                return float(rng.geometric(q)) / rate
+            return attach_distill(
+                raw, heralded_pair_state(link, policy.double_excitation_weight),
+                policy.rounds_at(0))
+        mid = (len(segment_links) + 1) // 2
+        left_state, left_sample = build(segment_links[:mid])
+        right_state, right_sample = build(segment_links[mid:])
+        swap = entanglement_swap(left_state, right_state)
+        p_swap = swap.success_probability
+
+        def sample():
+            t = max(left_sample(), right_sample())
+            while rng.random() >= p_swap:
+                t += max(left_sample(), right_sample())
+            return t
+        return attach_distill(sample, swap.output,
+                              policy.rounds_at(_depth_of(len(segment_links))))
+
+    state, slots, used, _ = analytic(links)
+    if rng is not None:
+        _, sampler = build(links)
+        slots = float(sum(sampler() for _ in range(n_trials))) / n_trials
+    return repeater.ChainResult(rate=min(1.0 / slots, 1.0), fidelity=state.fidelity(),
+                                distill_rounds_used=used, final_state=state,
+                                expected_slots=slots)
+
+
+# Per-attempt herald probabilities: numpy's geometric searches at
+# q >= 1/3 (one double per draw) and inverts an exponential below.
+_LINKS = {
+    "q0.631": LinkModel(length_km=10.0),
+    "q0.398": LinkModel(length_km=20.0, phase_noise_sigma=0.2),
+    "q1/3": LinkModel(attenuation_db_per_km=0.0, extra_transmission=1.0 / 3.0),
+    "q0.316": LinkModel(length_km=25.0),
+    "rate2": LinkModel(length_km=10.0, attempt_rate=2.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    segments=st.integers(1, 16),
+    names=st.lists(st.sampled_from(sorted(_LINKS)), min_size=1, max_size=2),
+    pattern=st.integers(0, 2**16 - 1),
+    rounds=st.lists(st.integers(0, 1), max_size=3),
+    double=st.sampled_from([0.0, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+    n_trials=st.integers(1, 500),
+    window=st.sampled_from([1, 2, 7, 64, repeater.MC_WINDOW]),
+)
+def test_monte_carlo_matches_scalar_sampler(segments, names, pattern, rounds,
+                                            double, seed, n_trials, window):
+    """Same ChainResult and the same next draw as the closure sampler, for
+    uneven trees, mixed links, distillation at levels 0-2 and every
+    window size down to one uniform."""
+    links = [_LINKS[names[(pattern >> i) & 1 if len(names) > 1 else 0]]
+             for i in range(segments)]
+    policy = ChainPolicy(distill_rounds=tuple(rounds),
+                         double_excitation_weight=double)
+    try:
+        expected = _reference_chain(links, policy, None, 0)
+    except (ConfigError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            chain_simulate(segments, links, policy)
+        return
+    assert chain_simulate(segments, links, policy) == expected
+    # Keep the scalar reference near 2e5 draws per example.
+    reads = repeater._expected_reads(repeater._chain_plan(links, policy))[-1]
+    n_trials = max(1, min(n_trials, int(2e5 / reads)))
+    ref_rng, rng = stream(seed), stream(seed)
+    expected = _reference_chain(links, policy, ref_rng, n_trials)
+    with mock.patch.object(repeater, "MC_WINDOW", window):
+        result = chain_simulate(segments, links, policy, rng=rng, n_trials=n_trials)
+    assert result == expected
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("q", [0.3333333333333333, 0.4, 0.631, 0.999])
+def test_geometric_table_matches_numpy(q):
+    sums = _geometric_search_sums(q)
+    assert sums[-1] >= 1.0 - 2.0 ** -53
+    rng, twin = stream(5), stream(5)
+    expected = rng.geometric(q, size=200_000)
+    got = _geometric_from_uniforms(sums, twin.random(200_000))
+    np.testing.assert_array_equal(got, expected)
+    assert rng.random() == twin.random()
