@@ -674,11 +674,11 @@ class _ScalarDraws:
 
 
 class _BlockDraws:
-    """Uniforms drawn MC_WINDOW at a time, with per-node outcome tables.
+    """Uniforms drawn a window of W = width at a time, with outcome tables.
 
-    For each window of uniforms u[0:W] and each plan node, end[i] and val[i]
-    say where a sample of the node starting at offset i stops (the offset of
-    its next unread uniform) and what delivery time it returns.  An end of
+    For each window u[0:W] and each tabled plan node, end[j] and val[j] say
+    where a sample of the node starting at offset j stops (the offset of its
+    next unread uniform) and what delivery time it returns.  An end of
     INV = W + 1 marks a sample that runs past the window; offsets W and INV
     are invalid starts.  A leaf reads one uniform; a repeat node chains its
     attempts, each of which ends at the coin after its two children, and a
@@ -709,12 +709,12 @@ class _BlockDraws:
         w, n = self.width, self.width + 2
         self.saved = self.rng.bit_generator.state
         self.rng.random(out=self.u[:w])
-        for i in self.tabled:
-            node = self.plan[i]
+        for idx in self.tabled:
+            node = self.plan[idx]
             if node.children is None:
                 val = np.zeros(n, dtype=np.int64)
-                val[:w] = _geometric_from_uniforms(self.sums[i], self.u[:w])
-                self.end[i], self.val[i] = self.step, val
+                val[:w] = _geometric_from_uniforms(self.sums[idx], self.u[:w])
+                self.end[idx], self.val[idx] = self.step, val
                 continue
             a, b = node.children
             mid = self.end[a]
@@ -722,9 +722,10 @@ class _BlockDraws:
             value = np.maximum(self.val[a], self.val[b][mid])
             ok = self.u[coin_at] < node.p
             after = self.step[coin_at]
-            # Attempt from i: success ends the node at `after`; failure
-            # retries from `after`.  packed = (end << 32) + summed value, with
-            # a zero sink at index n for finished chains.
+            # An attempt from offset j ends at after[j]; if its coin fails,
+            # the node retries from there.  packed = (end << 32) + summed
+            # value (a window's values sum far below 2**32), with a zero sink
+            # at index n for finished chains.
             packed = np.zeros(n + 1, dtype=np.int64)
             np.multiply(after << 32, ok, out=packed[:n])
             packed[:n] += value
@@ -733,8 +734,8 @@ class _BlockDraws:
             while nxt.min() < n:
                 packed += packed[nxt]
                 nxt = nxt[nxt]
-            self.end[i] = packed[:n] >> 32
-            self.val[i] = packed[:n] & 0xFFFFFFFF
+            self.end[idx] = packed[:n] >> 32
+            self.val[idx] = packed[:n] & 0xFFFFFFFF
         self.pos = 0
 
     def whole(self, idx: int) -> int | None:
