@@ -73,14 +73,16 @@ def cmd_simulate(args) -> int:
     scheme = cfg.build_scheme(parser)
     source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
     geometry = cfg.build_geometry(parser, scheme)
-    seed, out_dir, threads, _, n_slots = cfg.run_options(
-        parser, args.seed, args.out_dir, args.threads)
+    seed, out_dir, mode, n_slots = cfg.run_options(parser, args.seed, args.out_dir)
+    if mode != "monte-carlo":
+        raise ConfigError(f"[run] mode: simulate samples events; {mode!r} "
+                          f"applies to repeater only")
     if args.n_slots is not None:
         n_slots = args.n_slots
     if n_slots <= 0:
         raise ConfigError(f"n_slots: must be positive, got {n_slots}")
     out_dir = _ensure_out_dir(out_dir)
-    log = simulate_run(scheme, source, geometry, n_slots, seed, threads=threads)
+    log = simulate_run(scheme, source, geometry, n_slots, seed)
     log_path = os.path.join(out_dir, "events.jsonl")
     log.write_jsonl(log_path)
     if scheme.kind == "w_state":
@@ -124,8 +126,9 @@ def cmd_estimate(args) -> int:
 def cmd_repeater(args) -> int:
     parser = cfg.load_config(args.config)
     segments, links, policy, n_trials, efficiency, bandwidth = cfg.build_chain(parser)
-    seed, out_dir, _, mode, _ = cfg.run_options(
-        parser, args.seed, args.out_dir, None, _mode_from_flags(args))
+    flag_mode = ("analytic" if args.analytic
+                 else "monte-carlo" if args.monte_carlo else None)
+    seed, out_dir, mode, _ = cfg.run_options(parser, args.seed, args.out_dir, flag_mode)
     out_dir = _ensure_out_dir(out_dir)
     rng = stream(seed) if mode == "monte-carlo" else None
     result = chain_simulate(segments, links, policy, rng=rng, n_trials=n_trials)
@@ -230,28 +233,12 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
-def _mode_from_flags(args) -> str | None:
-    if getattr(args, "analytic", False):
-        return "analytic"
-    if getattr(args, "monte_carlo", False):
-        return "monte-carlo"
-    return None
-
-
-def _add_common(sub, config_required=True):
-    sub.add_argument("--config", required=config_required,
-                     help="INI scenario file")
+def _add_common(sub):
+    sub.add_argument("--config", required=True, help="INI scenario file")
     sub.add_argument("--seed", type=int, default=None,
                      help="master seed (overrides [run] seed)")
     sub.add_argument("--out-dir", default=None,
                      help="artifact directory (overrides [run] out_dir)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads for slot simulation")
-    mode = sub.add_mutually_exclusive_group()
-    mode.add_argument("--analytic", action="store_true",
-                      help="closed-form expectations instead of sampling")
-    mode.add_argument("--monte-carlo", action="store_true",
-                      help="force Monte Carlo sampling")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,6 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = subs.add_parser("repeater", help="chain rate/fidelity + figure of merit")
     _add_common(rep)
+    mode = rep.add_mutually_exclusive_group()
+    mode.add_argument("--analytic", action="store_true",
+                      help="closed-form expectations (overrides [run] mode)")
+    mode.add_argument("--monte-carlo", action="store_true",
+                      help="Monte Carlo sampling (overrides [run] mode)")
     rep.set_defaults(func=cmd_repeater)
 
     sen = subs.add_parser("sensitivity", help="detection budget table")

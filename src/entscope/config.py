@@ -2,7 +2,7 @@
 
 One file can describe a whole scenario; each section feeds one module:
 
-    [run]        seed, out_dir, threads, mode, n_slots
+    [run]        seed, out_dir, mode, n_slots
     [scheme]     kind, deltas, p_a, p_e, n_telescopes, w_phases, ...
     [detector]   efficiency, dark_prob_per_window, photon_number_resolving
     [source]     point | binary | points file | pgm file (+ pixel_scale)
@@ -29,7 +29,7 @@ from .sensitivity import SensitivityBudget
 from .sky import Baseline, SourceModel, load_pgm, load_point_sources
 
 _KNOWN_KEYS = {
-    "run": {"seed", "out_dir", "threads", "mode", "n_slots"},
+    "run": {"seed", "out_dir", "mode", "n_slots"},
     "scheme": {"kind", "deltas", "p_a", "p_e", "n_telescopes", "w_phases",
                "double_pair_prob", "coherence_time", "jitter_sigma",
                "arrival_offset", "bell_complete"},
@@ -215,6 +215,8 @@ def build_chain(parser):
                                       "double_excitation_weight", float, 0.0),
     )
     n_trials = _get(parser, "repeater", "n_trials", int, 2000)
+    if n_trials < 1:
+        raise ConfigError("[repeater] n_trials: must be >= 1")
     efficiency = _get(parser, "repeater", "efficiency", float, 0.5)
     bandwidth = _get(parser, "repeater", "bandwidth_nm", float, 0.1)
     return segments, [link] * segments, policy, n_trials, efficiency, bandwidth
@@ -262,26 +264,18 @@ def build_reconstruct(parser) -> tuple[int, float]:
 
 
 def run_options(parser, seed_override=None, out_dir_override=None,
-                threads_override=None, mode_override=None):
-    """(seed, out_dir, threads, mode); the seed must come from the config or
+                mode_override=None):
+    """(seed, out_dir, mode, n_slots); the seed must come from the config or
     the command line, never from the clock."""
     seed = seed_override
     if seed is None:
-        seed = _get(parser, "run", "seed", int) if parser.has_section("run") else None
+        seed = _get(parser, "run", "seed", int)
     if seed is None:
         raise ConfigError("[run] seed: required (pass it in the config or "
                           "with --seed; runs are never clock-seeded)")
-    out_dir = out_dir_override or (
-        _get(parser, "run", "out_dir", str, "out") if parser.has_section("run")
-        else "out")
-    threads = threads_override or (
-        _get(parser, "run", "threads", int, 1) if parser.has_section("run")
-        else 1)
-    mode = mode_override or (
-        _get(parser, "run", "mode", str, "monte-carlo")
-        if parser.has_section("run") else "monte-carlo")
+    out_dir = out_dir_override or _get(parser, "run", "out_dir", str, "out")
+    mode = mode_override or _get(parser, "run", "mode", str, "monte-carlo")
     if mode not in ("monte-carlo", "analytic"):
         raise ConfigError("[run] mode: expected 'monte-carlo' or 'analytic'")
-    n_slots = (_get(parser, "run", "n_slots", int, 100_000)
-               if parser.has_section("run") else 100_000)
-    return seed, out_dir, threads, mode, n_slots
+    n_slots = _get(parser, "run", "n_slots", int, 100_000)
+    return seed, out_dir, mode, n_slots

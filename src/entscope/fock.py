@@ -78,16 +78,11 @@ class DetectorModel:
     A dark event adds one extra count in the detection window with probability
     dark_prob_per_window, independently of the incident light.  Threshold
     (non-photon-number-resolving) detectors report click/no-click only.
-    timing_jitter_sigma and coincidence_window are carried for the scheme level
-    (temporal overlap and accidental-rate bookkeeping); they do not enter the
-    single-window click statistics computed here.
     """
 
     efficiency: float = 1.0
     dark_prob_per_window: float = 0.0
     photon_number_resolving: bool = False
-    timing_jitter_sigma: float = 0.0
-    coincidence_window: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.efficiency <= 1.0:
@@ -96,8 +91,6 @@ class DetectorModel:
             raise ValueError(
                 f"dark_prob_per_window must be in [0, 1), got {self.dark_prob_per_window}"
             )
-        if self.timing_jitter_sigma < 0 or self.coincidence_window < 0:
-            raise ValueError("timing parameters must be non-negative")
 
     def count_probabilities(self, n_photons: int, max_count: int) -> np.ndarray:
         """P(reported count = k | n incident photons), k = 0..max_count."""
@@ -282,11 +275,9 @@ class DensityOperator:
 State = FockRegister | DensityOperator
 
 
-def _bs_output_amplitudes(n_a: int, n_b: int, t: float, phi: float, cache={}) -> dict[int, complex]:
+@lru_cache(maxsize=256)
+def _bs_output_amplitudes(n_a: int, n_b: int, t: float, phi: float) -> dict[int, complex]:
     """Amplitudes <m_a, m_b|U|n_a, n_b> keyed by m_a (m_b = n_a + n_b - m_a)."""
-    key = (n_a, n_b, t, phi)
-    if key in cache:
-        return cache[key]
     alpha = math.sqrt(t)
     beta = 1j * np.exp(1j * phi) * math.sqrt(1.0 - t)
     gamma = 1j * np.exp(-1j * phi) * math.sqrt(1.0 - t)
@@ -310,11 +301,12 @@ def _bs_output_amplitudes(n_a: int, n_b: int, t: float, phi: float, cache={}) ->
                          / (math.factorial(n_a) * math.factorial(n_b)))
         if amp != 0:
             out[m_a] = amp
-    cache[key] = out
     return out
 
 
-@lru_cache(maxsize=None)
+# Bounded: every distinct (t, phi) is a new dense matrix, and splitter
+# optimizations try hundreds of them.
+@lru_cache(maxsize=64)
 def _bs_unitary(mode_count: int, photon_cutoff: int, mode_a: int, mode_b: int,
                 t: float, phi: float) -> np.ndarray:
     states = basis_states(mode_count, photon_cutoff)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -387,8 +387,53 @@ def effective_visibility(config: SchemeConfig, v: complex) -> complex:
 @dataclass(frozen=True)
 class _Outcome:
     probability: float
-    records: tuple[tuple[int, int], ...]  # (telescope, detector) per click
+    records: tuple[tuple[int, int], ...]  # (telescope, detector), in that order
     accepted: bool
+
+
+def _pattern_outcomes(cases: list[tuple[float, dict]], detector: DetectorModel,
+                      mode_records: tuple[tuple[int, int], ...], accept
+                      ) -> list[_Outcome]:
+    """Mix the per-case click tables into one per-slot outcome list.
+
+    cases are (case probability, click-pattern table) pairs; the rest of the
+    slot probability is an empty slot (dark counts only).  mode_records maps
+    each detected mode to its (telescope, detector) record, and
+    accept(pattern) says whether a pattern is an accepted event.
+    """
+    total_case = sum(p for p, _ in cases)
+    if total_case > 1.0 + 1e-9:
+        raise ConfigError(f"per-slot case probabilities sum to {total_case:.4f} > 1")
+    vacuum_prob = max(1.0 - total_case, 0.0)
+    if vacuum_prob > 0.0:
+        cases = cases + [(vacuum_prob, outcome_distribution(
+            DensityOperator.vacuum(len(mode_records), 0), detector))]
+
+    combined: dict[tuple[int, ...], float] = {}
+    for case_prob, dist in cases:
+        for pattern, p in dist.items():
+            combined[pattern] = combined.get(pattern, 0.0) + case_prob * p
+    return [
+        _Outcome(combined[pattern],
+                 tuple(sorted(rec for rec, c in zip(mode_records, pattern) if c)),
+                 accept(pattern))
+        for pattern in sorted(combined) if combined[pattern] > 0.0
+    ]
+
+
+def _pair_outcomes(tel_i: int, tel_j: int, weight: float, correlated: float,
+                   anticorrelated: float) -> list[_Outcome]:
+    """Accepted one-click-per-site outcomes of the telescope pair (i < j)."""
+    return [
+        _Outcome(weight * frac, ((tel_i, d_i), (tel_j, d_j)), True)
+        for d_i, d_j, frac in (
+            (1, 1, correlated / 2.0), (2, 2, correlated / 2.0),
+            (1, 2, anticorrelated / 2.0), (2, 1, anticorrelated / 2.0))
+    ]
+
+
+# Detected modes (astro_L, astro_R, ref_L, ref_R) of the two-site circuit.
+_TWO_TELESCOPE_RECORDS = ((0, 1), (1, 1), (0, 2), (1, 2))
 
 
 def _two_telescope_outcomes(config: SchemeConfig, v: complex, delta: float
@@ -399,111 +444,42 @@ def _two_telescope_outcomes(config: SchemeConfig, v: complex, delta: float
 
     if config.kind == "entangled" and config.bell_complete:
         probs = entangled_coincidence_probs(v_eff, delta)
-        out = []
-        for d_l, d_r, p in (
-            (1, 1, probs.correlated / 2.0), (2, 2, probs.correlated / 2.0),
-            (1, 2, probs.anticorrelated / 2.0), (2, 1, probs.anticorrelated / 2.0),
-        ):
-            out.append(_Outcome(p, ((0, d_l), (1, d_r)), True))
-        return out
+        return _pair_outcomes(0, 1, 1.0, probs.correlated, probs.anticorrelated)
 
-    cases: list[tuple[float, dict]] = []
+    # (case probability, astro input, reference input); None is vacuum.
+    p_a, p_e = config.p_a, config.p_e
+    astro, ref = arrival_density_matrix(v_eff), resource_state(delta)
     if config.kind == "entangled":
-        p_mixed = config.p_a * config.p_e
-        cases.append((p_mixed, two_telescope_distribution(
-            arrival_density_matrix(v_eff), resource_state(delta), det)))
-        if config.p_a < 1.0 and config.p_e > 0.0:
-            cases.append((config.p_e * (1.0 - config.p_a), two_telescope_distribution(
-                None, resource_state(delta), det)))
-        if config.p_e < 1.0 and config.p_a > 0.0:
-            cases.append((config.p_a * (1.0 - config.p_e), two_telescope_distribution(
-                arrival_density_matrix(v_eff), None, det)))
+        cases = [(p_a * p_e, astro, ref)]
+        if p_a < 1.0 and p_e > 0.0:
+            cases.append((p_e * (1.0 - p_a), None, ref))
+        if p_e < 1.0 and p_a > 0.0:
+            cases.append((p_a * (1.0 - p_e), astro, None))
     elif config.kind == "weak_coherent":
-        p_a, p_e = config.p_a, config.p_e
-        cases.append((p_a * p_e, two_telescope_distribution(
-            arrival_density_matrix(v_eff), resource_state(delta), det)))
-        cases.append((p_e**2 / 2.0, two_telescope_distribution(
-            None, lab_pair_state(delta), det)))
-        cases.append((astro_pair_rate(p_a, v_eff), two_telescope_distribution(
-            hbt_pair_state(v_eff), None, det)))
-        cases.append((p_a * (1.0 - p_e), two_telescope_distribution(
-            arrival_density_matrix(v_eff), None, det)))
-        cases.append((p_e * (1.0 - p_a), two_telescope_distribution(
-            None, resource_state(delta), det)))
+        cases = [(p_a * p_e, astro, ref),
+                 (p_e**2 / 2.0, None, lab_pair_state(delta)),
+                 (astro_pair_rate(p_a, v_eff), hbt_pair_state(v_eff), None),
+                 (p_a * (1.0 - p_e), astro, None),
+                 (p_e * (1.0 - p_a), None, ref)]
     elif config.kind == "hbt":
-        p_a = config.p_a
-        cases.append((astro_pair_rate(p_a, v_eff), two_telescope_distribution(
-            hbt_pair_state(v_eff), None, det)))
-        cases.append((p_a, two_telescope_distribution(
-            arrival_density_matrix(v_eff), None, det)))
+        cases = [(astro_pair_rate(p_a, v_eff), hbt_pair_state(v_eff), None),
+                 (p_a, astro, None)]
     else:
         raise ValueError(f"not a two-telescope circuit scheme: {config.kind}")
-
     if config.double_pair_prob > 0.0:
-        pair = DensityOperator.from_register(
-            FockRegister.from_occupation((1, 1), photon_cutoff=2))
-        cases.append((config.double_pair_prob,
-                      two_telescope_distribution(None, pair, det)))
-
-    total_case = sum(p for p, _ in cases)
-    if total_case > 1.0 + 1e-9:
-        raise ConfigError(f"per-slot case probabilities sum to {total_case:.4f} > 1")
-
-    combined: dict[tuple[int, ...], float] = {}
-    for case_prob, dist in cases:
-        for pattern, p in dist.items():
-            combined[pattern] = combined.get(pattern, 0.0) + case_prob * p
-    # Remaining probability: empty slot, dark counts only.
-    vacuum_prob = max(1.0 - total_case, 0.0)
-    if vacuum_prob > 0.0:
-        vac = outcome_distribution(DensityOperator.vacuum(4, 0), det)
-        for pattern, p in vac.items():
-            combined[pattern] = combined.get(pattern, 0.0) + vacuum_prob * p
-
-    outcomes = []
-    for pattern in sorted(combined):
-        p = combined[pattern]
-        if p <= 0.0:
-            continue
-        accepted, _ = classify_pattern(pattern)
-        records = []
-        if pattern[0]:
-            records.append((0, 1))
-        if pattern[2]:
-            records.append((0, 2))
-        if pattern[1]:
-            records.append((1, 1))
-        if pattern[3]:
-            records.append((1, 2))
-        outcomes.append(_Outcome(p, tuple(records), accepted))
-    return outcomes
+        cases.append((config.double_pair_prob, None, DensityOperator.from_register(
+            FockRegister.from_occupation((1, 1), photon_cutoff=2))))
+    cases = [(p, two_telescope_distribution(a, r, det)) for p, a, r in cases]
+    return _pattern_outcomes(cases, det, _TWO_TELESCOPE_RECORDS,
+                             lambda pattern: classify_pattern(pattern)[0])
 
 
 def _direct_outcomes(config: SchemeConfig, v: complex, delta: float) -> list[_Outcome]:
+    """Per-slot outcomes of direct detection: one site, ports as detectors 1, 2."""
     v_eff = effective_visibility(config, v)
-    det = config.detector
-    combined: dict[tuple[int, ...], float] = {}
-    for case_prob, dist in (
-        (config.p_a, direct_distribution(v_eff, delta, det)),
-        (1.0 - config.p_a, outcome_distribution(DensityOperator.vacuum(2, 0), det)),
-    ):
-        if case_prob <= 0.0:
-            continue
-        for pattern, p in dist.items():
-            combined[pattern] = combined.get(pattern, 0.0) + case_prob * p
-    outcomes = []
-    for pattern in sorted(combined):
-        p = combined[pattern]
-        if p <= 0.0:
-            continue
-        clicks = (pattern[0] > 0) + (pattern[1] > 0)
-        records = []
-        if pattern[0]:
-            records.append((0, 1))
-        if pattern[1]:
-            records.append((0, 2))
-        outcomes.append(_Outcome(p, tuple(records), clicks == 1))
-    return outcomes
+    cases = [(config.p_a, direct_distribution(v_eff, delta, config.detector))]
+    return _pattern_outcomes(cases, config.detector, ((0, 1), (0, 2)),
+                             lambda pattern: (pattern[0] > 0) != (pattern[1] > 0))
 
 
 def _w_state_outcomes(config: SchemeConfig, vis: dict[tuple[int, int], complex]
@@ -515,20 +491,14 @@ def _w_state_outcomes(config: SchemeConfig, vis: dict[tuple[int, int], complex]
     unordered pairs with the pairwise fringe statistics.
     """
     n = config.n_telescopes
-    outcomes = []
-    for i in range(n):
-        for d in (1, 2):
-            outcomes.append(_Outcome(1.0 / (2.0 * n * n), ((i, d),), False))
+    outcomes = [_Outcome(1.0 / (2.0 * n * n), ((i, d),), False)
+                for i in range(n) for d in (1, 2)]
     for i in range(n):
         for j in range(i + 1, n):
             v_ij = effective_visibility(config, vis[(i, j)])
             probs = w_state_probs(n, v_ij, config.w_phases[i], config.w_phases[j])
-            pair_prob = 2.0 / (n * n)
-            for d_i, d_j, frac in (
-                (1, 1, probs.correlated / 2.0), (2, 2, probs.correlated / 2.0),
-                (1, 2, probs.anticorrelated / 2.0), (2, 1, probs.anticorrelated / 2.0),
-            ):
-                outcomes.append(_Outcome(pair_prob * frac, ((i, d_i), (j, d_j)), True))
+            outcomes += _pair_outcomes(i, j, 2.0 / (n * n), probs.correlated,
+                                       probs.anticorrelated)
     return outcomes
 
 
@@ -547,28 +517,31 @@ def _pairwise_visibilities(source: SourceModel, positions,
     return vis
 
 
-def _sample_block(outcomes: list[_Outcome], slots: np.ndarray, delta_idx: int,
-                  rng: np.random.Generator, cols: dict) -> None:
-    probs = np.array([o.probability for o in outcomes])
-    cdf = np.cumsum(probs)
-    cdf[-1] = max(cdf[-1], 1.0)  # guard roundoff; tail mass goes to the last outcome
-    draw = np.searchsorted(cdf, rng.random(len(slots)), side="right")
-    for idx, outcome in enumerate(outcomes):
-        if not outcome.records:
-            continue
-        sel = slots[draw == idx]
-        if not len(sel):
-            continue
-        for tel, det in outcome.records:
-            cols["slot"].append(sel)
-            cols["tel"].append(np.full(len(sel), tel, dtype=np.int64))
-            cols["det"].append(np.full(len(sel), det, dtype=np.int64))
-            cols["acc"].append(np.full(len(sel), outcome.accepted, dtype=bool))
-            cols["di"].append(np.full(len(sel), delta_idx, dtype=np.int64))
+def _outcome_table(per_delta: list[list[_Outcome]]):
+    """Flatten the per-delta outcome lists into one outcome table.
+
+    Returns the per-delta cumulative probabilities, the first outcome id of
+    each delta, each outcome's record count and first record, and the record
+    columns (telescope, detector, accepted, delta index).  An outcome's
+    records are one run of the columns, in (telescope, detector) order.
+    """
+    cdfs, first_ids, counts, records = [], [], [], []
+    for delta_idx, outcomes in enumerate(per_delta):
+        cdf = np.cumsum([o.probability for o in outcomes])
+        cdf[-1] = max(cdf[-1], 1.0)  # guard roundoff; tail mass goes to the last outcome
+        cdfs.append(cdf)
+        first_ids.append(len(counts))
+        for o in outcomes:
+            counts.append(len(o.records))
+            records += [(tel, det, o.accepted, delta_idx) for tel, det in o.records]
+    n_records = np.array(counts, dtype=np.int64)
+    tel, det, acc, delta_index = np.array(records, dtype=np.int64).reshape(-1, 4).T
+    return (cdfs, first_ids, n_records, np.cumsum(n_records) - n_records,
+            (tel, det, acc.astype(bool), delta_index))
 
 
 def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
-                 n_slots: int, seed: int, threads: int = 1) -> EventLog:
+                 n_slots: int, seed: int) -> EventLog:
     """Monte Carlo event log for a measurement run.
 
     geometry: a Baseline for the two-telescope schemes, or a sequence of
@@ -576,9 +549,7 @@ def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
     via a (positions, wavelength) tuple for the telescope-array scheme.
     Slots cycle through the delay schedule round-robin.  Sampling is
     partitioned into fixed-size chunks with one RNG substream per chunk
-    derived from (seed, chunk index), so results are identical for any
-    worker count.  threads is accepted for API symmetry; chunk evaluation
-    is sequential since sampling is vectorized numpy.
+    derived from (seed, chunk index), so a run depends only on its seed.
     """
     if n_slots <= 0:
         raise ValueError(f"n_slots must be positive, got {n_slots}")
@@ -598,43 +569,41 @@ def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
             per_delta = [_direct_outcomes(config, v, d) for d in schedule]
         else:
             per_delta = [_two_telescope_outcomes(config, v, d) for d in schedule]
+    cdfs, first_ids, n_records, first_record, columns = _outcome_table(per_delta)
 
     n_deltas = len(schedule)
-    cols: dict[str, list] = {k: [] for k in ("slot", "tel", "det", "acc", "di")}
+    slots, records = [], []
     for chunk_idx, start in enumerate(range(0, n_slots, CHUNK_SLOTS)):
-        stop = min(start + CHUNK_SLOTS, n_slots)
-        chunk = np.arange(start, stop, dtype=np.int64)
+        chunk = np.arange(start, min(start + CHUNK_SLOTS, n_slots), dtype=np.int64)
         rng = rngmod.stream(seed, chunk_idx)
+        # One outcome id per slot: each delta draws one uniform per slot of
+        # its residue class, in delta order.
+        ids = np.empty(len(chunk), dtype=np.int64)
         for delta_idx in range(n_deltas):
-            slots = chunk[(chunk % n_deltas) == delta_idx]
-            if len(slots):
-                _sample_block(per_delta[delta_idx], slots, delta_idx, rng, cols)
-
-    if cols["slot"]:
-        slot = np.concatenate(cols["slot"])
-        # Secondary order (telescope, detector) within a slot: records were
-        # appended telescope-major per outcome, and each (tel, det) appears at
-        # most once per slot, so a stable sort keyed by slot then tel then det
-        # gives a canonical log.  The key packs the three exactly for any
-        # telescope count.
-        tel = np.concatenate(cols["tel"])
-        det = np.concatenate(cols["det"])
-        key = (slot * (int(tel.max()) + 1) + tel) * 2 + (det - 1)
-        order = np.argsort(key, kind="stable")
-        log_arrays = dict(
-            slot=slot[order],
-            telescope=tel[order],
-            detector=det[order],
-            accepted=np.concatenate(cols["acc"])[order],
-            delta_index=np.concatenate(cols["di"])[order],
-        )
-    else:
-        log_arrays = dict(slot=[], telescope=[], detector=[], accepted=[],
-                          delta_index=[])
+            block = ids[(delta_idx - start) % n_deltas::n_deltas]
+            if len(block):
+                block[:] = first_ids[delta_idx] + np.searchsorted(
+                    cdfs[delta_idx], rng.random(len(block)), side="right")
+        # Expand each slot into its outcome's run of records.  Slots ascend
+        # and every outcome lists its records in (telescope, detector) order,
+        # so the log comes out canonical without a sort.
+        counts = n_records[ids]
+        ends = np.cumsum(counts)
+        record = np.repeat(first_record[ids] - (ends - counts), counts)
+        record += np.arange(len(record))
+        slots.append(np.repeat(chunk, counts))
+        records.append(record)
+    slot, record = np.concatenate(slots), np.concatenate(records)
+    del slots, records
+    tel, det, acc, delta_index = (column[record] for column in columns)
     return EventLog(
         scheme=config.kind,
         n_slots=n_slots,
         deltas=schedule,
         meta={"seed": int(seed), "kind": config.kind},
-        **log_arrays,
+        slot=slot,
+        telescope=tel,
+        detector=det,
+        accepted=acc,
+        delta_index=delta_index,
     )

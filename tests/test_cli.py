@@ -64,6 +64,58 @@ def test_simulate_zero_slots_is_config_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [["--threads", "2"], ["--analytic"],
+                                   ["--monte-carlo"]])
+def test_simulate_rejects_run_knobs_it_has_no_use_for(tmp_path, capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", preset("entangled_demo.ini"),
+              "--n-slots", "40", "--out-dir", str(tmp_path)] + flags)
+    assert exc.value.code == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "events.jsonl").exists()
+
+
+def test_simulate_analytic_mode_is_config_error(tmp_path, capsys):
+    ini = tmp_path / "analytic.ini"
+    ini.write_text(Path(preset("entangled_demo.ini")).read_text()
+                   .replace("mode = monte-carlo", "mode = analytic"))
+    code = main(["simulate", "--config", str(ini), "--n-slots", "40",
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run] mode")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("n_trials", ["0", "-5"])
+def test_repeater_nonpositive_n_trials_is_config_error(tmp_path, capsys, n_trials):
+    ini = tmp_path / "trials.ini"
+    ini.write_text(Path(preset("repeater_demo.ini")).read_text()
+                   .replace("n_trials = 20000", f"n_trials = {n_trials}"))
+    code = main(["repeater", "--config", str(ini), "--monte-carlo",
+                 "--out-dir", str(tmp_path / "run")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config error: [repeater] n_trials: must be >= 1\n"
+
+
+def test_repeater_mode_flags_override_the_config(tmp_path, capsys):
+    ini = tmp_path / "small.ini"
+    ini.write_text(Path(preset("repeater_demo.ini")).read_text()
+                   .replace("n_trials = 20000", "n_trials = 50"))
+    rates = {}
+    for flag in ("--analytic", "--monte-carlo"):
+        assert main(["repeater", "--config", str(ini), flag,
+                     "--out-dir", str(tmp_path / flag)]) == 0
+        rates[flag] = (tmp_path / flag / "chain.csv").read_text()
+    capsys.readouterr()
+    assert rates["--analytic"] != rates["--monte-carlo"]
+    with pytest.raises(SystemExit) as exc:
+        main(["repeater", "--config", str(ini), "--analytic", "--monte-carlo"])
+    assert exc.value.code == EXIT_CONFIG
+
+
 def _cut_mid_line(text: str) -> str:
     return text[:text.rindex("\n", 0, len(text) // 2) + 20]
 

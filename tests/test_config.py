@@ -33,18 +33,29 @@ def test_seed_must_be_explicit(tmp_path):
     parser = parse(tmp_path, "[run]\nout_dir = out\n")
     with pytest.raises(ConfigError, match="never clock-seeded"):
         cfg.run_options(parser)
-    seed, out_dir, threads, mode, n_slots = cfg.run_options(parser, 99)
-    assert (seed, out_dir, threads, mode, n_slots) == (
-        99, "out", 1, "monte-carlo", 100_000)
+    assert cfg.run_options(parser, 99) == (99, "out", "monte-carlo", 100_000)
+    assert cfg.run_options(parse(tmp_path, "[scheme]\nkind = direct\n"), 99) == \
+        (99, "out", "monte-carlo", 100_000)
 
 
 def test_overrides_beat_config_values(tmp_path):
-    parser = parse(tmp_path, "[run]\nseed = 1\nout_dir = a\nthreads = 2\n"
+    parser = parse(tmp_path, "[run]\nseed = 1\nout_dir = a\n"
                              "mode = analytic\nn_slots = 5\n")
-    assert cfg.run_options(parser) == (1, "a", 2, "analytic", 5)
-    seed, out_dir, threads, mode, _ = cfg.run_options(
-        parser, 7, "b", 4, "monte-carlo")
-    assert (seed, out_dir, threads, mode) == (7, "b", 4, "monte-carlo")
+    assert cfg.run_options(parser) == (1, "a", "analytic", 5)
+    assert cfg.run_options(parser, 7, "b", "monte-carlo") == \
+        (7, "b", "monte-carlo", 5)
+
+
+def test_threads_key_is_unknown(tmp_path):
+    with pytest.raises(ConfigError, match=r"unknown field \[run\] threads"):
+        parse(tmp_path, "[run]\nseed = 1\nthreads = 2\n")
+
+
+@pytest.mark.parametrize("n_trials", ["0", "-5"])
+def test_repeater_n_trials_must_be_positive(tmp_path, n_trials):
+    parser = parse(tmp_path, f"[repeater]\nsegments = 2\nn_trials = {n_trials}\n")
+    with pytest.raises(ConfigError, match=r"\[repeater\] n_trials: must be >= 1"):
+        cfg.build_chain(parser)
 
 
 def test_mode_validated(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entscope import oracle, repeater
+from entscope import fock, oracle, repeater
 from entscope.errors import ConfigError
 from entscope.fock import apply_loss
 from entscope.repeater import (
@@ -193,6 +193,16 @@ def test_optimize_distill_splitter_finds_magic_region():
     assert 0.1 < t_best < 0.25
     baseline = sscg_distill(pair, pair, t_low=0.15, t_high=0.85)
     assert result.output.fidelity() >= baseline.output.fidelity() - 1e-12
+
+
+def test_splitter_search_leaves_fock_caches_bounded():
+    # Every (t, phi) the search tries is a new dense splitter unitary.
+    pair = EntangledPairState(0.1, 0.9, 0.8, 0.0)
+    optimize_distill_splitter(pair, pair)
+    for cached in (fock._bs_unitary, fock._bs_output_amplitudes):
+        info = cached.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+        assert info.misses > info.maxsize
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,27 +1,37 @@
 """Measurement schemes: closed forms, circuit agreement, Monte Carlo."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entscope import oracle
+from entscope import oracle, schemes
 from entscope.errors import ConfigError
-from entscope.eventlog import fringe_counts, pair_counts
-from entscope.fock import DetectorModel
+from entscope.eventlog import EventLog, fringe_counts, pair_counts
+from entscope.fock import DensityOperator, DetectorModel, FockRegister, outcome_distribution
+from entscope.rng import stream
 from entscope.schemes import (
     SchemeConfig,
+    astro_pair_rate,
     classify_pattern,
     direct_detection_probs,
+    direct_distribution,
+    effective_visibility,
     entangled_coincidence_probs,
     hbt_coincidence_prob,
+    hbt_pair_state,
+    lab_pair_state,
     optimal_p_e,
     simulate_run,
     temporal_overlap_factor,
     two_telescope_distribution,
     w_state_probs,
     weak_coherent_stats,
+    _pairwise_visibilities,
 )
-from entscope.sky import Baseline, SourceModel, arrival_density_matrix
+from entscope.sky import Baseline, SourceModel, arrival_density_matrix, visibility
 from entscope.schemes import resource_state
 
 WAVELENGTH = 800e-9
@@ -205,7 +215,6 @@ def test_w_state_monte_carlo_discard_and_fringe():
     counts = pair_counts(log, n_tel)
     assert set(counts) == {(i, j) for i in range(n_tel)
                            for j in range(i + 1, n_tel)}
-    from entscope.schemes import _pairwise_visibilities
     vis = _pairwise_visibilities(binary_with_visibility(0.8), positions,
                                  WAVELENGTH)
     for (i, j), (succ, tot) in counts.items():
@@ -227,12 +236,12 @@ def test_w_state_log_is_canonical_for_many_telescopes(n_tel):
         np.count_nonzero(log.accepted) // 2
 
 
-def test_simulate_run_deterministic_and_thread_invariant():
+def test_simulate_run_deterministic_per_seed():
     config = SchemeConfig(kind="entangled", delta_schedule=(0.0, 1.0, 2.0))
     src = binary_with_visibility(0.5)
     base = Baseline(100.0, WAVELENGTH)
-    a = simulate_run(config, src, base, 70_000, seed=17, threads=1)
-    b = simulate_run(config, src, base, 70_000, seed=17, threads=4)
+    a = simulate_run(config, src, base, 70_000, seed=17)
+    b = simulate_run(config, src, base, 70_000, seed=17)
     c = simulate_run(config, src, base, 70_000, seed=18)
     for name in ("slot", "telescope", "detector", "accepted", "delta_index"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
@@ -288,3 +297,210 @@ def test_bell_complete_removes_acceptance_loss():
     _, succ, tot = fringe_counts(log)
     assert tot[0] == 30_000
     assert succ[0] / tot[0] > 1.0 - five_sigma(0.999, 30_000) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo sampler against the per-outcome column sampler
+# ---------------------------------------------------------------------------
+
+def _reference_outcomes(config, v, delta):
+    """(probability, records, accepted) per click pattern of one delta, as
+    the per-scheme pattern tables built them; records are (tel, det)."""
+    det = config.detector
+    v_eff = effective_visibility(config, v)
+    if config.kind == "entangled" and config.bell_complete:
+        probs = entangled_coincidence_probs(v_eff, delta)
+        return [(p, ((0, d_l), (1, d_r)), True) for d_l, d_r, p in (
+            (1, 1, probs.correlated / 2.0), (2, 2, probs.correlated / 2.0),
+            (1, 2, probs.anticorrelated / 2.0), (2, 1, probs.anticorrelated / 2.0))]
+    p_a, p_e = config.p_a, config.p_e
+    if config.kind == "direct":
+        cases = [(p_a, direct_distribution(v_eff, delta, det))]
+        n_modes = 2
+    else:
+        n_modes = 4
+        astro, ref = arrival_density_matrix(v_eff), resource_state(delta)
+        if config.kind == "entangled":
+            cases = [(p_a * p_e, two_telescope_distribution(astro, ref, det))]
+            if p_a < 1.0 and p_e > 0.0:
+                cases.append((p_e * (1.0 - p_a), two_telescope_distribution(None, ref, det)))
+            if p_e < 1.0 and p_a > 0.0:
+                cases.append((p_a * (1.0 - p_e), two_telescope_distribution(astro, None, det)))
+        elif config.kind == "weak_coherent":
+            cases = [(p_a * p_e, two_telescope_distribution(astro, ref, det)),
+                     (p_e**2 / 2.0, two_telescope_distribution(None, lab_pair_state(delta), det)),
+                     (astro_pair_rate(p_a, v_eff),
+                      two_telescope_distribution(hbt_pair_state(v_eff), None, det)),
+                     (p_a * (1.0 - p_e), two_telescope_distribution(astro, None, det)),
+                     (p_e * (1.0 - p_a), two_telescope_distribution(None, ref, det))]
+        else:
+            cases = [(astro_pair_rate(p_a, v_eff),
+                      two_telescope_distribution(hbt_pair_state(v_eff), None, det)),
+                     (p_a, two_telescope_distribution(astro, None, det))]
+        if config.double_pair_prob > 0.0:
+            pair = DensityOperator.from_register(
+                FockRegister.from_occupation((1, 1), photon_cutoff=2))
+            cases.append((config.double_pair_prob,
+                          two_telescope_distribution(None, pair, det)))
+    total_case = sum(p for p, _ in cases)
+    if total_case > 1.0 + 1e-9:
+        raise ConfigError("per-slot case probabilities sum to more than 1")
+    cases.append((max(1.0 - total_case, 0.0),
+                  outcome_distribution(DensityOperator.vacuum(n_modes, 0), det)))
+    combined = {}
+    for case_prob, dist in cases:
+        if case_prob <= 0.0:
+            continue
+        for pattern, p in dist.items():
+            combined[pattern] = combined.get(pattern, 0.0) + case_prob * p
+    outcomes = []
+    for pattern in sorted(combined):
+        if combined[pattern] <= 0.0:
+            continue
+        if n_modes == 2:
+            modes = ((0, (0, 1)), (1, (0, 2)))
+            accepted = (pattern[0] > 0) + (pattern[1] > 0) == 1
+        else:
+            modes = ((0, (0, 1)), (2, (0, 2)), (1, (1, 1)), (3, (1, 2)))
+            accepted = classify_pattern(pattern)[0]
+        records = tuple(rec for mode, rec in modes if pattern[mode])
+        outcomes.append((combined[pattern], records, accepted))
+    return outcomes
+
+
+def _reference_w_state_outcomes(config, vis):
+    n = config.n_telescopes
+    outcomes = [(1.0 / (2.0 * n * n), ((i, d),), False)
+                for i in range(n) for d in (1, 2)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v_ij = effective_visibility(config, vis[(i, j)])
+            probs = w_state_probs(n, v_ij, config.w_phases[i], config.w_phases[j])
+            for d_i, d_j, frac in (
+                (1, 1, probs.correlated / 2.0), (2, 2, probs.correlated / 2.0),
+                (1, 2, probs.anticorrelated / 2.0), (2, 1, probs.anticorrelated / 2.0),
+            ):
+                outcomes.append((2.0 / (n * n) * frac, ((i, d_i), (j, d_j)), True))
+    return outcomes
+
+
+def _reference_simulate_run(config, source, geometry, n_slots, seed):
+    """Per-outcome record columns appended chunk by chunk and delta by
+    delta, then one stable sort by (slot, telescope, detector)."""
+    if config.kind == "w_state":
+        positions, wavelength = geometry
+        per_delta = [_reference_w_state_outcomes(
+            config, _pairwise_visibilities(source, positions, wavelength))]
+        schedule = (0.0,)
+    else:
+        v = visibility(source, geometry)
+        schedule = config.delta_schedule
+        per_delta = [_reference_outcomes(config, v, d) for d in schedule]
+    n_deltas = len(schedule)
+    cols = {k: [np.zeros(0, dtype=np.int64)] for k in ("slot", "tel", "det", "acc", "di")}
+    for chunk_idx, start in enumerate(range(0, n_slots, schemes.CHUNK_SLOTS)):
+        chunk = np.arange(start, min(start + schemes.CHUNK_SLOTS, n_slots))
+        rng = stream(seed, chunk_idx)
+        for delta_idx, outcomes in enumerate(per_delta):
+            slots = chunk[chunk % n_deltas == delta_idx]
+            if not len(slots):
+                continue
+            cdf = np.cumsum([p for p, _, _ in outcomes])
+            cdf[-1] = max(cdf[-1], 1.0)
+            draw = np.searchsorted(cdf, rng.random(len(slots)), side="right")
+            for idx in np.unique(draw):  # the outcomes drawn, in outcome order
+                _, records, accepted = outcomes[idx]
+                sel = slots[draw == idx]
+                for tel, det in records:
+                    for name, value in (("slot", sel), ("tel", tel), ("det", det),
+                                        ("acc", accepted), ("di", delta_idx)):
+                        cols[name].append(np.broadcast_to(value, sel.shape))
+    slot, tel, det, acc, di = (np.concatenate(cols[k]) for k in cols)
+    order = np.lexsort((det, tel, slot))
+    return EventLog(scheme=config.kind, n_slots=n_slots, deltas=schedule,
+                    meta={"seed": seed, "kind": config.kind}, slot=slot[order],
+                    telescope=tel[order], detector=det[order],
+                    accepted=acc[order], delta_index=di[order])
+
+
+_DETECTORS = (
+    DetectorModel(),
+    DetectorModel(efficiency=0.6, dark_prob_per_window=1e-3),
+    DetectorModel(efficiency=0.8, dark_prob_per_window=0.02,
+                  photon_number_resolving=True),
+)
+
+
+@st.composite
+def _runs(draw):
+    kind = draw(st.sampled_from(schemes.SCHEME_KINDS))
+    n_deltas = draw(st.integers(1, 9))
+    if kind == "w_state":
+        n_tel = draw(st.integers(2, 32))
+        config = SchemeConfig(
+            kind=kind, n_telescopes=n_tel,
+            w_phases=draw(st.lists(st.floats(-4.0, 4.0), min_size=n_tel, max_size=n_tel)))
+        geometry = (tuple(float(x) for x in np.linspace(0.0, 300.0, n_tel)), WAVELENGTH)
+    else:
+        faint = kind in ("weak_coherent", "hbt")
+        probs = st.sampled_from((0.0, 0.05, 0.2) if faint else (0.0, 0.6, 1.0))
+        config = SchemeConfig(
+            kind=kind,
+            delta_schedule=draw(st.lists(st.floats(-7.0, 7.0), min_size=n_deltas,
+                                         max_size=n_deltas)),
+            p_a=draw(probs), p_e=draw(probs),
+            detector=draw(st.sampled_from(_DETECTORS)),
+            double_pair_prob=draw(st.sampled_from((0.0, 0.05, 0.15))),
+            coherence_time=draw(st.sampled_from((0.0, 1.0))), jitter_sigma=0.3,
+            bell_complete=kind == "entangled" and draw(st.booleans()))
+        geometry = Baseline(100.0, WAVELENGTH)
+    return config, geometry
+
+
+@st.composite
+def _chunkings(draw):
+    """(CHUNK_SLOTS, n_slots) with at most ~60 chunks."""
+    chunk = draw(st.sampled_from([1, 7, 64, schemes.CHUNK_SLOTS]))
+    return chunk, draw(st.integers(1, min(60 * chunk, 3000)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=_runs(), chunking=_chunkings(), seed=st.integers(0, 2**63 - 1))
+def test_simulate_run_matches_per_outcome_sampler(run, chunking, seed):
+    """Same columns as the column sampler for every kind, lossy, noisy and
+    photon-number-resolving detectors, Bell-complete detection, pair
+    background, up to 32 telescopes, any slot count against the delta count
+    (fewer slots than deltas included) and chunk sizes down to one slot."""
+    config, geometry = run
+    chunk, n_slots = chunking
+    source = SourceModel.binary(2.0e-9, 0.7)
+    with mock.patch.object(schemes, "CHUNK_SLOTS", chunk):
+        try:
+            expected = _reference_simulate_run(config, source, geometry, n_slots, seed)
+        except ConfigError:
+            with pytest.raises(ConfigError):
+                simulate_run(config, source, geometry, n_slots, seed)
+            return
+        log = simulate_run(config, source, geometry, n_slots, seed)
+    for name in ("slot", "telescope", "detector", "accepted", "delta_index"):
+        got, want = getattr(log, name), getattr(expected, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert (log.scheme, log.n_slots, log.deltas, log.meta) == \
+        (expected.scheme, expected.n_slots, expected.deltas, expected.meta)
+    order = np.lexsort((log.detector, log.telescope, log.slot))
+    np.testing.assert_array_equal(order, np.arange(len(log)))
+
+
+@pytest.mark.parametrize("kind", ["direct", "entangled", "weak_coherent", "hbt"])
+def test_simulate_run_matches_per_outcome_sampler_over_chunks(kind):
+    """Three default-size chunks, the last one partial, with 7 deltas."""
+    p = 0.2 if kind in ("weak_coherent", "hbt") else 0.9
+    config = SchemeConfig(kind=kind, delta_schedule=tuple(np.linspace(0.0, 6.0, 7)),
+                          p_a=p, p_e=p, detector=_DETECTORS[1])
+    source, base = SourceModel.binary(2.0e-9, 0.7), Baseline(100.0, WAVELENGTH)
+    n_slots = 2 * schemes.CHUNK_SLOTS + 3
+    log = simulate_run(config, source, base, n_slots, 8)
+    expected = _reference_simulate_run(config, source, base, n_slots, 8)
+    for name in ("slot", "telescope", "detector", "accepted", "delta_index"):
+        np.testing.assert_array_equal(getattr(log, name), getattr(expected, name))
