@@ -26,6 +26,7 @@ from .sky import (
     load_pgm,
     load_point_sources,
     save_pgm,
+    visibilities,
     visibility,
 )
 from .schemes import (
@@ -124,6 +125,7 @@ __all__ = [
     "sscg_distill",
     "temporal_overlap_factor",
     "transmit_pair",
+    "visibilities",
     "visibility",
     "w_state_probs",
     "weak_coherent_stats",

@@ -27,7 +27,7 @@ from .repeater import chain_simulate, figure_of_merit
 from .rng import stream
 from .schemes import simulate_run
 from .sensitivity import limiting_magnitude
-from .sky import Baseline, save_pgm, visibility
+from .sky import save_pgm, visibilities
 
 SUMMARY_CSV_SCHEMA = "entscope.delta-summary-csv.v1"
 PAIR_CSV_SCHEMA = "entscope.pair-summary-csv.v1"
@@ -72,7 +72,7 @@ def cmd_simulate(args) -> int:
     parser = cfg.load_config(args.config)
     scheme = cfg.build_scheme(parser)
     source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
-    geometry = cfg.build_geometry(parser, scheme)
+    geometry = cfg.build_geometry(parser, scheme, source)
     seed, out_dir, mode, n_slots = cfg.run_options(parser, args.seed, args.out_dir)
     if mode != "monte-carlo":
         raise ConfigError(f"[run] mode: simulate samples events; {mode!r} "
@@ -188,30 +188,23 @@ def cmd_sensitivity(args) -> int:
 def cmd_reconstruct(args) -> int:
     parser = cfg.load_config(args.config)
     source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
-    grid, pixel_scale = cfg.build_reconstruct(parser)
-    wavelength = 800e-9
-    if parser.has_section("baseline"):
-        wavelength = parser.getfloat("baseline", "wavelength", fallback=800e-9)
-    out_dir = _ensure_out_dir(args.out_dir or (
-        parser.get("run", "out_dir", fallback="out")
-        if parser.has_section("run") else "out"))
-
-    two_d = source.grid is not None or (
-        source.points and isinstance(source.points[0][0], tuple))
-    samples = BaselineSet()
+    grid, pixel_scale, wavelength = cfg.build_reconstruct(parser)
     unit = wavelength / (grid * pixel_scale)
-    half = grid // 2
-    if two_d:
-        for kx in range(-half, grid - half):
-            for ky in range(-half, grid - half):
-                b = Baseline((kx * unit, ky * unit), wavelength)
-                samples.add(b, visibility(source, b))
-        image = reconstruct_image(samples, (grid, grid), pixel_scale)
+    axis = np.arange(-(grid // 2), grid - grid // 2) * unit
+    if source.two_d:
+        vectors = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
-        for k in range(-half, grid - half):
-            b = Baseline(k * unit, wavelength)
-            samples.add(b, visibility(source, b))
-        image = reconstruct_image(samples, grid, pixel_scale).reshape(1, -1)
+        vectors = axis
+    samples = BaselineSet.from_arrays(vectors, wavelength,
+                                      visibilities(source, vectors, wavelength))
+    size = (grid, grid) if source.two_d else grid
+    try:
+        image = reconstruct_image(samples, size, pixel_scale).reshape(-1, grid)
+    except ValueError as exc:
+        # An even grid's Nyquist samples are real only for a source on the
+        # pixel grid.
+        raise ConfigError(f"[reconstruct] {exc}") from exc
+    out_dir = _ensure_out_dir(args.out_dir or parser.get("run", "out_dir", fallback="out"))
     path = os.path.join(out_dir, "image.pgm")
     save_pgm(path, image, comment=IMAGE_PGM_SCHEMA)
     peak = np.unravel_index(np.argmax(image), image.shape)

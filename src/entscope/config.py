@@ -112,13 +112,14 @@ def _deltas(raw: str) -> tuple[float, ...]:
 def build_detector(parser) -> DetectorModel:
     if not parser.has_section("detector"):
         return DetectorModel()
-    return DetectorModel(
-        efficiency=_get(parser, "detector", "efficiency", float, 1.0),
-        dark_prob_per_window=_get(parser, "detector", "dark_prob_per_window",
-                                  float, 0.0),
-        photon_number_resolving=_get(parser, "detector",
-                                     "photon_number_resolving", _bool, False),
-    )
+    efficiency = _get(parser, "detector", "efficiency", float, 1.0)
+    dark = _get(parser, "detector", "dark_prob_per_window", float, 0.0)
+    resolving = _get(parser, "detector", "photon_number_resolving", _bool, False)
+    try:
+        return DetectorModel(efficiency=efficiency, dark_prob_per_window=dark,
+                             photon_number_resolving=resolving)
+    except ValueError as exc:
+        raise ConfigError(f"[detector] {exc}") from exc
 
 
 def build_scheme(parser) -> SchemeConfig:
@@ -127,6 +128,7 @@ def build_scheme(parser) -> SchemeConfig:
     kind = _get(parser, "scheme", "kind", str, required=True)
     n_telescopes = _get(parser, "scheme", "n_telescopes", int, 2)
     default_phases = (0.0,) * n_telescopes if kind == "w_state" else ()
+    detector = build_detector(parser)
     try:
         return SchemeConfig(
             kind=kind,
@@ -136,7 +138,7 @@ def build_scheme(parser) -> SchemeConfig:
             n_telescopes=n_telescopes,
             w_phases=_get(parser, "scheme", "w_phases", _float_list,
                           default_phases),
-            detector=build_detector(parser),
+            detector=detector,
             double_pair_prob=_get(parser, "scheme", "double_pair_prob", float, 0.0),
             coherence_time=_get(parser, "scheme", "coherence_time", float, 0.0),
             jitter_sigma=_get(parser, "scheme", "jitter_sigma", float, 0.0),
@@ -151,42 +153,60 @@ def build_source(parser, base_dir) -> SourceModel:
     if not parser.has_section("source"):
         return SourceModel.point()
     kind = _get(parser, "source", "kind", str, "point")
-    if kind == "point":
-        return SourceModel.point()
-    if kind == "binary":
-        separation = _get(parser, "source", "separation", float, required=True)
-        ratio = _get(parser, "source", "ratio", float, 1.0)
-        return SourceModel.binary(separation, ratio)
-    if kind == "points":
-        rel = _get(parser, "source", "points", str, required=True)
-        return load_point_sources(os.path.join(base_dir, rel))
-    if kind == "pgm":
-        rel = _get(parser, "source", "pgm", str, required=True)
-        pixel_scale = _get(parser, "source", "pixel_scale", float, required=True)
-        return SourceModel(grid=load_pgm(os.path.join(base_dir, rel)),
-                           pixel_scale=pixel_scale)
+    try:
+        if kind == "point":
+            return SourceModel.point()
+        if kind == "binary":
+            separation = _get(parser, "source", "separation", float, required=True)
+            ratio = _get(parser, "source", "ratio", float, 1.0)
+            return SourceModel.binary(separation, ratio)
+        if kind == "points":
+            rel = _get(parser, "source", "points", str, required=True)
+            return load_point_sources(os.path.join(base_dir, rel))
+        if kind == "pgm":
+            rel = _get(parser, "source", "pgm", str, required=True)
+            pixel_scale = _get(parser, "source", "pixel_scale", float, required=True)
+            return SourceModel(grid=load_pgm(os.path.join(base_dir, rel)),
+                               pixel_scale=pixel_scale)
+    except ConfigError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[source] {exc}") from exc
     raise ConfigError(f"[source] kind: unknown source kind {kind!r}")
 
 
-def build_geometry(parser, scheme: SchemeConfig):
+def _wavelength(parser) -> float:
+    wavelength = _get(parser, "baseline", "wavelength", float, 800e-9)
+    if not wavelength > 0:
+        raise ConfigError(f"[baseline] wavelength: must be positive, got {wavelength}")
+    return wavelength
+
+
+def build_geometry(parser, scheme: SchemeConfig, source: SourceModel | None = None):
     """Baseline for two-telescope schemes, (positions, wavelength) for
-    telescope arrays."""
+    telescope arrays.  With a source, its 1-D or 2-D angles must match the
+    baselines' dimension."""
     if not parser.has_section("baseline"):
         raise ConfigError("missing [baseline] section")
-    wavelength = _get(parser, "baseline", "wavelength", float, 800e-9)
+    wavelength = _wavelength(parser)
     if scheme.kind == "w_state":
-        positions = _get(parser, "baseline", "positions", _float_list,
-                         required=True)
+        key = "positions"
+        positions = _get(parser, "baseline", key, _float_list, required=True)
         if len(positions) != scheme.n_telescopes:
             raise ConfigError("[baseline] positions: need one position per "
                               "telescope")
-        return positions, wavelength
-    vector = _get(parser, "baseline", "vector", _float_list, required=True)
-    if len(vector) == 1:
-        return Baseline(vector[0], wavelength)
-    if len(vector) == 2:
-        return Baseline((vector[0], vector[1]), wavelength)
-    raise ConfigError("[baseline] vector: expected one or two components")
+        geometry, two_d = (positions, wavelength), False
+    else:
+        key = "vector"
+        vector = _get(parser, "baseline", key, _float_list, required=True)
+        if len(vector) not in (1, 2):
+            raise ConfigError("[baseline] vector: expected one or two components")
+        two_d = len(vector) == 2
+        geometry = Baseline(tuple(vector) if two_d else vector[0], wavelength)
+    if source is not None and source.two_d != two_d:
+        dims = "2-D" if source.two_d else "1-D"
+        raise ConfigError(f"[baseline] {key}: a {dims} source needs {dims} baselines")
+    return geometry
 
 
 def build_chain(parser):
@@ -250,7 +270,8 @@ def budget_preset(name: str) -> SensitivityBudget:
                       f"(known: default, improved)")
 
 
-def build_reconstruct(parser) -> tuple[int, float]:
+def build_reconstruct(parser) -> tuple[int, float, float]:
+    """(grid, pixel_scale, wavelength); the wavelength comes from [baseline]."""
     if not parser.has_section("reconstruct"):
         raise ConfigError("missing [reconstruct] section")
     grid = _get(parser, "reconstruct", "grid", int, required=True)
@@ -260,7 +281,7 @@ def build_reconstruct(parser) -> tuple[int, float]:
                        required=True)
     if pixel_scale <= 0:
         raise ConfigError("[reconstruct] pixel_scale: must be positive")
-    return grid, pixel_scale
+    return grid, pixel_scale, _wavelength(parser)
 
 
 def run_options(parser, seed_override=None, out_dir_override=None,

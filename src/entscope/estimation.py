@@ -143,37 +143,80 @@ class BaselineSet:
     """Visibility samples keyed by baseline, rejecting duplicates.
 
     Values may be supplied as complex numbers or FringeFit results (the
-    fitted visibility is taken).
+    fitted visibility is taken).  The samples are held as columns: (m, 2)
+    vectors (second component 0 for 1-D baselines), a per-row 2-D flag,
+    wavelengths and complex values.
     """
 
     def __init__(self) -> None:
-        self._entries: list[tuple[Baseline, complex]] = []
-        self._seen: set[tuple] = set()
+        self._columns = (np.empty((0, 2)), np.empty(0, dtype=bool),
+                         np.empty(0), np.empty(0, dtype=complex))
+        # (two_d, x, y, wavelength, value) rows from add() not yet in the columns
+        self._added: list[tuple] = []
+        self._keys: set[tuple] | None = set()
+
+    @classmethod
+    def from_arrays(cls, vectors, wavelength: float, values) -> "BaselineSet":
+        """Samples from an (m,) array of 1-D or an (m, 2) array of 2-D
+        baseline vectors, one wavelength and m values."""
+        vectors = np.array(vectors, dtype=float)
+        if vectors.ndim not in (1, 2) or vectors.ndim == 2 and vectors.shape[1] != 2:
+            raise ValueError(f"baseline vectors must have shape (m,) or (m, 2), "
+                             f"got {vectors.shape}")
+        if not wavelength > 0:
+            raise ValueError(f"wavelength must be positive, got {wavelength}")
+        m = len(vectors)
+        values = np.array(values, dtype=complex)
+        if values.shape != (m,):
+            raise ValueError(f"expected {m} values, got shape {values.shape}")
+        two_d = vectors.ndim == 2
+        if not two_d:
+            vectors = np.column_stack([vectors, np.zeros(m)])
+        # Equal rows sort next to each other; report the row add() would reject.
+        order = np.lexsort(vectors.T[::-1])
+        repeats = np.all(vectors[order[1:]] == vectors[order[:-1]], axis=1)
+        if repeats.any():
+            row = int(order[1:][repeats].min())
+            vector = tuple(vectors[row].tolist()) if two_d else float(vectors[row, 0])
+            raise ValueError(f"duplicate baseline {vector!r}")
+        samples = cls()
+        samples._columns = (vectors, np.full(m, two_d), np.full(m, float(wavelength)), values)
+        samples._keys = None
+        return samples
 
     def add(self, baseline: Baseline, value) -> None:
-        key = (baseline.vector, baseline.wavelength)
-        if key in self._seen:
+        two_d = isinstance(baseline.vector, tuple)
+        x, y = baseline.vector if two_d else (baseline.vector, 0.0)
+        key = (two_d, x, y, baseline.wavelength)
+        if self._keys is None:
+            vectors, flags, wavelengths, _ = self.columns()
+            self._keys = set(zip(flags.tolist(), vectors[:, 0].tolist(),
+                                 vectors[:, 1].tolist(), wavelengths.tolist()))
+        if key in self._keys:
             raise ValueError(f"duplicate baseline {baseline.vector!r}")
         vis = value.visibility if isinstance(value, FringeFit) else complex(value)
-        self._seen.add(key)
-        self._entries.append((baseline, vis))
+        self._keys.add(key)
+        self._added.append(key + (vis,))
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(vectors (m, 2), two_d flags, wavelengths, values) in insertion order."""
+        if self._added:
+            flags, x, y, wavelengths, values = zip(*self._added)
+            added = (np.column_stack([x, y]).astype(float), np.array(flags, dtype=bool),
+                     np.array(wavelengths, dtype=float), np.array(values, dtype=complex))
+            self._columns = tuple(np.concatenate([old, new])
+                                  for old, new in zip(self._columns, added))
+            self._added = []
+        return self._columns
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._columns[3]) + len(self._added)
 
     def __iter__(self):
-        return iter(self._entries)
-
-
-def _axis_index(component: float, n: int, pixel_scale: float,
-                wavelength: float) -> int:
-    exact = component * n * pixel_scale / wavelength
-    k = round(exact)
-    if abs(exact - k) > _GRID_TOL:
-        raise ValueError(
-            f"baseline component {component!r} is off the reconstruction grid "
-            f"(index {exact:.6f} not within {_GRID_TOL} of an integer)")
-    return k % n
+        vectors, flags, wavelengths, values = self.columns()
+        for (x, y), two_d, wavelength, vis in zip(vectors.tolist(), flags.tolist(),
+                                                  wavelengths.tolist(), values.tolist()):
+            yield Baseline((x, y) if two_d else x, wavelength), vis
 
 
 def reconstruct_image(samples: BaselineSet, grid_size, pixel_scale: float):
@@ -188,9 +231,9 @@ def reconstruct_image(samples: BaselineSet, grid_size, pixel_scale: float):
         raise ValueError("cannot reconstruct from an empty baseline set")
     if pixel_scale <= 0.0:
         raise ValueError("pixel_scale must be positive")
-    entries = list(samples)
-    wavelength = entries[0][0].wavelength
-    two_d = isinstance(entries[0][0].vector, tuple)
+    vectors, flags, wavelengths, values = samples.columns()
+    wavelength = float(wavelengths[0])
+    two_d = bool(flags[0])
     if isinstance(grid_size, int):
         shape = (grid_size,) if not two_d else (grid_size, grid_size)
     else:
@@ -200,27 +243,42 @@ def reconstruct_image(samples: BaselineSet, grid_size, pixel_scale: float):
     if not two_d and len(shape) != 1:
         raise ValueError("1-D baselines need a scalar grid size")
 
+    # Every sample is checked; the first failing one (in insertion order)
+    # raises, naming its first failed check.
+    mixed = flags != two_d
+    # math.isclose(w, wavelength, rel_tol=1e-12) for each row w.
+    same_wavelength = (wavelengths == wavelength) | (
+        np.isfinite(wavelengths) & math.isfinite(wavelength)
+        & (np.abs(wavelengths - wavelength)
+           <= 1e-12 * np.maximum(np.abs(wavelengths), abs(wavelength))))
+    exact = vectors[:, :len(shape)] * np.array(shape) * pixel_scale / wavelength
+    nearest = np.rint(exact)
+    off_grid = ~(np.abs(exact - nearest) <= _GRID_TOL)
+    failed = np.flatnonzero(mixed | ~same_wavelength | off_grid.any(axis=1))
+    if failed.size:
+        row = failed[0]
+        if mixed[row]:
+            raise ValueError("mixed 1-D and 2-D baselines in one set")
+        if not same_wavelength[row]:
+            raise ValueError("all baselines must share one wavelength")
+        axis = int(np.argmax(off_grid[row]))
+        raise ValueError(
+            f"baseline component {float(vectors[row, axis])!r} is off the "
+            f"reconstruction grid (index {exact[row, axis]:.6f} not within "
+            f"{_GRID_TOL} of an integer)")
+
+    # A later sample on the same grid point replaces an earlier one.
+    flat = np.ravel_multi_index(tuple(np.mod(nearest, shape).astype(np.intp).T), shape)
+    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
     grid = np.zeros(shape, dtype=complex)
     filled = np.zeros(shape, dtype=bool)
-    for baseline, vis in entries:
-        if isinstance(baseline.vector, tuple) != two_d:
-            raise ValueError("mixed 1-D and 2-D baselines in one set")
-        if not math.isclose(baseline.wavelength, wavelength, rel_tol=1e-12):
-            raise ValueError("all baselines must share one wavelength")
-        if two_d:
-            idx = (_axis_index(baseline.vector[0], shape[0], pixel_scale, wavelength),
-                   _axis_index(baseline.vector[1], shape[1], pixel_scale, wavelength))
-        else:
-            idx = (_axis_index(baseline.vector, shape[0], pixel_scale, wavelength),)
-        grid[idx] = vis
-        filled[idx] = True
+    grid.flat[flat[last]] = values[last]
+    filled.flat[flat[last]] = True
 
     # Hermitian completion: fill missing conjugate samples.
-    for idx in np.argwhere(filled):
-        conj_idx = tuple((-i) % n for i, n in zip(idx, shape))
-        if not filled[conj_idx]:
-            grid[conj_idx] = np.conj(grid[tuple(idx)])
-            filled[conj_idx] = True
+    mirror = np.ix_(*[(-np.arange(n)) % n for n in shape])
+    missing = ~filled & filled[mirror]
+    grid[missing] = np.conj(grid[mirror][missing])
 
     ramps = []
     for n in shape:

@@ -321,7 +321,8 @@ class SchemeConfig:
     coherence_time/jitter_sigma/arrival_offset feed the temporal overlap
     factor applied to the visibility (coherence_time 0 disables it).
     bell_complete models a complete two-photon parity measurement; it removes
-    the one-click-per-side acceptance loss (ideal detectors only).
+    the one-click-per-side acceptance loss.  kind=w_state and bell_complete
+    model ideal detectors only: any other detector is rejected.
     """
 
     kind: str
@@ -371,6 +372,10 @@ class SchemeConfig:
             raise ConfigError("temporal parameters must be non-negative")
         if self.bell_complete and self.kind != "entangled":
             raise ConfigError("bell_complete applies to kind=entangled only")
+        if (self.kind == "w_state" or self.bell_complete) and self.detector != IDEAL_DETECTOR:
+            what = "kind=w_state" if self.kind == "w_state" else "bell_complete"
+            raise ConfigError(f"detector: {what} models ideal detectors only, "
+                              f"got {self.detector}")
 
     def overlap_factor(self) -> float:
         if self.coherence_time <= 0.0:

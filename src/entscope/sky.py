@@ -40,6 +40,14 @@ class Baseline:
             object.__setattr__(self, "vector", float(self.vector))
 
 
+def _phases(vectors: np.ndarray, wavelength: float, theta) -> np.ndarray:
+    """Geometric phase of a point at theta for each row of vectors."""
+    if vectors.ndim == 2:
+        tx, ty = theta
+        return 2.0 * math.pi * (vectors[:, 0] * tx + vectors[:, 1] * ty) / wavelength
+    return 2.0 * math.pi * vectors * math.sin(theta) / wavelength
+
+
 def point_phase(baseline: Baseline, theta) -> float:
     """Geometric phase difference between the two telescopes for a point source.
 
@@ -47,13 +55,12 @@ def point_phase(baseline: Baseline, theta) -> float:
     2-D: small-angle 2*pi*(b . theta)/lambda.
     """
     if isinstance(baseline.vector, tuple):
-        tx, ty = (float(theta[0]), float(theta[1]))
-        bx, by = baseline.vector
-        return 2.0 * math.pi * (bx * tx + by * ty) / baseline.wavelength
-    theta = float(theta)
-    if not abs(theta) < math.pi / 2:
-        raise ValueError(f"source angle must satisfy |theta| < pi/2, got {theta}")
-    return 2.0 * math.pi * baseline.vector * math.sin(theta) / baseline.wavelength
+        theta = (float(theta[0]), float(theta[1]))
+    else:
+        theta = float(theta)
+        if not abs(theta) < math.pi / 2:
+            raise ValueError(f"source angle must satisfy |theta| < pi/2, got {theta}")
+    return float(_phases(np.array([baseline.vector]), baseline.wavelength, theta)[0])
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,15 @@ class SourceModel:
                         for t, i in self.points)
             if not pts:
                 raise ValueError("point source list is empty")
+            if len({isinstance(t, tuple) for t, _ in pts}) > 1:
+                raise ValueError("point list mixes 1-D angles and 2-D "
+                                 "(theta_x, theta_y) pairs")
+            for t, _ in pts:
+                if isinstance(t, tuple) and len(t) != 2:
+                    raise ValueError(f"2-D source angle must be a "
+                                     f"(theta_x, theta_y) pair, got {t}")
+                if not isinstance(t, tuple) and not abs(t) < math.pi / 2:
+                    raise ValueError(f"source angle must satisfy |theta| < pi/2, got {t}")
             if any(i < 0 for _, i in pts):
                 raise ValueError("intensities must be non-negative")
             if sum(i for _, i in pts) <= 0:
@@ -93,6 +109,11 @@ class SourceModel:
                 raise ValueError("pixel_scale must be positive for grid sources")
             object.__setattr__(self, "grid", grid)
 
+    @property
+    def two_d(self) -> bool:
+        """True for pixel grids and (theta_x, theta_y) point lists."""
+        return self.grid is not None or isinstance(self.points[0][0], tuple)
+
     @classmethod
     def point(cls, theta=0.0, intensity: float = 1.0) -> "SourceModel":
         return cls(points=((theta, intensity),))
@@ -103,22 +124,43 @@ class SourceModel:
         return cls(points=((-separation / 2.0, 1.0), (separation / 2.0, ratio)))
 
 
-def visibility(source: SourceModel, baseline: Baseline) -> complex:
-    """Normalized complex visibility: sum_k I_k e^{i phase_k} / sum_k I_k."""
+def visibilities(source: SourceModel, vectors, wavelength: float) -> np.ndarray:
+    """Normalized complex visibility sum_k I_k e^{i phase_k} / sum_k I_k for
+    each baseline vector: vectors has shape (m,) (1-D) or (m, 2) (2-D).
+
+    Every value is computed with the same float operations whatever m is,
+    so a baseline's visibility does not depend on the others in the call.
+    """
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim not in (1, 2) or vectors.ndim == 2 and vectors.shape[1] != 2:
+        raise ValueError(f"baseline vectors must have shape (m,) or (m, 2), "
+                         f"got {vectors.shape}")
+    if not wavelength > 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if (vectors.ndim == 2) != source.two_d:
+        dims = "2-D" if source.two_d else "1-D"
+        raise ValueError(f"{dims} sources require {dims} baseline vectors")
     if source.points is not None:
         total = sum(i for _, i in source.points)
-        acc = sum(i * np.exp(1j * point_phase(baseline, t)) for t, i in source.points)
-        return complex(acc / total)
-    if not isinstance(baseline.vector, tuple):
-        raise ValueError("grid sources require a 2-D baseline vector")
+        acc = 0
+        for theta, i in source.points:
+            acc = acc + i * np.exp(1j * _phases(vectors, wavelength, theta))
+        return acc / total
     grid = source.grid
     nx, ny = grid.shape
     tx = (np.arange(nx) - nx // 2) * source.pixel_scale
     ty = (np.arange(ny) - ny // 2) * source.pixel_scale
-    bx, by = baseline.vector
-    px = np.exp(2j * math.pi * bx * tx / baseline.wavelength)
-    py = np.exp(2j * math.pi * by * ty / baseline.wavelength)
-    return complex((px @ grid @ py) / grid.sum())
+    out = np.empty(len(vectors), dtype=complex)
+    for k, (bx, by) in enumerate(vectors.tolist()):
+        px = np.exp(2j * math.pi * bx * tx / wavelength)
+        py = np.exp(2j * math.pi * by * ty / wavelength)
+        out[k] = (px @ grid @ py) / grid.sum()
+    return out
+
+
+def visibility(source: SourceModel, baseline: Baseline) -> complex:
+    """Normalized complex visibility of one baseline (see `visibilities`)."""
+    return complex(visibilities(source, [baseline.vector], baseline.wavelength)[0])
 
 
 def arrival_density_matrix(v: complex, photon_cutoff: int = 2) -> DensityOperator:
@@ -214,7 +256,7 @@ def save_pgm(path, image: np.ndarray, maxval: int = 255, comment: str | None = N
         lines.append(f"# {comment}".encode("ascii"))
     lines.append(f"{image.shape[1]} {image.shape[0]}".encode("ascii"))
     lines.append(str(maxval).encode("ascii"))
-    for row in scaled:
-        lines.append(" ".join(str(v) for v in row).encode("ascii"))
+    for row in scaled.tolist():
+        lines.append(" ".join(map(str, row)).encode("ascii"))
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines) + b"\n")

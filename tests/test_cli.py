@@ -320,3 +320,123 @@ def test_oracle_check_passes(capsys):
     out = capsys.readouterr().out
     assert "all oracle comparisons passed" in out
     assert out.count("PASS") >= 6
+
+
+def test_reconstruct_demo_matches_recorded_sha256(tmp_path, capsys):
+    # Recorded with the per-sample forward model and gridding loops.
+    assert main(["reconstruct", "--config", preset("reconstruct_demo.ini"),
+                 "--out-dir", str(tmp_path)]) == 0
+    digest = hashlib.sha256((tmp_path / "image.pgm").read_bytes()).hexdigest()
+    assert digest == "96d40e12986c3c08658346b5b80670cce5a03f5f0317838eb87c86f831900501"
+
+
+def test_reconstruct_one_dimensional_points_match_recorded_sha256(tmp_path, capsys):
+    # Off-pixel 1-D points on an odd grid, so every pixel carries sidelobes;
+    # recorded with the per-sample forward model and gridding loops.
+    (tmp_path / "points.txt").write_text(
+        "# theta intensity\n-2.1e-9 1.0\n1.37e-9 0.6\n3.3e-9 0.25\n")
+    ini = tmp_path / "oned.ini"
+    ini.write_text("[source]\nkind = points\npoints = points.txt\n"
+                   "[baseline]\nwavelength = 800e-9\n"
+                   "[reconstruct]\ngrid = 41\npixel_scale = 0.625e-9\n")
+    assert main(["reconstruct", "--config", str(ini),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert "1x41 image" in capsys.readouterr().out
+    digest = hashlib.sha256((tmp_path / "run" / "image.pgm").read_bytes()).hexdigest()
+    assert digest == "eadb7529bb5762aa725e45aa1cc60b260552949dfeaa14093225b270c3ac8ee2"
+
+
+def _config_with(tmp_path, command: str, source: str, baseline: str = "") -> Path:
+    """An INI for command with the given [source] body (and [baseline]
+    lines, for reconstruct)."""
+    ini = tmp_path / f"{command}.ini"
+    if command == "simulate":
+        text = re.sub(r"\[source\][^[]*", f"[source]\n{source}\n",
+                      Path(preset("entangled_demo.ini")).read_text())
+    else:
+        text = (f"[source]\n{source}\n[baseline]\n{baseline or 'wavelength = 800e-9'}\n"
+                "[reconstruct]\ngrid = 8\npixel_scale = 1e-9\n")
+    ini.write_text(text)
+    return ini
+
+
+def _config_error(capsys, command: str, ini: Path, tmp_path) -> str:
+    args = [command, "--config", str(ini), "--out-dir", str(tmp_path / "run")]
+    if command == "simulate":
+        args += ["--n-slots", "40"]
+    assert main(args) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+    return err
+
+
+@pytest.mark.parametrize("points, message", [
+    (None, r"\[source\] .*No such file"),
+    ("1e-9 bright\n", r"\[source\] .*points.txt:1: non-numeric field"),
+    ("1e-9 1.0\n1e-9 2e-9 0.5\n", r"\[source\] point list mixes 1-D"),
+    ("2.0 1.0\n", r"\[source\] source angle must satisfy \|theta\| < pi/2, got 2.0"),
+], ids=["missing-file", "non-numeric", "mixed-columns", "wide-angle"])
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_bad_points_file_is_config_error(tmp_path, capsys, command, points, message):
+    if points is not None:
+        (tmp_path / "points.txt").write_text(points)
+    ini = _config_with(tmp_path, command, "kind = points\npoints = points.txt")
+    err = _config_error(capsys, command, ini, tmp_path)
+    assert re.match("config error: " + message, err), err
+
+
+def test_bad_detector_is_config_error(tmp_path, capsys):
+    ini = tmp_path / "detector.ini"
+    ini.write_text(Path(preset("entangled_demo.ini")).read_text()
+                   .replace("efficiency = 1.0", "efficiency = 1.5"))
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err == "config error: [detector] efficiency must be in [0, 1], got 1.5\n"
+
+
+@pytest.mark.parametrize("edits, label", [
+    ({"kind = entangled": "kind = w_state\nn_telescopes = 3",
+      "vector = 100.0 ": "positions = 0 50 100 "}, "kind=w_state"),
+    ({"kind = entangled": "kind = entangled\nbell_complete = true"}, "bell_complete"),
+], ids=["w_state", "bell_complete"])
+def test_ideal_detector_schemes_reject_detector_settings(tmp_path, capsys, edits, label):
+    text = Path(preset("entangled_demo.ini")).read_text()
+    for old, new in {**edits, "efficiency = 1.0": "efficiency = 0.3"}.items():
+        text = text.replace(old, new)
+    ini = tmp_path / "ideal.ini"
+    ini.write_text(text)
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err.startswith(f"config error: [scheme] detector: {label} models "
+                          f"ideal detectors only"), err
+    # The same scheme runs with the default (ideal) detector.
+    ini.write_text(text.replace("efficiency = 0.3", "efficiency = 1.0"))
+    assert main(["simulate", "--config", str(ini), "--n-slots", "40",
+                 "--out-dir", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+def test_nonpositive_wavelength_is_config_error(tmp_path, capsys, command):
+    ini = _config_with(tmp_path, command, "kind = binary\nseparation = 2e-9",
+                       baseline="wavelength = -8e-7")
+    if command == "simulate":
+        ini.write_text(ini.read_text().replace("wavelength = 800e-9", "wavelength = -8e-7"))
+    err = _config_error(capsys, command, ini, tmp_path)
+    assert err == "config error: [baseline] wavelength: must be positive, got -8e-07\n"
+
+
+def test_simulate_source_and_baseline_dimensions_must_match(tmp_path, capsys):
+    ini = tmp_path / "mismatch.ini"
+    ini.write_text(Path(preset("entangled_demo.ini")).read_text()
+                   .replace("vector = 100.0 ", "vector = 100.0, 20.0 "))
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err == ("config error: [baseline] vector: a 1-D source needs "
+                   "1-D baselines\n")
+
+
+def test_reconstruct_non_hermitian_nyquist_is_config_error(tmp_path, capsys):
+    # On an even grid the Nyquist samples of a point between pixels are not
+    # real, so the dirty image is not real either.
+    (tmp_path / "points.txt").write_text("1.3e-9 1.0\n")
+    ini = _config_with(tmp_path, "reconstruct", "kind = points\npoints = points.txt")
+    err = _config_error(capsys, "reconstruct", ini, tmp_path)
+    assert err.startswith("config error: [reconstruct] reconstruction not real"), err

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entscope.errors import LowStatisticsError
 from entscope.estimation import (
@@ -15,7 +17,7 @@ from entscope.estimation import (
     reconstruct_image,
 )
 from entscope.eventlog import EventLog
-from entscope.sky import Baseline, SourceModel, visibility
+from entscope.sky import Baseline, SourceModel, visibilities, visibility
 
 
 def coincidence_log(deltas, successes, totals, scheme="entangled") -> EventLog:
@@ -324,3 +326,174 @@ def test_reconstruction_grid_shape_validation():
         reconstruct_image(BaselineSet(), 8, 1e-9)
     with pytest.raises(ValueError, match="pixel_scale"):
         reconstruct_image(one_d, 8, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Columnar baseline sets against the per-sample gridding loop
+# ---------------------------------------------------------------------------
+
+def _reference_reconstruct(entries, grid_size, pixel_scale):
+    """The per-sample gridding loop that the array gridding replaced."""
+    def axis_index(component, n, wavelength):
+        exact = component * n * pixel_scale / wavelength
+        k = round(exact)
+        if abs(exact - k) > 1e-6:
+            raise ValueError(
+                f"baseline component {component!r} is off the reconstruction grid "
+                f"(index {exact:.6f} not within 1e-06 of an integer)")
+        return k % n
+
+    wavelength = entries[0][0].wavelength
+    two_d = isinstance(entries[0][0].vector, tuple)
+    if isinstance(grid_size, int):
+        shape = (grid_size,) if not two_d else (grid_size, grid_size)
+    else:
+        shape = tuple(int(n) for n in grid_size)
+    if two_d and len(shape) != 2:
+        raise ValueError("2-D baselines need an (nx, ny) grid size")
+    if not two_d and len(shape) != 1:
+        raise ValueError("1-D baselines need a scalar grid size")
+    grid = np.zeros(shape, dtype=complex)
+    filled = np.zeros(shape, dtype=bool)
+    for baseline, vis in entries:
+        if isinstance(baseline.vector, tuple) != two_d:
+            raise ValueError("mixed 1-D and 2-D baselines in one set")
+        if not math.isclose(baseline.wavelength, wavelength, rel_tol=1e-12):
+            raise ValueError("all baselines must share one wavelength")
+        vector = baseline.vector if two_d else (baseline.vector,)
+        idx = tuple(axis_index(c, n, wavelength) for c, n in zip(vector, shape))
+        grid[idx] = vis
+        filled[idx] = True
+    for idx in np.argwhere(filled):
+        conj_idx = tuple((-i) % n for i, n in zip(idx, shape))
+        if not filled[conj_idx]:
+            grid[conj_idx] = np.conj(grid[tuple(idx)])
+            filled[conj_idx] = True
+    ramps = []
+    for n in shape:
+        k = np.arange(n)
+        pix = np.arange(n) - n // 2
+        ramps.append(np.exp(-2j * math.pi * np.outer(k, pix) / n) / n)
+    image = ramps[0].T @ grid @ ramps[1] if two_d else grid @ ramps[0]
+    worst_imag = float(np.abs(image.imag).max())
+    if worst_imag > 1e-10:
+        raise ValueError(f"reconstruction not real (max imaginary part "
+                         f"{worst_imag:.3e}); visibility data not Hermitian")
+    image = image.real
+    flux = image.sum()
+    if flux <= 1e-12 * float(np.abs(image).max(initial=0.0)):
+        raise ValueError("reconstructed image has no usable total flux; "
+                         "was the zero baseline sampled?")
+    return image / flux
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def _grid_samples(draw):
+    """Baselines on a reconstruction grid, some of them sampling one grid
+    point twice, with the visibilities of on-pixel points; up to two edits
+    then move a baseline off the grid, change its wavelength or value, or
+    insert a baseline of the other dimension."""
+    two_d = draw(st.booleans())
+    n = draw(st.integers(2, 9))
+    dims = 2 if two_d else 1
+    pixel = st.integers(0, n - 1)
+    points = draw(st.lists(st.tuples(st.tuples(*[pixel] * dims), st.floats(0.1, 2.0)),
+                           min_size=1, max_size=3))
+    source = SourceModel(points=tuple(
+        (tuple(float((p - n // 2) * 1e-9) for p in pix) if two_d
+         else float((pix[0] - n // 2) * 1e-9), i) for pix, i in points))
+    ks = draw(st.lists(st.tuples(*[st.integers(-n, 2 * n - 1)] * dims),
+                       min_size=1, max_size=3 * n * dims, unique=True))
+    zero = (0,) * dims
+    if zero not in ks and draw(st.integers(0, 4)):  # mostly sample the flux
+        ks.insert(draw(st.integers(0, len(ks))), zero)
+    unit = WAVELENGTH / (n * 1e-9)
+    vectors = np.array(ks, dtype=float) * unit if two_d else np.array(ks)[:, 0] * unit
+    values = visibilities(source, vectors, WAVELENGTH)
+    rows = [(tuple(v) if two_d else float(v), WAVELENGTH, complex(x))
+            for v, x in zip(vectors.tolist(), values.tolist())]
+    for edit in draw(st.lists(st.sampled_from(["off-grid", "wavelength", "mixed", "value"]),
+                              max_size=2)):
+        at = draw(st.integers(0, len(rows) - 1))
+        vector, wavelength, value = rows[at]
+        row_2d = isinstance(vector, tuple)
+        if edit == "off-grid":
+            vector = (vector[0], vector[1] + 0.3 * unit) if row_2d else vector + 0.3 * unit
+        elif edit == "wavelength":
+            wavelength *= 1 + 1e-9
+        elif edit == "mixed":
+            vector = vector[0] if row_2d else (vector, 0.0)
+        else:
+            rows[at] = (vector, wavelength, value * 1.5j)
+            continue
+        if any(v == vector and w == wavelength for v, w, _ in rows):
+            continue  # keep the baselines distinct
+        if edit == "mixed":
+            rows.insert(at, (vector, wavelength, value))
+        else:
+            rows[at] = (vector, wavelength, value)
+    return rows, (n, n) if two_d else n
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_grid_samples())
+def test_reconstruct_image_matches_per_sample_loop(case):
+    rows, grid_size = case
+    samples = BaselineSet()
+    for vector, wavelength, value in rows:
+        samples.add(Baseline(vector, wavelength), value)
+    expected = _outcome(_reference_reconstruct, list(samples), grid_size, 1e-9)
+    got = _outcome(reconstruct_image, samples, grid_size, 1e-9)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got, expected)
+    if len({(isinstance(v, tuple), w) for v, w, _ in rows}) == 1:
+        bulk = BaselineSet.from_arrays([v for v, _, _ in rows], rows[0][1],
+                                       [x for _, _, x in rows])
+        assert list(bulk) == list(samples)
+        bulk_image = _outcome(reconstruct_image, bulk, grid_size, 1e-9)
+        assert bulk_image == got if isinstance(got, str) else np.array_equal(bulk_image, got)
+
+
+def test_bulk_and_added_sets_give_the_same_image():
+    n, pixel_scale = 32, 0.5e-9
+    source = SourceModel(points=(((2e-9, -3e-9), 1.0), ((-4.5e-9, 1e-9), 0.4)))
+    k = np.arange(-(n // 2), n - n // 2) * (WAVELENGTH / (n * pixel_scale))
+    vectors = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    values = visibilities(source, vectors, WAVELENGTH)
+    added = BaselineSet()
+    for vector, value in zip(vectors.tolist(), values.tolist()):
+        added.add(Baseline(tuple(vector), WAVELENGTH), value)
+    bulk = BaselineSet.from_arrays(vectors, WAVELENGTH, values)
+    assert len(bulk) == len(added) == n * n
+    image = reconstruct_image(bulk, (n, n), pixel_scale)
+    assert np.array_equal(image, reconstruct_image(added, (n, n), pixel_scale))
+    assert np.array_equal(image, _reference_reconstruct(list(added), (n, n), pixel_scale))
+
+
+def test_bulk_constructor_rejects_duplicates():
+    with pytest.raises(ValueError, match=r"^duplicate baseline 20.0$"):
+        BaselineSet.from_arrays([10.0, 20.0, 30.0, 20.0, 10.0], 800e-9, np.ones(5))
+    with pytest.raises(ValueError, match=r"^duplicate baseline \(1.0, 2.0\)$"):
+        BaselineSet.from_arrays([(1.0, 2.0), (2.0, 1.0), (1.0, 2.0)], 800e-9, np.ones(3))
+    samples = BaselineSet.from_arrays([10.0, -0.0], 800e-9, [0.5, 0.6])
+    assert [(b.vector, b.wavelength, v) for b, v in samples] == [
+        (10.0, 800e-9, 0.5 + 0j), (-0.0, 800e-9, 0.6 + 0j)]
+    # add() checks against the bulk rows too; the same vector at another
+    # wavelength is a different sample.
+    with pytest.raises(ValueError, match="duplicate baseline 0.0"):
+        samples.add(Baseline(0.0, 800e-9), 0.1)
+    samples.add(Baseline(10.0, 550e-9), 0.1)
+    assert len(samples) == 3
+    with pytest.raises(ValueError, match="positive"):
+        BaselineSet.from_arrays([1.0], 0.0, [1.0])
+    with pytest.raises(ValueError, match="values"):
+        BaselineSet.from_arrays([1.0, 2.0], 800e-9, [1.0])

@@ -444,15 +444,17 @@ def _runs(draw):
     else:
         faint = kind in ("weak_coherent", "hbt")
         probs = st.sampled_from((0.0, 0.05, 0.2) if faint else (0.0, 0.6, 1.0))
+        # Bell-complete detection models ideal detectors only.
+        bell_complete = kind == "entangled" and draw(st.booleans())
         config = SchemeConfig(
             kind=kind,
             delta_schedule=draw(st.lists(st.floats(-7.0, 7.0), min_size=n_deltas,
                                          max_size=n_deltas)),
             p_a=draw(probs), p_e=draw(probs),
-            detector=draw(st.sampled_from(_DETECTORS)),
+            detector=DetectorModel() if bell_complete else draw(st.sampled_from(_DETECTORS)),
             double_pair_prob=draw(st.sampled_from((0.0, 0.05, 0.15))),
             coherence_time=draw(st.sampled_from((0.0, 1.0))), jitter_sigma=0.3,
-            bell_complete=kind == "entangled" and draw(st.booleans()))
+            bell_complete=bell_complete)
         geometry = Baseline(100.0, WAVELENGTH)
     return config, geometry
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entscope.sky import (
     Baseline,
@@ -12,6 +14,7 @@ from entscope.sky import (
     load_point_sources,
     point_phase,
     save_pgm,
+    visibilities,
     visibility,
 )
 
@@ -90,6 +93,94 @@ def test_visibility_modulus_bounded():
         assert abs(visibility(src, b)) <= 1.0 + 1e-12
     with pytest.raises(ValueError):
         visibility(src, Baseline(100.0, WAVELENGTH))
+
+
+def _reference_visibility(source: SourceModel, baseline: Baseline) -> complex:
+    """The per-point scalar forward model that `visibilities` replaced."""
+    if source.points is not None:
+        def phase(theta):
+            if isinstance(baseline.vector, tuple):
+                bx, by = baseline.vector
+                return 2.0 * math.pi * (bx * theta[0] + by * theta[1]) / baseline.wavelength
+            return 2.0 * math.pi * baseline.vector * math.sin(theta) / baseline.wavelength
+        total = sum(i for _, i in source.points)
+        acc = sum(i * np.exp(1j * phase(t)) for t, i in source.points)
+        return complex(acc / total)
+    grid = source.grid
+    nx, ny = grid.shape
+    tx = (np.arange(nx) - nx // 2) * source.pixel_scale
+    ty = (np.arange(ny) - ny // 2) * source.pixel_scale
+    bx, by = baseline.vector
+    px = np.exp(2j * math.pi * bx * tx / baseline.wavelength)
+    py = np.exp(2j * math.pi * by * ty / baseline.wavelength)
+    return complex((px @ grid @ py) / grid.sum())
+
+
+def _assert_same_as_scalar(source, vectors, wavelength):
+    values = visibilities(source, np.array(vectors), wavelength)
+    assert values.dtype == complex and values.shape == (len(vectors),)
+    scalar = [visibility(source, Baseline(v, wavelength)) for v in vectors]
+    reference = [_reference_visibility(source, Baseline(v, wavelength)) for v in vectors]
+    assert np.array_equal(values, np.array(scalar))
+    assert np.array_equal(values, np.array(reference))
+
+
+def test_visibilities_equal_scalar_path_for_every_source_kind():
+    rng = np.random.default_rng(5)
+    vectors_1d = [float(b) for b in rng.uniform(-400.0, 400.0, 64)]
+    vectors_2d = [(float(x), float(y)) for x, y in rng.uniform(-400.0, 400.0, (64, 2))]
+    _assert_same_as_scalar(SourceModel.binary(2.5e-9, 0.4), vectors_1d, WAVELENGTH)
+    _assert_same_as_scalar(SourceModel(points=(((1e-9, -2e-9), 1.0), ((-3e-9, 5e-10), 0.7),
+                                               ((0.0, 4e-9), 0.2))), vectors_2d, WAVELENGTH)
+    _assert_same_as_scalar(SourceModel(grid=rng.random((5, 4)), pixel_scale=1e-9),
+                           vectors_2d, WAVELENGTH)
+
+
+_ANGLES = st.floats(-1e-8, 1e-8) | st.floats(-1.5, 1.5)
+
+
+@st.composite
+def _point_sources(draw):
+    two_d = draw(st.booleans())
+    angle = st.tuples(_ANGLES, _ANGLES) if two_d else _ANGLES
+    intensity = st.just(0.0) | st.floats(1e-3, 10.0)
+    points = draw(st.lists(st.tuples(angle, intensity), min_size=1, max_size=6))
+    if sum(i for _, i in points) <= 0:
+        points[0] = (points[0][0], 1.0)
+    component = st.floats(-1e3, 1e3)
+    vector = st.tuples(component, component) if two_d else component
+    vectors = draw(st.lists(vector, min_size=1, max_size=40))
+    return SourceModel(points=tuple(points)), vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_point_sources(), wavelength=st.floats(1e-7, 1e-5))
+def test_visibilities_match_scalar_visibility_bit_for_bit(case, wavelength):
+    source, vectors = case
+    _assert_same_as_scalar(source, vectors, wavelength)
+
+
+def test_visibilities_reject_mismatched_vectors():
+    with pytest.raises(ValueError, match="1-D sources require 1-D"):
+        visibilities(SourceModel.point(), np.zeros((3, 2)), WAVELENGTH)
+    with pytest.raises(ValueError, match="2-D sources require 2-D"):
+        visibilities(SourceModel(grid=np.ones((2, 2)), pixel_scale=1e-9),
+                     np.zeros(3), WAVELENGTH)
+    with pytest.raises(ValueError, match="shape"):
+        visibilities(SourceModel.point(), np.zeros((3, 3)), WAVELENGTH)
+    with pytest.raises(ValueError, match="wavelength"):
+        visibilities(SourceModel.point(), np.zeros(3), 0.0)
+
+
+def test_source_model_rejects_mixed_or_wide_angles():
+    with pytest.raises(ValueError, match="mixes 1-D"):
+        SourceModel(points=((1e-9, 1.0), ((1e-9, 2e-9), 1.0)))
+    with pytest.raises(ValueError, match="pi/2"):
+        SourceModel(points=((0.0, 1.0), (-math.pi / 2, 1.0)))
+    with pytest.raises(ValueError, match="pair"):
+        SourceModel(points=(((1e-9, 2e-9, 3e-9), 1.0),))
+    # 2-D angles are small-angle offsets and carry no such bound.
+    assert SourceModel(points=(((2.0, 0.0), 1.0),)).two_d
 
 
 def test_arrival_density_matrix_structure():
