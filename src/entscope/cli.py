@@ -193,11 +193,11 @@ def cmd_reconstruct(args) -> int:
     axis = np.arange(-(grid // 2), grid - grid // 2) * unit
     if source.two_d:
         vectors = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+        size = (grid, grid)
     else:
-        vectors = axis
+        vectors, size = axis, grid
     samples = BaselineSet.from_arrays(vectors, wavelength,
                                       visibilities(source, vectors, wavelength))
-    size = (grid, grid) if source.two_d else grid
     try:
         image = reconstruct_image(samples, size, pixel_scale).reshape(-1, grid)
     except ValueError as exc:
