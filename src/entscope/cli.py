@@ -21,11 +21,11 @@ import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, InfeasibleBudgetError, LowStatisticsError
-from .estimation import BaselineSet, estimate_visibility, reconstruct_image
-from .eventlog import EventLog, fringe_counts, pair_counts
+from .estimation import BaselineSet, fit_fringe, reconstruct_image
+from .eventlog import FringeCounter, JsonlWriter, pair_counts
 from .repeater import chain_simulate, figure_of_merit
 from .rng import stream
-from .schemes import simulate_run
+from .schemes import simulate_chunks
 from .sensitivity import limiting_magnitude
 from .sky import save_pgm, visibilities
 
@@ -59,13 +59,9 @@ def _ensure_out_dir(out_dir: str) -> str:
     return out_dir
 
 
-def _delta_summary_rows(log: EventLog, successes: np.ndarray, totals: np.ndarray):
-    rows = []
-    for i, d in enumerate(log.deltas):
-        corr = int(successes[i]) if i < len(successes) else 0
-        acc = int(totals[i]) if i < len(totals) else 0
-        rows.append([f"{float(d):.12g}", corr, acc - corr, acc])
-    return rows
+def _delta_summary_rows(deltas, successes, totals):
+    return [[f"{float(d):.12g}", int(s), int(t - s), int(t)]
+            for d, s, t in zip(deltas, successes, totals)]
 
 
 def cmd_simulate(args) -> int:
@@ -82,20 +78,30 @@ def cmd_simulate(args) -> int:
     if n_slots <= 0:
         raise ConfigError(f"n_slots: must be positive, got {n_slots}")
     out_dir = _ensure_out_dir(out_dir)
-    log = simulate_run(scheme, source, geometry, n_slots, seed)
+    chunks = simulate_chunks(scheme, source, geometry, n_slots, seed)
+    counter = FringeCounter(scheme.kind, scheme.delta_schedule)
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     log_path = os.path.join(out_dir, "events.jsonl")
-    log.write_jsonl(log_path)
+    with open(log_path, "w", encoding="ascii") as fh:
+        writer = JsonlWriter(fh)
+        for chunk in chunks:  # a slot range, so no pair straddles two chunks
+            writer.write(chunk)
+            if scheme.kind == "w_state":
+                for key, (c, t) in pair_counts(chunk, scheme.n_telescopes).items():
+                    c0, t0 = pairs.get(key, (0, 0))
+                    pairs[key] = (c0 + c, t0 + t)
+            else:
+                counter.add(*chunk.columns())
     if scheme.kind == "w_state":
-        table = sorted(pair_counts(log, scheme.n_telescopes).items())
-        rows = [[i, j, c, t] for (i, j), (c, t) in table]
+        rows = [[i, j, c, t] for (i, j), (c, t) in sorted(pairs.items())]
         _write_csv(os.path.join(out_dir, "summary.csv"), PAIR_CSV_SCHEMA,
                    ["tel_i", "tel_j", "correlated", "accepted"], rows)
-        accepted = sum(t for _, (_, t) in table)
+        accepted = sum(row[3] for row in rows)
     else:
-        _, successes, totals = fringe_counts(log)
+        deltas, successes, totals = counter.counts()
         _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_CSV_SCHEMA,
                    ["delta", "correlated", "anticorrelated", "accepted"],
-                   _delta_summary_rows(log, successes, totals))
+                   _delta_summary_rows(deltas, successes, totals))
         accepted = int(totals.sum())
     print(f"simulated {n_slots} slots ({scheme.kind}); {accepted} accepted "
           f"coincidences -> {log_path}")
@@ -104,12 +110,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     try:
-        log = EventLog.read_jsonl(args.log)
+        counter = FringeCounter.from_jsonl(args.log)
     except (OSError, TypeError, ValueError, KeyError) as exc:
         raise InputError(f"unreadable event log {args.log}: "
                          f"{type(exc).__name__}: {exc}") from exc
     try:
-        fit = estimate_visibility(log)
+        fit = fit_fringe(*counter.counts())
     except ValueError as exc:
         raise InputError(f"cannot fit event log {args.log}: {exc}") from exc
     out_dir = _ensure_out_dir(args.out_dir or "out")

@@ -64,14 +64,19 @@ def _has_quadrature_pair(deltas: np.ndarray) -> bool:
 
 
 def estimate_visibility(log: EventLog) -> FringeFit:
+    """fit_fringe over the log's fringe_counts."""
+    return fit_fringe(*fringe_counts(log))
+
+
+def fit_fringe(deltas: np.ndarray, successes: np.ndarray, totals: np.ndarray) -> FringeFit:
     """Least-squares visibility from the per-delta correlated fractions.
 
-    Requires at least two distinct delta values including a quadrature pair
+    Takes fringe_counts' (deltas, n_success, n_total) arrays.  Requires at
+    least two distinct delta values including a quadrature pair
     (delta, delta + pi/2); otherwise Re V and Im V are not separable.
     Raises LowStatisticsError when any schedule entry has fewer than
     MIN_EVENTS_PER_DELTA accepted events.
     """
-    deltas, successes, totals = fringe_counts(log)
     if len(np.unique(np.round(deltas, 12))) < 2:
         raise ValueError("need at least two distinct delta values")
     if not _has_quadrature_pair(np.asarray(deltas, dtype=float)):

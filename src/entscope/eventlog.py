@@ -11,10 +11,19 @@ keys, e.g. ``{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}``.  The
 writer emits only that layout, and the reader parses blocks of canonical
 lines column-wise.  Any other valid JSON record line (whitespace, another key
 order) is still accepted and parsed line by line with ``json.loads``.
+
+Logs stream in both directions, so memory does not grow with the slot count.
+``JsonlWriter`` appends a log given as consecutive chunks (the sampler's slot
+ranges).  One block reader parses a file ``READ_BLOCK_CHARS`` at a time and
+runs ``EventLog.validate``'s checks per block; ``EventLog.read_jsonl`` joins
+its blocks, and ``FringeCounter.from_jsonl`` reduces them to per-delay counts
+without building the columns.  ``FringeCounter`` pairs accepted records
+across block edges; ``fringe_counts`` is that counter over one whole log.
 """
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -23,9 +32,12 @@ import numpy as np
 SCHEMA = "entscope.eventlog.v1"
 
 # Records formatted per write() call; bounds the text held in memory.
-WRITE_BLOCK_RECORDS = 1 << 16
+WRITE_BLOCK_RECORDS = 1 << 14
 # Characters read per block; larger blocks raise peak RSS for no speed gain.
 READ_BLOCK_CHARS = 1 << 20
+
+# Record columns, in the order the reader and counters take them.
+COLUMNS = ("slot", "telescope", "detector", "accepted", "delta_index")
 
 _INDEX = r"(0|[1-9][0-9]{0,17})"  # no leading zeros; always fits in int64
 # One canonical v1 record line.  Group 1 holds the "acc", "delta" and "det"
@@ -58,173 +70,275 @@ class EventLog:
         self.validate()
 
     def validate(self) -> None:
-        n = len(self.slot)
-        for name in ("telescope", "detector", "accepted", "delta_index"):
-            if len(getattr(self, name)) != n:
+        for name in COLUMNS[1:]:
+            if len(getattr(self, name)) != len(self.slot):
                 raise ValueError(f"column {name} length mismatch")
-        if n and np.any(np.diff(self.slot) < 0):
-            raise ValueError("slots must be non-decreasing")
-        if n and (self.slot.min() < 0 or self.slot.max() >= self.n_slots):
-            raise ValueError("slot index out of range")
-        if n and not np.all(np.isin(self.detector, (1, 2))):
-            raise ValueError("detector ids must be 1 or 2")
-        if n and (self.delta_index.min() < 0 or self.delta_index.max() >= len(self.deltas)):
-            raise ValueError("delta index out of range")
+        checks = _Checks()
+        checks.add(self.slot, self.detector, self.delta_index)
+        checks.raise_first(self.n_slots, len(self.deltas))
 
     def __len__(self) -> int:
         return len(self.slot)
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The record columns in COLUMNS order."""
+        return tuple(getattr(self, name) for name in COLUMNS)
 
     def n_accepted_slots(self) -> int:
         return len(np.unique(self.slot[self.accepted]))
 
     def write_jsonl(self, path) -> None:
-        header = {
-            "schema": SCHEMA,
-            "scheme": self.scheme,
-            "n_slots": self.n_slots,
-            "deltas": list(self.deltas),
-            "meta": self.meta,
-        }
-        # Every line starts with one of 4 * n_deltas prefixes, indexed by
-        # (accepted * n_deltas + delta index) * 2 + (detector - 1).
-        prefixes = [
-            _dumps({"acc": acc, "delta": float(d), "det": det})[:-1] + ',"slot":'
-            for acc in (False, True) for d in self.deltas for det in (1, 2)]
-        code = (self.accepted * len(self.deltas) + self.delta_index) * 2 + self.detector - 1
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(_dumps(header) + "\n")
-            for start in range(0, len(self.slot), WRITE_BLOCK_RECORDS):
-                block = slice(start, start + WRITE_BLOCK_RECORDS)
-                fh.write("".join([
-                    f'{prefixes[c]}{s},"tel":{t}}}\n' for c, s, t in zip(
-                        code[block].tolist(), self.slot[block].tolist(),
-                        self.telescope[block].tolist())]))
+            JsonlWriter(fh).write(self)
 
     @classmethod
     def read_jsonl(cls, path) -> "EventLog":
         with open(path, "r", encoding="ascii") as fh:
-            header = json.loads(fh.readline())
-            schema = header.get("schema") if isinstance(header, dict) else None
-            if schema != SCHEMA:
-                raise ValueError(f"{path}: unsupported schema {schema!r}")
-            deltas = tuple(float(d) for d in header["deltas"])
-            reader = _RecordReader({d: i for i, d in enumerate(deltas)})
-            tail = ""
-            while block := fh.read(READ_BLOCK_CHARS):
-                block = tail + block
-                cut = block.rfind("\n") + 1
-                reader.add_block(block[:cut])
-                tail = block[cut:]
-            if tail:  # last line without a newline
-                reader.add_lines([tail])
-        slot, tel, det, acc, di = reader.columns()
-        return cls(
-            scheme=header["scheme"],
-            n_slots=int(header["n_slots"]),
-            deltas=deltas,
-            slot=slot,
-            telescope=tel,
-            detector=det,
-            accepted=acc,
-            delta_index=di,
-            meta=header.get("meta", {}),
-        )
+            reader = _BlockReader(fh, path)
+            # Typed empty columns first, so a log may hold no records.
+            blocks = [_line_columns((), {}), *reader.blocks()]
+        columns = (np.concatenate(c) for c in zip(*blocks))
+        return cls(**reader.fields(), **dict(zip(COLUMNS, columns)))
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-class _RecordReader:
-    """Accumulates record columns from blocks of whole lines.
+class JsonlWriter:
+    """Writes one event log, given as consecutive chunks, to an open text file.
 
-    A block whose every line is canonical is parsed with one regex pass; the
-    few distinct "acc"/"delta"/"det" texts are decoded once each by
-    json.loads and mapped through ``lookup``, so an unknown delta raises
-    KeyError exactly as the per-line path does.  Any other block goes through
-    the per-line json.loads path, the reference for every input.
+    The first chunk's fields make the header line.  Every record line starts
+    with one of 4 * n_deltas prefixes, indexed by (accepted * n_deltas +
+    delta index) * 2 + (detector - 1); lines are formatted and written
+    WRITE_BLOCK_RECORDS at a time.
     """
 
-    def __init__(self, lookup: dict) -> None:
-        self.lookup = lookup
-        self.codes: dict[str, int] = {}     # "acc"/"delta"/"det" text -> code
-        self.fields: list[tuple[bool, int, int]] = []  # code -> (acc, di, det)
-        self.blocks: list[tuple[np.ndarray, ...]] = []
-        self.add_lines(())  # typed empty columns, so a log may hold no records
+    def __init__(self, fh) -> None:
+        self.fh = fh
+        self.prefixes: list[str] | None = None
 
-    def add_block(self, block: str) -> None:
+    def write(self, log: EventLog) -> None:
+        if self.prefixes is None:
+            self.fh.write(_dumps({"schema": SCHEMA, "scheme": log.scheme,
+                                  "n_slots": log.n_slots, "deltas": list(log.deltas),
+                                  "meta": log.meta}) + "\n")
+            self.prefixes = [
+                _dumps({"acc": acc, "delta": float(d), "det": det})[:-1] + ',"slot":'
+                for acc in (False, True) for d in log.deltas for det in (1, 2)]
+        prefixes = self.prefixes
+        code = (log.accepted * len(log.deltas) + log.delta_index) * 2 + log.detector - 1
+        for start in range(0, len(log), WRITE_BLOCK_RECORDS):
+            block = slice(start, start + WRITE_BLOCK_RECORDS)
+            self.fh.write("".join([
+                f'{prefixes[c]}{s},"tel":{t}}}\n' for c, s, t in zip(
+                    code[block].tolist(), log.slot[block].tolist(),
+                    log.telescope[block].tolist())]))
+
+
+class _Checks:
+    """EventLog.validate's checks over one log's records, fed block by block.
+
+    Faults are held, and raise_first raises the error that validate raises
+    on the whole log.
+    """
+
+    def __init__(self) -> None:
+        self.last = -math.inf  # slot of the last record so far
+        self.unsorted = self.bad_detector = False
+        self.slots = self.indices = (math.inf, -math.inf)  # (min, max) so far
+
+    def add(self, slot: np.ndarray, detector: np.ndarray, delta_index: np.ndarray) -> None:
+        if not len(slot):
+            return
+        self.unsorted |= bool(np.any(np.diff(slot) < 0) or slot[0] < self.last)
+        self.last = slot[-1]
+        self.bad_detector |= not np.all(np.isin(detector, (1, 2)))
+        self.slots = (min(self.slots[0], slot.min()), max(self.slots[1], slot.max()))
+        self.indices = (min(self.indices[0], delta_index.min()),
+                        max(self.indices[1], delta_index.max()))
+
+    def raise_first(self, n_slots: int, n_deltas: int) -> None:
+        if self.unsorted:
+            raise ValueError("slots must be non-decreasing")
+        if self.slots[0] < 0 or self.slots[1] >= n_slots:
+            raise ValueError("slot index out of range")
+        if self.bad_detector:
+            raise ValueError("detector ids must be 1 or 2")
+        if self.indices[0] < 0 or self.indices[1] >= n_deltas:
+            raise ValueError("delta index out of range")
+
+
+def _line_columns(lines, lookup: dict) -> tuple[np.ndarray, ...]:
+    """Record columns from one json.loads per line, the reference parser."""
+    cols: tuple[list, ...] = ([], [], [], [], [])
+    for line in lines:
+        rec = json.loads(line)
+        cols[0].append(rec["slot"])
+        cols[1].append(rec["tel"])
+        cols[2].append(rec["det"])
+        cols[3].append(rec["acc"])
+        cols[4].append(lookup[rec["delta"]])
+    return tuple(np.array(c, dtype=bool if k == 3 else np.int64) for k, c in enumerate(cols))
+
+
+class _BlockReader:
+    """One event log, read from an open file block by block.
+
+    The constructor reads the header; blocks() yields the record columns of
+    each block of whole lines.  A block whose every line is canonical is
+    parsed with one regex pass: the few distinct "acc"/"delta"/"det" texts
+    are decoded once each by json.loads and mapped through the delta lookup,
+    so an unknown delta raises KeyError exactly as the per-line path does.
+    Any other block goes through the per-line path.  A parse error raises
+    where it is met; fields() settles the header fields and the validation
+    checks after the last block, so a log raises the error it raises when
+    parsed whole first.
+    """
+
+    def __init__(self, fh, path) -> None:
+        header = json.loads(fh.readline())
+        schema = header.get("schema") if isinstance(header, dict) else None
+        if schema != SCHEMA:
+            raise ValueError(f"{path}: unsupported schema {schema!r}")
+        self.fh, self.header = fh, header
+        self.deltas = tuple(float(d) for d in header["deltas"])
+        self.lookup = {d: i for i, d in enumerate(self.deltas)}
+        self.codes: dict[str, int] = {}     # "acc"/"delta"/"det" text -> code
+        self.fields_of_code: list[tuple[bool, int, int]] = []  # code -> (acc, di, det)
+        self.checks = _Checks()
+
+    def blocks(self):
+        tail = ""
+        while text := self.fh.read(READ_BLOCK_CHARS):
+            text = tail + text
+            cut = text.rfind("\n") + 1
+            tail = text[cut:]
+            yield self._parse(text[:cut])
+        if tail:  # last line without a newline
+            yield self._parse(tail + "\n")
+
+    def _parse(self, block: str) -> tuple[np.ndarray, ...]:
         found = _CANONICAL_LINE.findall(block)
         if not found or len(found) != block.count("\n"):
-            self.add_lines(block.split("\n")[:-1])
-            return
-        keys, slot, tel = zip(*found)
-        for key in set(keys).difference(self.codes):
-            rec = json.loads("{" + key + "}")
-            self.codes[key] = len(self.fields)
-            self.fields.append((rec["acc"], self.lookup[rec["delta"]], rec["det"]))
-        code = np.fromiter(map(self.codes.__getitem__, keys), np.int64, len(keys))
-        acc, di, det = np.array(self.fields, dtype=np.int64)[code].T
-        self.blocks.append((np.array(slot, dtype=np.int64),
-                            np.array(tel, dtype=np.int64), det, acc.astype(bool), di))
+            columns = _line_columns(block.split("\n")[:-1], self.lookup)
+        else:
+            keys, slot, tel = zip(*found)
+            for key in set(keys).difference(self.codes):
+                rec = json.loads("{" + key + "}")
+                self.codes[key] = len(self.fields_of_code)
+                self.fields_of_code.append((rec["acc"], self.lookup[rec["delta"]], rec["det"]))
+            code = np.fromiter(map(self.codes.__getitem__, keys), np.int64, len(keys))
+            acc, di, det = np.array(self.fields_of_code, dtype=np.int64)[code].T
+            columns = (np.array(slot, dtype=np.int64), np.array(tel, dtype=np.int64),
+                       det, acc.astype(bool), di)
+        self.checks.add(columns[0], columns[2], columns[4])
+        return columns
 
-    def add_lines(self, lines) -> None:
-        cols: tuple[list, ...] = ([], [], [], [], [])
-        for line in lines:
-            rec = json.loads(line)
-            cols[0].append(rec["slot"])
-            cols[1].append(rec["tel"])
-            cols[2].append(rec["det"])
-            cols[3].append(rec["acc"])
-            cols[4].append(self.lookup[rec["delta"]])
-        self.blocks.append(tuple(
-            np.array(c, dtype=bool if k == 3 else np.int64) for k, c in enumerate(cols)))
-
-    def columns(self) -> tuple[np.ndarray, ...]:
-        """(slot, tel, det, acc, delta index) over every block read."""
-        return tuple(np.concatenate(c) for c in zip(*self.blocks))
+    def fields(self) -> dict:
+        """The EventLog fields other than the columns; call after blocks()."""
+        header = self.header
+        fields = dict(scheme=header["scheme"], n_slots=int(header["n_slots"]),
+                      deltas=self.deltas, meta=header.get("meta", {}))
+        self.checks.raise_first(fields["n_slots"], len(self.deltas))
+        return fields
 
 
-def fringe_counts(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-delay success/total counts for fringe fitting.
+class _Pairing:
+    """Pairs one log's accepted records in order, fed block by block.
+
+    An accepted record whose partner opens the next block is carried over.
+    Faults are held, and check() raises the error of pairing the whole log.
+    """
+
+    def __init__(self) -> None:
+        self.carry: list[np.ndarray] | None = None  # an unpaired accepted record
+        self.split = False  # some pair's records lie in two slots
+
+    def add(self, slot, telescope, detector, accepted, delta_index):
+        """(slot, telescope, detector, delta index) of the first and of the
+        second record of each pair completed in this block."""
+        keep = np.flatnonzero(accepted)
+        cols = [c[keep] for c in (slot, telescope, detector, delta_index)]
+        if self.carry is not None:
+            cols = [np.concatenate(c) for c in zip(self.carry, cols)]
+        paired = len(cols[0]) // 2 * 2
+        self.carry = [c[paired:] for c in cols] if paired < len(cols[0]) else None
+        first, second = [c[0:paired:2] for c in cols], [c[1:paired:2] for c in cols]
+        self.split |= bool(np.any(first[0] != second[0]))
+        return first, second
+
+    def check(self) -> None:
+        if self.carry is not None:
+            raise ValueError("accepted coincidence records must come in pairs")
+        if self.split:
+            raise ValueError("accepted pair records must share a slot")
+
+
+class FringeCounter:
+    """Per-delay success/total counts for fringe fitting, fed block by block.
 
     Coincidence schemes: per accepted slot, success means both telescopes
     fired the same detector index (correlated outcome).  Direct detection:
-    success means the accepted click landed on detector 1.
-    Returns (deltas, n_success, n_total) aligned with the delay schedule.
+    success means the accepted click landed on detector 1.  Blocks are
+    consecutive runs of one log's records in COLUMNS order; a pair may
+    straddle two blocks.
     """
-    n_deltas = len(log.deltas)
-    deltas = np.asarray(log.deltas, dtype=float)
-    acc = np.flatnonzero(log.accepted)
-    if log.scheme == "direct":
-        di = log.delta_index[acc]
-        total = np.bincount(di, minlength=n_deltas)
-        success = np.bincount(di[log.detector[acc] == 1], minlength=n_deltas)
-        return deltas, success, total
-    if log.scheme == "w_state":
-        raise ValueError("fringe_counts handles two-telescope schemes; "
-                         "use pair_counts for telescope arrays")
-    if len(acc) % 2:
-        raise ValueError("accepted coincidence records must come in pairs")
-    first, second = acc[0::2], acc[1::2]
-    if np.any(log.slot[first] != log.slot[second]):
-        raise ValueError("accepted pair records must share a slot")
-    di = log.delta_index[first]
-    total = np.bincount(di, minlength=n_deltas)
-    same = log.detector[first] == log.detector[second]
-    success = np.bincount(di[same], minlength=n_deltas)
-    return deltas, success, total
+
+    def __init__(self, scheme: str, deltas) -> None:
+        self.scheme = scheme
+        self.deltas = np.asarray(deltas, dtype=float)
+        self.success = np.zeros(len(self.deltas), dtype=np.int64)
+        self.total = np.zeros(len(self.deltas), dtype=np.int64)
+        self.pairing = _Pairing()
+
+    def add(self, slot, telescope, detector, accepted, delta_index) -> None:
+        if self.scheme == "direct":
+            di, success = delta_index[accepted], detector[accepted] == 1
+        else:
+            first, second = self.pairing.add(slot, telescope, detector, accepted, delta_index)
+            di, success = first[3], first[2] == second[2]
+        self.total += np.bincount(di, minlength=len(self.deltas))
+        self.success += np.bincount(di[success], minlength=len(self.deltas))
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(deltas, n_success, n_total) aligned with the delay schedule."""
+        if self.scheme == "w_state":
+            raise ValueError("fringe_counts handles two-telescope schemes; "
+                             "use pair_counts for telescope arrays")
+        self.pairing.check()
+        return self.deltas, self.success, self.total
+
+    @classmethod
+    def from_jsonl(cls, path) -> "FringeCounter":
+        """The counter fed every record of the event log at path, one read
+        block at a time.  Raises as EventLog.read_jsonl does on a log it
+        cannot read; pairing faults wait for counts()."""
+        with open(path, "r", encoding="ascii") as fh:
+            reader = _BlockReader(fh, path)
+            # A missing scheme raises in fields(), after the body, as it
+            # does in read_jsonl.
+            counter = cls(reader.header.get("scheme"), reader.deltas)
+            for block in reader.blocks():
+                counter.add(*block)
+        reader.fields()
+        return counter
+
+
+def fringe_counts(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A FringeCounter's (deltas, n_success, n_total) over the whole log."""
+    counter = FringeCounter(log.scheme, log.deltas)
+    counter.add(*log.columns())
+    return counter.counts()
 
 
 def pair_counts(log: EventLog, n_telescopes: int) -> dict[tuple[int, int], tuple[int, int]]:
     """Telescope-array coincidences: {(i, j): (n_correlated, n_total)}, i < j."""
-    acc = np.flatnonzero(log.accepted)
-    if len(acc) % 2:
-        raise ValueError("accepted coincidence records must come in pairs")
-    first, second = acc[0::2], acc[1::2]
-    if np.any(log.slot[first] != log.slot[second]):
-        raise ValueError("accepted pair records must share a slot")
-    ti, tj = log.telescope[first], log.telescope[second]
-    same = log.detector[first] == log.detector[second]
+    pairing = _Pairing()
+    first, second = pairing.add(*log.columns())
+    pairing.check()
+    ti, tj = first[1], second[1]
+    same = first[2] == second[2]
     out: dict[tuple[int, int], tuple[int, int]] = {}
     for i in range(n_telescopes):
         for j in range(i + 1, n_telescopes):

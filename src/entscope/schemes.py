@@ -10,9 +10,10 @@ Covers four ways of turning starlight into fringe data:
 * intensity correlation (photon bunching across the two sites).
 
 Each scheme has closed-form per-slot probabilities plus a Monte Carlo
-(`simulate_run`) that samples the exact click-pattern distribution of the
-corresponding few-mode circuit, so analytic and sampled statistics agree by
-construction and both can be checked against the Fock simulator.
+(`simulate_chunks`, joined by `simulate_run`) that samples the exact
+click-pattern distribution of the corresponding few-mode circuit, so
+analytic and sampled statistics agree by construction and both can be
+checked against the Fock simulator.
 
 Per-slot event model for faint sources: time is discretized into coherence
 slots.  Leading-order photon-number cases (single astronomical photon, single
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError
-from .eventlog import EventLog
+from .eventlog import COLUMNS, EventLog
 from .fock import (
     DEFAULT_CUTOFF,
     DensityOperator,
@@ -545,16 +547,19 @@ def _outcome_table(per_delta: list[list[_Outcome]]):
             (tel, det, acc.astype(bool), delta_index))
 
 
-def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
-                 n_slots: int, seed: int) -> EventLog:
-    """Monte Carlo event log for a measurement run.
+def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
+                    n_slots: int, seed: int) -> Iterator[EventLog]:
+    """Monte Carlo event log for a measurement run, one chunk at a time.
 
     geometry: a Baseline for the two-telescope schemes, or a sequence of
     telescope positions (same units as baseline vectors) plus a wavelength
     via a (positions, wavelength) tuple for the telescope-array scheme.
     Slots cycle through the delay schedule round-robin.  Sampling is
-    partitioned into fixed-size chunks with one RNG substream per chunk
-    derived from (seed, chunk index), so a run depends only on its seed.
+    partitioned into chunks of CHUNK_SLOTS slots with one RNG substream per
+    chunk derived from (seed, chunk index), so a run depends only on its
+    seed.  The outcome table is built, and bad input raises, before this
+    returns; each chunk is then sampled when it is asked for and comes as an
+    EventLog of the run's fields holding its slot range's records.
     """
     if n_slots <= 0:
         raise ValueError(f"n_slots must be positive, got {n_slots}")
@@ -575,11 +580,10 @@ def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
         else:
             per_delta = [_two_telescope_outcomes(config, v, d) for d in schedule]
     cdfs, first_ids, n_records, first_record, columns = _outcome_table(per_delta)
+    n_deltas, step = len(schedule), CHUNK_SLOTS
 
-    n_deltas = len(schedule)
-    slots, records = [], []
-    for chunk_idx, start in enumerate(range(0, n_slots, CHUNK_SLOTS)):
-        chunk = np.arange(start, min(start + CHUNK_SLOTS, n_slots), dtype=np.int64)
+    def sample(chunk_idx: int, start: int) -> EventLog:
+        chunk = np.arange(start, min(start + step, n_slots), dtype=np.int64)
         rng = rngmod.stream(seed, chunk_idx)
         # One outcome id per slot: each delta draws one uniform per slot of
         # its residue class, in delta order.
@@ -596,19 +600,20 @@ def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
         ends = np.cumsum(counts)
         record = np.repeat(first_record[ids] - (ends - counts), counts)
         record += np.arange(len(record))
-        slots.append(np.repeat(chunk, counts))
-        records.append(record)
-    slot, record = np.concatenate(slots), np.concatenate(records)
-    del slots, records
-    tel, det, acc, delta_index = (column[record] for column in columns)
-    return EventLog(
-        scheme=config.kind,
-        n_slots=n_slots,
-        deltas=schedule,
-        meta={"seed": int(seed), "kind": config.kind},
-        slot=slot,
-        telescope=tel,
-        detector=det,
-        accepted=acc,
-        delta_index=delta_index,
-    )
+        tel, det, acc, delta_index = (column[record] for column in columns)
+        return EventLog(scheme=config.kind, n_slots=n_slots, deltas=schedule,
+                        meta={"seed": int(seed), "kind": config.kind},
+                        slot=np.repeat(chunk, counts), telescope=tel, detector=det,
+                        accepted=acc, delta_index=delta_index)
+
+    return (sample(chunk_idx, start)
+            for chunk_idx, start in enumerate(range(0, n_slots, step)))
+
+
+def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
+                 n_slots: int, seed: int) -> EventLog:
+    """The whole event log of simulate_chunks(config, source, geometry,
+    n_slots, seed), its chunks joined in slot order."""
+    chunks = list(simulate_chunks(config, source, geometry, n_slots, seed))
+    joined = (np.concatenate(c) for c in zip(*(chunk.columns() for chunk in chunks)))
+    return replace(chunks[0], **dict(zip(COLUMNS, joined)))

@@ -48,21 +48,6 @@ def _phases(vectors: np.ndarray, wavelength: float, theta) -> np.ndarray:
     return 2.0 * math.pi * vectors * math.sin(theta) / wavelength
 
 
-def point_phase(baseline: Baseline, theta) -> float:
-    """Geometric phase difference between the two telescopes for a point source.
-
-    1-D: 2*pi*b*sin(theta)/lambda with theta in radians, |theta| < pi/2.
-    2-D: small-angle 2*pi*(b . theta)/lambda.
-    """
-    if isinstance(baseline.vector, tuple):
-        theta = (float(theta[0]), float(theta[1]))
-    else:
-        theta = float(theta)
-        if not abs(theta) < math.pi / 2:
-            raise ValueError(f"source angle must satisfy |theta| < pi/2, got {theta}")
-    return float(_phases(np.array([baseline.vector]), baseline.wavelength, theta)[0])
-
-
 @dataclass(frozen=True)
 class SourceModel:
     """Incoherent brightness distribution: weighted points or a pixel grid.

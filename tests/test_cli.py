@@ -2,12 +2,18 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import entscope
+from entscope import config as cfg
+from entscope import eventlog, schemes
 from entscope.cli import (
     BUDGET_CSV_SCHEMA,
     CHAIN_CSV_SCHEMA,
@@ -20,6 +26,7 @@ from entscope.cli import (
     SUMMARY_CSV_SCHEMA,
     main,
 )
+from entscope.eventlog import EventLog, FringeCounter, fringe_counts, pair_counts
 from entscope.sky import load_pgm
 
 PRESETS = Path(entscope.__file__).parent / "presets"
@@ -440,3 +447,100 @@ def test_reconstruct_non_hermitian_nyquist_is_config_error(tmp_path, capsys):
     ini = _config_with(tmp_path, "reconstruct", "kind = points\npoints = points.txt")
     err = _config_error(capsys, "reconstruct", ini, tmp_path)
     assert err.startswith("config error: [reconstruct] reconstruction not real"), err
+
+
+_STREAM_SCHEMES = {
+    "direct": "kind = direct\ndeltas = {n}\n[detector]\nefficiency = 0.6\n"
+              "dark_prob_per_window = 0.01\n[baseline]\nvector = 100.0\n",
+    "entangled": "kind = entangled\ndeltas = {n}\n[detector]\nefficiency = 0.8\n"
+                 "dark_prob_per_window = 0.02\n[baseline]\nvector = 100.0\n",
+    "weak_coherent": "kind = weak_coherent\ndeltas = {n}\np_a = 0.1\np_e = 0.1\n"
+                     "[baseline]\nvector = 100.0\n",
+    "w_state": "kind = w_state\nn_telescopes = {n}\n"
+               "[baseline]\npositions = {positions}\n",
+}
+
+
+def _stream_ini(path: Path, kind: str, n: int) -> Path:
+    scheme = _STREAM_SCHEMES[kind].format(
+        n=n, positions=", ".join(str(40.0 * i * i) for i in range(n)))
+    path.write_text(f"[run]\nseed = 11\n[scheme]\n{scheme}wavelength = 800e-9\n"
+                    "[source]\nkind = binary\nseparation = 2.5e-9\nratio = 0.7\n")
+    return path
+
+
+@st.composite
+def _stream_runs(draw):
+    kind = draw(st.sampled_from(sorted(_STREAM_SCHEMES)))
+    chunk = draw(st.sampled_from([1, 7, 64, schemes.CHUNK_SLOTS]))
+    return (kind, draw(st.integers(2, 5)), chunk,
+            draw(st.integers(1, min(60 * chunk, 3000))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=_stream_runs(), write_block=st.sampled_from([1, 7, 1 << 14]),
+       read_block=st.sampled_from([40, 1000, 1 << 20]), seed=st.integers(0, 2**63 - 1))
+def test_streamed_simulate_equals_the_whole_log(tmp_path_factory, run, write_block,
+                                                read_block, seed):
+    """simulate writes and counts chunk by chunk; estimate counts read block
+    by block.  Both equal the whole-log path at any chunk and block size."""
+    kind, n, chunk, n_slots = run
+    tmp = tmp_path_factory.mktemp("stream")
+    ini = _stream_ini(tmp / "run.ini", kind, n)
+    with mock.patch.object(schemes, "CHUNK_SLOTS", chunk), \
+            mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", write_block), \
+            mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+        assert main(["simulate", "--config", str(ini), "--n-slots", str(n_slots),
+                     "--seed", str(seed), "--out-dir", str(tmp / "run")]) == 0
+        parser = cfg.load_config(ini)
+        scheme = cfg.build_scheme(parser)
+        source = cfg.build_source(parser, str(tmp))
+        log = schemes.simulate_run(scheme, source, cfg.build_geometry(parser, scheme, source),
+                                   n_slots, seed)
+        log.write_jsonl(tmp / "whole.jsonl")
+        path = tmp / "run" / "events.jsonl"
+        assert path.read_bytes() == (tmp / "whole.jsonl").read_bytes()
+        if kind == "w_state":
+            rows = [f"{i},{j},{c},{t}" for (i, j), (c, t) in sorted(pair_counts(log, n).items())]
+        else:
+            _, successes, totals = fringe_counts(log)
+            rows = [f"{d:.12g},{s},{t - s},{t}" for d, s, t in zip(log.deltas, successes, totals)]
+            streamed = FringeCounter.from_jsonl(path).counts()
+            whole = fringe_counts(EventLog.read_jsonl(path))
+            assert [c.tolist() for c in streamed] == [c.tolist() for c in whole]
+    assert (tmp / "run" / "summary.csv").read_text().splitlines()[2:] == rows
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path, capsys):
+    """Small chunks and blocks, so both commands' traced peak is set by one
+    block, not by the slot count."""
+    ini = preset("entangled_demo.ini")
+    peaks = {}
+    with mock.patch.object(schemes, "CHUNK_SLOTS", 1 << 12), \
+            mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", 1 << 10), \
+            mock.patch.object(eventlog, "READ_BLOCK_CHARS", 1 << 14):
+        # Fill the outcome-table caches and import lazily loaded code first.
+        warm = tmp_path / "warm"
+        assert main(["simulate", "--config", ini, "--n-slots", "2000",
+                     "--out-dir", str(warm)]) == 0
+        assert main(["estimate", "--log", str(warm / "events.jsonl"),
+                     "--out-dir", str(warm)]) == 0
+        for n_slots in (10_000, 100_000):
+            out = tmp_path / str(n_slots)
+            peaks["simulate", n_slots] = _traced_peak(lambda: main(
+                ["simulate", "--config", ini, "--n-slots", str(n_slots),
+                 "--out-dir", str(out)]))
+            peaks["estimate", n_slots] = _traced_peak(lambda: main(
+                ["estimate", "--log", str(out / "events.jsonl"), "--out-dir", str(out)]))
+    capsys.readouterr()
+    for command in ("simulate", "estimate"):
+        assert peaks[command, 100_000] < 1.5 * peaks[command, 10_000], peaks

@@ -1,6 +1,7 @@
 """Event-log columns, JSONL round trips, and coincidence counting."""
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entscope import eventlog
-from entscope.eventlog import SCHEMA, EventLog, fringe_counts, pair_counts
+from entscope.eventlog import SCHEMA, EventLog, FringeCounter, fringe_counts, pair_counts
 
 COLUMNS = ("slot", "telescope", "detector", "accepted", "delta_index")
 
@@ -234,3 +235,158 @@ def test_pair_counts_by_telescope_pair():
                    delta_index=[0] * 6)
     counts = pair_counts(log, 3)
     assert counts == {(0, 1): (1, 1), (0, 2): (0, 1), (1, 2): (1, 1)}
+
+
+def _fed_in_blocks(log: EventLog, cuts) -> FringeCounter:
+    """A FringeCounter fed the log's records split at the given indices."""
+    counter = FringeCounter(log.scheme, log.deltas)
+    edges = [0, *sorted(cuts), len(log)]
+    for lo, hi in zip(edges, edges[1:]):
+        counter.add(*(c[lo:hi] for c in log.columns()))
+    return counter
+
+
+@st.composite
+def paired_logs(draw):
+    """Entangled-style logs: at least two accepted pairs (telescopes 0 and
+    1, one slot each) and lone unaccepted clicks, in ascending slots."""
+    deltas = (0.0, math.pi / 2.0, math.pi)
+    cols: dict[str, list] = {name: [] for name in COLUMNS}
+    slot = 0
+    pairs = draw(st.permutations([True, True] + draw(st.lists(st.booleans(), max_size=38))))
+    for pair in pairs:
+        slot += draw(st.integers(1, 3))
+        di = slot % len(deltas)
+        for tel in ((0, 1) if pair else (draw(st.integers(0, 1)),)):
+            for name, value in zip(COLUMNS, (slot, tel, draw(st.sampled_from([1, 2])),
+                                              pair, di)):
+                cols[name].append(value)
+    return EventLog(scheme="entangled", n_slots=slot + 1, deltas=deltas, **cols)
+
+
+def _without(log: EventLog, index: int) -> EventLog:
+    keep = np.arange(len(log)) != index
+    return EventLog(scheme=log.scheme, n_slots=log.n_slots, deltas=log.deltas,
+                    **{name: col[keep] for name, col in zip(COLUMNS, log.columns())})
+
+
+def _with_extra(log: EventLog, index: int) -> EventLog:
+    """The log with record index repeated right after itself."""
+    order = np.insert(np.arange(len(log)), index + 1, index)
+    return EventLog(scheme=log.scheme, n_slots=log.n_slots, deltas=log.deltas,
+                    **{name: col[order] for name, col in zip(COLUMNS, log.columns())})
+
+
+@settings(max_examples=150, deadline=None)
+@given(log=paired_logs(), mutation=st.sampled_from(["none", "drop", "split"]),
+       data=st.data())
+def test_pairing_never_mispairs_whole_or_in_blocks(log, mutation, data):
+    """Intact logs count the same whole and fed in blocks that cut pairs.
+    A dropped accepted record, or a slot whose records fall into two pairs
+    (an extra accepted record there, one dropped from a later pair), always
+    raises, from fringe_counts, pair_counts and the block-fed counter."""
+    accepted = np.flatnonzero(log.accepted)
+    if mutation == "drop":
+        log, message = _without(log, data.draw(st.sampled_from(accepted))), "in pairs"
+    elif mutation == "split":
+        i = data.draw(st.integers(0, len(accepted) // 2 - 2), label="pair")
+        later = data.draw(st.integers(i + 1, len(accepted) // 2 - 1), label="later")
+        log = _without(_with_extra(log, accepted[2 * i + 1]), accepted[2 * later] + 1)
+        message = "share a slot"
+    cuts = data.draw(st.lists(st.integers(0, len(log)), max_size=6), label="cuts")
+    streamed = _fed_in_blocks(log, cuts)
+    if mutation == "none":
+        want = fringe_counts(log)
+        for got, expected in zip(streamed.counts(), want):
+            assert np.array_equal(got, expected) and got.dtype == expected.dtype
+        assert sum(t for _, t in pair_counts(log, 2).values()) == want[2].sum()
+        return
+    for count in (lambda: fringe_counts(log), lambda: pair_counts(log, 2),
+                  streamed.counts):
+        with pytest.raises(ValueError, match=message):
+            count()
+
+
+def test_counter_carries_a_pair_across_read_blocks(tmp_path):
+    log = two_slot_log(deltas=(0.0, math.pi / 2.0, 1.0), n_slots=9,
+                       slot=[0, 0, 1, 1, 5, 5], telescope=[0, 1] * 3,
+                       detector=[1, 1, 2, 1, 2, 2], accepted=[True] * 6,
+                       delta_index=[0, 0, 1, 1, 2, 2])
+    path = tmp_path / "events.jsonl"
+    log.write_jsonl(path)
+    line = len(path.read_text().splitlines()[1]) + 1
+    # One record per read block: every pair straddles a block edge.
+    with mock.patch.object(eventlog, "READ_BLOCK_CHARS", line):
+        counts = FringeCounter.from_jsonl(path).counts()
+    assert [c.tolist() for c in counts] == [c.tolist() for c in fringe_counts(log)]
+    assert counts[1].tolist() == [1, 0, 1] and counts[2].tolist() == [1, 1, 1]
+
+
+def _read_then_count(path):
+    """The reference: json.loads on every line, then EventLog's validation,
+    then fringe_counts, as when a log is parsed whole before it is checked."""
+    header, *lines = path.read_text().split("\n")
+    header = json.loads(header)
+    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+        raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
+    deltas = tuple(float(d) for d in header["deltas"])
+    lookup = {d: i for i, d in enumerate(deltas)}
+    rows = []
+    for line in lines[:-1] + [lines[-1]] * bool(lines[-1]):
+        rec = json.loads(line)
+        rows.append((rec["slot"], rec["tel"], rec["det"], rec["acc"], lookup[rec["delta"]]))
+    columns = zip(*rows) if rows else ((),) * len(COLUMNS)
+    return fringe_counts(EventLog(
+        scheme=header["scheme"], n_slots=int(header["n_slots"]), deltas=deltas,
+        meta=header.get("meta", {}), **dict(zip(COLUMNS, columns))))
+
+
+def _outcome(count):
+    try:
+        return [c.tolist() for c in count()]
+    except (TypeError, ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _edit_field(line: str, key: str, value) -> str:
+    return re.sub(f'"{key}":[^,}}]+', f'"{key}":{value}', line)
+
+
+@st.composite
+def damaged_bodies(draw, text: str):
+    """The log text with up to three faults: a cut, a corrupt line, an
+    unsorted or out-of-range slot, a bad detector or an unknown delta."""
+    lines = text.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(1, len(lines) - 1))
+        fault = draw(st.sampled_from(["cut", "corrupt", "slot", "detector", "delta"]))
+        if fault == "cut":
+            return "".join(lines)[:draw(st.integers(0, len("".join(lines))))]
+        if fault == "corrupt":
+            lines[i] = lines[i].replace(":", "=", 1)
+        elif fault == "slot":
+            lines[i] = _edit_field(lines[i], "slot", draw(st.integers(-3, 12)))
+        elif fault == "detector":
+            lines[i] = _edit_field(lines[i], "det", draw(st.sampled_from([0, 3])))
+        else:
+            lines[i] = _edit_field(lines[i], "delta", 0.25)
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scheme=st.sampled_from(["direct", "entangled", "w_state"]),
+       read_block=st.sampled_from([40, 1000, 1 << 20]), data=st.data())
+def test_streamed_counts_fail_like_read_then_count(tmp_path_factory, scheme,
+                                                    read_block, data):
+    log = two_slot_log(scheme=scheme, deltas=(0.0, math.pi / 2.0, 1.0), n_slots=10,
+                       slot=[0, 0, 1, 1, 4, 6, 6], telescope=[0, 1, 0, 1, 0, 0, 1],
+                       detector=[1, 1, 2, 1, 2, 1, 1],
+                       accepted=[True, True, True, True, False, True, True],
+                       delta_index=[0, 0, 1, 1, 1, 2, 2])
+    path = tmp_path_factory.mktemp("damaged") / "events.jsonl"
+    log.write_jsonl(path)
+    path.write_text(data.draw(damaged_bodies(path.read_text())))
+    with mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+        whole = _outcome(lambda: fringe_counts(EventLog.read_jsonl(path)))
+        streamed = _outcome(lambda: FringeCounter.from_jsonl(path).counts())
+    assert streamed == whole == _outcome(lambda: _read_then_count(path))
