@@ -7,10 +7,14 @@ so logs are streamable and diffable.  Serialization is byte-deterministic for
 identical runs.
 
 The canonical record line is part of schema v1: compact JSON with sorted
-keys, e.g. ``{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}``.  The
-writer emits only that layout, and the reader parses blocks of canonical
-lines column-wise.  Any other valid JSON record line (whitespace, another key
-order) is still accepted and parsed line by line with ``json.loads``.
+keys, e.g. ``{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}``.  Every
+line starts with one of 4 * n_deltas prefixes, up to ``"slot":``, built from
+the header's deltas by one helper for the writer and the reader.  The writer
+emits only that layout.  The reader parses each block as a numpy byte array
+when every line in it is byte-identical to a line the writer writes; any
+other block, including valid JSON records in another layout (whitespace,
+another key order), goes through the reference parser, one ``json.loads``
+per line.
 
 Logs stream in both directions, so memory does not grow with the slot count.
 ``JsonlWriter`` appends a log given as consecutive chunks (the sampler's slot
@@ -24,30 +28,20 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 SCHEMA = "entscope.eventlog.v1"
 
 # Records formatted per write() call; bounds the text held in memory.
 WRITE_BLOCK_RECORDS = 1 << 14
 # Characters read per block; larger blocks raise peak RSS for no speed gain.
-READ_BLOCK_CHARS = 1 << 20
+READ_BLOCK_CHARS = 1 << 18
 
 # Record columns, in the order the reader and counters take them.
 COLUMNS = ("slot", "telescope", "detector", "accepted", "delta_index")
-
-_INDEX = r"(0|[1-9][0-9]{0,17})"  # no leading zeros; always fits in int64
-# One canonical v1 record line.  Group 1 holds the "acc", "delta" and "det"
-# fields, which take few distinct values; each distinct text is decoded once
-# by json.loads, which also rejects a malformed delta.  Groups 2 and 3 are
-# slot and tel.
-_CANONICAL_LINE = re.compile(
-    r'^\{("acc":(?:true|false),"delta":[-+.eE0-9]+,"det":[12]),'
-    r'"slot":' + _INDEX + r',"tel":' + _INDEX + r'\}\n', re.MULTILINE)
-
 
 @dataclass
 class EventLog:
@@ -105,12 +99,19 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _prefixes(deltas) -> list[str]:
+    """The 4 * n_deltas record line prefixes, up to and including
+    '"slot":', indexed by (accepted * n_deltas + delta index) * 2 +
+    (detector - 1)."""
+    return [_dumps({"acc": acc, "delta": float(d), "det": det})[:-1] + ',"slot":'
+            for acc in (False, True) for d in deltas for det in (1, 2)]
+
+
 class JsonlWriter:
     """Writes one event log, given as consecutive chunks, to an open text file.
 
     The first chunk's fields make the header line.  Every record line starts
-    with one of 4 * n_deltas prefixes, indexed by (accepted * n_deltas +
-    delta index) * 2 + (detector - 1); lines are formatted and written
+    with its row of _prefixes(deltas); lines are formatted and written
     WRITE_BLOCK_RECORDS at a time.
     """
 
@@ -123,9 +124,7 @@ class JsonlWriter:
             self.fh.write(_dumps({"schema": SCHEMA, "scheme": log.scheme,
                                   "n_slots": log.n_slots, "deltas": list(log.deltas),
                                   "meta": log.meta}) + "\n")
-            self.prefixes = [
-                _dumps({"acc": acc, "delta": float(d), "det": det})[:-1] + ',"slot":'
-                for acc in (False, True) for d in log.deltas for det in (1, 2)]
+            self.prefixes = _prefixes(log.deltas)
         prefixes = self.prefixes
         code = (log.accepted * len(log.deltas) + log.delta_index) * 2 + log.detector - 1
         for start in range(0, len(log), WRITE_BLOCK_RECORDS):
@@ -169,6 +168,28 @@ class _Checks:
             raise ValueError("delta index out of range")
 
 
+_MAX_DIGITS = 18  # a decimal of up to 18 digits always fits in int64
+
+
+def _decimal(windows, stop, count) -> np.ndarray | None:
+    """The numbers whose count[i] digits end before byte stop[i], if each is
+    1 to _MAX_DIGITS digits without a leading zero; else None.  windows are
+    the block's byte windows, at least _MAX_DIGITS wide, and every stop is
+    past a matched line prefix, so at least _MAX_DIGITS."""
+    if not (np.all(count >= 1) and np.all(count <= _MAX_DIGITS)):
+        return None
+    width = int(count.max())
+    digits = windows[stop - width, :width] - np.uint8(ord("0"))  # wraps below "0"
+    used = np.arange(width, 0, -1) <= count[:, None]
+    if np.any((digits > 9) & used) or np.any((windows[stop - count, 0] == ord("0")) & (count > 1)):
+        return None
+    digits *= used
+    value = np.zeros(len(stop), dtype=np.int64)
+    for column in digits.T:
+        value = value * 10 + column
+    return value
+
+
 def _line_columns(lines, lookup: dict) -> tuple[np.ndarray, ...]:
     """Record columns from one json.loads per line, the reference parser."""
     cols: tuple[list, ...] = ([], [], [], [], [])
@@ -185,15 +206,17 @@ def _line_columns(lines, lookup: dict) -> tuple[np.ndarray, ...]:
 class _BlockReader:
     """One event log, read from an open file block by block.
 
-    The constructor reads the header; blocks() yields the record columns of
-    each block of whole lines.  A block whose every line is canonical is
-    parsed with one regex pass: the few distinct "acc"/"delta"/"det" texts
-    are decoded once each by json.loads and mapped through the delta lookup,
-    so an unknown delta raises KeyError exactly as the per-line path does.
-    Any other block goes through the per-line path.  A parse error raises
-    where it is met; fields() settles the header fields and the validation
-    checks after the last block, so a log raises the error it raises when
-    parsed whole first.
+    The constructor reads the header and rejects repeated delta values, which
+    would make the delta lookup ambiguous.  blocks() yields the record
+    columns of each block of whole lines.  A block whose every line is
+    byte-identical to one JsonlWriter writes for this header is parsed as a
+    numpy byte array: each line's prefix must equal a row of the writer's
+    prefix table and its slot and tel must be 1-18 digits without a leading
+    zero, so the columns are those that json.loads gives line by line.  Any
+    other block goes through the per-line parser, which raises on the first
+    bad line.  A parse error raises where it is met; fields() settles the
+    header fields and the validation checks after the last block, so a log
+    raises the error it raises when parsed whole first.
     """
 
     def __init__(self, fh, path) -> None:
@@ -204,8 +227,20 @@ class _BlockReader:
         self.fh, self.header = fh, header
         self.deltas = tuple(float(d) for d in header["deltas"])
         self.lookup = {d: i for i, d in enumerate(self.deltas)}
-        self.codes: dict[str, int] = {}     # "acc"/"delta"/"det" text -> code
-        self.fields_of_code: list[tuple[bool, int, int]] = []  # code -> (acc, di, det)
+        if len(self.lookup) != len(self.deltas):
+            raise ValueError(f"{path}: repeated delta values in {list(self.deltas)}")
+        # The writer's prefix table as byte strings null-padded to whole
+        # uint64 words, sorted so that a line's prefix finds its row by
+        # binary search; masks[k] keeps the first k bytes of a row.
+        prefixes = [p.encode("ascii") for p in _prefixes(self.deltas)]
+        width = -(-max(map(len, prefixes), default=1) // 8) * 8
+        keys = np.array(prefixes, dtype=f"S{width}")
+        self.rows = np.argsort(keys)
+        self.keys = keys[self.rows]
+        self.words = self.keys.view(np.uint64).reshape(len(keys), width // 8)
+        self.lengths = np.array([len(p) for p in prefixes], dtype=np.int64)[self.rows]
+        self.masks = np.where(np.arange(width) < np.arange(width + 1)[:, None],
+                              np.uint8(255), np.uint8(0)).view(np.uint64)
         self.checks = _Checks()
 
     def blocks(self):
@@ -219,21 +254,48 @@ class _BlockReader:
             yield self._parse(tail + "\n")
 
     def _parse(self, block: str) -> tuple[np.ndarray, ...]:
-        found = _CANONICAL_LINE.findall(block)
-        if not found or len(found) != block.count("\n"):
+        columns = self._written_columns(block.encode("ascii"))
+        if columns is None:
             columns = _line_columns(block.split("\n")[:-1], self.lookup)
-        else:
-            keys, slot, tel = zip(*found)
-            for key in set(keys).difference(self.codes):
-                rec = json.loads("{" + key + "}")
-                self.codes[key] = len(self.fields_of_code)
-                self.fields_of_code.append((rec["acc"], self.lookup[rec["delta"]], rec["det"]))
-            code = np.fromiter(map(self.codes.__getitem__, keys), np.int64, len(keys))
-            acc, di, det = np.array(self.fields_of_code, dtype=np.int64)[code].T
-            columns = (np.array(slot, dtype=np.int64), np.array(tel, dtype=np.int64),
-                       det, acc.astype(bool), di)
         self.checks.add(columns[0], columns[2], columns[4])
         return columns
+
+    def _written_columns(self, data: bytes) -> tuple[np.ndarray, ...] | None:
+        """The record columns of a block of lines ending in newlines, if
+        every line is one JsonlWriter writes for this header; else None."""
+        if not len(self.keys):
+            return None
+        width = self.keys.itemsize
+        # Zero padding lets a window start at any byte of the block.
+        span = max(width, _MAX_DIGITS)
+        buf = np.frombuffer(data + bytes(span), np.uint8)
+        end = np.flatnonzero(buf == ord("\n"))
+        colon = np.flatnonzero(buf == ord(":"))
+        if not len(end) or len(colon) != 5 * len(end):
+            return None
+        windows = sliding_window_view(buf, span)
+        start = np.concatenate(([0], end[:-1] + 1))
+        slot_colon, tel_colon = colon[3::5], colon[4::5]
+        # Prefix: the bytes up to the fourth colon equal a table row.
+        length = slot_colon + 1 - start
+        prefix = windows[start, :width].view(np.uint64) & self.masks[np.clip(length, 0, width)]
+        at = np.searchsorted(self.keys, prefix.view(self.keys.dtype)[:, 0])
+        at = np.minimum(at, len(self.keys) - 1)
+        if not (np.array_equal(self.words[at], prefix)
+                and np.array_equal(self.lengths[at], length)):
+            return None
+        row = self.rows[at]
+        # Then slot digits, ',"tel":', tel digits, '}' and the newline.
+        comma = tel_colon - 6
+        if not (np.all(windows[comma, :7] == np.frombuffer(b',"tel":', np.uint8))
+                and np.all(buf[end - 1] == ord("}"))):
+            return None
+        slot = _decimal(windows, comma, comma - slot_colon - 1)
+        tel = _decimal(windows, end - 1, end - 2 - tel_colon)
+        if slot is None or tel is None:
+            return None
+        n_deltas = len(self.deltas)
+        return slot, tel, row % 2 + 1, row >= 2 * n_deltas, row // 2 % n_deltas
 
     def fields(self) -> dict:
         """The EventLog fields other than the columns; call after blocks()."""

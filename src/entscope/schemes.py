@@ -353,6 +353,9 @@ class SchemeConfig:
             raise ConfigError("delta_schedule must not be empty")
         if not all(math.isfinite(d) for d in self.delta_schedule):
             raise ConfigError("delta_schedule entries must be finite")
+        if len(set(self.delta_schedule)) != len(self.delta_schedule):
+            raise ConfigError(f"delta_schedule entries must be distinct (-0.0 equals 0.0), "
+                              f"got {self.delta_schedule}")
         if not 0.0 <= self.p_a <= 1.0:
             raise ConfigError(f"p_a must be in [0, 1], got {self.p_a}")
         if not 0.0 <= self.p_e <= 1.0:

@@ -148,12 +148,17 @@ def _single_delta(text: str) -> str:
     (lambda t: t.replace('"delta":0.0,', '"delta":0.1,'),
      "unreadable event log .*KeyError: 0.1"),
     (_single_delta, "cannot fit event log .*two distinct delta"),
-], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta"])
+    (lambda t: t.replace('"deltas":[0.0,', '"deltas":[-0.0,0.0,', 1),
+     "unreadable event log .*ValueError: .*repeated delta values"),
+    (lambda t: t.replace('"det":2', '"det":\u00e9', 1),
+     "unreadable event log .*UnicodeDecodeError: 'ascii' codec"),
+], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta",
+        "repeated-delta", "non-ascii"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
     log = tmp_path / "events.jsonl"
-    log.write_text(edit(log.read_text()))
+    log.write_text(edit(log.read_text()), encoding="utf-8")
     capsys.readouterr()
     assert main(["estimate", "--log", str(log),
                  "--out-dir", str(tmp_path)]) == EXIT_CONFIG
@@ -236,6 +241,19 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "n_telescopes" in err
+
+
+@pytest.mark.parametrize("deltas", ["0.0, 1.5707963267948966, 0.0, 3.141592653589793",
+                                    "-0.0, 1.0, 0.0"])
+def test_repeated_deltas_are_config_error(tmp_path, capsys, deltas):
+    config = tmp_path / "repeated.ini"
+    config.write_text(Path(preset("entangled_demo.ini")).read_text().replace(
+        "deltas = 8", f"deltas = {deltas}"))
+    assert main(["simulate", "--config", str(config), "--n-slots", "100",
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.match(r"config error: \[scheme\] delta_schedule entries must be distinct", err)
+    assert not (tmp_path / "run" / "events.jsonl").exists()
 
 
 def test_repeater_demo_chain_csv(tmp_path, capsys):

@@ -95,16 +95,22 @@ DELTAS = st.one_of(st.sampled_from([1e-05, -0.0, 3.141592653589793, 1e300]),
                    st.floats(allow_nan=False, allow_infinity=False))
 
 
+# Slots of 18 digits, the most the byte parser decodes, and of 19; drawn
+# telescope ids reach 10**18 too.
+SLOTS = st.one_of(st.integers(0, 2 ** 40), st.integers(10 ** 18 - 9, 10 ** 18 + 9))
+
+
 @st.composite
 def event_logs(draw):
-    deltas = tuple(draw(st.lists(DELTAS, min_size=1, max_size=16, unique=True)))
-    n_tel = draw(st.integers(1, 32))
-    n = draw(st.integers(0, 120))
+    deltas = tuple(draw(st.lists(DELTAS, max_size=16, unique=True)))
+    n_tel = draw(st.sampled_from([1, 2, 32, 10 ** 18 + 1]))
+    # A header with no deltas admits no records.
+    n = draw(st.integers(0, 120)) if deltas else 0
 
     def column(elements):
         return draw(st.lists(elements, min_size=n, max_size=n))
 
-    slot = sorted(column(st.integers(0, 2 ** 40)))
+    slot = sorted(column(SLOTS))
     return EventLog(
         scheme=draw(st.sampled_from(["direct", "entangled", "w_state"])),
         n_slots=(slot[-1] if slot else 0) + draw(st.integers(1, 3)),
@@ -112,25 +118,152 @@ def event_logs(draw):
         telescope=column(st.integers(0, n_tel - 1)),
         detector=column(st.sampled_from([1, 2])),
         accepted=column(st.booleans()),
-        delta_index=column(st.integers(0, len(deltas) - 1)),
+        delta_index=column(st.integers(0, max(len(deltas) - 1, 0))),
         meta={"seed": draw(st.integers(0, 2 ** 63))})
 
 
-@settings(max_examples=80, deadline=None)
+def per_line_log(path) -> EventLog:
+    """The reference reader: json.loads on the header and on every body
+    line, then EventLog's validation, with read_jsonl's error messages."""
+    header, _, body = path.read_text(encoding="ascii").partition("\n")
+    header = json.loads(header)
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != SCHEMA:
+        raise ValueError(f"{path}: unsupported schema {schema!r}")
+    deltas = tuple(float(d) for d in header["deltas"])
+    lookup = {d: i for i, d in enumerate(deltas)}
+    if len(lookup) != len(deltas):
+        raise ValueError(f"{path}: repeated delta values in {list(deltas)}")
+    lines = body.split("\n")
+    if not lines[-1]:  # the newline that ends the last line
+        lines.pop()
+    columns: tuple[list, ...] = tuple([] for _ in COLUMNS)
+    for line in lines:
+        rec = json.loads(line)
+        for column, value in zip(columns, (rec["slot"], rec["tel"], rec["det"], rec["acc"],
+                                           lookup[rec["delta"]])):
+            column.append(value)
+    return EventLog(scheme=header["scheme"], n_slots=int(header["n_slots"]),
+                    deltas=deltas, meta=header.get("meta", {}), **{
+                        name: np.array(c, dtype=bool if name == "accepted" else np.int64)
+                        for name, c in zip(COLUMNS, columns)})
+
+
+def _outcome_of_read(read, path):
+    """The log read, or the type of the exception it raised."""
+    try:
+        return read(path)
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+
+
+def assert_reads_like_per_line(path, note=None) -> None:
+    """read_jsonl gives the per-line reference's log, or raises the same
+    type of exception."""
+    got = _outcome_of_read(EventLog.read_jsonl, path)
+    want = _outcome_of_read(per_line_log, path)
+    if isinstance(want, EventLog):
+        assert isinstance(got, EventLog), (note, got)
+        assert_same_columns(got, want)
+    else:
+        assert got is want, (note, got, want)
+
+
+# Bytes a one-byte edit puts in: the ones canonical lines are made of, and
+# any other ASCII byte.
+EDIT_BYTES = st.one_of(st.sampled_from(b'0123456789-+.eE:,"{}\ntf '), st.integers(0, 127))
+
+
+def one_byte_edit(text: str, op: str, at: int, byte: str) -> str:
+    return text[:at] + {"substitute": byte, "insert": byte + text[at:at + 1],
+                        "delete": ""}[op] + text[at + 1:]
+
+
+@st.composite
+def one_byte_edits(draw, text: str) -> str:
+    """The text with one byte of its body substituted, inserted or deleted,
+    often next to a separator, where the byte parser's checks sit."""
+    body = text.index("\n") + 1
+    op = draw(st.sampled_from(["substitute", "insert", "delete"] if len(text) > body
+                              else ["insert"]))
+    last = len(text) - (op != "insert")
+    positions = st.integers(body, last)
+    marks = [j for i in range(body, len(text)) if text[i] in ':,}\n'
+             for j in (i - 1, i, i + 1) if body <= j <= last]
+    if marks:
+        positions = st.one_of(positions, st.sampled_from(marks))
+    return one_byte_edit(text, op, draw(positions), chr(draw(EDIT_BYTES)))
+
+
+@settings(max_examples=100, deadline=None)
 @given(log=event_logs(), write_block=st.sampled_from([1, 7, 1 << 16]),
        read_block=st.sampled_from([40, 1000, 1 << 20]), data=st.data())
 def test_write_read_round_trip_matches_per_record_reference(
         tmp_path_factory, log, write_block, read_block, data):
+    """Read blocks of 40 characters hold one line each at most."""
     path = tmp_path_factory.mktemp("roundtrip") / "events.jsonl"
     with mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", write_block), \
             mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
         log.write_jsonl(path)
-        assert path.read_text() == reference_jsonl(log)
+        text = path.read_text()
+        assert text == reference_jsonl(log)
         assert_same_columns(EventLog.read_jsonl(path), log)
+        # A one-byte edit of the body reads as json.loads reads it line by
+        # line, or raises the same type of exception.
+        path.write_text(data.draw(one_byte_edits(text), label="edited"))
+        assert_reads_like_per_line(path)
         # Non-canonical lines anywhere in the body read the same.
         loose = data.draw(st.sets(st.integers(0, max(len(log) - 1, 0))))
         path.write_text(reference_jsonl(log, loose))
         assert_same_columns(EventLog.read_jsonl(path), log)
+
+
+@pytest.mark.parametrize("read_block", [40, 1 << 18])
+def test_crlf_copy_reads_like_the_original(tmp_path, read_block):
+    """Text-mode reading turns CRLF into LF before the body is parsed, with
+    read blocks of one line and of the whole file."""
+    log = two_slot_log(deltas=(0.0, math.pi / 2.0, 1.0), n_slots=9,
+                       slot=[0, 0, 1, 1, 5, 5], telescope=[0, 1] * 3,
+                       detector=[1, 1, 2, 1, 2, 2], accepted=[True] * 6,
+                       delta_index=[0, 0, 1, 1, 2, 2])
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    log.write_jsonl(lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    with mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+        assert_same_columns(EventLog.read_jsonl(crlf), EventLog.read_jsonl(lf))
+        assert [c.tolist() for c in FringeCounter.from_jsonl(crlf).counts()] == \
+            [c.tolist() for c in fringe_counts(log)]
+
+
+def test_read_rejects_repeated_deltas(tmp_path):
+    path = tmp_path / "events.jsonl"
+    two_slot_log().write_jsonl(path)
+    text = path.read_text().replace('"deltas":[0.0,', '"deltas":[0.0,-0.0,', 1)
+    path.write_text(text)
+    for read in (EventLog.read_jsonl, FringeCounter.from_jsonl):
+        with pytest.raises(ValueError, match="repeated delta values"):
+            read(path)
+
+
+def test_every_one_byte_edit_reads_like_json_loads(tmp_path):
+    """At every byte of the body of a small log with 18-digit numbers, each
+    substitution and insertion of a digit or separator, and the deletion,
+    reads as the per-line reference reads it, or raises the same type of
+    exception."""
+    log = EventLog(scheme="entangled", n_slots=10 ** 18, deltas=(-0.0, 1e-05, 1e300),
+                   slot=[7, 7, 10 ** 18 - 1], telescope=[0, 1, 10 ** 18 - 1],
+                   detector=[1, 2, 1], accepted=[True, True, False], delta_index=[0, 0, 2])
+    path = tmp_path / "events.jsonl"
+    log.write_jsonl(path)
+    text = path.read_text()
+    body = text.index("\n") + 1
+    for at in range(body, len(text) + 1):
+        for op, bytes_ in (("substitute", '0,:}'), ("insert", '09:\n'), ("delete", "x")):
+            if op != "insert" and at == len(text):
+                continue
+            for byte in bytes_:
+                path.write_text(one_byte_edit(text, op, at, byte))
+                assert_reads_like_per_line(path, (op, at, byte))
 
 
 def test_non_canonical_lines_read_like_canonical(tmp_path):
@@ -323,22 +456,9 @@ def test_counter_carries_a_pair_across_read_blocks(tmp_path):
 
 
 def _read_then_count(path):
-    """The reference: json.loads on every line, then EventLog's validation,
-    then fringe_counts, as when a log is parsed whole before it is checked."""
-    header, *lines = path.read_text().split("\n")
-    header = json.loads(header)
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
-        raise ValueError(f"{path}: unsupported schema {header.get('schema')!r}")
-    deltas = tuple(float(d) for d in header["deltas"])
-    lookup = {d: i for i, d in enumerate(deltas)}
-    rows = []
-    for line in lines[:-1] + [lines[-1]] * bool(lines[-1]):
-        rec = json.loads(line)
-        rows.append((rec["slot"], rec["tel"], rec["det"], rec["acc"], lookup[rec["delta"]]))
-    columns = zip(*rows) if rows else ((),) * len(COLUMNS)
-    return fringe_counts(EventLog(
-        scheme=header["scheme"], n_slots=int(header["n_slots"]), deltas=deltas,
-        meta=header.get("meta", {}), **dict(zip(COLUMNS, columns))))
+    """The reference: the per-line reader, then fringe_counts, as when a log
+    is parsed whole before it is checked."""
+    return fringe_counts(per_line_log(path))
 
 
 def _outcome(count):

@@ -449,7 +449,7 @@ def _runs(draw):
         config = SchemeConfig(
             kind=kind,
             delta_schedule=draw(st.lists(st.floats(-7.0, 7.0), min_size=n_deltas,
-                                         max_size=n_deltas)),
+                                         max_size=n_deltas, unique=True)),
             p_a=draw(probs), p_e=draw(probs),
             detector=DetectorModel() if bell_complete else draw(st.sampled_from(_DETECTORS)),
             double_pair_prob=draw(st.sampled_from((0.0, 0.05, 0.15))),
