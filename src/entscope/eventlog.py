@@ -152,7 +152,7 @@ class _Checks:
             return
         self.unsorted |= bool(np.any(np.diff(slot) < 0) or slot[0] < self.last)
         self.last = slot[-1]
-        self.bad_detector |= not np.all(np.isin(detector, (1, 2)))
+        self.bad_detector |= not ((detector == 1) | (detector == 2)).all()
         self.slots = (min(self.slots[0], slot.min()), max(self.slots[1], slot.max()))
         self.indices = (min(self.indices[0], delta_index.min()),
                         max(self.indices[1], delta_index.max()))

@@ -67,6 +67,14 @@ def basis_index(mode_count: int, photon_cutoff: int) -> dict[Occupation, int]:
     return {occ: i for i, occ in enumerate(basis_states(mode_count, photon_cutoff))}
 
 
+@lru_cache(maxsize=64)
+def _basis_array(mode_count: int, photon_cutoff: int) -> np.ndarray:
+    """basis_states as a read-only (dimension, mode_count) integer array."""
+    occs = np.array(basis_states(mode_count, photon_cutoff), dtype=np.intp)
+    occs.flags.writeable = False
+    return occs
+
+
 def dimension(mode_count: int, photon_cutoff: int) -> int:
     return len(basis_states(mode_count, photon_cutoff))
 
@@ -111,6 +119,16 @@ class DetectorModel:
 
 
 IDEAL_DETECTOR = DetectorModel()
+
+
+@lru_cache(maxsize=64)
+def _count_table(detector: DetectorModel, photon_cutoff: int) -> np.ndarray:
+    """Read-only count_probabilities rows for n = 0..photon_cutoff incident photons."""
+    max_count = photon_cutoff + 1  # light counts + at most one dark count
+    table = np.array([detector.count_probabilities(n, max_count)
+                      for n in range(photon_cutoff + 1)])
+    table.flags.writeable = False
+    return table
 
 
 class FockRegister:
@@ -246,23 +264,10 @@ class DensityOperator:
             self.photon_cutoff + other.photon_cutoff if photon_cutoff is None else photon_cutoff
         )
         modes = self.mode_count + other.mode_count
-        states_a = basis_states(self.mode_count, self.photon_cutoff)
-        states_b = basis_states(other.mode_count, other.photon_cutoff)
-        index = basis_index(modes, cutoff)
         dim = dimension(modes, cutoff)
         out = np.zeros((dim, dim), dtype=complex)
-        # Map joint occupations into the combined (total-photon-truncated) basis.
-        rows_a, rows_b, rows_out = [], [], []
-        for ia, occ_a in enumerate(states_a):
-            for ib, occ_b in enumerate(states_b):
-                occ = occ_a + occ_b
-                if sum(occ) <= cutoff:
-                    rows_a.append(ia)
-                    rows_b.append(ib)
-                    rows_out.append(index[occ])
-        rows_a = np.array(rows_a)
-        rows_b = np.array(rows_b)
-        rows_out = np.array(rows_out)
+        rows_a, rows_b, rows_out = _tensor_rows(self.mode_count, self.photon_cutoff,
+                                                other.mode_count, other.photon_cutoff, cutoff)
         block = self.matrix[np.ix_(rows_a, rows_a)] * other.matrix[np.ix_(rows_b, rows_b)]
         out[np.ix_(rows_out, rows_out)] = block
         return DensityOperator(modes, cutoff, out)
@@ -273,6 +278,22 @@ class DensityOperator:
 
 
 State = FockRegister | DensityOperator
+
+
+@lru_cache(maxsize=64)
+def _tensor_rows(modes_a: int, cutoff_a: int, modes_b: int, cutoff_b: int,
+                 cutoff: int) -> np.ndarray:
+    """Read-only (3, n) rows of A, of B and of the joint basis, one column per
+    pair of basis states whose joint occupation fits the joint cutoff."""
+    index = basis_index(modes_a + modes_b, cutoff)
+    rows = np.array([
+        (ia, ib, index[occ_a + occ_b])
+        for ia, occ_a in enumerate(basis_states(modes_a, cutoff_a))
+        for ib, occ_b in enumerate(basis_states(modes_b, cutoff_b))
+        if sum(occ_a) + sum(occ_b) <= cutoff
+    ], dtype=np.intp).T
+    rows.flags.writeable = False
+    return rows
 
 
 @lru_cache(maxsize=256)
@@ -428,6 +449,22 @@ def partial_trace(rho: DensityOperator, keep_modes: tuple[int, ...]) -> DensityO
     return DensityOperator(len(keep), rho.photon_cutoff, out)
 
 
+@lru_cache(maxsize=64)
+def _conditioned_rows(mode_count: int, photon_cutoff: int,
+                      counts: tuple[tuple[int, int], ...], keep: tuple[int, ...]
+                      ) -> np.ndarray:
+    """Read-only (2, n): the basis rows with the given (mode, count) pairs and
+    their rows in the basis of the kept modes."""
+    index = basis_index(len(keep), photon_cutoff)
+    rows = np.array([
+        (i, index[tuple(occ[m] for m in keep)])
+        for i, occ in enumerate(basis_states(mode_count, photon_cutoff))
+        if all(occ[m] == c for m, c in counts)
+    ], dtype=np.intp).reshape(-1, 2).T
+    rows.flags.writeable = False
+    return rows
+
+
 def condition_on_counts(rho: DensityOperator, counts: dict[int, int]
                         ) -> tuple[float, DensityOperator | None]:
     """Project the given modes onto exact photon counts and trace them out.
@@ -440,17 +477,13 @@ def condition_on_counts(rho: DensityOperator, counts: dict[int, int]
     keep = tuple(m for m in range(rho.mode_count) if m not in counts)
     if not keep:
         raise ValueError("conditioning on all modes leaves no state")
-    states = basis_states(rho.mode_count, rho.photon_cutoff)
-    matched = [i for i, occ in enumerate(states)
-               if all(occ[m] == c for m, c in counts.items())]
-    sel = np.array(matched)
+    sel, new_rows = _conditioned_rows(rho.mode_count, rho.photon_cutoff,
+                                      tuple(sorted(counts.items())), keep)
     prob = float(np.real(rho.matrix[sel, sel].sum()))
     if prob <= 0.0:
         return 0.0, None
-    new_index = basis_index(len(keep), rho.photon_cutoff)
     dim_new = dimension(len(keep), rho.photon_cutoff)
     out = np.zeros((dim_new, dim_new), dtype=complex)
-    new_rows = np.array([new_index[tuple(states[i][m] for m in keep)] for i in matched])
     out[np.ix_(new_rows, new_rows)] = rho.matrix[np.ix_(sel, sel)]
     return prob, DensityOperator(len(keep), rho.photon_cutoff, out / prob)
 
@@ -466,41 +499,64 @@ def _detector_list(state: State, detectors) -> list[DetectorModel]:
     return detectors
 
 
+# Upper bound on the elements of one block of the occupation x click-pattern
+# product, so that many modes of photon-number-resolving detectors stay small.
+_BLOCK_ELEMENTS = 1 << 18
+
+
 def outcome_distribution(state: State, detectors=None) -> dict[Occupation, float]:
     """Exact probability table over click patterns, one detector per mode.
 
     Threshold detectors report 0/1 per mode; photon-number-resolving ones
     report counts (light counts possibly +1 from a dark event).  The table
     sums to 1 up to floating-point roundoff.
+
+    Each occupation of positive probability p spreads over the patterns its
+    detectors can report as ((p * q_0) * q_1) * ..., and a pattern's value
+    adds those terms one by one in the state's occupation order.  Patterns
+    are listed in the order the occupations first reach them,
+    lexicographically within one occupation.
     """
     dets = _detector_list(state, detectors)
     if isinstance(state, FockRegister):
-        diag = {occ: abs(a) ** 2 for occ, a in state.amplitudes.items()}
+        occs = np.array(list(state.amplitudes), dtype=np.intp).reshape(-1, state.mode_count)
+        probs = np.array([abs(a) ** 2 for a in state.amplitudes.values()])
     else:
-        diag = state.diagonal_probabilities()
-    max_count = state.photon_cutoff + 1  # light counts + at most one dark count
-    # Per-mode reported-count tables, indexed by incident photon number.
-    tables = [
-        [det.count_probabilities(n, max_count) for n in range(state.photon_cutoff + 1)]
-        for det in dets
-    ]
-    dist: dict[Occupation, float] = {}
-    for occ, p in diag.items():
-        if p <= 0.0:
-            continue
-        partial: dict[Occupation, float] = {(): p}
-        for mode, n in enumerate(occ):
-            row = tables[mode][n]
-            nxt: dict[Occupation, float] = {}
-            for prefix, w in partial.items():
-                for count, q in enumerate(row):
-                    if q > 0.0:
-                        key = prefix + (count,)
-                        nxt[key] = nxt.get(key, 0.0) + w * q
-            partial = nxt
-        for pattern, w in partial.items():
-            dist[pattern] = dist.get(pattern, 0.0) + w
-    return dist
+        occs = _basis_array(state.mode_count, state.photon_cutoff)
+        probs = np.real(np.diag(state.matrix))
+    live = ~(probs <= 0.0)  # skips p <= 0 only: a NaN entry shows in the table
+    occs, probs = occs[live], probs[live]
+    n_occs = len(probs)
+    if not n_occs:
+        return {}
+    # Per mode, each occupation's probabilities of the counts any one of them can report.
+    rows, counts = [], []
+    for det, photons in zip(dets, occs.T):
+        q = _count_table(det, state.photon_cutoff)[photons]
+        reported = np.flatnonzero((q > 0.0).any(axis=0))
+        rows.append(q[:, reported])
+        counts.append(reported)
+    shape = tuple(len(c) for c in counts)
+    total = np.zeros(math.prod(shape))
+    first = np.full(len(total), n_occs)  # first occupation reaching each pattern
+    step = max(1, _BLOCK_ELEMENTS // len(total))
+    for start in range(0, n_occs, step):
+        block = slice(start, start + step)
+        weight = probs[block]
+        reach = np.ones(len(weight), dtype=bool)
+        for mode, q in enumerate(rows):
+            q = q[block].reshape((len(weight),) + (1,) * mode + (shape[mode],))
+            weight = weight[..., None] * q
+            reach = reach[..., None] & (q > 0.0)
+        weight = weight.reshape(len(weight), -1)
+        reach = reach.reshape(len(reach), -1)
+        total = np.cumsum(np.vstack((total, weight)), axis=0)[-1]
+        first = np.minimum(first, np.where(reach.any(axis=0), start + reach.argmax(axis=0),
+                                           n_occs))
+    order = np.flatnonzero(first < n_occs)
+    order = order[np.argsort(first[order], kind="stable")]
+    keys = np.column_stack([c[i] for c, i in zip(counts, np.unravel_index(order, shape))])
+    return dict(zip(map(tuple, keys.tolist()), total[order]))
 
 
 def post_select(distribution: dict[Occupation, float], predicate

@@ -401,13 +401,15 @@ class _Outcome:
     accepted: bool
 
 
-def _pattern_outcomes(cases: list[tuple[float, dict]], detector: DetectorModel,
-                      mode_records: tuple[tuple[int, int], ...], accept
-                      ) -> list[_Outcome]:
-    """Mix the per-case click tables into one per-slot outcome list.
+def _pattern_outcomes(cases: list[tuple[float, object]], schedule: tuple[float, ...],
+                      detector: DetectorModel, mode_records: tuple[tuple[int, int], ...],
+                      accept) -> list[list[_Outcome]]:
+    """Mix the per-case click tables into one per-slot outcome list per delay.
 
-    cases are (case probability, click-pattern table) pairs; the rest of the
-    slot probability is an empty slot (dark counts only).  mode_records maps
+    cases are (case probability, click-pattern table) pairs, where a table
+    that depends on the delay is a function of it and any other table serves
+    every delay; the rest of the slot probability is an empty slot (dark
+    counts only), whose table is built once.  mode_records maps
     each detected mode to its (telescope, detector) record, and
     accept(pattern) says whether a pattern is an accepted event.
     """
@@ -419,16 +421,19 @@ def _pattern_outcomes(cases: list[tuple[float, dict]], detector: DetectorModel,
         cases = cases + [(vacuum_prob, outcome_distribution(
             DensityOperator.vacuum(len(mode_records), 0), detector))]
 
-    combined: dict[tuple[int, ...], float] = {}
-    for case_prob, dist in cases:
-        for pattern, p in dist.items():
-            combined[pattern] = combined.get(pattern, 0.0) + case_prob * p
-    return [
-        _Outcome(combined[pattern],
-                 tuple(sorted(rec for rec, c in zip(mode_records, pattern) if c)),
-                 accept(pattern))
-        for pattern in sorted(combined) if combined[pattern] > 0.0
-    ]
+    per_delta = []
+    for delta in schedule:
+        combined: dict[tuple[int, ...], float] = {}
+        for case_prob, dist in cases:
+            for pattern, p in (dist(delta) if callable(dist) else dist).items():
+                combined[pattern] = combined.get(pattern, 0.0) + case_prob * p
+        per_delta.append([
+            _Outcome(combined[pattern],
+                     tuple(sorted(rec for rec, c in zip(mode_records, pattern) if c)),
+                     accept(pattern))
+            for pattern in sorted(combined) if combined[pattern] > 0.0
+        ])
+    return per_delta
 
 
 def _pair_outcomes(tel_i: int, tel_j: int, weight: float, correlated: float,
@@ -446,19 +451,21 @@ def _pair_outcomes(tel_i: int, tel_j: int, weight: float, correlated: float,
 _TWO_TELESCOPE_RECORDS = ((0, 1), (1, 1), (0, 2), (1, 2))
 
 
-def _two_telescope_outcomes(config: SchemeConfig, v: complex, delta: float
-                            ) -> list[_Outcome]:
-    """Combined per-slot click distribution for the 2-telescope schemes."""
+def _two_telescope_outcomes(config: SchemeConfig, v: complex, schedule: tuple[float, ...]
+                            ) -> list[list[_Outcome]]:
+    """Combined per-slot click distributions of the 2-telescope schemes, one
+    per delay in schedule."""
     det = config.detector
     v_eff = effective_visibility(config, v)
 
     if config.kind == "entangled" and config.bell_complete:
-        probs = entangled_coincidence_probs(v_eff, delta)
-        return _pair_outcomes(0, 1, 1.0, probs.correlated, probs.anticorrelated)
+        return [_pair_outcomes(0, 1, 1.0, probs.correlated, probs.anticorrelated)
+                for probs in (entangled_coincidence_probs(v_eff, d) for d in schedule)]
 
-    # (case probability, astro input, reference input); None is vacuum.
+    # (case probability, astro input, reference input); None is vacuum, and a
+    # reference that depends on the delay is a function of it.
     p_a, p_e = config.p_a, config.p_e
-    astro, ref = arrival_density_matrix(v_eff), resource_state(delta)
+    astro, ref = arrival_density_matrix(v_eff), resource_state
     if config.kind == "entangled":
         cases = [(p_a * p_e, astro, ref)]
         if p_a < 1.0 and p_e > 0.0:
@@ -467,7 +474,7 @@ def _two_telescope_outcomes(config: SchemeConfig, v: complex, delta: float
             cases.append((p_a * (1.0 - p_e), astro, None))
     elif config.kind == "weak_coherent":
         cases = [(p_a * p_e, astro, ref),
-                 (p_e**2 / 2.0, None, lab_pair_state(delta)),
+                 (p_e**2 / 2.0, None, lab_pair_state),
                  (astro_pair_rate(p_a, v_eff), hbt_pair_state(v_eff), None),
                  (p_a * (1.0 - p_e), astro, None),
                  (p_e * (1.0 - p_a), None, ref)]
@@ -479,16 +486,24 @@ def _two_telescope_outcomes(config: SchemeConfig, v: complex, delta: float
     if config.double_pair_prob > 0.0:
         cases.append((config.double_pair_prob, None, DensityOperator.from_register(
             FockRegister.from_occupation((1, 1), photon_cutoff=2))))
-    cases = [(p, two_telescope_distribution(a, r, det)) for p, a, r in cases]
-    return _pattern_outcomes(cases, det, _TWO_TELESCOPE_RECORDS,
+
+    def table(astro, ref):
+        if callable(ref):
+            return lambda delta: two_telescope_distribution(astro, ref(delta), det)
+        return two_telescope_distribution(astro, ref, det)
+
+    return _pattern_outcomes([(p, table(a, r)) for p, a, r in cases], schedule, det,
+                             _TWO_TELESCOPE_RECORDS,
                              lambda pattern: classify_pattern(pattern)[0])
 
 
-def _direct_outcomes(config: SchemeConfig, v: complex, delta: float) -> list[_Outcome]:
-    """Per-slot outcomes of direct detection: one site, ports as detectors 1, 2."""
+def _direct_outcomes(config: SchemeConfig, v: complex, schedule: tuple[float, ...]
+                     ) -> list[list[_Outcome]]:
+    """Per-slot outcomes of direct detection, one list per delay: one site,
+    ports as detectors 1, 2."""
     v_eff = effective_visibility(config, v)
-    cases = [(config.p_a, direct_distribution(v_eff, delta, config.detector))]
-    return _pattern_outcomes(cases, config.detector, ((0, 1), (0, 2)),
+    cases = [(config.p_a, lambda delta: direct_distribution(v_eff, delta, config.detector))]
+    return _pattern_outcomes(cases, schedule, config.detector, ((0, 1), (0, 2)),
                              lambda pattern: (pattern[0] > 0) != (pattern[1] > 0))
 
 
@@ -578,10 +593,8 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
             raise TypeError("two-telescope schemes take a Baseline geometry")
         v = visibility(source, geometry)
         schedule = config.delta_schedule
-        if config.kind == "direct":
-            per_delta = [_direct_outcomes(config, v, d) for d in schedule]
-        else:
-            per_delta = [_two_telescope_outcomes(config, v, d) for d in schedule]
+        outcomes = _direct_outcomes if config.kind == "direct" else _two_telescope_outcomes
+        per_delta = outcomes(config, v, schedule)
     cdfs, first_ids, n_records, first_record, columns = _outcome_table(per_delta)
     n_deltas, step = len(schedule), CHUNK_SLOTS
 

@@ -62,6 +62,43 @@ def test_simulate_demo_log_matches_recorded_sha256(tmp_path, capsys):
     assert digest == "2b56bba6b9a4f22c8060911ca7c8f107917a9a15e6b6d46c75431833f1a1deeb"
 
 
+# Small runs of the other circuit schemes: a lossy, noisy weak-coherent run
+# with double-pair background, an intensity-correlation run and a direct run
+# with empty slots, each pinned to the bytes of its two artifacts.
+PINNED_SCHEMES = {
+    "weak_coherent": (
+        "kind = weak_coherent\ndeltas = 16\np_a = 0.1\np_e = 0.08\n"
+        "double_pair_prob = 0.05\n",
+        "c8b6cdea0a97fc6e469b0eb9a60f5c7a909404d90bcdee0eaf71aeb117560adf",
+        "ad720d166154d8d9ca2f0647c67bc6b81c28ffe2a605762d2f4385459af57bd8"),
+    "hbt": (
+        "kind = hbt\ndeltas = 4\np_a = 0.15\n",
+        "58717274a7494cd8f02c299c4be9d05f34387ca186fe71b69955725f1840c416",
+        "ff60c8c7bb0a11be80d6a2fcacbd95af6e82f55669aa7dd2ae1edbbe8886c6a5"),
+    "direct": (
+        "kind = direct\ndeltas = 8\np_a = 0.6\n",
+        "57914b5366707bda703881141a576711139b680acfe3658c3d57c38683f2df5c",
+        "5a52ec35b8b4a2c84dfc4a25c049cee318073c67e508a723c66b6787a3146079"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_SCHEMES))
+def test_simulate_scheme_artifacts_match_recorded_sha256(tmp_path, capsys, kind):
+    scheme, events_sha, summary_sha = PINNED_SCHEMES[kind]
+    config = tmp_path / f"{kind}.ini"
+    config.write_text(
+        "[run]\nseed = 11\nn_slots = 30000\nmode = monte-carlo\n"
+        f"[scheme]\n{scheme}"
+        "[detector]\nefficiency = 0.7\ndark_prob_per_window = 2e-3\n"
+        "[source]\nkind = binary\nseparation = 2.5e-9\nratio = 0.8\n"
+        "[baseline]\nvector = 100.0\nwavelength = 800e-9\n")
+    assert main(["simulate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    digests = [hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+               for name in ("events.jsonl", "summary.csv")]
+    assert digests == [events_sha, summary_sha]
+
+
 def test_simulate_zero_slots_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "0", "--out-dir", str(tmp_path)])

@@ -171,6 +171,75 @@ def test_outcome_distribution_matches_reference_with_loss():
         assert dist.get(occ, 0.0) == pytest.approx(p, abs=1e-12)
 
 
+def _reference_outcome_distribution(state, detectors):
+    """The per-occupation dict expansion outcome_distribution replaced."""
+    if isinstance(detectors, DetectorModel):
+        detectors = [detectors] * state.mode_count
+    if isinstance(state, FockRegister):
+        diag = {occ: abs(a) ** 2 for occ, a in state.amplitudes.items()}
+    else:
+        diag = state.diagonal_probabilities()
+    max_count = state.photon_cutoff + 1
+    tables = [[det.count_probabilities(n, max_count) for n in range(state.photon_cutoff + 1)]
+              for det in detectors]
+    dist = {}
+    for occ, p in diag.items():
+        if p <= 0.0:
+            continue
+        partial = {(): p}
+        for mode, n in enumerate(occ):
+            nxt = {}
+            for prefix, w in partial.items():
+                for count, q in enumerate(tables[mode][n]):
+                    if q > 0.0:
+                        key = prefix + (count,)
+                        nxt[key] = nxt.get(key, 0.0) + w * q
+            partial = nxt
+        for pattern, w in partial.items():
+            dist[pattern] = dist.get(pattern, 0.0) + w
+    return dist
+
+
+_GRID_DETECTORS = st.builds(
+    DetectorModel,
+    efficiency=st.sampled_from((1.0, 0.7, 0.05, 0.0)),
+    dark_prob_per_window=st.sampled_from((0.0, 1e-4, 0.3)),
+    photon_number_resolving=st.booleans())
+# Probabilities at the edges: skipped entries, and products that underflow.
+_EDGE_PROBS = st.sampled_from((0.0, -1e-18, 1e-300, 5e-324))
+
+
+@st.composite
+def _detected_states(draw):
+    modes, cutoff = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    states = basis_states(modes, cutoff)
+    if draw(st.booleans()):
+        occs = draw(st.lists(st.sampled_from(states), max_size=12, unique=True))
+        amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+        state = FockRegister(modes, cutoff, {occ: draw(amp) for occ in occs})
+    else:
+        diag = draw(st.lists(st.one_of(st.floats(0.0, 1.0), _EDGE_PROBS),
+                             min_size=len(states), max_size=len(states)))
+        state = DensityOperator(modes, cutoff, np.diag(diag))
+    if draw(st.booleans()):
+        return state, draw(_GRID_DETECTORS)
+    return state, draw(st.lists(_GRID_DETECTORS, min_size=modes, max_size=modes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_detected_states())
+def test_outcome_distribution_equals_the_dict_expansion_bit_for_bit(case):
+    """Same keys in the same order and the same bits of every value, for pure
+    and mixed states, 1-5 modes, cutoffs 0-4 and per-mode threshold or
+    photon-number-resolving, lossy and noisy detectors."""
+    state, detectors = case
+    got = list(outcome_distribution(state, detectors).items())
+    want = list(_reference_outcome_distribution(state, detectors).items())
+    assert [k for k, _ in got] == [k for k, _ in want]
+    assert [float(v).hex() for _, v in got] == [float(v).hex() for _, v in want]
+    assert all(type(k[0]) is int for k, _ in got)
+
+
 def test_post_select():
     reg = FockRegister.from_occupation((1, 0))
     out = apply_beam_splitter(reg, 0, 1, 0.5)

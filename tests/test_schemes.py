@@ -506,3 +506,24 @@ def test_simulate_run_matches_per_outcome_sampler_over_chunks(kind):
     expected = _reference_simulate_run(config, source, base, n_slots, 8)
     for name in ("slot", "telescope", "detector", "accepted", "delta_index"):
         np.testing.assert_array_equal(getattr(log, name), getattr(expected, name))
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_runs().filter(lambda run: run[0].kind != "w_state"))
+def test_per_run_outcome_tables_equal_the_per_delta_ones(run):
+    """Case tables that do not depend on the delay, built once per run, give
+    every delay the outcomes of building all its cases afresh, bit for bit:
+    every kind, detector, pair background and empty-slot share."""
+    config, base = run
+    v = visibility(SourceModel.binary(2.0e-9, 0.7), base)
+    outcomes = (schemes._direct_outcomes if config.kind == "direct"
+                else schemes._two_telescope_outcomes)
+    try:
+        want = [_reference_outcomes(config, v, d) for d in config.delta_schedule]
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            outcomes(config, v, config.delta_schedule)
+        return
+    got = outcomes(config, v, config.delta_schedule)
+    assert [[(float(o.probability).hex(), o.records, o.accepted) for o in per] for per in got] \
+        == [[(float(p).hex(), records, acc) for p, records, acc in per] for per in want]
