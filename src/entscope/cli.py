@@ -55,7 +55,10 @@ def _write_csv(path, schema: str, header: list[str], rows) -> None:
 
 
 def _ensure_out_dir(out_dir: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise InputError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
     return out_dir
 
 

@@ -110,29 +110,39 @@ def _prefixes(deltas) -> list[str]:
 class JsonlWriter:
     """Writes one event log, given as consecutive chunks, to an open text file.
 
-    The first chunk's fields make the header line.  Every record line starts
-    with its row of _prefixes(deltas); lines are formatted and written
-    WRITE_BLOCK_RECORDS at a time.
+    The first chunk's fields make the header line; a later chunk whose
+    scheme, n_slots or deltas differ raises ValueError.  Every record line
+    starts with its row of _prefixes(deltas); each block of up to
+    WRITE_BLOCK_RECORDS lines is formatted by one % over the block's
+    interleaved (prefix, slot, tel) values and written at once.
     """
 
     def __init__(self, fh) -> None:
         self.fh = fh
-        self.prefixes: list[str] | None = None
+        self.fields: str | None = None
+        self.prefixes = np.array([], dtype=object)
 
     def write(self, log: EventLog) -> None:
-        if self.prefixes is None:
+        # The deltas as the header writes them, so that 0.0 and -0.0 differ.
+        fields = _dumps([log.scheme, log.n_slots, list(log.deltas)])
+        if self.fields is None:
             self.fh.write(_dumps({"schema": SCHEMA, "scheme": log.scheme,
                                   "n_slots": log.n_slots, "deltas": list(log.deltas),
                                   "meta": log.meta}) + "\n")
-            self.prefixes = _prefixes(log.deltas)
-        prefixes = self.prefixes
-        code = (log.accepted * len(log.deltas) + log.delta_index) * 2 + log.detector - 1
+            self.fields, self.prefixes = fields, np.array(_prefixes(log.deltas), dtype=object)
+        elif fields != self.fields:
+            raise ValueError(f"chunk [scheme, n_slots, deltas] {fields} differs "
+                             f"from the first chunk's {self.fields}")
+        rows = self.prefixes[(log.accepted * len(log.deltas) + log.delta_index) * 2
+                             + log.detector - 1]
         for start in range(0, len(log), WRITE_BLOCK_RECORDS):
             block = slice(start, start + WRITE_BLOCK_RECORDS)
-            self.fh.write("".join([
-                f'{prefixes[c]}{s},"tel":{t}}}\n' for c, s, t in zip(
-                    code[block].tolist(), log.slot[block].tolist(),
-                    log.telescope[block].tolist())]))
+            slots = log.slot[block].tolist()
+            args = [None] * (3 * len(slots))
+            args[0::3] = rows[block].tolist()
+            args[1::3] = slots
+            args[2::3] = log.telescope[block].tolist()
+            self.fh.write(('%s%d,"tel":%d}\n' * len(slots)) % tuple(args))
 
 
 class _Checks:

@@ -211,6 +211,29 @@ def test_estimate_missing_log_is_input_error(tmp_path, capsys):
     assert "input error: unreadable event log" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("under", ["", "sub"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "repeater",
+                                     "sensitivity", "reconstruct"])
+def test_out_dir_naming_a_file_is_input_error(tmp_path, capsys, command, under):
+    """--out-dir naming a file, or a path under one, stops before writing."""
+    log = tmp_path / "run" / "events.jsonl"
+    assert main(["simulate", "--config", preset("entangled_demo.ini"),
+                 "--n-slots", "2000", "--out-dir", str(log.parent)]) == 0
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    args = {"simulate": ["--config", preset("entangled_demo.ini"), "--n-slots", "40"],
+            "estimate": ["--log", str(log)],
+            "repeater": ["--config", preset("repeater_demo.ini")],
+            "sensitivity": ["--budget", "default"],
+            "reconstruct": ["--config", preset("reconstruct_demo.ini")]}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out-dir", str(taken / under)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot make output directory {taken / under}: "), err
+    assert err.count("\n") == 1
+    assert taken.read_text() == "a file\n"
+
+
 def test_simulate_seed_changes_the_log(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d, seed in zip(dirs, ("1", "2")):

@@ -1,4 +1,5 @@
 """Event-log columns, JSONL round trips, and coincidence counting."""
+import io
 import json
 import math
 import re
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entscope import eventlog
@@ -216,6 +217,90 @@ def test_write_read_round_trip_matches_per_record_reference(
         loose = data.draw(st.sets(st.integers(0, max(len(log) - 1, 0))))
         path.write_text(reference_jsonl(log, loose))
         assert_same_columns(EventLog.read_jsonl(path), log)
+
+
+def reference_writer_text(chunks) -> str:
+    """JsonlWriter's text by its per-record f-string formatter, the reference
+    for the formatter that makes each block with one %."""
+    first = chunks[0]
+    prefixes = eventlog._prefixes(first.deltas)
+    header = {"schema": SCHEMA, "scheme": first.scheme, "n_slots": first.n_slots,
+              "deltas": list(first.deltas), "meta": first.meta}
+    text = [json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"]
+    for log in chunks:
+        code = (log.accepted * len(log.deltas) + log.delta_index) * 2 + log.detector - 1
+        text += [f'{prefixes[c]}{s},"tel":{t}}}\n' for c, s, t in zip(
+            code.tolist(), log.slot.tolist(), log.telescope.tolist())]
+    return "".join(text)
+
+
+def every_prefix_row_log() -> EventLog:
+    """One record per row of the prefix table, at slots 0 and 10**18 - 1,
+    with telescope ids up to 10**18 - 1."""
+    deltas = (-0.0, 1e-05, math.pi, 1e300)
+    rows = [(acc, di, det) for acc in (False, True) for di in range(4) for det in (1, 2)]
+    return EventLog(scheme="entangled", n_slots=10 ** 18, deltas=deltas,
+                    slot=[0] * 8 + [10 ** 18 - 1] * 8,
+                    telescope=[0, 1, 7, 10 ** 18 - 1] * 4,
+                    detector=[det for _, _, det in rows],
+                    accepted=[acc for acc, _, _ in rows],
+                    delta_index=[di for _, di, _ in rows], meta={"seed": 1})
+
+
+@st.composite
+def chunked_logs(draw):
+    """A log and the indices that cut it into consecutive chunks; repeated
+    cuts and cuts at either end make empty chunks."""
+    log = draw(event_logs())
+    return log, draw(st.lists(st.integers(0, len(log)), max_size=4))
+
+
+def _chunks(log: EventLog, cuts) -> list[EventLog]:
+    edges = [0, *sorted(cuts), len(log)]
+    return [EventLog(scheme=log.scheme, n_slots=log.n_slots, deltas=log.deltas, meta=log.meta,
+                     **{name: col[lo:hi] for name, col in zip(COLUMNS, log.columns())})
+            for lo, hi in zip(edges, edges[1:])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=chunked_logs(), block=st.sampled_from(["1", "n-1", "n+1", "default"]))
+@example(run=(every_prefix_row_log(), []), block="1")
+@example(run=(every_prefix_row_log(), [0, 5, 5, 16]), block="n-1")
+@example(run=(every_prefix_row_log(), [9]), block="n+1")
+@example(run=(every_prefix_row_log(), [16]), block="default")
+def test_writer_text_equals_the_f_string_reference(run, block):
+    """n is the longest chunk's record count; WRITE_BLOCK_RECORDS of n - 1
+    and n + 1 put a block edge just before and just past a chunk's end."""
+    log, cuts = run
+    chunks = _chunks(log, cuts)
+    n = max(map(len, chunks))
+    size = {"1": 1, "n-1": max(n - 1, 1), "n+1": n + 1,
+            "default": eventlog.WRITE_BLOCK_RECORDS}[block]
+    fh = io.StringIO()
+    with mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", size):
+        writer = eventlog.JsonlWriter(fh)
+        for chunk in chunks:
+            writer.write(chunk)
+    assert fh.getvalue() == reference_writer_text(chunks)
+    assert fh.getvalue() == reference_jsonl(log)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"scheme": "direct"}, {"n_slots": 5}, {"deltas": (0.0, 1.0)},
+    {"deltas": (-0.0, math.pi / 2.0)}])
+def test_writer_rejects_a_chunk_unlike_the_first(overrides):
+    """A chunk's lines would be formatted with the first chunk's prefixes
+    under the first chunk's header."""
+    fh = io.StringIO()
+    writer = eventlog.JsonlWriter(fh)
+    writer.write(two_slot_log())
+    written = fh.getvalue()
+    with pytest.raises(ValueError, match="differs from the first chunk's"):
+        writer.write(two_slot_log(**overrides))
+    assert fh.getvalue() == written
+    # meta goes only into the header, so a later chunk's meta is not checked.
+    writer.write(two_slot_log(meta={"other": "meta"}))
+    assert fh.getvalue() == written + written.partition("\n")[2]
 
 
 @pytest.mark.parametrize("read_block", [40, 1 << 18])
