@@ -13,6 +13,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -46,8 +47,17 @@ class InputError(ValueError):
     """An input file, such as an event log, cannot be read or fitted."""
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report an OSError while writing the artifact at path as an input error."""
+    try:
+        yield
+    except OSError as exc:  # a directory in the way, no permission, a full disk
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path, schema: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
+    with _writing(path), open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(f"# {schema}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -85,7 +95,7 @@ def cmd_simulate(args) -> int:
     counter = FringeCounter(scheme.kind, scheme.delta_schedule)
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     log_path = os.path.join(out_dir, "events.jsonl")
-    with open(log_path, "w", encoding="ascii") as fh:
+    with _writing(log_path), open(log_path, "w", encoding="ascii") as fh:
         writer = JsonlWriter(fh)
         for chunk in chunks:  # a slot range, so no pair straddles two chunks
             writer.write(chunk)
@@ -215,7 +225,8 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError(f"[reconstruct] {exc}") from exc
     out_dir = _ensure_out_dir(args.out_dir or parser.get("run", "out_dir", fallback="out"))
     path = os.path.join(out_dir, "image.pgm")
-    save_pgm(path, image, comment=IMAGE_PGM_SCHEMA)
+    with _writing(path):
+        save_pgm(path, image, comment=IMAGE_PGM_SCHEMA)
     peak = np.unravel_index(np.argmax(image), image.shape)
     print(f"reconstructed {image.shape[0]}x{image.shape[1]} image -> {path} "
           f"(peak at pixel {tuple(int(p) for p in peak)})")

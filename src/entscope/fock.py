@@ -259,9 +259,25 @@ class DensityOperator:
         diag = np.real(np.diag(self.matrix))
         return {occ: float(p) for occ, p in zip(states, diag)}
 
+    def photon_support(self) -> int:
+        """Highest total photon number whose basis row or column holds a
+        nonzero entry (0 for the zero matrix)."""
+        nonzero = self.matrix != 0
+        live = nonzero.any(axis=0) | nonzero.any(axis=1)
+        totals = _basis_array(self.mode_count, self.photon_cutoff).sum(axis=1)
+        return int(totals[live].max(initial=0))
+
     def tensor(self, other: "DensityOperator", photon_cutoff: int | None = None) -> "DensityOperator":
-        cutoff = (
-            self.photon_cutoff + other.photon_cutoff if photon_cutoff is None else photon_cutoff
+        """Joint state, truncated at photon_cutoff (default: the sum of the
+        operands' cutoffs) and sized by the photons the operands carry.
+
+        Splitters and phases conserve photon number and loss and
+        conditioning only lower it, so no circuit on the joint state reaches
+        an occupation above the operands' summed photon support.
+        """
+        cutoff = min(
+            self.photon_cutoff + other.photon_cutoff if photon_cutoff is None else photon_cutoff,
+            self.photon_support() + other.photon_support(),
         )
         modes = self.mode_count + other.mode_count
         dim = dimension(modes, cutoff)

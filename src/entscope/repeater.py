@@ -319,8 +319,7 @@ def _monitored_heralds(rho: DensityOperator, monitor_a: int, monitor_b: int,
 
 def sscg_distill(a: EntangledPairState, b: EntangledPairState,
                  t_low: float = DEFAULT_SPLIT_LOW,
-                 t_high: float = DEFAULT_SPLIT_HIGH,
-                 photon_cutoff: int = 4) -> ProtocolResult:
+                 t_high: float = DEFAULT_SPLIT_HIGH) -> ProtocolResult:
     """One round of unbalanced-splitter distillation consuming pairs a and b.
 
     The two left-side modes meet on a splitter of transmissivity t_low, the
@@ -344,7 +343,7 @@ def sscg_distill(a: EntangledPairState, b: EntangledPairState,
     """
     if not (0.0 <= t_low <= 1.0 and 0.0 <= t_high <= 1.0):
         raise ValueError("splitter transmissivities must be in [0, 1]")
-    rho = a.to_density(2).tensor(b.to_density(2), photon_cutoff=photon_cutoff)
+    rho = a.to_density(2).tensor(b.to_density(2))
     # The relative pi between the two splitters plus the pi feed-forward on
     # the left-monitor herald are calibration choices under the package
     # splitter convention; together they make a left-monitor and a
@@ -372,8 +371,7 @@ def sscg_distill(a: EntangledPairState, b: EntangledPairState,
     return ProtocolResult(prob, pair, cond, leakage)
 
 
-def entanglement_swap(a: EntangledPairState, b: EntangledPairState,
-                      photon_cutoff: int = 4) -> ProtocolResult:
+def entanglement_swap(a: EntangledPairState, b: EntangledPairState) -> ProtocolResult:
     """Linear-optics swap: pairs (1,2) and (2,3) become a pair (1,3).
 
     The two middle-node modes interfere on a balanced splitter and both
@@ -382,7 +380,7 @@ def entanglement_swap(a: EntangledPairState, b: EntangledPairState,
     surviving pair, which is corrected here, so the output phase is
     psi_a + psi_b.
     """
-    rho = a.to_density(2).tensor(b.to_density(2), photon_cutoff=photon_cutoff)
+    rho = a.to_density(2).tensor(b.to_density(2))
     rho = apply_beam_splitter(rho, 1, 2, 0.5)
     # Herald on monitor 1 leaves the outer pair with an extra +pi/2 on the
     # outer-left arm; the monitor-2 branch gets -pi/2.  Both are undone below

@@ -276,8 +276,7 @@ def two_telescope_distribution(rho_astro: DensityOperator | None,
     ref = rho_ref if rho_ref is not None else DensityOperator.vacuum(2, 0)
     if isinstance(ref, FockRegister):
         ref = DensityOperator.from_register(ref)
-    joint = astro.tensor(ref, photon_cutoff=min(
-        photon_cutoff, astro.photon_cutoff + ref.photon_cutoff))
+    joint = astro.tensor(ref, photon_cutoff=photon_cutoff)
     joint = apply_beam_splitter(joint, 0, 2, 0.5)
     joint = apply_beam_splitter(joint, 1, 3, 0.5)
     return outcome_distribution(joint, detector)

@@ -234,6 +234,31 @@ def test_out_dir_naming_a_file_is_input_error(tmp_path, capsys, command, under):
     assert taken.read_text() == "a file\n"
 
 
+@pytest.mark.parametrize("command, artifact", [
+    ("simulate", "events.jsonl"), ("simulate", "summary.csv"),
+    ("estimate", "fringe_fit.csv"), ("repeater", "chain.csv"),
+    ("sensitivity", "budget.csv"), ("reconstruct", "image.pgm")])
+def test_artifact_path_that_is_a_directory_is_input_error(tmp_path, capsys,
+                                                          command, artifact):
+    """A directory where an artifact goes stops the run with one line."""
+    log = tmp_path / "run" / "events.jsonl"
+    assert main(["simulate", "--config", preset("entangled_demo.ini"),
+                 "--n-slots", "2000", "--out-dir", str(log.parent)]) == 0
+    args = {"simulate": ["--config", preset("entangled_demo.ini"), "--n-slots", "40"],
+            "estimate": ["--log", str(log)],
+            "repeater": ["--config", preset("repeater_demo.ini")],
+            "sensitivity": ["--budget", "default"],
+            "reconstruct": ["--config", preset("reconstruct_demo.ini")]}[command]
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([command, *args, "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out / artifact}: "), err
+    assert err.count("\n") == 1
+    assert not any((out / artifact).iterdir())
+
+
 def test_simulate_seed_changes_the_log(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d, seed in zip(dirs, ("1", "2")):

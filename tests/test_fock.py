@@ -1,5 +1,6 @@
 """Fock simulator vs the independent matrix-exponential oracle."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from entscope.fock import (
     apply_beam_splitter,
     apply_loss,
     apply_phase,
+    basis_index,
     basis_states,
     condition_on_counts,
     dimension,
@@ -22,6 +24,8 @@ from entscope.fock import (
     post_select,
     EmptyPostSelectionError,
 )
+from entscope.repeater import EntangledPairState, entanglement_swap, sscg_distill
+from entscope.schemes import two_telescope_distribution
 
 T_GRID = [0.0, 0.15, 0.5, 0.85, 1.0]
 PHI_GRID = [0.0, 0.7, math.pi / 2.0, -1.2]
@@ -305,3 +309,149 @@ def test_mode_validation():
         apply_beam_splitter(reg, 0, 1, 1.2)
     with pytest.raises(ValueError):
         FockRegister(2, 1, {(1, 1): 1.0})
+
+
+def _uncapped_tensor(a, b, photon_cutoff=None):
+    """DensityOperator.tensor before the photon-support cap: the joint space
+    is the whole basis at the requested (or summed) cutoff."""
+    cutoff = a.photon_cutoff + b.photon_cutoff if photon_cutoff is None else photon_cutoff
+    modes = a.mode_count + b.mode_count
+    index = basis_index(modes, cutoff)
+    out = np.zeros((len(index),) * 2, dtype=complex)
+    rows_a, rows_b, rows_out = np.array([
+        (ia, ib, index[occ_a + occ_b])
+        for ia, occ_a in enumerate(basis_states(a.mode_count, a.photon_cutoff))
+        for ib, occ_b in enumerate(basis_states(b.mode_count, b.photon_cutoff))
+        if sum(occ_a) + sum(occ_b) <= cutoff
+    ], dtype=np.intp).T
+    out[np.ix_(rows_out, rows_out)] = (a.matrix[np.ix_(rows_a, rows_a)]
+                                       * b.matrix[np.ix_(rows_b, rows_b)])
+    return DensityOperator(modes, cutoff, out)
+
+
+@st.composite
+def _supported_states(draw, modes=st.integers(1, 2)):
+    """A random PSD state whose rows above a drawn photon number are zero."""
+    modes, cutoff = draw(modes), draw(st.integers(1, 4))
+    support = draw(st.integers(0, cutoff))
+    states = basis_states(modes, cutoff)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=(len(states), 3)) + 1j * rng.normal(size=(len(states), 3))
+    g[[sum(occ) > support for occ in states]] = 0.0
+    rho = g @ g.conjugate().T
+    return DensityOperator(modes, cutoff, rho / np.trace(rho).real), support
+
+
+def _assert_within_ulps(got, want, ulps=4, scale=None):
+    got, want = np.asarray(got), np.asarray(want)
+    if scale is None:
+        scale = np.maximum(np.abs(got), np.abs(want))
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(scale)), (got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_supported_states(), b=_supported_states(),
+       requested=st.one_of(st.none(), st.integers(0, 8)))
+def test_tensor_is_sized_by_photon_support(a, b, requested):
+    """The capped joint matrix is the uncapped one on the kept basis, and the
+    uncapped one holds only zeros outside it; a requested cutoff below the
+    operands' photons still truncates."""
+    (a, support_a), (b, support_b) = a, b
+    assert (a.photon_support(), b.photon_support()) == (support_a, support_b)
+    full = _uncapped_tensor(a, b, requested)
+    capped = a.tensor(b, photon_cutoff=requested)
+    assert capped.photon_cutoff == min(full.photon_cutoff, support_a + support_b)
+    index = basis_index(full.mode_count, full.photon_cutoff)
+    kept = [index[occ] for occ in basis_states(capped.mode_count, capped.photon_cutoff)]
+    assert np.array_equal(capped.matrix, full.matrix[np.ix_(kept, kept)])
+    dropped = np.ones(len(index), dtype=bool)
+    dropped[kept] = False
+    assert not full.matrix[dropped].any() and not full.matrix[:, dropped].any()
+    _assert_within_ulps(capped.trace(), full.trace())
+    if requested is not None and requested < support_a + support_b:
+        assert capped.photon_cutoff == requested
+        assert capped.trace() < 1.0
+
+
+def test_photon_support_reads_rows_and_columns():
+    assert DensityOperator.vacuum(2, 3).photon_support() == 0
+    assert DensityOperator(1, 2, np.zeros((3, 3))).photon_support() == 0
+    coherence = np.zeros((3, 3), dtype=complex)
+    coherence[0, 2] = 0.5  # only an off-diagonal entry reaches |2>
+    assert DensityOperator(1, 2, coherence).photon_support() == 2
+    assert DensityOperator.from_register(
+        FockRegister(2, 4, {(1, 0): 0.6, (1, 1): 0.8})).photon_support() == 2
+
+
+def _pairs(with_double_excitation):
+    w2 = st.floats(0.05, 0.4) if with_double_excitation else st.just(0.0)
+    return st.builds(
+        lambda w0, w2, c, psi: EntangledPairState(w0 * (1.0 - w2), (1.0 - w0) * (1.0 - w2),
+                                                  c, psi, w2),
+        st.floats(0.0, 0.6), w2, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+
+
+def _assert_same_protocol_result(got, want):
+    """Within 4 ulp of 1, the scale of every compared quantity.  The phase
+    enters through the complex visibility, where it is defined at any
+    coherence.
+
+    Distillation renormalizes by the kept weight 1 - vacuum, which turns an
+    ulp of 1 into many ulps of a small probability or density entry, so the
+    density is compared times its success probability: the heralded state
+    before that division."""
+    _assert_within_ulps(got.success_probability, want.success_probability, scale=1.0)
+    _assert_within_ulps(got.leakage, want.leakage, scale=1.0)
+    assert (got.output is None) == (want.output is None)
+    if got.output is None:
+        return
+    for name in ("vacuum_weight", "one_photon_weight", "two_photon_weight", "visibility"):
+        _assert_within_ulps(getattr(got.output, name), getattr(want.output, name),
+                            scale=1.0)
+    rho, ref_rho = got.output_density, want.output_density
+    index = basis_index(2, ref_rho.photon_cutoff)
+    kept = [index[occ] for occ in basis_states(2, rho.photon_cutoff)]
+    dropped = np.ones(len(index), dtype=bool)
+    dropped[kept] = False
+    _assert_within_ulps(got.success_probability * rho.matrix,
+                        want.success_probability * ref_rho.matrix[np.ix_(kept, kept)],
+                        scale=1.0)
+    assert not ref_rho.matrix[dropped].any() and not ref_rho.matrix[:, dropped].any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(double=st.booleans(), data=st.data(),
+       splitter=st.floats(0.0, 1.0), asymmetric=st.booleans())
+def test_protocols_agree_with_the_uncapped_tensor(double, data, splitter, asymmetric):
+    """sscg_distill and entanglement_swap give what the whole cutoff-4 space
+    gives, with and without double excitations."""
+    a, b = data.draw(_pairs(double)), data.draw(_pairs(double))
+    t_high = data.draw(st.floats(0.0, 1.0)) if asymmetric else 1.0 - splitter
+    steps = (lambda: sscg_distill(a, b, splitter, t_high), lambda: entanglement_swap(a, b))
+    for step in steps:
+        try:
+            got = step()
+        except ValueError:  # a swap output off the pair family
+            with mock.patch.object(DensityOperator, "tensor", _uncapped_tensor):
+                with pytest.raises(ValueError):
+                    step()
+            continue
+        with mock.patch.object(DensityOperator, "tensor", _uncapped_tensor):
+            want = step()
+        _assert_same_protocol_result(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(astro=st.one_of(st.none(), _supported_states(st.just(2))),
+       ref=st.one_of(st.none(), _supported_states(st.just(2))),
+       detector=_GRID_DETECTORS, requested=st.integers(0, 6))
+def test_two_telescope_distribution_agrees_with_the_uncapped_tensor(
+        astro, ref, detector, requested):
+    """Same patterns in the same order, every value within 4 ulp."""
+    astro = astro and astro[0]
+    ref = ref and ref[0]
+    got = two_telescope_distribution(astro, ref, detector, requested)
+    with mock.patch.object(DensityOperator, "tensor", _uncapped_tensor):
+        want = two_telescope_distribution(astro, ref, detector, requested)
+    assert list(got) == list(want)
+    _assert_within_ulps(list(got.values()), list(want.values()))
