@@ -63,7 +63,6 @@ from .sensitivity import (
     photon_rate_from_magnitude,
 )
 from .estimation import (
-    BaselineSet,
     FringeFit,
     closure_phase,
     estimate_visibility,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Baseline",
-    "BaselineSet",
     "ChainPolicy",
     "ChainResult",
     "ConfigError",

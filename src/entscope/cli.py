@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, InfeasibleBudgetError, LowStatisticsError
-from .estimation import BaselineSet, fit_fringe, reconstruct_image
+from .estimation import fit_fringe, reconstruct_image
 from .eventlog import FringeCounter, JsonlWriter, pair_counts
 from .repeater import chain_simulate, figure_of_merit
 from .rng import stream
@@ -210,15 +210,13 @@ def cmd_reconstruct(args) -> int:
     grid, pixel_scale, wavelength = cfg.build_reconstruct(parser)
     unit = wavelength / (grid * pixel_scale)
     axis = np.arange(-(grid // 2), grid - grid // 2) * unit
+    vectors = axis
     if source.two_d:
         vectors = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-        size = (grid, grid)
-    else:
-        vectors, size = axis, grid
-    samples = BaselineSet.from_arrays(vectors, wavelength,
-                                      visibilities(source, vectors, wavelength))
+    values = visibilities(source, vectors, wavelength)
     try:
-        image = reconstruct_image(samples, size, pixel_scale).reshape(-1, grid)
+        image = reconstruct_image(vectors, wavelength, values, grid,
+                                  pixel_scale).reshape(-1, grid)
     except ValueError as exc:
         # An even grid's Nyquist samples are real only for a source on the
         # pixel grid.

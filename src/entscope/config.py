@@ -79,9 +79,14 @@ def _get(parser, section, key, conv, default=None, required=False):
         return default
     raw = parser.get(section, key)
     try:
-        return conv(raw)
+        value = conv(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
+    # One check for every float field and float list: nan and inf are never valid.
+    if any(isinstance(v, float) and not math.isfinite(v)
+           for v in (value if isinstance(value, tuple) else (value,))):
+        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    return value
 
 
 def _bool(raw: str) -> bool:
@@ -129,22 +134,23 @@ def build_scheme(parser) -> SchemeConfig:
     n_telescopes = _get(parser, "scheme", "n_telescopes", int, 2)
     default_phases = (0.0,) * n_telescopes if kind == "w_state" else ()
     detector = build_detector(parser)
+    # _get errors name [scheme] already; SchemeConfig's checks need the prefix.
+    settings = dict(
+        kind=kind,
+        delta_schedule=_get(parser, "scheme", "deltas", _deltas, (0.0,)),
+        p_a=_get(parser, "scheme", "p_a", float, 1.0),
+        p_e=_get(parser, "scheme", "p_e", float, 1.0),
+        n_telescopes=n_telescopes,
+        w_phases=_get(parser, "scheme", "w_phases", _float_list, default_phases),
+        detector=detector,
+        double_pair_prob=_get(parser, "scheme", "double_pair_prob", float, 0.0),
+        coherence_time=_get(parser, "scheme", "coherence_time", float, 0.0),
+        jitter_sigma=_get(parser, "scheme", "jitter_sigma", float, 0.0),
+        arrival_offset=_get(parser, "scheme", "arrival_offset", float, 0.0),
+        bell_complete=_get(parser, "scheme", "bell_complete", _bool, False),
+    )
     try:
-        return SchemeConfig(
-            kind=kind,
-            delta_schedule=_get(parser, "scheme", "deltas", _deltas, (0.0,)),
-            p_a=_get(parser, "scheme", "p_a", float, 1.0),
-            p_e=_get(parser, "scheme", "p_e", float, 1.0),
-            n_telescopes=n_telescopes,
-            w_phases=_get(parser, "scheme", "w_phases", _float_list,
-                          default_phases),
-            detector=detector,
-            double_pair_prob=_get(parser, "scheme", "double_pair_prob", float, 0.0),
-            coherence_time=_get(parser, "scheme", "coherence_time", float, 0.0),
-            jitter_sigma=_get(parser, "scheme", "jitter_sigma", float, 0.0),
-            arrival_offset=_get(parser, "scheme", "arrival_offset", float, 0.0),
-            bell_complete=_get(parser, "scheme", "bell_complete", _bool, False),
-        )
+        return SchemeConfig(**settings)
     except ConfigError as exc:
         raise ConfigError(f"[scheme] {exc}") from exc
 
@@ -222,8 +228,11 @@ def build_chain(parser):
     if _get(parser, "repeater", "satellite", _bool, False):
         extra = extra * LinkModel.satellite(0.0).extra_transmission
     sigma = _get(parser, "repeater", "phase_noise_sigma", float, 0.0)
-    link = LinkModel(length_km=length, attenuation_db_per_km=attenuation,
-                     extra_transmission=extra, phase_noise_sigma=sigma)
+    try:
+        link = LinkModel(length_km=length, attenuation_db_per_km=attenuation,
+                         extra_transmission=extra, phase_noise_sigma=sigma)
+    except ConfigError as exc:
+        raise ConfigError(f"[repeater] {exc}") from exc
     schedule = _get(parser, "repeater", "schedule", str, "memory")
     if schedule not in ("memory", "memoryless"):
         raise ConfigError("[repeater] schedule: expected 'memory' or "

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import LowStatisticsError
 from .eventlog import EventLog, fringe_counts
-from .sky import Baseline
 
 MIN_EVENTS_PER_DELTA = 10
 _QUADRATURE_TOL = 1e-6
@@ -144,101 +143,31 @@ def inject_telescope_phases(visibilities: dict[tuple[int, int], complex],
     return out
 
 
-class BaselineSet:
-    """Visibility samples keyed by baseline, rejecting duplicates.
-
-    Values may be supplied as complex numbers or FringeFit results (the
-    fitted visibility is taken).  The samples are held as columns: (m, 2)
-    vectors (second component 0 for 1-D baselines), a per-row 2-D flag,
-    wavelengths and complex values.
-    """
-
-    def __init__(self) -> None:
-        self._columns = (np.empty((0, 2)), np.empty(0, dtype=bool),
-                         np.empty(0), np.empty(0, dtype=complex))
-        # (two_d, x, y, wavelength, value) rows from add() not yet in the columns
-        self._added: list[tuple] = []
-        self._keys: set[tuple] | None = set()
-
-    @classmethod
-    def from_arrays(cls, vectors, wavelength: float, values) -> "BaselineSet":
-        """Samples from an (m,) array of 1-D or an (m, 2) array of 2-D
-        baseline vectors, one wavelength and m values."""
-        vectors = np.array(vectors, dtype=float)
-        if vectors.ndim not in (1, 2) or vectors.ndim == 2 and vectors.shape[1] != 2:
-            raise ValueError(f"baseline vectors must have shape (m,) or (m, 2), "
-                             f"got {vectors.shape}")
-        if not wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {wavelength}")
-        m = len(vectors)
-        values = np.array(values, dtype=complex)
-        if values.shape != (m,):
-            raise ValueError(f"expected {m} values, got shape {values.shape}")
-        two_d = vectors.ndim == 2
-        if not two_d:
-            vectors = np.column_stack([vectors, np.zeros(m)])
-        # Equal rows sort next to each other; report the row add() would reject.
-        order = np.lexsort(vectors.T[::-1])
-        repeats = np.all(vectors[order[1:]] == vectors[order[:-1]], axis=1)
-        if repeats.any():
-            row = int(order[1:][repeats].min())
-            vector = tuple(vectors[row].tolist()) if two_d else float(vectors[row, 0])
-            raise ValueError(f"duplicate baseline {vector!r}")
-        samples = cls()
-        samples._columns = (vectors, np.full(m, two_d), np.full(m, float(wavelength)), values)
-        samples._keys = None
-        return samples
-
-    def add(self, baseline: Baseline, value) -> None:
-        two_d = isinstance(baseline.vector, tuple)
-        x, y = baseline.vector if two_d else (baseline.vector, 0.0)
-        key = (two_d, x, y, baseline.wavelength)
-        if self._keys is None:
-            vectors, flags, wavelengths, _ = self.columns()
-            self._keys = set(zip(flags.tolist(), vectors[:, 0].tolist(),
-                                 vectors[:, 1].tolist(), wavelengths.tolist()))
-        if key in self._keys:
-            raise ValueError(f"duplicate baseline {baseline.vector!r}")
-        vis = value.visibility if isinstance(value, FringeFit) else complex(value)
-        self._keys.add(key)
-        self._added.append(key + (vis,))
-
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(vectors (m, 2), two_d flags, wavelengths, values) in insertion order."""
-        if self._added:
-            flags, x, y, wavelengths, values = zip(*self._added)
-            added = (np.column_stack([x, y]).astype(float), np.array(flags, dtype=bool),
-                     np.array(wavelengths, dtype=float), np.array(values, dtype=complex))
-            self._columns = tuple(np.concatenate([old, new])
-                                  for old, new in zip(self._columns, added))
-            self._added = []
-        return self._columns
-
-    def __len__(self) -> int:
-        return len(self._columns[3]) + len(self._added)
-
-    def __iter__(self):
-        vectors, flags, wavelengths, values = self.columns()
-        for (x, y), two_d, wavelength, vis in zip(vectors.tolist(), flags.tolist(),
-                                                  wavelengths.tolist(), values.tolist()):
-            yield Baseline((x, y) if two_d else x, wavelength), vis
-
-
-def reconstruct_image(samples: BaselineSet, grid_size, pixel_scale: float):
+def reconstruct_image(vectors, wavelength: float, values, grid_size, pixel_scale: float):
     """Inverse DFT of gridded visibilities; returns a real, unit-flux image.
 
-    grid_size is an int for 1-D baselines (scalar vectors) or an (nx, ny)
-    pair for 2-D; pixel i sits at angle (i - n//2) * pixel_scale per axis,
-    mirroring `sky.SourceModel` grids.  Unsampled grid points are
-    zero-filled after Hermitian completion V(-k) = conj(V(k)).
+    vectors is an (m,) array of 1-D or an (m, 2) array of 2-D baseline
+    vectors, all at one wavelength, with m complex values.  grid_size is an
+    int n (n x n for 2-D baselines) or an (nx, ny) pair for 2-D; pixel i sits
+    at angle (i - n//2) * pixel_scale per axis, like `sky.SourceModel` grids.
+    Unsampled grid points are zero-filled after Hermitian completion
+    V(-k) = conj(V(k)).
     """
-    if len(samples) == 0:
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim not in (1, 2) or vectors.ndim == 2 and vectors.shape[1] != 2:
+        raise ValueError(f"baseline vectors must have shape (m,) or (m, 2), "
+                         f"got {vectors.shape}")
+    if not wavelength > 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    m = len(vectors)
+    values = np.asarray(values, dtype=complex)
+    if values.shape != (m,):
+        raise ValueError(f"expected {m} values, got shape {values.shape}")
+    if m == 0:
         raise ValueError("cannot reconstruct from an empty baseline set")
     if pixel_scale <= 0.0:
         raise ValueError("pixel_scale must be positive")
-    vectors, flags, wavelengths, values = samples.columns()
-    wavelength = float(wavelengths[0])
-    two_d = bool(flags[0])
+    two_d = vectors.ndim == 2
     if isinstance(grid_size, int):
         shape = (grid_size,) if not two_d else (grid_size, grid_size)
     else:
@@ -247,25 +176,24 @@ def reconstruct_image(samples: BaselineSet, grid_size, pixel_scale: float):
         raise ValueError("2-D baselines need an (nx, ny) grid size")
     if not two_d and len(shape) != 1:
         raise ValueError("1-D baselines need a scalar grid size")
+    vectors = vectors.reshape(m, -1)
 
-    # Every sample is checked; the first failing one (in insertion order)
-    # raises, naming its first failed check.
-    mixed = flags != two_d
-    # math.isclose(w, wavelength, rel_tol=1e-12) for each row w.
-    same_wavelength = (wavelengths == wavelength) | (
-        np.isfinite(wavelengths) & math.isfinite(wavelength)
-        & (np.abs(wavelengths - wavelength)
-           <= 1e-12 * np.maximum(np.abs(wavelengths), abs(wavelength))))
-    exact = vectors[:, :len(shape)] * np.array(shape) * pixel_scale / wavelength
+    # Equal rows sort next to each other; report the first row that repeats
+    # an earlier one.
+    order = np.lexsort(vectors.T[::-1])
+    repeats = np.all(vectors[order[1:]] == vectors[order[:-1]], axis=1)
+    if repeats.any():
+        row = int(order[1:][repeats].min())
+        vector = tuple(vectors[row].tolist()) if two_d else float(vectors[row, 0])
+        raise ValueError(f"duplicate baseline {vector!r}")
+
+    # The first off-grid sample raises, naming its first off-grid axis.
+    exact = vectors * np.array(shape) * pixel_scale / wavelength
     nearest = np.rint(exact)
     off_grid = ~(np.abs(exact - nearest) <= _GRID_TOL)
-    failed = np.flatnonzero(mixed | ~same_wavelength | off_grid.any(axis=1))
+    failed = np.flatnonzero(off_grid.any(axis=1))
     if failed.size:
         row = failed[0]
-        if mixed[row]:
-            raise ValueError("mixed 1-D and 2-D baselines in one set")
-        if not same_wavelength[row]:
-            raise ValueError("all baselines must share one wavelength")
         axis = int(np.argmax(off_grid[row]))
         raise ValueError(
             f"baseline component {float(vectors[row, axis])!r} is off the "

@@ -50,14 +50,12 @@ class LinkModel:
     `extra` covers everything that is not fibre attenuation (coupling,
     pointing; 0.01 for the satellite preset).  phase_noise_sigma is the
     standard deviation of the relative-phase kick per transit, in radians.
-    attempt_rate is generation attempts per time slot.
     """
 
     length_km: float = 0.0
     attenuation_db_per_km: float = 0.2
     extra_transmission: float = 1.0
     phase_noise_sigma: float = 0.0
-    attempt_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.length_km < 0:
@@ -70,8 +68,9 @@ class LinkModel:
                               f"got {self.extra_transmission}")
         if self.phase_noise_sigma < 0:
             raise ConfigError("phase_noise_sigma must be >= 0")
-        if self.attempt_rate <= 0:
-            raise ConfigError("attempt_rate must be positive")
+        if not self.transmission() > 0.0:  # 10^(-0.2 * 1e5 / 10) underflows
+            raise ConfigError(f"transmission must be positive, got {self.transmission()} "
+                              f"at length_km {self.length_km}")
 
     def transmission(self) -> float:
         return 10.0 ** (-self.attenuation_db_per_km * self.length_km / 10.0) \
@@ -486,7 +485,7 @@ class _PlanNode:
     """One distinct node of a chain's schedule tree.
 
     A leaf (children None) is heralded generation: geometric attempts with
-    per-attempt success p at `rate` attempts per slot.  Any other node
+    per-attempt success p, one attempt per slot.  Any other node
     repeats an attempt -- sample children[0], then children[1], keep the
     later delivery time -- until a coin with probability p succeeds: a swap,
     or a distillation round (both children the same node).  state, slots,
@@ -499,7 +498,6 @@ class _PlanNode:
     prob_slot: float
     p: float
     children: tuple[int, int] | None = None
-    rate: float = 1.0
 
 
 def _chain_plan(links: list[LinkModel], policy: ChainPolicy) -> list[_PlanNode]:
@@ -532,8 +530,7 @@ def _chain_plan(links: list[LinkModel], policy: ChainPolicy) -> list[_PlanNode]:
             q = link.transmission()
             plan.append(_PlanNode(
                 heralded_pair_state(link, policy.double_excitation_weight),
-                1.0 / (q * link.attempt_rate), 0, q * link.attempt_rate, q,
-                rate=link.attempt_rate))
+                1.0 / q, 0, q, q))
             idx = distill(len(plan) - 1, policy.rounds_at(0))
         else:
             mid = (len(segment_links) + 1) // 2
@@ -661,7 +658,7 @@ class _ScalarDraws:
     def whole(self, idx: int) -> float | None:
         node = self.plan[idx]
         if node.children is None:
-            return float(self.rng.geometric(node.p)) / node.rate
+            return float(self.rng.geometric(node.p))
         return None
 
     def coin(self, p: float) -> bool:
@@ -681,8 +678,8 @@ class _BlockDraws:
     are invalid starts.  A leaf reads one uniform; a repeat node chains its
     attempts, each of which ends at the coin after its two children, and a
     retry chain is summed by pointer jumping.  Only valid for plans whose
-    leaves all take the search branch with rate 1 (integer slot counts, so
-    the order of additions does not matter).
+    leaves all take the search branch (integer slot counts, so the order of
+    additions does not matter).
     """
 
     def __init__(self, plan: list[_PlanNode], rng: np.random.Generator,
@@ -778,12 +775,12 @@ def _mc_total_slots(plan: list[_PlanNode], rng: np.random.Generator,
                     n_trials: int) -> float:
     """Summed delivery time of n_trials root samples.
 
-    Plans whose leaves all draw by numpy's search branch at rate 1 use
-    _BlockDraws: each leaf and coin reads one double, so rng.random(W) holds
-    the doubles the scalar calls would read, and integer sums make the
-    result exact.  Any other plan draws scalar by scalar.
+    Plans whose leaves all draw by numpy's search branch use _BlockDraws:
+    each leaf and coin reads one double, so rng.random(W) holds the doubles
+    the scalar calls would read, and integer sums make the result exact.
+    Any other plan draws scalar by scalar.
     """
-    tabulable = all(node.rate == 1.0 and node.p >= _GEOMETRIC_SEARCH_MIN_P
+    tabulable = all(node.p >= _GEOMETRIC_SEARCH_MIN_P
                     for node in plan if node.children is None)
     draws = _BlockDraws(plan, rng, MC_WINDOW) if tabulable else _ScalarDraws(plan, rng)
     root = len(plan) - 1

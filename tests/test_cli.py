@@ -1,4 +1,5 @@
 """End-to-end command-line runs against the bundled presets."""
+import configparser
 import hashlib
 import math
 import re
@@ -326,6 +327,44 @@ def test_config_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error:" in err
     assert "n_telescopes" in err
+
+
+_W_STATE_INI = ("[run]\nseed = 5\n[scheme]\nkind = w_state\nn_telescopes = 3\n"
+                "[baseline]\npositions = 0, 40, 100\n")
+
+
+@pytest.mark.parametrize("command,base,section,key,value,message", [
+    ("repeater", "repeater_demo.ini", "repeater", "length_km", "1e5",
+     "[repeater] transmission must be positive, got 0.0"),
+    ("repeater", "repeater_demo.ini", "repeater", "length_km", "inf", None),
+    ("repeater", "repeater_demo.ini", "repeater", "length_km", "nan", None),
+    ("repeater", "repeater_demo.ini", "repeater", "attenuation_db_per_km", "inf", None),
+    ("repeater", "repeater_demo.ini", "repeater", "phase_noise_sigma", "nan", None),
+    ("simulate", "entangled_demo.ini", "scheme", "coherence_time", "nan", None),
+    ("simulate", "entangled_demo.ini", "scheme", "jitter_sigma", "nan", None),
+    ("simulate", "entangled_demo.ini", "scheme", "arrival_offset", "nan", None),
+    ("simulate", "entangled_demo.ini", "baseline", "vector", "nan", None),
+    ("simulate", _W_STATE_INI, "scheme", "w_phases", "0 nan 0", None),
+    ("sensitivity", "chara_like.ini", "sensitivity", "wavelength", "nan", None),
+    ("sensitivity", "chara_like.ini", "sensitivity", "dark_counts_per_s", "nan", None),
+])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, command, base,
+                                                 section, key, value, message):
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(base if base.startswith("[") else Path(preset(base)).read_text())
+    parser.set(section, key, value)
+    config = tmp_path / "bad.ini"
+    with open(config, "w") as fh:
+        parser.write(fh)
+    args = ["--n-slots", "40"] if command == "simulate" else []
+    if command != "sensitivity":
+        args += ["--out-dir", str(tmp_path / "run")]
+    assert main([command, "--config", str(config), *args]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    expected = message or f"[{section}] {key}: must be finite, got {value!r}"
+    assert err.startswith(f"config error: {expected}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("deltas", ["0.0, 1.5707963267948966, 0.0, 3.141592653589793",

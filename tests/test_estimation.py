@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from entscope.errors import LowStatisticsError
 from entscope.estimation import (
-    BaselineSet,
     FringeFit,
     closure_phase,
     estimate_visibility,
@@ -174,52 +173,25 @@ def test_closure_invariant_under_telescope_phases():
 
 
 # ---------------------------------------------------------------------------
-# Baseline sets
-# ---------------------------------------------------------------------------
-
-def test_baseline_set_accepts_fits_and_complex():
-    samples = BaselineSet()
-    samples.add(Baseline(10.0, 800e-9), 0.5 + 0.1j)
-    samples.add(Baseline(20.0, 800e-9),
-                FringeFit(0.3 + 0j, 0.01, 0.02, 100, ()))
-    assert len(samples) == 2
-    values = {b.vector: v for b, v in samples}
-    assert values[20.0] == 0.3 + 0j
-
-
-def test_baseline_set_rejects_duplicates():
-    samples = BaselineSet()
-    samples.add(Baseline(10.0, 800e-9), 0.5)
-    with pytest.raises(ValueError, match="duplicate baseline"):
-        samples.add(Baseline(10.0, 800e-9), 0.6)
-    # Same vector at a different wavelength is a different sample.
-    samples.add(Baseline(10.0, 550e-9), 0.6)
-    assert len(samples) == 2
-
-
-# ---------------------------------------------------------------------------
 # Image reconstruction
 # ---------------------------------------------------------------------------
 
 WAVELENGTH = 800e-9
 
 
-def grid_baseline(k, n, pixel_scale):
-    unit = WAVELENGTH / (n * pixel_scale)
-    if isinstance(k, tuple):
-        return Baseline((k[0] * unit, k[1] * unit), WAVELENGTH)
-    return Baseline(k * unit, WAVELENGTH)
+def grid_vectors(ks, n, pixel_scale):
+    """Baseline vectors at grid indices ks: (m,) for integer indices, (m, 2)
+    for index pairs."""
+    return np.array(ks, dtype=float) * (WAVELENGTH / (n * pixel_scale))
 
 
 def test_point_source_lands_on_its_pixel():
     # Pure convention check with hand-written samples, no forward model:
     # a point at pixel p has V(k) = exp(+2 pi i k (p - n//2) / n).
     n, p, pixel_scale = 8, 6, 1e-9
-    samples = BaselineSet()
-    for k in range(n):
-        samples.add(grid_baseline(k, n, pixel_scale),
-                    cmath.exp(2j * math.pi * k * (p - n // 2) / n))
-    image = reconstruct_image(samples, n, pixel_scale)
+    values = [cmath.exp(2j * math.pi * k * (p - n // 2) / n) for k in range(n)]
+    image = reconstruct_image(grid_vectors(range(n), n, pixel_scale), WAVELENGTH,
+                              values, n, pixel_scale)
     expected = np.zeros(n)
     expected[p] = 1.0
     assert np.max(np.abs(image - expected)) < 1e-12
@@ -232,11 +204,9 @@ def test_one_dimensional_round_trip_with_hermitian_completion():
     intensities = {2: 1.0, 5: 2.0}
     source = SourceModel(points=tuple(
         ((p - n // 2) * pixel_scale, i) for p, i in intensities.items()))
-    samples = BaselineSet()
-    for k in range(n // 2 + 1):
-        samples.add(grid_baseline(k, n, pixel_scale),
-                    visibility(source, grid_baseline(k, n, pixel_scale)))
-    image = reconstruct_image(samples, n, pixel_scale)
+    vectors = grid_vectors(range(n // 2 + 1), n, pixel_scale)
+    values = [visibility(source, Baseline(v, WAVELENGTH)) for v in vectors.tolist()]
+    image = reconstruct_image(vectors, WAVELENGTH, values, n, pixel_scale)
     expected = np.zeros(n)
     for p, i in intensities.items():
         expected[p] = i / 3.0
@@ -248,12 +218,10 @@ def test_two_dimensional_round_trip():
     rng = np.random.default_rng(7)
     grid = rng.random((n, n))
     source = SourceModel(grid=grid, pixel_scale=pixel_scale)
-    samples = BaselineSet()
-    for kx in range(n):
-        for ky in range(n):
-            b = grid_baseline((kx, ky), n, pixel_scale)
-            samples.add(b, visibility(source, b))
-    image = reconstruct_image(samples, n, pixel_scale)
+    vectors = grid_vectors([(kx, ky) for kx in range(n) for ky in range(n)],
+                           n, pixel_scale)
+    values = [visibility(source, Baseline(tuple(v), WAVELENGTH)) for v in vectors.tolist()]
+    image = reconstruct_image(vectors, WAVELENGTH, values, n, pixel_scale)
     assert image.shape == (n, n)
     assert np.max(np.abs(image - grid / grid.sum())) < 1e-8
     assert image.sum() == pytest.approx(1.0, abs=1e-12)
@@ -264,78 +232,76 @@ def test_reconstruction_scale_invariant():
     # normalized to unit flux either way.
     n, pixel_scale = 8, 1e-9
     def build(scale):
-        samples = BaselineSet()
-        for k in range(n):
-            samples.add(grid_baseline(k, n, pixel_scale),
-                        scale * cmath.exp(2j * math.pi * k * 2 / n))
-        return reconstruct_image(samples, n, pixel_scale)
+        values = [scale * cmath.exp(2j * math.pi * k * 2 / n) for k in range(n)]
+        return reconstruct_image(grid_vectors(range(n), n, pixel_scale), WAVELENGTH,
+                                 values, n, pixel_scale)
     assert np.max(np.abs(build(1.0) - build(3.0))) < 1e-12
 
 
 def test_reconstruction_rejects_off_grid_baseline():
-    samples = BaselineSet()
-    samples.add(Baseline(1.3 * WAVELENGTH / (8 * 1e-9), WAVELENGTH), 0.5)
-    with pytest.raises(ValueError, match="off the reconstruction grid"):
-        reconstruct_image(samples, 8, 1e-9)
-
-
-def test_reconstruction_rejects_mixed_wavelengths():
-    samples = BaselineSet()
-    samples.add(grid_baseline(0, 8, 1e-9), 1.0)
-    samples.add(Baseline(550e-9 / (8 * 1e-9), 550e-9), 0.5)
-    with pytest.raises(ValueError, match="share one wavelength"):
-        reconstruct_image(samples, 8, 1e-9)
-
-
-def test_reconstruction_rejects_mixed_dimensions():
-    samples = BaselineSet()
-    samples.add(grid_baseline(0, 8, 1e-9), 1.0)
-    samples.add(grid_baseline((1, 1), 8, 1e-9), 0.5)
-    with pytest.raises(ValueError, match="mixed 1-D and 2-D"):
-        reconstruct_image(samples, 8, 1e-9)
+    # The first off-grid row is named, at its first off-grid axis.
+    unit = WAVELENGTH / (8 * 1e-9)
+    first = r"off the reconstruction grid \(index 1\.300000 "
+    with pytest.raises(ValueError, match=first):
+        reconstruct_image([0.0, 1.3 * unit, 3.3 * unit], WAVELENGTH, np.ones(3), 8, 1e-9)
+    with pytest.raises(ValueError, match=first):
+        reconstruct_image([(0.0, 0.0), (1.3 * unit, 2.6 * unit), (3.3 * unit, 0.0)],
+                          WAVELENGTH, np.ones(3), (8, 8), 1e-9)
 
 
 def test_reconstruction_rejects_non_hermitian_data():
-    samples = BaselineSet()
-    samples.add(grid_baseline(0, 8, 1e-9), 1.0)
-    samples.add(grid_baseline(1, 8, 1e-9), 0.5j)
-    samples.add(grid_baseline(7, 8, 1e-9), 0.5j)  # should be -0.5j
+    vectors = grid_vectors([0, 1, 7], 8, 1e-9)
     with pytest.raises(ValueError, match="not Hermitian"):
-        reconstruct_image(samples, 8, 1e-9)
+        reconstruct_image(vectors, WAVELENGTH, [1.0, 0.5j, 0.5j], 8, 1e-9)  # V(7) = -0.5j
 
 
 def test_reconstruction_rejects_missing_zero_baseline():
     # Without the DC sample the image is a zero-mean fringe; normalizing it
     # would divide by roundoff.
-    samples = BaselineSet()
-    samples.add(grid_baseline(1, 8, 1e-9), 1.0)
     with pytest.raises(ValueError, match="total flux"):
-        reconstruct_image(samples, 8, 1e-9)
+        reconstruct_image(grid_vectors([1], 8, 1e-9), WAVELENGTH, [1.0], 8, 1e-9)
 
 
 def test_reconstruction_grid_shape_validation():
-    one_d = BaselineSet()
-    one_d.add(grid_baseline(0, 8, 1e-9), 1.0)
+    one_d = grid_vectors([0], 8, 1e-9)
     with pytest.raises(ValueError, match="scalar grid size"):
-        reconstruct_image(one_d, (8, 8), 1e-9)
-    two_d = BaselineSet()
-    two_d.add(grid_baseline((0, 0), 8, 1e-9), 1.0)
+        reconstruct_image(one_d, WAVELENGTH, [1.0], (8, 8), 1e-9)
     with pytest.raises(ValueError, match=r"\(nx, ny\) grid size"):
-        reconstruct_image(two_d, (8,), 1e-9)
+        reconstruct_image(grid_vectors([(0, 0)], 8, 1e-9), WAVELENGTH, [1.0], (8,), 1e-9)
     with pytest.raises(ValueError, match="empty baseline set"):
-        reconstruct_image(BaselineSet(), 8, 1e-9)
+        reconstruct_image([], WAVELENGTH, [], 8, 1e-9)
     with pytest.raises(ValueError, match="pixel_scale"):
-        reconstruct_image(one_d, 8, 0.0)
+        reconstruct_image(one_d, WAVELENGTH, [1.0], 8, 0.0)
+
+
+def test_reconstruction_rejects_bad_arrays():
+    # Duplicates are found before the grid check; the reported row is the
+    # first one that repeats an earlier row, and -0.0 repeats 0.0.
+    with pytest.raises(ValueError, match=r"^duplicate baseline 20.0$"):
+        reconstruct_image([10.0, 20.0, 30.0, 20.0, 10.0], WAVELENGTH, np.ones(5), 8, 1e-9)
+    with pytest.raises(ValueError, match=r"^duplicate baseline \(1.0, 2.0\)$"):
+        reconstruct_image([(1.0, 2.0), (2.0, 1.0), (1.0, 2.0)], WAVELENGTH, np.ones(3),
+                          (8, 8), 1e-9)
+    with pytest.raises(ValueError, match=r"^duplicate baseline 0.0$"):
+        reconstruct_image([10.0, -0.0, 0.0], WAVELENGTH, np.ones(3), 8, 1e-9)
+    for shape in ((3, 3), (2, 2, 2)):
+        with pytest.raises(ValueError, match=r"shape \(m,\) or \(m, 2\)"):
+            reconstruct_image(np.zeros(shape), WAVELENGTH, np.ones(shape[0]), 8, 1e-9)
+    for wavelength in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError, match="wavelength must be positive"):
+            reconstruct_image([0.0], wavelength, [1.0], 8, 1e-9)
+    with pytest.raises(ValueError, match=r"expected 2 values, got shape \(1,\)"):
+        reconstruct_image([0.0, 1.0], WAVELENGTH, [1.0], 8, 1e-9)
 
 
 # ---------------------------------------------------------------------------
-# Columnar baseline sets against the per-sample gridding loop
+# Array gridding against the per-sample gridding loop
 # ---------------------------------------------------------------------------
 
-def _reference_reconstruct(entries, grid_size, pixel_scale):
+def _reference_reconstruct(vectors, values, grid_size, pixel_scale):
     """The per-sample gridding loop that the array gridding replaced."""
-    def axis_index(component, n, wavelength):
-        exact = component * n * pixel_scale / wavelength
+    def axis_index(component, n):
+        exact = component * n * pixel_scale / WAVELENGTH
         k = round(exact)
         if abs(exact - k) > 1e-6:
             raise ValueError(
@@ -343,8 +309,7 @@ def _reference_reconstruct(entries, grid_size, pixel_scale):
                 f"(index {exact:.6f} not within 1e-06 of an integer)")
         return k % n
 
-    wavelength = entries[0][0].wavelength
-    two_d = isinstance(entries[0][0].vector, tuple)
+    two_d = vectors.ndim == 2
     if isinstance(grid_size, int):
         shape = (grid_size,) if not two_d else (grid_size, grid_size)
     else:
@@ -355,13 +320,9 @@ def _reference_reconstruct(entries, grid_size, pixel_scale):
         raise ValueError("1-D baselines need a scalar grid size")
     grid = np.zeros(shape, dtype=complex)
     filled = np.zeros(shape, dtype=bool)
-    for baseline, vis in entries:
-        if isinstance(baseline.vector, tuple) != two_d:
-            raise ValueError("mixed 1-D and 2-D baselines in one set")
-        if not math.isclose(baseline.wavelength, wavelength, rel_tol=1e-12):
-            raise ValueError("all baselines must share one wavelength")
-        vector = baseline.vector if two_d else (baseline.vector,)
-        idx = tuple(axis_index(c, n, wavelength) for c, n in zip(vector, shape))
+    for vector, vis in zip(vectors.tolist(), values.tolist()):
+        vector = vector if two_d else (vector,)
+        idx = tuple(axis_index(c, n) for c, n in zip(vector, shape))
         grid[idx] = vis
         filled[idx] = True
     for idx in np.argwhere(filled):
@@ -396,10 +357,9 @@ def _outcome(fn, *args):
 
 @st.composite
 def _grid_samples(draw):
-    """Baselines on a reconstruction grid, some of them sampling one grid
-    point twice, with the visibilities of on-pixel points; up to two edits
-    then move a baseline off the grid, change its wavelength or value, or
-    insert a baseline of the other dimension."""
+    """Distinct baselines on a reconstruction grid, some of them sampling one
+    grid point twice, with the visibilities of on-pixel points; up to two
+    edits then move a baseline off the grid or change its value."""
     two_d = draw(st.booleans())
     n = draw(st.integers(2, 9))
     dims = 2 if two_d else 1
@@ -417,83 +377,38 @@ def _grid_samples(draw):
     unit = WAVELENGTH / (n * 1e-9)
     vectors = np.array(ks, dtype=float) * unit if two_d else np.array(ks)[:, 0] * unit
     values = visibilities(source, vectors, WAVELENGTH)
-    rows = [(tuple(v) if two_d else float(v), WAVELENGTH, complex(x))
-            for v, x in zip(vectors.tolist(), values.tolist())]
-    for edit in draw(st.lists(st.sampled_from(["off-grid", "wavelength", "mixed", "value"]),
-                              max_size=2)):
-        at = draw(st.integers(0, len(rows) - 1))
-        vector, wavelength, value = rows[at]
-        row_2d = isinstance(vector, tuple)
-        if edit == "off-grid":
-            vector = (vector[0], vector[1] + 0.3 * unit) if row_2d else vector + 0.3 * unit
-        elif edit == "wavelength":
-            wavelength *= 1 + 1e-9
-        elif edit == "mixed":
-            vector = vector[0] if row_2d else (vector, 0.0)
-        else:
-            rows[at] = (vector, wavelength, value * 1.5j)
+    for edit in draw(st.lists(st.sampled_from(["off-grid", "value"]), max_size=2)):
+        at = draw(st.integers(0, len(values) - 1))
+        if edit == "value":
+            values[at] *= 1.5j
             continue
-        if any(v == vector and w == wavelength for v, w, _ in rows):
-            continue  # keep the baselines distinct
-        if edit == "mixed":
-            rows.insert(at, (vector, wavelength, value))
-        else:
-            rows[at] = (vector, wavelength, value)
-    return rows, (n, n) if two_d else n
+        moved = vectors.copy()
+        moved[(at, 1) if two_d else at] += 0.3 * unit
+        rows = moved.reshape(len(moved), -1).tolist()
+        if rows.count(rows[at]) == 1:  # keep the baselines distinct
+            vectors = moved
+    return vectors, values, (n, n) if two_d else n
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=_grid_samples())
 def test_reconstruct_image_matches_per_sample_loop(case):
-    rows, grid_size = case
-    samples = BaselineSet()
-    for vector, wavelength, value in rows:
-        samples.add(Baseline(vector, wavelength), value)
-    expected = _outcome(_reference_reconstruct, list(samples), grid_size, 1e-9)
-    got = _outcome(reconstruct_image, samples, grid_size, 1e-9)
+    vectors, values, grid_size = case
+    expected = _outcome(_reference_reconstruct, vectors, values, grid_size, 1e-9)
+    got = _outcome(reconstruct_image, vectors, WAVELENGTH, values, grid_size, 1e-9)
     if isinstance(expected, str):
         assert got == expected
     else:
         assert np.array_equal(got, expected)
-    if len({(isinstance(v, tuple), w) for v, w, _ in rows}) == 1:
-        bulk = BaselineSet.from_arrays([v for v, _, _ in rows], rows[0][1],
-                                       [x for _, _, x in rows])
-        assert list(bulk) == list(samples)
-        bulk_image = _outcome(reconstruct_image, bulk, grid_size, 1e-9)
-        assert bulk_image == got if isinstance(got, str) else np.array_equal(bulk_image, got)
 
 
-def test_bulk_and_added_sets_give_the_same_image():
+def test_full_grid_image_matches_per_sample_loop():
     n, pixel_scale = 32, 0.5e-9
     source = SourceModel(points=(((2e-9, -3e-9), 1.0), ((-4.5e-9, 1e-9), 0.4)))
     k = np.arange(-(n // 2), n - n // 2) * (WAVELENGTH / (n * pixel_scale))
     vectors = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
     values = visibilities(source, vectors, WAVELENGTH)
-    added = BaselineSet()
-    for vector, value in zip(vectors.tolist(), values.tolist()):
-        added.add(Baseline(tuple(vector), WAVELENGTH), value)
-    bulk = BaselineSet.from_arrays(vectors, WAVELENGTH, values)
-    assert len(bulk) == len(added) == n * n
-    image = reconstruct_image(bulk, (n, n), pixel_scale)
-    assert np.array_equal(image, reconstruct_image(added, (n, n), pixel_scale))
-    assert np.array_equal(image, _reference_reconstruct(list(added), (n, n), pixel_scale))
-
-
-def test_bulk_constructor_rejects_duplicates():
-    with pytest.raises(ValueError, match=r"^duplicate baseline 20.0$"):
-        BaselineSet.from_arrays([10.0, 20.0, 30.0, 20.0, 10.0], 800e-9, np.ones(5))
-    with pytest.raises(ValueError, match=r"^duplicate baseline \(1.0, 2.0\)$"):
-        BaselineSet.from_arrays([(1.0, 2.0), (2.0, 1.0), (1.0, 2.0)], 800e-9, np.ones(3))
-    samples = BaselineSet.from_arrays([10.0, -0.0], 800e-9, [0.5, 0.6])
-    assert [(b.vector, b.wavelength, v) for b, v in samples] == [
-        (10.0, 800e-9, 0.5 + 0j), (-0.0, 800e-9, 0.6 + 0j)]
-    # add() checks against the bulk rows too; the same vector at another
-    # wavelength is a different sample.
-    with pytest.raises(ValueError, match="duplicate baseline 0.0"):
-        samples.add(Baseline(0.0, 800e-9), 0.1)
-    samples.add(Baseline(10.0, 550e-9), 0.1)
-    assert len(samples) == 3
-    with pytest.raises(ValueError, match="positive"):
-        BaselineSet.from_arrays([1.0], 0.0, [1.0])
-    with pytest.raises(ValueError, match="values"):
-        BaselineSet.from_arrays([1.0, 2.0], 800e-9, [1.0])
+    # The arrays are read in place, never written.
+    vectors.flags.writeable = values.flags.writeable = False
+    image = reconstruct_image(vectors, WAVELENGTH, values, (n, n), pixel_scale)
+    assert np.array_equal(image, _reference_reconstruct(vectors, values, (n, n), pixel_scale))

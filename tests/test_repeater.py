@@ -70,6 +70,10 @@ def test_link_transmission():
         LinkModel(length_km=-1.0)
     with pytest.raises(ConfigError):
         LinkModel(extra_transmission=0.0)
+    # 10^(-0.2 * 1e5 / 10) underflows to 0, and nan compares false.
+    for length in (1e5, math.nan):
+        with pytest.raises(ConfigError, match="transmission must be positive"):
+            LinkModel(length_km=length)
 
 
 def test_transmit_pair_matches_loss_channel():
@@ -379,9 +383,8 @@ def _reference_chain(links, policy, rng, n_trials):
             link = segment_links[0]
             state = heralded_pair_state(link, policy.double_excitation_weight)
             q = link.transmission()
-            state, slots, used = distill(state, 1.0 / (q * link.attempt_rate),
-                                         policy.rounds_at(0))
-            return state, slots, used, q * link.attempt_rate
+            state, slots, used = distill(state, 1.0 / q, policy.rounds_at(0))
+            return state, slots, used, q
         mid = (len(segment_links) + 1) // 2
         left, right = analytic(segment_links[:mid]), analytic(segment_links[mid:])
         swap = entanglement_swap(left[0], right[0])
@@ -412,10 +415,10 @@ def _reference_chain(links, policy, rng, n_trials):
     def build(segment_links):
         if len(segment_links) == 1:
             link = segment_links[0]
-            q, rate = link.transmission(), link.attempt_rate
+            q = link.transmission()
 
             def raw():
-                return float(rng.geometric(q)) / rate
+                return float(rng.geometric(q))
             return attach_distill(
                 raw, heralded_pair_state(link, policy.double_excitation_weight),
                 policy.rounds_at(0))
@@ -449,7 +452,6 @@ _LINKS = {
     "q0.398": LinkModel(length_km=20.0, phase_noise_sigma=0.2),
     "q1/3": LinkModel(attenuation_db_per_km=0.0, extra_transmission=1.0 / 3.0),
     "q0.316": LinkModel(length_km=25.0),
-    "rate2": LinkModel(length_km=10.0, attempt_rate=2.0),
 }
 
 
