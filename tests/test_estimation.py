@@ -274,16 +274,21 @@ def test_reconstruction_grid_shape_validation():
         reconstruct_image(one_d, WAVELENGTH, [1.0], 8, 0.0)
 
 
-def test_reconstruction_rejects_bad_arrays():
+def test_baseline_set_rejects_duplicates():
     # Duplicates are found before the grid check; the reported row is the
     # first one that repeats an earlier row, and -0.0 repeats 0.0.
     with pytest.raises(ValueError, match=r"^duplicate baseline 20.0$"):
         reconstruct_image([10.0, 20.0, 30.0, 20.0, 10.0], WAVELENGTH, np.ones(5), 8, 1e-9)
+    with pytest.raises(ValueError, match=r"^duplicate baseline 0.0$"):
+        reconstruct_image([10.0, -0.0, 0.0], WAVELENGTH, np.ones(3), 8, 1e-9)
+
+
+def test_bulk_constructor_rejects_duplicates():
+    # The array arguments are checked as a whole: 2-D duplicate rows, the
+    # vectors' shape, the wavelength and the number of values.
     with pytest.raises(ValueError, match=r"^duplicate baseline \(1.0, 2.0\)$"):
         reconstruct_image([(1.0, 2.0), (2.0, 1.0), (1.0, 2.0)], WAVELENGTH, np.ones(3),
                           (8, 8), 1e-9)
-    with pytest.raises(ValueError, match=r"^duplicate baseline 0.0$"):
-        reconstruct_image([10.0, -0.0, 0.0], WAVELENGTH, np.ones(3), 8, 1e-9)
     for shape in ((3, 3), (2, 2, 2)):
         with pytest.raises(ValueError, match=r"shape \(m,\) or \(m, 2\)"):
             reconstruct_image(np.zeros(shape), WAVELENGTH, np.ones(shape[0]), 8, 1e-9)
