@@ -13,7 +13,6 @@ from .fock import (
     DEFAULT_CUTOFF,
     DensityOperator,
     DetectorModel,
-    FockRegister,
     apply_beam_splitter,
     apply_loss,
     apply_phase,
@@ -82,7 +81,6 @@ __all__ = [
     "DetectorModel",
     "EntangledPairState",
     "EventLog",
-    "FockRegister",
     "FringeFit",
     "InfeasibleBudgetError",
     "LinkModel",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,9 @@ def reconstruct_image(vectors, wavelength: float, values, grid_size, pixel_scale
 
     vectors is an (m,) array of 1-D or an (m, 2) array of 2-D baseline
     vectors, all at one wavelength, with m complex values.  grid_size is an
-    int n (n x n for 2-D baselines) or an (nx, ny) pair for 2-D; pixel i sits
-    at angle (i - n//2) * pixel_scale per axis, like `sky.SourceModel` grids.
+    integer n, Python or numpy (n x n for 2-D baselines), or an (nx, ny) pair
+    for 2-D; pixel i sits at angle (i - n//2) * pixel_scale per axis, like
+    `sky.SourceModel` grids.
     Unsampled grid points are zero-filled after Hermitian completion
     V(-k) = conj(V(k)).
     """
@@ -168,8 +170,8 @@ def reconstruct_image(vectors, wavelength: float, values, grid_size, pixel_scale
     if pixel_scale <= 0.0:
         raise ValueError("pixel_scale must be positive")
     two_d = vectors.ndim == 2
-    if isinstance(grid_size, int):
-        shape = (grid_size,) if not two_d else (grid_size, grid_size)
+    if np.ndim(grid_size) == 0:
+        shape = (operator.index(grid_size),) * (2 if two_d else 1)
     else:
         shape = tuple(int(n) for n in grid_size)
     if two_d and len(shape) != 2:

@@ -1,8 +1,10 @@
 """Exact few-mode Fock-space simulation.
 
 States live in a truncated occupation-number basis (all occupation vectors
-with total photon number <= photon_cutoff).  Pure states are sparse amplitude
-maps, mixed states are dense matrices over the same basis.  The module
+with total photon number <= photon_cutoff).  Every state, pure or mixed, is
+one `DensityOperator`: a dense matrix over that basis.  Kets enter through
+`DensityOperator.pure`, which takes a sparse occupation -> amplitude map and
+builds |psi><psi|, so every circuit runs on the one matrix path.  The module
 provides the linear-optics primitives (beam splitters, phase shifters), loss
 channels, and click-pattern detection used as the ground-truth reference by
 the higher-level interferometry and repeater modules.
@@ -131,76 +133,8 @@ def _count_table(detector: DetectorModel, photon_cutoff: int) -> np.ndarray:
     return table
 
 
-class FockRegister:
-    """Pure state as a sparse map occupation -> complex amplitude.
-
-    Treated as immutable: all operations return new registers.
-    """
-
-    __slots__ = ("mode_count", "photon_cutoff", "amplitudes")
-
-    def __init__(
-        self,
-        mode_count: int,
-        photon_cutoff: int,
-        amplitudes: dict[Occupation, complex],
-    ) -> None:
-        _check_dims(mode_count, photon_cutoff)
-        index = basis_index(mode_count, photon_cutoff)
-        for occ in amplitudes:
-            if occ not in index:
-                raise ValueError(f"occupation {occ} outside basis "
-                                 f"({mode_count} modes, cutoff {photon_cutoff})")
-        self.mode_count = mode_count
-        self.photon_cutoff = photon_cutoff
-        self.amplitudes = dict(amplitudes)
-
-    @classmethod
-    def from_occupation(cls, occ: Occupation, photon_cutoff: int | None = None) -> "FockRegister":
-        occ = tuple(int(n) for n in occ)
-        cutoff = sum(occ) if photon_cutoff is None else photon_cutoff
-        return cls(len(occ), cutoff, {occ: 1.0 + 0.0j})
-
-    @classmethod
-    def vacuum(cls, mode_count: int, photon_cutoff: int) -> "FockRegister":
-        return cls(mode_count, photon_cutoff, {(0,) * mode_count: 1.0 + 0.0j})
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
-
-    def normalized(self) -> "FockRegister":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockRegister(
-            self.mode_count, self.photon_cutoff,
-            {k: v / n for k, v in self.amplitudes.items()},
-        )
-
-    def to_vector(self) -> np.ndarray:
-        index = basis_index(self.mode_count, self.photon_cutoff)
-        vec = np.zeros(len(index), dtype=complex)
-        for occ, amp in self.amplitudes.items():
-            vec[index[occ]] = amp
-        return vec
-
-    def tensor(self, other: "FockRegister", photon_cutoff: int | None = None) -> "FockRegister":
-        cutoff = self.photon_cutoff + other.photon_cutoff if photon_cutoff is None else photon_cutoff
-        amps: dict[Occupation, complex] = {}
-        for occ_a, amp_a in self.amplitudes.items():
-            for occ_b, amp_b in other.amplitudes.items():
-                occ = occ_a + occ_b
-                if sum(occ) <= cutoff:
-                    amps[occ] = amp_a * amp_b
-        return FockRegister(self.mode_count + other.mode_count, cutoff, amps)
-
-    def __repr__(self) -> str:
-        terms = ", ".join(f"{occ}: {amp:.4g}" for occ, amp in sorted(self.amplitudes.items()))
-        return f"FockRegister({self.mode_count} modes, cutoff {self.photon_cutoff}, {{{terms}}})"
-
-
 class DensityOperator:
-    """Mixed state as a dense matrix over the truncated occupation basis."""
+    """Pure or mixed state as a dense matrix over the truncated occupation basis."""
 
     __slots__ = ("mode_count", "photon_cutoff", "matrix")
 
@@ -215,16 +149,24 @@ class DensityOperator:
         self.matrix = matrix
 
     @classmethod
-    def from_register(cls, reg: FockRegister) -> "DensityOperator":
-        vec = reg.to_vector()
-        return cls(reg.mode_count, reg.photon_cutoff, np.outer(vec, vec.conjugate()))
+    def pure(cls, mode_count: int, photon_cutoff: int,
+             amplitudes: dict[Occupation, complex]) -> "DensityOperator":
+        """The pure state |psi><psi| of a sparse ket occupation -> amplitude."""
+        _check_dims(mode_count, photon_cutoff)
+        index = basis_index(mode_count, photon_cutoff)
+        vec = np.zeros(len(index), dtype=complex)
+        for occ, amp in amplitudes.items():
+            if occ not in index:
+                raise ValueError(f"occupation {occ} outside basis "
+                                 f"({mode_count} modes, cutoff {photon_cutoff})")
+            vec[index[occ]] = amp
+        return cls(mode_count, photon_cutoff, np.outer(vec, vec.conjugate()))
 
     @classmethod
     def from_mixture(cls, pairs) -> "DensityOperator":
-        """Weighted mixture of FockRegister / DensityOperator components."""
+        """Weighted mixture of DensityOperator components."""
         acc = None
-        for weight, state in pairs:
-            rho = state if isinstance(state, DensityOperator) else DensityOperator.from_register(state)
+        for weight, rho in pairs:
             term = weight * rho.matrix
             if acc is None:
                 acc = (rho.mode_count, rho.photon_cutoff, term.copy())
@@ -238,7 +180,7 @@ class DensityOperator:
 
     @classmethod
     def vacuum(cls, mode_count: int, photon_cutoff: int) -> "DensityOperator":
-        return cls.from_register(FockRegister.vacuum(mode_count, photon_cutoff))
+        return cls.pure(mode_count, photon_cutoff, {(0,) * mode_count: 1.0 + 0.0j})
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
@@ -291,9 +233,6 @@ class DensityOperator:
     def __repr__(self) -> str:
         return (f"DensityOperator({self.mode_count} modes, cutoff {self.photon_cutoff}, "
                 f"trace {self.trace():.6f})")
-
-
-State = FockRegister | DensityOperator
 
 
 @lru_cache(maxsize=64)
@@ -360,8 +299,8 @@ def _bs_unitary(mode_count: int, photon_cutoff: int, mode_a: int, mode_b: int,
     return u
 
 
-def apply_beam_splitter(state: State, mode_a: int, mode_b: int,
-                        transmissivity: float, phase: float = 0.0) -> State:
+def apply_beam_splitter(state: DensityOperator, mode_a: int, mode_b: int,
+                        transmissivity: float, phase: float = 0.0) -> DensityOperator:
     """Couple mode_a and mode_b with the package beam-splitter convention.
 
     Total photon number is conserved, so the truncated basis is closed under
@@ -373,33 +312,16 @@ def apply_beam_splitter(state: State, mode_a: int, mode_b: int,
     _check_mode(mode_b, state.mode_count)
     if mode_a == mode_b:
         raise ValueError("beam splitter requires two distinct modes")
-    if isinstance(state, FockRegister):
-        amps: dict[Occupation, complex] = {}
-        for occ, amp in state.amplitudes.items():
-            n_a, n_b = occ[mode_a], occ[mode_b]
-            for m_a, c in _bs_output_amplitudes(n_a, n_b, transmissivity, phase).items():
-                new = list(occ)
-                new[mode_a] = m_a
-                new[mode_b] = n_a + n_b - m_a
-                key = tuple(new)
-                amps[key] = amps.get(key, 0.0 + 0.0j) + amp * c
-        return FockRegister(state.mode_count, state.photon_cutoff,
-                            {k: v for k, v in amps.items() if v != 0})
     u = _bs_unitary(state.mode_count, state.photon_cutoff, mode_a, mode_b,
                     float(transmissivity), float(phase))
     return DensityOperator(state.mode_count, state.photon_cutoff,
                            u @ state.matrix @ u.conjugate().T)
 
 
-def apply_phase(state: State, mode: int, delta: float) -> State:
+def apply_phase(state: DensityOperator, mode: int, delta: float) -> DensityOperator:
     """Phase shifter: |n> on the given mode picks up exp(i n delta)."""
     _check_mode(mode, state.mode_count)
     states = basis_states(state.mode_count, state.photon_cutoff)
-    if isinstance(state, FockRegister):
-        return FockRegister(
-            state.mode_count, state.photon_cutoff,
-            {occ: amp * np.exp(1j * occ[mode] * delta) for occ, amp in state.amplitudes.items()},
-        )
     phases = np.exp(1j * delta * np.array([occ[mode] for occ in states]))
     return DensityOperator(state.mode_count, state.photon_cutoff,
                            state.matrix * np.outer(phases, phases.conjugate()))
@@ -412,8 +334,6 @@ def apply_loss(rho: DensityOperator, mode: int, transmission: float) -> DensityO
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
-    if not isinstance(rho, DensityOperator):
-        raise TypeError("apply_loss acts on DensityOperator (loss produces mixed states)")
     _check_mode(mode, rho.mode_count)
     eta = float(transmission)
     states = basis_states(rho.mode_count, rho.photon_cutoff)
@@ -504,7 +424,7 @@ def condition_on_counts(rho: DensityOperator, counts: dict[int, int]
     return prob, DensityOperator(len(keep), rho.photon_cutoff, out / prob)
 
 
-def _detector_list(state: State, detectors) -> list[DetectorModel]:
+def _detector_list(state: DensityOperator, detectors) -> list[DetectorModel]:
     if detectors is None:
         detectors = IDEAL_DETECTOR
     if isinstance(detectors, DetectorModel):
@@ -520,7 +440,7 @@ def _detector_list(state: State, detectors) -> list[DetectorModel]:
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def outcome_distribution(state: State, detectors=None) -> dict[Occupation, float]:
+def outcome_distribution(state: DensityOperator, detectors=None) -> dict[Occupation, float]:
     """Exact probability table over click patterns, one detector per mode.
 
     Threshold detectors report 0/1 per mode; photon-number-resolving ones
@@ -534,12 +454,8 @@ def outcome_distribution(state: State, detectors=None) -> dict[Occupation, float
     lexicographically within one occupation.
     """
     dets = _detector_list(state, detectors)
-    if isinstance(state, FockRegister):
-        occs = np.array(list(state.amplitudes), dtype=np.intp).reshape(-1, state.mode_count)
-        probs = np.array([abs(a) ** 2 for a in state.amplitudes.values()])
-    else:
-        occs = _basis_array(state.mode_count, state.photon_cutoff)
-        probs = np.real(np.diag(state.matrix))
+    occs = _basis_array(state.mode_count, state.photon_cutoff)
+    probs = np.real(np.diag(state.matrix))
     live = ~(probs <= 0.0)  # skips p <= 0 only: a NaN entry shows in the table
     occs, probs = occs[live], probs[live]
     n_occs = len(probs)

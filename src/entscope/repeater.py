@@ -26,7 +26,6 @@ import numpy as np
 from .errors import ConfigError
 from .fock import (
     DensityOperator,
-    FockRegister,
     apply_beam_splitter,
     apply_phase,
     basis_index,
@@ -37,9 +36,6 @@ from .fock import (
 DEFAULT_SPLIT_LOW = 0.15
 DEFAULT_SPLIT_HIGH = 0.85
 FORM_TOL = 1e-12
-
-TARGET_PAIR = FockRegister(2, 2, {(0, 1): 1.0 / math.sqrt(2.0),
-                                  (1, 0): 1.0 / math.sqrt(2.0)})
 
 
 @dataclass(frozen=True)

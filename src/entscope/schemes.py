@@ -38,7 +38,6 @@ from .fock import (
     DEFAULT_CUTOFF,
     DensityOperator,
     DetectorModel,
-    FockRegister,
     IDEAL_DETECTOR,
     apply_beam_splitter,
     apply_phase,
@@ -211,17 +210,17 @@ def temporal_overlap_factor(coherence_time: float, jitter_sigma: float,
 # Exact few-mode circuits (the oracle route for everything above)
 # ---------------------------------------------------------------------------
 
-def resource_state(delta: float, photon_cutoff: int = 2) -> FockRegister:
+def resource_state(delta: float, photon_cutoff: int = 2) -> DensityOperator:
     """Distributed single photon (|0,1> + e^{i delta}|1,0>)/sqrt(2), site-L arm delayed."""
-    return FockRegister(2, photon_cutoff, {
+    return DensityOperator.pure(2, photon_cutoff, {
         (0, 1): 1.0 / math.sqrt(2.0),
         (1, 0): np.exp(1j * delta) / math.sqrt(2.0),
     })
 
 
-def lab_pair_state(delta: float, photon_cutoff: int = 2) -> FockRegister:
+def lab_pair_state(delta: float, photon_cutoff: int = 2) -> DensityOperator:
     """Two-photon component of the split coherent reference (L arm delayed)."""
-    return FockRegister(2, photon_cutoff, {
+    return DensityOperator.pure(2, photon_cutoff, {
         (0, 2): 0.5,
         (1, 1): np.exp(1j * delta) / math.sqrt(2.0),
         (2, 0): np.exp(2j * delta) * 0.5,
@@ -243,14 +242,15 @@ def hbt_pair_state(v: complex, photon_cutoff: int = 2) -> DensityOperator:
     components = []
     total = 0.0
     for phi in phases:
-        ket = FockRegister(2, photon_cutoff, {
+        ket = {
             (0, 2): math.sqrt(2.0) / 2.0,
             (1, 1): (1.0 + np.exp(1j * phi)) / 2.0,
             (2, 0): math.sqrt(2.0) * np.exp(1j * phi) / 2.0,
-        })
+        }
         weight = 0.5
-        components.append((weight, ket))
-        total += weight * ket.norm() ** 2
+        components.append((weight, DensityOperator.pure(2, photon_cutoff, ket)))
+        # sqrt(sum) ** 2 and the bare sum round differently; this keeps the tables' bits.
+        total += weight * math.sqrt(sum(abs(a) ** 2 for a in ket.values())) ** 2
     rho = DensityOperator.from_mixture(components)
     return DensityOperator(2, photon_cutoff, rho.matrix / total)
 
@@ -261,7 +261,7 @@ def astro_pair_rate(p_a: float, v: complex) -> float:
 
 
 def two_telescope_distribution(rho_astro: DensityOperator | None,
-                               rho_ref: DensityOperator | FockRegister | None,
+                               rho_ref: DensityOperator | None,
                                detector: DetectorModel = IDEAL_DETECTOR,
                                photon_cutoff: int = DEFAULT_CUTOFF,
                                ) -> dict[tuple[int, ...], float]:
@@ -274,8 +274,6 @@ def two_telescope_distribution(rho_astro: DensityOperator | None,
     """
     astro = rho_astro if rho_astro is not None else DensityOperator.vacuum(2, 0)
     ref = rho_ref if rho_ref is not None else DensityOperator.vacuum(2, 0)
-    if isinstance(ref, FockRegister):
-        ref = DensityOperator.from_register(ref)
     joint = astro.tensor(ref, photon_cutoff=photon_cutoff)
     joint = apply_beam_splitter(joint, 0, 2, 0.5)
     joint = apply_beam_splitter(joint, 1, 3, 0.5)
@@ -483,8 +481,8 @@ def _two_telescope_outcomes(config: SchemeConfig, v: complex, schedule: tuple[fl
     else:
         raise ValueError(f"not a two-telescope circuit scheme: {config.kind}")
     if config.double_pair_prob > 0.0:
-        cases.append((config.double_pair_prob, None, DensityOperator.from_register(
-            FockRegister.from_occupation((1, 1), photon_cutoff=2))))
+        cases.append((config.double_pair_prob, None,
+                      DensityOperator.pure(2, 2, {(1, 1): 1.0 + 0.0j})))
 
     def table(astro, ref):
         if callable(ref):

@@ -73,25 +73,29 @@ class SourceModel:
             if len({isinstance(t, tuple) for t, _ in pts}) > 1:
                 raise ValueError("point list mixes 1-D angles and 2-D "
                                  "(theta_x, theta_y) pairs")
-            for t, _ in pts:
+            for t, i in pts:
                 if isinstance(t, tuple) and len(t) != 2:
                     raise ValueError(f"2-D source angle must be a "
                                      f"(theta_x, theta_y) pair, got {t}")
+                if isinstance(t, tuple) and not np.isfinite(t).all():
+                    raise ValueError(f"2-D source angle must be finite, got {t}")
                 if not isinstance(t, tuple) and not abs(t) < math.pi / 2:
                     raise ValueError(f"source angle must satisfy |theta| < pi/2, got {t}")
-            if any(i < 0 for _, i in pts):
-                raise ValueError("intensities must be non-negative")
-            if sum(i for _, i in pts) <= 0:
-                raise ValueError("total intensity must be positive")
+                if not 0 <= i < math.inf:
+                    raise ValueError(f"intensities must be finite and non-negative, got {i}")
+            if not 0 < sum(i for _, i in pts) < math.inf:
+                raise ValueError("total intensity must be positive and finite")
             object.__setattr__(self, "points", pts)
         else:
             grid = np.asarray(self.grid, dtype=float)
             if grid.ndim != 2:
                 raise ValueError("grid must be 2-D")
-            if np.any(grid < 0) or grid.sum() <= 0:
-                raise ValueError("grid intensities must be non-negative with positive total")
-            if self.pixel_scale <= 0:
-                raise ValueError("pixel_scale must be positive for grid sources")
+            if not np.isfinite(grid).all() or np.any(grid < 0) or grid.sum() <= 0:
+                raise ValueError("grid intensities must be finite and non-negative "
+                                 "with positive total")
+            if not 0 < self.pixel_scale < math.inf:
+                raise ValueError(f"pixel_scale must be positive and finite for grid "
+                                 f"sources, got {self.pixel_scale}")
             object.__setattr__(self, "grid", grid)
 
     @property

@@ -95,12 +95,3 @@ def occupation_probabilities(rho: np.ndarray, n_modes: int, dim: int,
             out[tuple(int(n) for n in occ)] = p
     return out
 
-
-def amplitudes_of(vec: np.ndarray, n_modes: int, dim: int,
-                  tol: float = 1e-14) -> dict:
-    out = {}
-    for occ in np.ndindex(*(dim,) * n_modes):
-        amp = complex(vec[index_of(occ, dim)])
-        if abs(amp) > tol:
-            out[tuple(int(n) for n in occ)] = amp
-    return out

@@ -525,7 +525,10 @@ def _config_error(capsys, command: str, ini: Path, tmp_path) -> str:
     ("1e-9 bright\n", r"\[source\] .*points.txt:1: non-numeric field"),
     ("1e-9 1.0\n1e-9 2e-9 0.5\n", r"\[source\] point list mixes 1-D"),
     ("2.0 1.0\n", r"\[source\] source angle must satisfy \|theta\| < pi/2, got 2.0"),
-], ids=["missing-file", "non-numeric", "mixed-columns", "wide-angle"])
+    ("nan 0.0 1.0\n", r"\[source\] 2-D source angle must be finite, got \(nan, 0.0\)"),
+    ("1e-9 nan\n", r"\[source\] intensities must be finite and non-negative, got nan"),
+], ids=["missing-file", "non-numeric", "mixed-columns", "wide-angle", "nan-angle",
+        "nan-intensity"])
 @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
 def test_bad_points_file_is_config_error(tmp_path, capsys, command, points, message):
     if points is not None:

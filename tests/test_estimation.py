@@ -195,6 +195,9 @@ def test_point_source_lands_on_its_pixel():
     expected = np.zeros(n)
     expected[p] = 1.0
     assert np.max(np.abs(image - expected)) < 1e-12
+    # A numpy integer grid size is the same n.
+    assert np.array_equal(reconstruct_image(grid_vectors(range(n), n, pixel_scale), WAVELENGTH,
+                                            values, np.int64(n), pixel_scale), image)
 
 
 def test_one_dimensional_round_trip_with_hermitian_completion():
@@ -225,6 +228,8 @@ def test_two_dimensional_round_trip():
     assert image.shape == (n, n)
     assert np.max(np.abs(image - grid / grid.sum())) < 1e-8
     assert image.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.array_equal(reconstruct_image(vectors, WAVELENGTH, values, np.int64(n),
+                                            pixel_scale), image)
 
 
 def test_reconstruction_scale_invariant():
@@ -272,6 +277,8 @@ def test_reconstruction_grid_shape_validation():
         reconstruct_image([], WAVELENGTH, [], 8, 1e-9)
     with pytest.raises(ValueError, match="pixel_scale"):
         reconstruct_image(one_d, WAVELENGTH, [1.0], 8, 0.0)
+    with pytest.raises(TypeError, match="integer"):
+        reconstruct_image(one_d, WAVELENGTH, [1.0], 8.5, 1e-9)
 
 
 def test_baseline_set_rejects_duplicates():

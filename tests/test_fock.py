@@ -11,7 +11,6 @@ import oracle_reference as ref
 from entscope.fock import (
     DensityOperator,
     DetectorModel,
-    FockRegister,
     apply_beam_splitter,
     apply_loss,
     apply_phase,
@@ -31,18 +30,31 @@ T_GRID = [0.0, 0.15, 0.5, 0.85, 1.0]
 PHI_GRID = [0.0, 0.7, math.pi / 2.0, -1.2]
 
 
+def _assert_equals_reference(rho, expected, dim):
+    """rho against a reference density over the per-mode basis of size dim,
+    element by element, mapped through the occupations; the reference holds
+    nothing outside the package's total-photon basis."""
+    rows = [ref.index_of(occ, dim) for occ in basis_states(rho.mode_count, rho.photon_cutoff)]
+    np.testing.assert_allclose(rho.matrix, expected[np.ix_(rows, rows)], rtol=0.0, atol=1e-12)
+    outside = np.ones(len(expected), dtype=bool)
+    outside[rows] = False
+    assert np.abs(expected[outside]).max(initial=0.0) < 1e-12
+    assert np.abs(expected[:, outside]).max(initial=0.0) < 1e-12
+
+
 def test_single_photon_balanced_splitter():
-    reg = FockRegister.from_occupation((1, 0))
-    out = apply_beam_splitter(reg, 0, 1, 0.5)
+    out = apply_beam_splitter(DensityOperator.pure(2, 1, {(1, 0): 1.0}), 0, 1, 0.5)
     root_half = 1.0 / math.sqrt(2.0)
-    assert out.amplitudes[(1, 0)] == pytest.approx(root_half, abs=1e-15)
-    assert out.amplitudes[(0, 1)] == pytest.approx(1j * root_half, abs=1e-15)
+    vec = np.zeros(dimension(2, 1), dtype=complex)
+    index = basis_index(2, 1)
+    vec[index[(1, 0)]] = root_half
+    vec[index[(0, 1)]] = 1j * root_half
+    np.testing.assert_allclose(out.matrix, np.outer(vec, vec.conjugate()), rtol=0.0, atol=1e-15)
 
 
 def test_hom_dip():
-    reg = FockRegister.from_occupation((1, 1))
-    out = apply_beam_splitter(reg, 0, 1, 0.5)
-    assert abs(out.amplitudes.get((1, 1), 0.0)) < 1e-15
+    out = apply_beam_splitter(DensityOperator.pure(2, 2, {(1, 1): 1.0}), 0, 1, 0.5)
+    assert out.diagonal_probabilities()[(1, 1)] < 1e-15
     dist = outcome_distribution(out, DetectorModel(photon_number_resolving=True))
     assert dist[(2, 0)] == pytest.approx(0.5, abs=1e-12)
     assert dist[(0, 2)] == pytest.approx(0.5, abs=1e-12)
@@ -53,46 +65,42 @@ def test_hom_dip():
 @pytest.mark.parametrize("occ", [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1)])
 def test_beam_splitter_amplitudes_match_reference(t, phi, occ):
     total = sum(occ)
-    reg = FockRegister.from_occupation(occ, photon_cutoff=total)
-    out = apply_beam_splitter(reg, 0, 1, t, phase=phi)
+    rho = DensityOperator.pure(2, total, {occ: 1.0})
+    out = apply_beam_splitter(rho, 0, 1, t, phase=phi)
 
     dim = total + 1
     vec = ref.ket(2, dim, {occ: 1.0})
     vec = ref.beam_splitter(2, dim, 0, 1, t, phi) @ vec
-    expected = ref.amplitudes_of(vec, 2, dim)
-
-    for key in set(out.amplitudes) | set(expected):
-        assert out.amplitudes.get(key, 0.0) == pytest.approx(
-            expected.get(key, 0.0), abs=1e-12)
+    _assert_equals_reference(out, ref.density(vec), dim)
 
 
 def test_three_mode_circuit_matches_reference():
-    """Phase + two splitters on three modes, compared state-by-state."""
-    reg = FockRegister(3, 2, {(1, 1, 0): 0.6, (0, 1, 1): 0.8j})
-    out = apply_phase(reg, 1, 0.9)
+    """Two phases + two splitters on three modes, compared element by element.
+
+    Both input terms hold one photon in mode 1, so the mode-1 phase is global
+    there and drops out of rho; the mode-0 phase is the one rho can see."""
+    amps = {(1, 1, 0): 0.6, (0, 1, 1): 0.8j}
+    out = apply_phase(DensityOperator.pure(3, 2, amps), 1, 0.9)
+    out = apply_phase(out, 0, -0.5)
     out = apply_beam_splitter(out, 0, 1, 0.3, phase=0.4)
     out = apply_beam_splitter(out, 1, 2, 0.75, phase=-1.1)
 
     dim = 3
-    vec = ref.ket(3, dim, {(1, 1, 0): 0.6, (0, 1, 1): 0.8j})
+    vec = ref.ket(3, dim, amps)
     vec = ref.phase_shift(3, dim, 1, 0.9) @ vec
+    vec = ref.phase_shift(3, dim, 0, -0.5) @ vec
     vec = ref.beam_splitter(3, dim, 0, 1, 0.3, 0.4) @ vec
     vec = ref.beam_splitter(3, dim, 1, 2, 0.75, -1.1) @ vec
-    expected = ref.amplitudes_of(vec, 3, dim)
-
-    for key in set(out.amplitudes) | set(expected):
-        assert out.amplitudes.get(key, 0.0) == pytest.approx(
-            expected.get(key, 0.0), abs=1e-12)
+    _assert_equals_reference(out, ref.density(vec), dim)
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.25, 0.6, 1.0])
 def test_loss_matches_reference(eta):
-    reg = FockRegister(2, 2, {(2, 0): 0.5, (1, 1): 0.5, (0, 1): math.sqrt(0.5)})
-    rho = DensityOperator.from_register(reg)
-    lossy = apply_loss(rho, 0, eta)
+    amps = {(2, 0): 0.5, (1, 1): 0.5, (0, 1): math.sqrt(0.5)}
+    lossy = apply_loss(DensityOperator.pure(2, 2, amps), 0, eta)
 
     dim = 3
-    vec = ref.ket(2, dim, reg.amplitudes)
+    vec = ref.ket(2, dim, amps)
     out = ref.loss(ref.density(vec), 2, dim, 0, eta)
     expected = ref.occupation_probabilities(out, 2, dim)
 
@@ -105,8 +113,7 @@ def test_loss_matches_reference(eta):
 
 def test_loss_equals_vacuum_ancilla_splitter():
     """The Kraus form must equal the explicit ancilla construction."""
-    reg = FockRegister(2, 2, {(1, 1): 1j * math.sqrt(0.5), (0, 2): math.sqrt(0.5)})
-    rho = DensityOperator.from_register(reg)
+    rho = DensityOperator.pure(2, 2, {(1, 1): 1j * math.sqrt(0.5), (0, 2): math.sqrt(0.5)})
     eta = 0.37
     direct = apply_loss(rho, 1, eta)
 
@@ -117,12 +124,11 @@ def test_loss_equals_vacuum_ancilla_splitter():
 
 
 def test_partial_trace_matches_reference():
-    reg = FockRegister(3, 2, {(1, 0, 1): 0.8, (0, 1, 1): -0.6j})
-    rho = DensityOperator.from_register(reg)
-    reduced = partial_trace(rho, (0, 2))
+    amps = {(1, 0, 1): 0.8, (0, 1, 1): -0.6j}
+    reduced = partial_trace(DensityOperator.pure(3, 2, amps), (0, 2))
 
     dim = 3
-    vec = ref.ket(3, dim, reg.amplitudes)
+    vec = ref.ket(3, dim, amps)
     full = ref.density(vec)
     # Trace out mode 1 by permuting it last.
     perm = full.reshape((dim,) * 6).transpose(0, 2, 1, 3, 5, 4).reshape(
@@ -137,8 +143,7 @@ def test_partial_trace_matches_reference():
 
 def test_condition_on_counts_hand_case():
     """(|01> + |10>)/sqrt(2) photon found in mode 1 leaves mode 0 in vacuum."""
-    reg = FockRegister(2, 2, {(0, 1): math.sqrt(0.5), (1, 0): math.sqrt(0.5)})
-    rho = DensityOperator.from_register(reg)
+    rho = DensityOperator.pure(2, 2, {(0, 1): math.sqrt(0.5), (1, 0): math.sqrt(0.5)})
     prob, cond = condition_on_counts(rho, {1: 1})
     assert prob == pytest.approx(0.5, abs=1e-12)
     assert cond.diagonal_probabilities()[(0,)] == pytest.approx(1.0, abs=1e-12)
@@ -147,15 +152,15 @@ def test_condition_on_counts_hand_case():
 
 
 def test_detector_threshold_and_pnr():
-    reg = FockRegister.from_occupation((1,), photon_cutoff=2)
+    rho = DensityOperator.pure(1, 2, {(1,): 1.0})
     det = DetectorModel(efficiency=0.6, dark_prob_per_window=0.1)
-    dist = outcome_distribution(reg, det)
+    dist = outcome_distribution(rho, det)
     assert dist[(0,)] == pytest.approx(0.4 * 0.9, abs=1e-12)
     assert dist[(1,)] == pytest.approx(1.0 - 0.4 * 0.9, abs=1e-12)
 
     pnr = DetectorModel(efficiency=0.6, dark_prob_per_window=0.1,
                         photon_number_resolving=True)
-    dist = outcome_distribution(reg, pnr)
+    dist = outcome_distribution(rho, pnr)
     assert dist[(0,)] == pytest.approx(0.4 * 0.9, abs=1e-12)
     assert dist[(1,)] == pytest.approx(0.6 * 0.9 + 0.4 * 0.1, abs=1e-12)
     assert dist[(2,)] == pytest.approx(0.6 * 0.1, abs=1e-12)
@@ -164,8 +169,7 @@ def test_detector_threshold_and_pnr():
 
 def test_outcome_distribution_matches_reference_with_loss():
     """Efficiency eta must equal a loss channel followed by ideal detection."""
-    reg = FockRegister(2, 2, {(2, 0): 0.6, (1, 1): 0.8})
-    rho = DensityOperator.from_register(reg)
+    rho = DensityOperator.pure(2, 2, {(2, 0): 0.6, (1, 1): 0.8})
     det = DetectorModel(efficiency=0.7, photon_number_resolving=True)
     dist = outcome_distribution(rho, det)
 
@@ -179,10 +183,7 @@ def _reference_outcome_distribution(state, detectors):
     """The per-occupation dict expansion outcome_distribution replaced."""
     if isinstance(detectors, DetectorModel):
         detectors = [detectors] * state.mode_count
-    if isinstance(state, FockRegister):
-        diag = {occ: abs(a) ** 2 for occ, a in state.amplitudes.items()}
-    else:
-        diag = state.diagonal_probabilities()
+    diag = state.diagonal_probabilities()
     max_count = state.photon_cutoff + 1
     tables = [[det.count_probabilities(n, max_count) for n in range(state.photon_cutoff + 1)]
               for det in detectors]
@@ -220,7 +221,7 @@ def _detected_states(draw):
     if draw(st.booleans()):
         occs = draw(st.lists(st.sampled_from(states), max_size=12, unique=True))
         amp = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
-        state = FockRegister(modes, cutoff, {occ: draw(amp) for occ in occs})
+        state = DensityOperator.pure(modes, cutoff, {occ: draw(amp) for occ in occs})
     else:
         diag = draw(st.lists(st.one_of(st.floats(0.0, 1.0), _EDGE_PROBS),
                              min_size=len(states), max_size=len(states)))
@@ -245,8 +246,7 @@ def test_outcome_distribution_equals_the_dict_expansion_bit_for_bit(case):
 
 
 def test_post_select():
-    reg = FockRegister.from_occupation((1, 0))
-    out = apply_beam_splitter(reg, 0, 1, 0.5)
+    out = apply_beam_splitter(DensityOperator.pure(2, 1, {(1, 0): 1.0}), 0, 1, 0.5)
     dist = outcome_distribution(out)
     table, acceptance = post_select(dist, lambda pat: pat[0] == 1)
     assert acceptance == pytest.approx(0.5, abs=1e-12)
@@ -279,36 +279,35 @@ def test_basis_is_total_photon_truncated():
     delta=st.floats(-math.pi, math.pi),
 )
 def test_circuit_elements_preserve_norm(t, phi, delta):
-    reg = FockRegister(2, 3, {(1, 0): 0.5, (0, 2): 0.5, (1, 1): 0.5,
-                              (0, 0): 0.5})
-    out = apply_phase(apply_beam_splitter(reg, 0, 1, t, phase=phi), 0, delta)
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
+    rho = DensityOperator.pure(2, 3, {(1, 0): 0.5, (0, 2): 0.5, (1, 1): 0.5, (0, 0): 0.5})
+    out = apply_phase(apply_beam_splitter(rho, 0, 1, t, phase=phi), 0, delta)
+    assert out.trace() == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(t=st.floats(0.0, 1.0), phi=st.floats(-math.pi, math.pi))
 def test_beam_splitter_inverse(t, phi):
     """BS(t, phi + pi) undoes BS(t, phi) under the package convention."""
-    reg = FockRegister(2, 2, {(1, 1): 0.6, (2, 0): 0.8j})
+    rho = DensityOperator.pure(2, 2, {(1, 1): 0.6, (2, 0): 0.8j})
     back = apply_beam_splitter(
-        apply_beam_splitter(reg, 0, 1, t, phase=phi), 0, 1, t, phase=phi + math.pi)
-    for key, amp in reg.amplitudes.items():
-        assert back.amplitudes.get(key, 0.0) == pytest.approx(amp, abs=1e-10)
-    for key, amp in back.amplitudes.items():
-        if key not in reg.amplitudes:
-            assert abs(amp) < 1e-10
+        apply_beam_splitter(rho, 0, 1, t, phase=phi), 0, 1, t, phase=phi + math.pi)
+    np.testing.assert_allclose(back.matrix, rho.matrix, rtol=0.0, atol=1e-10)
 
 
 def test_mode_validation():
-    reg = FockRegister.from_occupation((1, 0))
+    rho = DensityOperator.pure(2, 1, {(1, 0): 1.0})
     with pytest.raises(ValueError):
-        apply_beam_splitter(reg, 0, 2, 0.5)
+        apply_beam_splitter(rho, 0, 2, 0.5)
     with pytest.raises(ValueError):
-        apply_beam_splitter(reg, 0, 0, 0.5)
+        apply_beam_splitter(rho, 0, 0, 0.5)
     with pytest.raises(ValueError):
-        apply_beam_splitter(reg, 0, 1, 1.2)
-    with pytest.raises(ValueError):
-        FockRegister(2, 1, {(1, 1): 1.0})
+        apply_beam_splitter(rho, 0, 1, 1.2)
+    with pytest.raises(ValueError, match=r"occupation \(1, 1\) outside basis"):
+        DensityOperator.pure(2, 1, {(1, 1): 1.0})
+    with pytest.raises(ValueError, match="mode_count"):
+        DensityOperator.pure(0, 1, {})
+    with pytest.raises(ValueError, match="photon_cutoff"):
+        DensityOperator.pure(1, -1, {})
 
 
 def _uncapped_tensor(a, b, photon_cutoff=None):
@@ -379,8 +378,7 @@ def test_photon_support_reads_rows_and_columns():
     coherence = np.zeros((3, 3), dtype=complex)
     coherence[0, 2] = 0.5  # only an off-diagonal entry reaches |2>
     assert DensityOperator(1, 2, coherence).photon_support() == 2
-    assert DensityOperator.from_register(
-        FockRegister(2, 4, {(1, 0): 0.6, (1, 1): 0.8})).photon_support() == 2
+    assert DensityOperator.pure(2, 4, {(1, 0): 0.6, (1, 1): 0.8}).photon_support() == 2
 
 
 def _pairs(with_double_excitation):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from entscope import oracle, schemes
 from entscope.errors import ConfigError
 from entscope.eventlog import EventLog, fringe_counts, pair_counts
-from entscope.fock import DensityOperator, DetectorModel, FockRegister, outcome_distribution
+from entscope.fock import DensityOperator, DetectorModel, outcome_distribution
 from entscope.rng import stream
 from entscope.schemes import (
     SchemeConfig,
@@ -338,8 +338,7 @@ def _reference_outcomes(config, v, delta):
                       two_telescope_distribution(hbt_pair_state(v_eff), None, det)),
                      (p_a, two_telescope_distribution(astro, None, det))]
         if config.double_pair_prob > 0.0:
-            pair = DensityOperator.from_register(
-                FockRegister.from_occupation((1, 1), photon_cutoff=2))
+            pair = DensityOperator.pure(2, 2, {(1, 1): 1.0 + 0.0j})
             cases.append((config.double_pair_prob,
                           two_telescope_distribution(None, pair, det)))
     total_case = sum(p for p, _ in cases)

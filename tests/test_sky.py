@@ -184,6 +184,26 @@ def test_source_model_rejects_mixed_or_wide_angles():
     assert SourceModel(points=(((2.0, 0.0), 1.0),)).two_d
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"points": ((0.0, math.nan),)}, "intensities must be finite and non-negative, got nan"),
+    ({"points": ((0.0, 1.0), (1e-9, math.inf))}, "intensities must be finite"),
+    ({"points": ((0.0, 1e308), (1e-9, 1e308))}, "total intensity must be positive and finite"),
+    ({"points": (((math.nan, 0.0), 1.0),)}, r"2-D source angle must be finite, got \(nan, 0.0\)"),
+    ({"points": (((0.0, -math.inf), 1.0),)}, "2-D source angle must be finite"),
+    ({"points": ((math.nan, 1.0),)}, "pi/2"),
+    ({"points": ((math.inf, 1.0),)}, "pi/2"),
+    ({"grid": np.array([[1.0, math.nan]]), "pixel_scale": 1e-9}, "grid intensities must be finite"),
+    ({"grid": np.array([[1.0, math.inf]]), "pixel_scale": 1e-9}, "grid intensities must be finite"),
+    ({"grid": np.ones((2, 2)), "pixel_scale": math.nan}, "pixel_scale must be positive and finite"),
+    ({"grid": np.ones((2, 2)), "pixel_scale": math.inf}, "pixel_scale must be positive and finite"),
+], ids=["nan-intensity", "inf-intensity", "overflowing-total", "nan-2d-angle", "inf-2d-angle",
+        "nan-1d-angle", "inf-1d-angle", "nan-pixel", "inf-pixel", "nan-pixel-scale",
+        "inf-pixel-scale"])
+def test_source_model_rejects_non_finite_data(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        SourceModel(**kwargs)
+
+
 def test_arrival_density_matrix_structure():
     v = 0.6 * np.exp(0.8j)
     rho = arrival_density_matrix(v)
