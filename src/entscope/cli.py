@@ -187,9 +187,7 @@ def cmd_sensitivity(args) -> int:
     if args.config:
         parser = cfg.load_config(args.config)
         budget = cfg.build_budget(parser)
-        out_dir = args.out_dir
-        if out_dir is None and parser.has_section("run"):
-            out_dir = parser.get("run", "out_dir", fallback=None)
+        out_dir = cfg.out_dir(parser, args.out_dir, None)
     else:
         budget = cfg.budget_preset(args.budget)
         out_dir = args.out_dir
@@ -221,7 +219,7 @@ def cmd_reconstruct(args) -> int:
         # An even grid's Nyquist samples are real only for a source on the
         # pixel grid.
         raise ConfigError(f"[reconstruct] {exc}") from exc
-    out_dir = _ensure_out_dir(args.out_dir or parser.get("run", "out_dir", fallback="out"))
+    out_dir = _ensure_out_dir(cfg.out_dir(parser, args.out_dir))
     path = os.path.join(out_dir, "image.pgm")
     with _writing(path):
         save_pgm(path, image, comment=IMAGE_PGM_SCHEMA)

@@ -28,24 +28,23 @@ from .schemes import SchemeConfig
 from .sensitivity import SensitivityBudget
 from .sky import Baseline, SourceModel, load_pgm, load_point_sources
 
+
+def _names(*classes) -> set[str]:
+    return {f.name for cls in classes for f in dataclass_fields(cls)}
+
+
+# [detector], [scheme], [repeater] and [sensitivity] keys are their dataclasses'
+# fields, less those set another way, plus the keys that are no field.
 _KNOWN_KEYS = {
     "run": {"seed", "out_dir", "mode", "n_slots"},
-    "scheme": {"kind", "deltas", "p_a", "p_e", "n_telescopes", "w_phases",
-               "double_pair_prob", "coherence_time", "jitter_sigma",
-               "arrival_offset", "bell_complete"},
-    "detector": {"efficiency", "dark_prob_per_window",
-                 "photon_number_resolving"},
+    "scheme": _names(SchemeConfig) - {"delta_schedule", "detector"} | {"deltas"},
+    "detector": _names(DetectorModel),
     "source": {"kind", "separation", "ratio", "points", "pgm", "pixel_scale"},
     "baseline": {"vector", "wavelength", "positions"},
-    "repeater": {"segments", "length_km", "attenuation_db_per_km",
-                 "extra_transmission", "satellite", "phase_noise_sigma",
-                 "distill_rounds", "schedule", "double_excitation_weight",
-                 "n_trials", "efficiency", "bandwidth_nm"},
-    "sensitivity": {"budget", "wavelength", "bandwidth_nm",
-                    "aperture_diameter", "rate", "efficiency",
-                    "dark_counts_per_s", "timing_fwhm",
-                    "atmospheric_coherence_time", "min_events", "zero_point",
-                    "n_channels"},
+    "repeater": (_names(LinkModel, ChainPolicy) - {"with_memory"}
+                 | {"segments", "satellite", "schedule", "n_trials", "efficiency",
+                    "bandwidth_nm"}),
+    "sensitivity": _names(SensitivityBudget) | {"budget"},
     "reconstruct": {"grid", "pixel_scale"},
 }
 
@@ -102,8 +101,27 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in raw.replace(",", " ").split())
 
 
-def _int_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.replace(",", " ").split())
+# Parser for each field annotation a config key can have.
+_CONVERTERS = {
+    "float": float, "int": int, "bool": _bool, "str": str,
+    "tuple[float, ...]": _float_list,
+    "tuple[int, ...]": lambda raw: tuple(map(int, raw.replace(",", " ").split())),
+}
+
+
+def _fields(parser, section, cls) -> dict:
+    """The keys of [section] that name fields of cls, parsed by annotation;
+    an absent key is left out, so its default stays cls's."""
+    return {f.name: _get(parser, section, f.name, _CONVERTERS[f.type])
+            for f in dataclass_fields(cls) if parser.has_option(section, f.name)}
+
+
+def _build(section, factory, *args, **settings):
+    """factory(*args, **settings), its ValueError naming the section."""
+    try:
+        return factory(*args, **settings)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
 def _deltas(raw: str) -> tuple[float, ...]:
@@ -115,44 +133,20 @@ def _deltas(raw: str) -> tuple[float, ...]:
 
 
 def build_detector(parser) -> DetectorModel:
-    if not parser.has_section("detector"):
-        return DetectorModel()
-    efficiency = _get(parser, "detector", "efficiency", float, 1.0)
-    dark = _get(parser, "detector", "dark_prob_per_window", float, 0.0)
-    resolving = _get(parser, "detector", "photon_number_resolving", _bool, False)
-    try:
-        return DetectorModel(efficiency=efficiency, dark_prob_per_window=dark,
-                             photon_number_resolving=resolving)
-    except ValueError as exc:
-        raise ConfigError(f"[detector] {exc}") from exc
+    return _build("detector", DetectorModel, **_fields(parser, "detector", DetectorModel))
 
 
 def build_scheme(parser) -> SchemeConfig:
     if not parser.has_section("scheme"):
         raise ConfigError("missing [scheme] section")
     kind = _get(parser, "scheme", "kind", str, required=True)
-    n_telescopes = _get(parser, "scheme", "n_telescopes", int, 2)
-    default_phases = (0.0,) * n_telescopes if kind == "w_state" else ()
-    detector = build_detector(parser)
-    # _get errors name [scheme] already; SchemeConfig's checks need the prefix.
-    settings = dict(
-        kind=kind,
-        delta_schedule=_get(parser, "scheme", "deltas", _deltas, (0.0,)),
-        p_a=_get(parser, "scheme", "p_a", float, 1.0),
-        p_e=_get(parser, "scheme", "p_e", float, 1.0),
-        n_telescopes=n_telescopes,
-        w_phases=_get(parser, "scheme", "w_phases", _float_list, default_phases),
-        detector=detector,
-        double_pair_prob=_get(parser, "scheme", "double_pair_prob", float, 0.0),
-        coherence_time=_get(parser, "scheme", "coherence_time", float, 0.0),
-        jitter_sigma=_get(parser, "scheme", "jitter_sigma", float, 0.0),
-        arrival_offset=_get(parser, "scheme", "arrival_offset", float, 0.0),
-        bell_complete=_get(parser, "scheme", "bell_complete", _bool, False),
-    )
-    try:
-        return SchemeConfig(**settings)
-    except ConfigError as exc:
-        raise ConfigError(f"[scheme] {exc}") from exc
+    settings = _fields(parser, "scheme", SchemeConfig)
+    if parser.has_option("scheme", "deltas"):
+        settings["delta_schedule"] = _get(parser, "scheme", "deltas", _deltas)
+    if kind == "w_state" and "w_phases" not in settings:
+        n_telescopes = settings.get("n_telescopes", SchemeConfig.n_telescopes)
+        settings["w_phases"] = (0.0,) * n_telescopes
+    return _build("scheme", SchemeConfig, detector=build_detector(parser), **settings)
 
 
 def build_source(parser, base_dir) -> SourceModel:
@@ -222,27 +216,18 @@ def build_chain(parser):
     segments = _get(parser, "repeater", "segments", int, required=True)
     if segments < 1:
         raise ConfigError("[repeater] segments: must be >= 1")
-    length = _get(parser, "repeater", "length_km", float, 0.0)
-    attenuation = _get(parser, "repeater", "attenuation_db_per_km", float, 0.2)
-    extra = _get(parser, "repeater", "extra_transmission", float, 1.0)
+    link = _fields(parser, "repeater", LinkModel)
     if _get(parser, "repeater", "satellite", _bool, False):
-        extra = extra * LinkModel.satellite(0.0).extra_transmission
-    sigma = _get(parser, "repeater", "phase_noise_sigma", float, 0.0)
-    try:
-        link = LinkModel(length_km=length, attenuation_db_per_km=attenuation,
-                         extra_transmission=extra, phase_noise_sigma=sigma)
-    except ConfigError as exc:
-        raise ConfigError(f"[repeater] {exc}") from exc
+        extra = link.get("extra_transmission", LinkModel.extra_transmission)
+        link["extra_transmission"] = extra * LinkModel.satellite().extra_transmission
+    link = _build("repeater", LinkModel, **link)
     schedule = _get(parser, "repeater", "schedule", str, "memory")
     if schedule not in ("memory", "memoryless"):
         raise ConfigError("[repeater] schedule: expected 'memory' or "
                           "'memoryless'")
-    policy = ChainPolicy(
-        distill_rounds=_get(parser, "repeater", "distill_rounds", _int_list, ()),
-        with_memory=(schedule == "memory"),
-        double_excitation_weight=_get(parser, "repeater",
-                                      "double_excitation_weight", float, 0.0),
-    )
+    # ChainPolicy's own errors carry no section name.
+    policy = ChainPolicy(with_memory=(schedule == "memory"),
+                         **_fields(parser, "repeater", ChainPolicy))
     n_trials = _get(parser, "repeater", "n_trials", int, 2000)
     if n_trials < 1:
         raise ConfigError("[repeater] n_trials: must be >= 1")
@@ -252,22 +237,9 @@ def build_chain(parser):
 
 
 def build_budget(parser) -> SensitivityBudget:
-    base_name = "default"
-    if parser.has_section("sensitivity"):
-        base_name = _get(parser, "sensitivity", "budget", str, "default")
-    budget = budget_preset(base_name)
-    if not parser.has_section("sensitivity"):
-        return budget
-    overrides = {}
-    for f in dataclass_fields(SensitivityBudget):
-        if not parser.has_option("sensitivity", f.name):
-            continue
-        conv = int if f.type == "int" else float
-        overrides[f.name] = _get(parser, "sensitivity", f.name, conv)
-    try:
-        return replace(budget, **overrides)
-    except ConfigError as exc:
-        raise ConfigError(f"[sensitivity] {exc}") from exc
+    budget = budget_preset(_get(parser, "sensitivity", "budget", str, "default"))
+    return _build("sensitivity", replace, budget,
+                  **_fields(parser, "sensitivity", SensitivityBudget))
 
 
 def budget_preset(name: str) -> SensitivityBudget:
@@ -293,6 +265,12 @@ def build_reconstruct(parser) -> tuple[int, float, float]:
     return grid, pixel_scale, _wavelength(parser)
 
 
+def out_dir(parser, override=None, default="out"):
+    """The artifact directory: the command-line override, else [run] out_dir,
+    else default."""
+    return override or _get(parser, "run", "out_dir", str, default)
+
+
 def run_options(parser, seed_override=None, out_dir_override=None,
                 mode_override=None):
     """(seed, out_dir, mode, n_slots); the seed must come from the config or
@@ -303,9 +281,9 @@ def run_options(parser, seed_override=None, out_dir_override=None,
     if seed is None:
         raise ConfigError("[run] seed: required (pass it in the config or "
                           "with --seed; runs are never clock-seeded)")
-    out_dir = out_dir_override or _get(parser, "run", "out_dir", str, "out")
     mode = mode_override or _get(parser, "run", "mode", str, "monte-carlo")
     if mode not in ("monte-carlo", "analytic"):
         raise ConfigError("[run] mode: expected 'monte-carlo' or 'analytic'")
     n_slots = _get(parser, "run", "n_slots", int, 100_000)
-    return seed, out_dir, mode, n_slots
+    return seed, out_dir(parser, out_dir_override), mode, n_slots
+

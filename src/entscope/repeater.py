@@ -286,14 +286,13 @@ class ProtocolResult:
     leakage: float = 0.0
 
 
-def _monitored_heralds(rho: DensityOperator, monitor_a: int, monitor_b: int,
-                       correction: float = 0.0, correct_mode: int = 0,
-                       ) -> tuple[float, DensityOperator | None]:
+def _monitored_heralds(rho: DensityOperator, monitor_a: int,
+                       monitor_b: int) -> tuple[float, DensityOperator | None]:
     """Condition on exactly one photon detected across two monitored modes.
 
     Mixes the two single-photon heralds.  For the herald where monitor_b
-    fired, the remaining two modes get a phase `correction` on
-    `correct_mode` relative to the monitor_a branch.
+    fired, the remaining two modes get a phase of pi on mode 0 relative to
+    the monitor_a branch.
     """
     cutoff = rho.photon_cutoff
     total = 0.0
@@ -303,8 +302,8 @@ def _monitored_heralds(rho: DensityOperator, monitor_a: int, monitor_b: int,
         prob, cond = condition_on_counts(rho, counts)
         if cond is None:
             continue
-        if flip and correction:
-            cond = apply_phase(cond, correct_mode, correction)
+        if flip:
+            cond = apply_phase(cond, 0, math.pi)
         total += prob
         acc = cond.matrix * prob if acc is None else acc + cond.matrix * prob
     if acc is None:
@@ -346,7 +345,7 @@ def sscg_distill(a: EntangledPairState, b: EntangledPairState,
     # inputs (checked against the circuit in the tests).
     rho = apply_beam_splitter(rho, 0, 2, t_low)
     rho = apply_beam_splitter(rho, 1, 3, t_high, phase=math.pi)
-    prob, cond = _monitored_heralds(rho, 3, 2, correction=math.pi, correct_mode=0)
+    prob, cond = _monitored_heralds(rho, 3, 2)
     if cond is None:
         return ProtocolResult(0.0, None)
     vacuum_part = float(cond.matrix[0, 0].real)
@@ -381,7 +380,7 @@ def entanglement_swap(a: EntangledPairState, b: EntangledPairState) -> ProtocolR
     # outer-left arm; the monitor-2 branch gets -pi/2.  Both are undone below
     # (the monitor-1 branch via the base correction, the monitor-2 branch via
     # the relative correction of +pi).
-    prob, cond = _monitored_heralds(rho, 1, 2, correction=math.pi, correct_mode=0)
+    prob, cond = _monitored_heralds(rho, 1, 2)
     if cond is None:
         return ProtocolResult(0.0, None)
     cond = apply_phase(cond, 0, -math.pi / 2.0)

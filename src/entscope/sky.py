@@ -30,7 +30,7 @@ class Baseline:
     wavelength: float
 
     def __post_init__(self) -> None:
-        if self.wavelength <= 0:
+        if not self.wavelength > 0:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if isinstance(self.vector, (tuple, list)):
             object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
@@ -38,6 +38,8 @@ class Baseline:
                 raise ValueError("2-D baseline vector must have two components")
         else:
             object.__setattr__(self, "vector", float(self.vector))
+        if not np.isfinite(self.vector).all():
+            raise ValueError(f"baseline vector must be finite, got {self.vector}")
 
 
 def _phases(vectors: np.ndarray, wavelength: float, theta) -> np.ndarray:

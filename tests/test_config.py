@@ -5,6 +5,9 @@ import pytest
 
 from entscope import config as cfg
 from entscope.errors import ConfigError
+from entscope.fock import DetectorModel
+from entscope.repeater import ChainPolicy, LinkModel
+from entscope.schemes import SchemeConfig
 
 
 def parse(tmp_path, text):
@@ -96,6 +99,61 @@ def test_budget_override_validation_is_attributed(tmp_path):
         cfg.build_budget(parser)
 
 
+def test_field_keys_reach_their_dataclasses(tmp_path):
+    parser = parse(tmp_path, "[scheme]\nkind = entangled\ndeltas = 0.0, 1.0\np_a = 0.5\n"
+                             "p_e = 0.25\ndouble_pair_prob = 0.01\ncoherence_time = 1e-12\n"
+                             "jitter_sigma = 2e-12\narrival_offset = 3e-12\n"
+                             "[detector]\nefficiency = 0.5\ndark_prob_per_window = 0.01\n"
+                             "photon_number_resolving = yes\n"
+                             "[repeater]\nsegments = 2\nlength_km = 3\n"
+                             "attenuation_db_per_km = 0.3\nextra_transmission = 0.5\n"
+                             "satellite = on\nphase_noise_sigma = 0.1\n"
+                             "distill_rounds = 1, 2\ndouble_excitation_weight = 0.05\n")
+    detector = DetectorModel(0.5, 0.01, True)
+    assert cfg.build_detector(parser) == detector
+    assert cfg.build_scheme(parser) == SchemeConfig(
+        "entangled", (0.0, 1.0), 0.5, 0.25, detector=detector, double_pair_prob=0.01,
+        coherence_time=1e-12, jitter_sigma=2e-12, arrival_offset=3e-12)
+    _, links, policy, *_ = cfg.build_chain(parser)
+    assert links == [LinkModel(3.0, 0.3, 0.5 * 0.01, 0.1)] * 2
+    assert policy == ChainPolicy((1, 2), True, 0.05)
+    assert type(links[0].length_km) is float and type(policy.distill_rounds[0]) is int
+    # Absent keys take the dataclass defaults.
+    empty = parse(tmp_path, "[scheme]\nkind = direct\n[repeater]\nsegments = 1\n")
+    assert cfg.build_scheme(empty) == SchemeConfig("direct")
+    assert cfg.build_chain(empty)[1:3] == ([LinkModel()], ChainPolicy())
+
+
 def test_missing_config_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         cfg.load_config(tmp_path / "absent.ini")
+
+
+# Every accepted key, as the unknown-field message lists it.  [detector],
+# [scheme], [repeater] and [sensitivity] keys come from dataclass fields, so a
+# field added there must show up here before it becomes a config knob.
+KNOWN_KEYS = {
+    "run": "mode, n_slots, out_dir, seed",
+    "scheme": "arrival_offset, bell_complete, coherence_time, deltas, double_pair_prob, "
+              "jitter_sigma, kind, n_telescopes, p_a, p_e, w_phases",
+    "detector": "dark_prob_per_window, efficiency, photon_number_resolving",
+    "source": "kind, pgm, pixel_scale, points, ratio, separation",
+    "baseline": "positions, vector, wavelength",
+    "repeater": "attenuation_db_per_km, bandwidth_nm, distill_rounds, "
+                "double_excitation_weight, efficiency, extra_transmission, length_km, "
+                "n_trials, phase_noise_sigma, satellite, schedule, segments",
+    "sensitivity": "aperture_diameter, atmospheric_coherence_time, bandwidth_nm, budget, "
+                   "dark_counts_per_s, efficiency, min_events, n_channels, rate, "
+                   "timing_fwhm, wavelength, zero_point",
+    "reconstruct": "grid, pixel_scale",
+}
+
+
+@pytest.mark.parametrize("section", sorted(KNOWN_KEYS))
+def test_each_section_accepts_exactly_its_keys(tmp_path, section):
+    with pytest.raises(ConfigError) as info:
+        parse(tmp_path, f"[{section}]\nnot_a_key = 1\n")
+    assert str(info.value).endswith(
+        f": unknown field [{section}] not_a_key (known: {KNOWN_KEYS[section]})")
+    keys = KNOWN_KEYS[section].split(", ")
+    parse(tmp_path, f"[{section}]\n" + "".join(f"{key} = 1\n" for key in keys))

@@ -155,6 +155,36 @@ def test_acceptance_pattern_classifier():
     assert classify_pattern((2, 1, 0, 0)) == (True, True)
 
 
+def _reference_hbt_pair_matrix(v: complex, bare_sum: bool = False) -> np.ndarray:
+    """hbt_pair_state's matrix from numpy alone: kets on (0, 2), (1, 1) and
+    (2, 0) at indices 2, 4 and 5 of the cutoff-2 two-mode basis, normalized
+    by sqrt(sum |a|^2) ** 2 per component (or by the bare sum)."""
+    v = complex(v)
+    spread = math.acos(min(abs(v), 1.0))
+    phases = ([np.angle(v) + spread, np.angle(v) - spread] if abs(v) > 0
+              else [math.pi / 2.0, -math.pi / 2.0])
+    acc, total = None, 0.0
+    for phi in phases:
+        amps = (math.sqrt(2.0) / 2.0, (1.0 + np.exp(1j * phi)) / 2.0,
+                math.sqrt(2.0) * np.exp(1j * phi) / 2.0)
+        ket = np.zeros(6, dtype=complex)
+        ket[[2, 4, 5]] = amps
+        term = 0.5 * np.outer(ket, ket.conjugate())
+        acc = term if acc is None else acc + term
+        norm = sum(abs(a) ** 2 for a in amps)
+        total += 0.5 * (norm if bare_sum else math.sqrt(norm) ** 2)
+    return acc / total
+
+
+# At each of these the bare-sum normalization gives other bits, so a change
+# of hbt_pair_state's rounding fails here even when no sampled artifact moves.
+@pytest.mark.parametrize("v", [0.05, 0.1, 0.5, 0.7, 0.9, 1.0, 0.1 - 0.7j])
+def test_hbt_pair_state_bits_match_reference(v):
+    expected = _reference_hbt_pair_matrix(v)
+    assert hbt_pair_state(v).matrix.tobytes() == expected.tobytes()
+    assert _reference_hbt_pair_matrix(v, bare_sum=True).tobytes() != expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------

@@ -204,6 +204,19 @@ def test_source_model_rejects_non_finite_data(kwargs, message):
         SourceModel(**kwargs)
 
 
+@pytest.mark.parametrize("vector, wavelength, message", [
+    (100.0, math.nan, "wavelength must be positive, got nan"),
+    ((100.0, 20.0), math.nan, "wavelength must be positive, got nan"),
+    (math.nan, WAVELENGTH, "baseline vector must be finite, got nan"),
+    (-math.inf, WAVELENGTH, "baseline vector must be finite, got -inf"),
+    ((math.nan, 20.0), WAVELENGTH, r"baseline vector must be finite, got \(nan, 20.0\)"),
+    ((100.0, math.inf), WAVELENGTH, r"baseline vector must be finite, got \(100.0, inf\)"),
+], ids=["nan-wavelength-1d", "nan-wavelength-2d", "nan-1d", "inf-1d", "nan-2d", "inf-2d"])
+def test_baseline_rejects_non_finite_values(vector, wavelength, message):
+    with pytest.raises(ValueError, match=message):
+        Baseline(vector, wavelength)
+
+
 def test_arrival_density_matrix_structure():
     v = 0.6 * np.exp(0.8j)
     rho = arrival_density_matrix(v)
