@@ -10,7 +10,6 @@ visibilities and images.
 from .errors import ConfigError, InfeasibleBudgetError, LowStatisticsError
 from .eventlog import EventLog, fringe_counts, pair_counts
 from .fock import (
-    DEFAULT_CUTOFF,
     DensityOperator,
     DetectorModel,
     apply_beam_splitter,
@@ -76,7 +75,6 @@ __all__ = [
     "ChainPolicy",
     "ChainResult",
     "ConfigError",
-    "DEFAULT_CUTOFF",
     "DensityOperator",
     "DetectorModel",
     "EntangledPairState",

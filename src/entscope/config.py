@@ -19,11 +19,12 @@ from __future__ import annotations
 import configparser
 import math
 import os
+import sys
 from dataclasses import fields as dataclass_fields, replace
 
 from .errors import ConfigError
 from .fock import DetectorModel
-from .repeater import ChainPolicy, LinkModel
+from .repeater import ChainPolicy, LinkModel, figure_of_merit
 from .schemes import SchemeConfig
 from .sensitivity import SensitivityBudget
 from .sky import Baseline, SourceModel, load_pgm, load_point_sources
@@ -81,10 +82,14 @@ def _get(parser, section, key, conv, default=None, required=False):
         value = conv(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
-    # One check for every float field and float list: nan and inf are never valid.
-    if any(isinstance(v, float) and not math.isfinite(v)
-           for v in (value if isinstance(value, tuple) else (value,))):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+    # One check for every float field and float list: nan and inf are never
+    # valid, nor subnormals, which the formulas (1 / x, x * x) take to inf or 0.
+    for v in (value if isinstance(value, tuple) else (value,)):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+        if isinstance(v, float) and 0.0 < abs(v) < sys.float_info.min:
+            raise ConfigError(f"[{section}] {key}: must be 0 or at least "
+                              f"{sys.float_info.min:.6g} in magnitude, got {raw!r}")
     return value
 
 
@@ -225,14 +230,14 @@ def build_chain(parser):
     if schedule not in ("memory", "memoryless"):
         raise ConfigError("[repeater] schedule: expected 'memory' or "
                           "'memoryless'")
-    # ChainPolicy's own errors carry no section name.
-    policy = ChainPolicy(with_memory=(schedule == "memory"),
-                         **_fields(parser, "repeater", ChainPolicy))
+    policy = _build("repeater", ChainPolicy, with_memory=(schedule == "memory"),
+                    **_fields(parser, "repeater", ChainPolicy))
     n_trials = _get(parser, "repeater", "n_trials", int, 2000)
     if n_trials < 1:
         raise ConfigError("[repeater] n_trials: must be >= 1")
     efficiency = _get(parser, "repeater", "efficiency", float, 0.5)
     bandwidth = _get(parser, "repeater", "bandwidth_nm", float, 0.1)
+    _build("repeater", figure_of_merit, 0.0, efficiency, bandwidth)  # its range checks
     return segments, [link] * segments, policy, n_trials, efficiency, bandwidth
 
 

@@ -9,6 +9,10 @@ provides the linear-optics primitives (beam splitters, phase shifters), loss
 channels, and click-pattern detection used as the ground-truth reference by
 the higher-level interferometry and repeater modules.
 
+A joint state's cutoff is the photons its operands carry (`tensor`), a
+click-pattern table puts one `DetectorModel` on every mode, and tensor, loss,
+trace and conditioning rows come from one occupation array (`_basis_rows`).
+
 Beam splitter convention (fixed throughout the package), acting on creation
 operators of the two coupled modes::
 
@@ -28,7 +32,6 @@ import numpy as np
 
 Occupation = tuple[int, ...]
 
-DEFAULT_CUTOFF = 4
 MAX_MODES = 8
 
 # Numerical tolerances for density-operator validation.
@@ -75,6 +78,13 @@ def _basis_array(mode_count: int, photon_cutoff: int) -> np.ndarray:
     occs = np.array(basis_states(mode_count, photon_cutoff), dtype=np.intp)
     occs.flags.writeable = False
     return occs
+
+
+def _basis_rows(mode_count: int, photon_cutoff: int, occs: np.ndarray) -> np.ndarray:
+    """Basis rows of the occupations in an (n, mode_count) array, all in the
+    basis; the lexicographic basis has sorted mixed-radix codes."""
+    radix = (photon_cutoff + 1) ** np.arange(mode_count - 1, -1, -1)
+    return np.searchsorted(_basis_array(mode_count, photon_cutoff) @ radix, occs @ radix)
 
 
 def dimension(mode_count: int, photon_cutoff: int) -> int:
@@ -163,22 +173,6 @@ class DensityOperator:
         return cls(mode_count, photon_cutoff, np.outer(vec, vec.conjugate()))
 
     @classmethod
-    def from_mixture(cls, pairs) -> "DensityOperator":
-        """Weighted mixture of DensityOperator components."""
-        acc = None
-        for weight, rho in pairs:
-            term = weight * rho.matrix
-            if acc is None:
-                acc = (rho.mode_count, rho.photon_cutoff, term.copy())
-            else:
-                if (rho.mode_count, rho.photon_cutoff) != acc[:2]:
-                    raise ValueError("mixture components live in different spaces")
-                acc[2][...] += term
-        if acc is None:
-            raise ValueError("empty mixture")
-        return cls(*acc)
-
-    @classmethod
     def vacuum(cls, mode_count: int, photon_cutoff: int) -> "DensityOperator":
         return cls.pure(mode_count, photon_cutoff, {(0,) * mode_count: 1.0 + 0.0j})
 
@@ -209,18 +203,14 @@ class DensityOperator:
         totals = _basis_array(self.mode_count, self.photon_cutoff).sum(axis=1)
         return int(totals[live].max(initial=0))
 
-    def tensor(self, other: "DensityOperator", photon_cutoff: int | None = None) -> "DensityOperator":
-        """Joint state, truncated at photon_cutoff (default: the sum of the
-        operands' cutoffs) and sized by the photons the operands carry.
+    def tensor(self, other: "DensityOperator") -> "DensityOperator":
+        """Joint state, its cutoff the operands' summed photon support.
 
         Splitters and phases conserve photon number and loss and
         conditioning only lower it, so no circuit on the joint state reaches
-        an occupation above the operands' summed photon support.
+        an occupation above the photons the operands carry.
         """
-        cutoff = min(
-            self.photon_cutoff + other.photon_cutoff if photon_cutoff is None else photon_cutoff,
-            self.photon_support() + other.photon_support(),
-        )
+        cutoff = self.photon_support() + other.photon_support()
         modes = self.mode_count + other.mode_count
         dim = dimension(modes, cutoff)
         out = np.zeros((dim, dim), dtype=complex)
@@ -240,13 +230,10 @@ def _tensor_rows(modes_a: int, cutoff_a: int, modes_b: int, cutoff_b: int,
                  cutoff: int) -> np.ndarray:
     """Read-only (3, n) rows of A, of B and of the joint basis, one column per
     pair of basis states whose joint occupation fits the joint cutoff."""
-    index = basis_index(modes_a + modes_b, cutoff)
-    rows = np.array([
-        (ia, ib, index[occ_a + occ_b])
-        for ia, occ_a in enumerate(basis_states(modes_a, cutoff_a))
-        for ib, occ_b in enumerate(basis_states(modes_b, cutoff_b))
-        if sum(occ_a) + sum(occ_b) <= cutoff
-    ], dtype=np.intp).T
+    occ_a, occ_b = _basis_array(modes_a, cutoff_a), _basis_array(modes_b, cutoff_b)
+    ia, ib = np.nonzero(occ_a.sum(axis=1)[:, None] + occ_b.sum(axis=1) <= cutoff)
+    joint = _basis_rows(modes_a + modes_b, cutoff, np.hstack((occ_a[ia], occ_b[ib])))
+    rows = np.array((ia, ib, joint))
     rows.flags.writeable = False
     return rows
 
@@ -321,8 +308,7 @@ def apply_beam_splitter(state: DensityOperator, mode_a: int, mode_b: int,
 def apply_phase(state: DensityOperator, mode: int, delta: float) -> DensityOperator:
     """Phase shifter: |n> on the given mode picks up exp(i n delta)."""
     _check_mode(mode, state.mode_count)
-    states = basis_states(state.mode_count, state.photon_cutoff)
-    phases = np.exp(1j * delta * np.array([occ[mode] for occ in states]))
+    phases = np.exp(1j * delta * _basis_array(state.mode_count, state.photon_cutoff)[:, mode])
     return DensityOperator(state.mode_count, state.photon_cutoff,
                            state.matrix * np.outer(phases, phases.conjugate()))
 
@@ -336,25 +322,17 @@ def apply_loss(rho: DensityOperator, mode: int, transmission: float) -> DensityO
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
     _check_mode(mode, rho.mode_count)
     eta = float(transmission)
-    states = basis_states(rho.mode_count, rho.photon_cutoff)
-    index = basis_index(rho.mode_count, rho.photon_cutoff)
-    dim = len(states)
+    occs = _basis_array(rho.mode_count, rho.photon_cutoff)
+    dim = len(occs)
     out = np.zeros((dim, dim), dtype=complex)
     for k in range(rho.photon_cutoff + 1):
-        rows, cols, vals = [], [], []
-        for i, occ in enumerate(states):
-            n = occ[mode]
-            if n < k:
-                continue
-            new = list(occ)
-            new[mode] = n - k
-            rows.append(index[tuple(new)])
-            cols.append(i)
-            vals.append(math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k))
-        if not rows:
-            continue
+        cols = np.flatnonzero(occs[:, mode] >= k)
+        lowered = occs[cols]
+        lowered[:, mode] -= k
         kraus = np.zeros((dim, dim))
-        kraus[rows, cols] = vals
+        kraus[_basis_rows(rho.mode_count, rho.photon_cutoff, lowered), cols] = [
+            math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+            for n in occs[cols, mode].tolist()]
         out += kraus @ rho.matrix @ kraus.T
     return DensityOperator(rho.mode_count, rho.photon_cutoff, out)
 
@@ -366,22 +344,14 @@ def partial_trace(rho: DensityOperator, keep_modes: tuple[int, ...]) -> DensityO
         _check_mode(m, rho.mode_count)
     if len(set(keep)) != len(keep) or not keep:
         raise ValueError("keep_modes must be a non-empty set of distinct modes")
-    traced = tuple(m for m in range(rho.mode_count) if m not in keep)
-    states = basis_states(rho.mode_count, rho.photon_cutoff)
-    new_index = basis_index(len(keep), rho.photon_cutoff)
-    dim_new = dimension(len(keep), rho.photon_cutoff)
-    out = np.zeros((dim_new, dim_new), dtype=complex)
-    # Group basis indices by the traced-mode occupation; each group contributes
-    # a sub-block mapped onto the reduced basis.
-    groups: dict[Occupation, list[tuple[int, int]]] = {}
-    for i, occ in enumerate(states):
-        env = tuple(occ[m] for m in traced)
-        sys = tuple(occ[m] for m in keep)
-        groups.setdefault(env, []).append((new_index[sys], i))
-    for pairs in groups.values():
-        new_rows = np.array([p[0] for p in pairs])
-        old_rows = np.array([p[1] for p in pairs])
-        out[np.ix_(new_rows, new_rows)] += rho.matrix[np.ix_(old_rows, old_rows)]
+    traced = [m for m in range(rho.mode_count) if m not in keep]
+    occs = _basis_array(rho.mode_count, rho.photon_cutoff)
+    new_rows = _basis_rows(len(keep), rho.photon_cutoff, occs[:, list(keep)])
+    out = np.zeros((dimension(len(keep), rho.photon_cutoff),) * 2, dtype=complex)
+    # Each pair of rows with equal traced modes adds its entry in row-major
+    # order, so one reduced entry sums its traced occupations lexicographically.
+    i, j = np.nonzero((occs[:, None, traced] == occs[None, :, traced]).all(axis=2))
+    np.add.at(out, (new_rows[i], new_rows[j]), rho.matrix[i, j])
     return DensityOperator(len(keep), rho.photon_cutoff, out)
 
 
@@ -391,12 +361,9 @@ def _conditioned_rows(mode_count: int, photon_cutoff: int,
                       ) -> np.ndarray:
     """Read-only (2, n): the basis rows with the given (mode, count) pairs and
     their rows in the basis of the kept modes."""
-    index = basis_index(len(keep), photon_cutoff)
-    rows = np.array([
-        (i, index[tuple(occ[m] for m in keep)])
-        for i, occ in enumerate(basis_states(mode_count, photon_cutoff))
-        if all(occ[m] == c for m, c in counts)
-    ], dtype=np.intp).reshape(-1, 2).T
+    occs = _basis_array(mode_count, photon_cutoff)
+    sel = np.flatnonzero((occs[:, [m for m, _ in counts]] == [c for _, c in counts]).all(axis=1))
+    rows = np.array((sel, _basis_rows(len(keep), photon_cutoff, occs[np.ix_(sel, keep)])))
     rows.flags.writeable = False
     return rows
 
@@ -424,24 +391,14 @@ def condition_on_counts(rho: DensityOperator, counts: dict[int, int]
     return prob, DensityOperator(len(keep), rho.photon_cutoff, out / prob)
 
 
-def _detector_list(state: DensityOperator, detectors) -> list[DetectorModel]:
-    if detectors is None:
-        detectors = IDEAL_DETECTOR
-    if isinstance(detectors, DetectorModel):
-        return [detectors] * state.mode_count
-    detectors = list(detectors)
-    if len(detectors) != state.mode_count:
-        raise ValueError(f"need one detector per mode ({state.mode_count}), got {len(detectors)}")
-    return detectors
-
-
 # Upper bound on the elements of one block of the occupation x click-pattern
 # product, so that many modes of photon-number-resolving detectors stay small.
 _BLOCK_ELEMENTS = 1 << 18
 
 
-def outcome_distribution(state: DensityOperator, detectors=None) -> dict[Occupation, float]:
-    """Exact probability table over click patterns, one detector per mode.
+def outcome_distribution(state: DensityOperator, detector: DetectorModel = IDEAL_DETECTOR
+                         ) -> dict[Occupation, float]:
+    """Exact probability table over click patterns, the same detector on every mode.
 
     Threshold detectors report 0/1 per mode; photon-number-resolving ones
     report counts (light counts possibly +1 from a dark event).  The table
@@ -453,7 +410,6 @@ def outcome_distribution(state: DensityOperator, detectors=None) -> dict[Occupat
     are listed in the order the occupations first reach them,
     lexicographically within one occupation.
     """
-    dets = _detector_list(state, detectors)
     occs = _basis_array(state.mode_count, state.photon_cutoff)
     probs = np.real(np.diag(state.matrix))
     live = ~(probs <= 0.0)  # skips p <= 0 only: a NaN entry shows in the table
@@ -462,9 +418,10 @@ def outcome_distribution(state: DensityOperator, detectors=None) -> dict[Occupat
     if not n_occs:
         return {}
     # Per mode, each occupation's probabilities of the counts any one of them can report.
+    table = _count_table(detector, state.photon_cutoff)
     rows, counts = [], []
-    for det, photons in zip(dets, occs.T):
-        q = _count_table(det, state.photon_cutoff)[photons]
+    for photons in occs.T:
+        q = table[photons]
         reported = np.flatnonzero((q > 0.0).any(axis=0))
         rows.append(q[:, reported])
         counts.append(reported)

@@ -30,7 +30,6 @@ from .fock import (
     apply_phase,
     basis_index,
     condition_on_counts,
-    dimension,
 )
 
 DEFAULT_SPLIT_LOW = 0.15
@@ -114,11 +113,10 @@ class EntangledPairState:
         """Overlap with (|01> + |10>)/sqrt(2)."""
         return self.one_photon_weight * (1.0 + self.coherence * math.cos(self.phase)) / 2.0
 
-    def to_density(self, photon_cutoff: int = 2) -> DensityOperator:
-        if photon_cutoff < 2:
-            raise ValueError("photon_cutoff must be >= 2 to hold the |11> sector")
-        idx = basis_index(2, photon_cutoff)
-        mat = np.zeros((dimension(2, photon_cutoff),) * 2, dtype=complex)
+    def to_density(self) -> DensityOperator:
+        """The pair at cutoff 2, which holds the |11> sector."""
+        idx = basis_index(2, 2)
+        mat = np.zeros((len(idx),) * 2, dtype=complex)
         mat[idx[(0, 0)], idx[(0, 0)]] = self.vacuum_weight
         half = self.one_photon_weight / 2.0
         mat[idx[(0, 1)], idx[(0, 1)]] = half
@@ -127,7 +125,7 @@ class EntangledPairState:
         mat[idx[(1, 0)], idx[(0, 1)]] = off
         mat[idx[(0, 1)], idx[(1, 0)]] = np.conj(off)
         mat[idx[(1, 1)], idx[(1, 1)]] = self.two_photon_weight
-        return DensityOperator(2, photon_cutoff, mat)
+        return DensityOperator(2, 2, mat)
 
     @classmethod
     def from_density(cls, rho: DensityOperator, atol: float = FORM_TOL
@@ -337,7 +335,7 @@ def sscg_distill(a: EntangledPairState, b: EntangledPairState,
     """
     if not (0.0 <= t_low <= 1.0 and 0.0 <= t_high <= 1.0):
         raise ValueError("splitter transmissivities must be in [0, 1]")
-    rho = a.to_density(2).tensor(b.to_density(2))
+    rho = a.to_density().tensor(b.to_density())
     # The relative pi between the two splitters plus the pi feed-forward on
     # the left-monitor herald are calibration choices under the package
     # splitter convention; together they make a left-monitor and a
@@ -374,7 +372,7 @@ def entanglement_swap(a: EntangledPairState, b: EntangledPairState) -> ProtocolR
     surviving pair, which is corrected here, so the output phase is
     psi_a + psi_b.
     """
-    rho = a.to_density(2).tensor(b.to_density(2))
+    rho = a.to_density().tensor(b.to_density())
     rho = apply_beam_splitter(rho, 1, 2, 0.5)
     # Herald on monitor 1 leaves the outer pair with an extra +pi/2 on the
     # outer-left arm; the monitor-2 branch gets -pi/2.  Both are undone below
@@ -440,8 +438,8 @@ class ChainPolicy:
         if any(r < 0 for r in self.distill_rounds):
             raise ConfigError("distill_rounds entries must be >= 0")
         if not self.with_memory and any(self.distill_rounds):
-            raise ConfigError("distillation requires with_memory=True "
-                              "(pairs must wait for each other)")
+            raise ConfigError("distillation requires with_memory=True (schedule = "
+                              "memory): pairs must wait for each other")
         if not 0.0 <= self.double_excitation_weight < 1.0:
             raise ConfigError("double_excitation_weight must be in [0, 1)")
 

@@ -35,7 +35,6 @@ from . import rng as rngmod
 from .errors import ConfigError
 from .eventlog import COLUMNS, EventLog
 from .fock import (
-    DEFAULT_CUTOFF,
     DensityOperator,
     DetectorModel,
     IDEAL_DETECTOR,
@@ -203,6 +202,9 @@ def temporal_overlap_factor(coherence_time: float, jitter_sigma: float,
     if sig < 0.0:
         raise ValueError(f"jitter_sigma must be non-negative, got {sig}")
     width2 = tau * tau + sig * sig
+    if width2 == 0.0:
+        raise ValueError(f"coherence_time^2 + jitter_sigma^2 underflows to 0 at "
+                         f"coherence_time {tau!r}, jitter_sigma {sig!r}")
     return float(math.exp(-dt * dt / (2.0 * width2)) * tau / math.sqrt(width2))
 
 
@@ -210,24 +212,24 @@ def temporal_overlap_factor(coherence_time: float, jitter_sigma: float,
 # Exact few-mode circuits (the oracle route for everything above)
 # ---------------------------------------------------------------------------
 
-def resource_state(delta: float, photon_cutoff: int = 2) -> DensityOperator:
+def resource_state(delta: float) -> DensityOperator:
     """Distributed single photon (|0,1> + e^{i delta}|1,0>)/sqrt(2), site-L arm delayed."""
-    return DensityOperator.pure(2, photon_cutoff, {
+    return DensityOperator.pure(2, 2, {
         (0, 1): 1.0 / math.sqrt(2.0),
         (1, 0): np.exp(1j * delta) / math.sqrt(2.0),
     })
 
 
-def lab_pair_state(delta: float, photon_cutoff: int = 2) -> DensityOperator:
+def lab_pair_state(delta: float) -> DensityOperator:
     """Two-photon component of the split coherent reference (L arm delayed)."""
-    return DensityOperator.pure(2, photon_cutoff, {
+    return DensityOperator.pure(2, 2, {
         (0, 2): 0.5,
         (1, 1): np.exp(1j * delta) / math.sqrt(2.0),
         (2, 0): np.exp(2j * delta) * 0.5,
     })
 
 
-def hbt_pair_state(v: complex, photon_cutoff: int = 2) -> DensityOperator:
+def hbt_pair_state(v: complex) -> DensityOperator:
     """Two chaotic-light photons shared between the sites, visibility v.
 
     Built from independent-emission pairs c+(phi) c+(0)|0> with the site-L
@@ -239,7 +241,7 @@ def hbt_pair_state(v: complex, photon_cutoff: int = 2) -> DensityOperator:
     spread = math.acos(min(abs(v), 1.0))
     phases = [np.angle(v) + spread, np.angle(v) - spread] if abs(v) > 0 else [
         math.pi / 2.0, -math.pi / 2.0]
-    components = []
+    terms = []
     total = 0.0
     for phi in phases:
         ket = {
@@ -248,11 +250,11 @@ def hbt_pair_state(v: complex, photon_cutoff: int = 2) -> DensityOperator:
             (2, 0): math.sqrt(2.0) * np.exp(1j * phi) / 2.0,
         }
         weight = 0.5
-        components.append((weight, DensityOperator.pure(2, photon_cutoff, ket)))
+        terms.append(weight * DensityOperator.pure(2, 2, ket).matrix)
         # sqrt(sum) ** 2 and the bare sum round differently; this keeps the tables' bits.
         total += weight * math.sqrt(sum(abs(a) ** 2 for a in ket.values())) ** 2
-    rho = DensityOperator.from_mixture(components)
-    return DensityOperator(2, photon_cutoff, rho.matrix / total)
+    # Not summed onto zeros: 0.0 + -0.0 is +0.0, which would flip sign bits.
+    return DensityOperator(2, 2, (terms[0] + terms[1]) / total)
 
 
 def astro_pair_rate(p_a: float, v: complex) -> float:
@@ -263,7 +265,6 @@ def astro_pair_rate(p_a: float, v: complex) -> float:
 def two_telescope_distribution(rho_astro: DensityOperator | None,
                                rho_ref: DensityOperator | None,
                                detector: DetectorModel = IDEAL_DETECTOR,
-                               photon_cutoff: int = DEFAULT_CUTOFF,
                                ) -> dict[tuple[int, ...], float]:
     """Click-pattern table of the two-site interference circuit.
 
@@ -274,7 +275,7 @@ def two_telescope_distribution(rho_astro: DensityOperator | None,
     """
     astro = rho_astro if rho_astro is not None else DensityOperator.vacuum(2, 0)
     ref = rho_ref if rho_ref is not None else DensityOperator.vacuum(2, 0)
-    joint = astro.tensor(ref, photon_cutoff=photon_cutoff)
+    joint = astro.tensor(ref)
     joint = apply_beam_splitter(joint, 0, 2, 0.5)
     joint = apply_beam_splitter(joint, 1, 3, 0.5)
     return outcome_distribution(joint, detector)
@@ -282,14 +283,14 @@ def two_telescope_distribution(rho_astro: DensityOperator | None,
 
 def direct_distribution(v: complex, delta: float,
                         detector: DetectorModel = IDEAL_DETECTOR,
-                        photon_cutoff: int = 2) -> dict[tuple[int, ...], float]:
+                        ) -> dict[tuple[int, ...], float]:
     """Click-pattern table of the direct-detection circuit (modes = 2 ports).
 
     The recombining splitter carries a fixed pi/2 internal phase so that port
     1 realizes [1 + Re(v e^{-i delta})]/2 under the package splitter
     convention.
     """
-    rho = arrival_density_matrix(v, photon_cutoff=photon_cutoff)
+    rho = arrival_density_matrix(v)
     rho = apply_phase(rho, 1, delta)
     rho = apply_beam_splitter(rho, 0, 1, 0.5, phase=math.pi / 2.0)
     return outcome_distribution(rho, detector)
@@ -372,6 +373,7 @@ class SchemeConfig:
             raise ConfigError("double_pair_prob must be in [0, 1)")
         if self.coherence_time < 0 or self.jitter_sigma < 0:
             raise ConfigError("temporal parameters must be non-negative")
+        self.overlap_factor()  # raises where the overlap underflows
         if self.bell_complete and self.kind != "entangled":
             raise ConfigError("bell_complete applies to kind=entangled only")
         if (self.kind == "w_state" or self.bell_complete) and self.detector != IDEAL_DETECTOR:

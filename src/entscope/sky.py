@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, basis_index, dimension
+from .fock import DensityOperator, basis_index
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def visibility(source: SourceModel, baseline: Baseline) -> complex:
     return complex(visibilities(source, [baseline.vector], baseline.wavelength)[0])
 
 
-def arrival_density_matrix(v: complex, photon_cutoff: int = 2) -> DensityOperator:
+def arrival_density_matrix(v: complex) -> DensityOperator:
     """One-photon two-mode state of an astronomical photon with visibility v.
 
     Basis (n_left, n_right): diagonal 1/2 on |0,1> and |1,0>, off-diagonal
@@ -163,15 +163,14 @@ def arrival_density_matrix(v: complex, photon_cutoff: int = 2) -> DensityOperato
     v = complex(v)
     if abs(v) > 1.0 + 1e-12:
         raise ValueError(f"|v| must be <= 1, got {abs(v)}")
-    index = basis_index(2, photon_cutoff)
-    dim = dimension(2, photon_cutoff)
-    mat = np.zeros((dim, dim), dtype=complex)
+    index = basis_index(2, 2)
+    mat = np.zeros((len(index),) * 2, dtype=complex)
     i01, i10 = index[(0, 1)], index[(1, 0)]
     mat[i01, i01] = 0.5
     mat[i10, i10] = 0.5
     mat[i10, i01] = v / 2.0
     mat[i01, i10] = v.conjugate() / 2.0
-    return DensityOperator(2, photon_cutoff, mat)
+    return DensityOperator(2, 2, mat)
 
 
 def load_point_sources(path) -> SourceModel:

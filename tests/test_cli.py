@@ -145,6 +145,32 @@ def test_repeater_nonpositive_n_trials_is_config_error(tmp_path, capsys, n_trial
     assert err == "config error: [repeater] n_trials: must be >= 1\n"
 
 
+def _set_key(tmp_path, base: str, section: str, key: str, value: str) -> Path:
+    """An INI from base (a preset name or INI text) with [section] key = value."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(base if base.startswith("[") else Path(preset(base)).read_text())
+    parser.set(section, key, value)
+    ini = tmp_path / "edited.ini"
+    with open(ini, "w") as fh:
+        parser.write(fh)
+    return ini
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("efficiency", "2", "efficiency must be in [0, 1], got 2.0"),
+    ("efficiency", "-1", "efficiency must be in [0, 1], got -1.0"),
+    ("bandwidth_nm", "-1", "bandwidth_nm must be >= 0, got -1.0"),
+    ("distill_rounds", "-1", "distill_rounds entries must be >= 0"),
+    ("schedule", "memoryless",
+     "distillation requires with_memory=True (schedule = memory): pairs must wait for each other"),
+], ids=["efficiency-above-1", "efficiency-negative", "bandwidth-negative",
+        "negative-rounds", "memoryless-distillation"])
+def test_repeater_out_of_range_value_is_config_error(tmp_path, capsys, key, value, message):
+    ini = _set_key(tmp_path, "repeater_demo.ini", "repeater", key, value)
+    err = _config_error(capsys, "repeater", ini, tmp_path)
+    assert err == f"config error: [repeater] {message}\n"
+
+
 def test_repeater_mode_flags_override_the_config(tmp_path, capsys):
     ini = tmp_path / "small.ini"
     ini.write_text(Path(preset("repeater_demo.ini")).read_text()
@@ -365,6 +391,31 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, command, base
     assert err.startswith(f"config error: {expected}")
     assert err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+_RECONSTRUCT_INI = ("[source]\nkind = binary\nseparation = 2e-9\n[baseline]\n"
+                    "wavelength = 800e-9\n[reconstruct]\ngrid = 8\npixel_scale = 1e-9\n")
+
+
+@pytest.mark.parametrize("command, base, section, key, value, message", [
+    ("simulate", "entangled_demo.ini", "scheme", "coherence_time", "1e-320", None),
+    ("simulate", "entangled_demo.ini", "scheme", "coherence_time", "1e-200",
+     "coherence_time^2 + jitter_sigma^2 underflows to 0 at coherence_time 1e-200, "
+     "jitter_sigma 0.0"),
+    ("repeater", "repeater_demo.ini", "repeater", "extra_transmission", "1e-320", None),
+    ("simulate", "entangled_demo.ini", "baseline", "wavelength", "1e-320", None),
+    ("reconstruct", _RECONSTRUCT_INI, "reconstruct", "pixel_scale", "1e-320", None),
+], ids=["coherence-time", "coherence-time-squared", "extra-transmission", "wavelength",
+        "pixel-scale"])
+def test_underflowing_config_value_is_config_error(tmp_path, capsys, command, base,
+                                                   section, key, value, message):
+    """Subnormal values, and a coherence time whose square underflows, stop
+    where they enter instead of dividing by zero later."""
+    ini = _set_key(tmp_path, base, section, key, value)
+    err = _config_error(capsys, command, ini, tmp_path)
+    message = message or (f"{key}: must be 0 or at least 2.22507e-308 in magnitude, "
+                          f"got {value!r}")
+    assert err == f"config error: [{section}] {message}\n"
 
 
 @pytest.mark.parametrize("deltas", ["0.0, 1.5707963267948966, 0.0, 3.141592653589793",

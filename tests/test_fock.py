@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle_reference as ref
@@ -22,6 +22,7 @@ from entscope.fock import (
     partial_trace,
     post_select,
     EmptyPostSelectionError,
+    _basis_rows,
 )
 from entscope.repeater import EntangledPairState, entanglement_swap, sscg_distill
 from entscope.schemes import two_telescope_distribution
@@ -117,7 +118,7 @@ def test_loss_equals_vacuum_ancilla_splitter():
     eta = 0.37
     direct = apply_loss(rho, 1, eta)
 
-    ext = rho.tensor(DensityOperator.vacuum(1, 2), photon_cutoff=2)
+    ext = rho.tensor(DensityOperator.vacuum(1, 2))
     ext = apply_beam_splitter(ext, 1, 2, eta)
     routed = partial_trace(ext, (0, 1))
     assert np.max(np.abs(direct.matrix - routed.matrix)) < 1e-12
@@ -179,23 +180,20 @@ def test_outcome_distribution_matches_reference_with_loss():
         assert dist.get(occ, 0.0) == pytest.approx(p, abs=1e-12)
 
 
-def _reference_outcome_distribution(state, detectors):
+def _reference_outcome_distribution(state, detector):
     """The per-occupation dict expansion outcome_distribution replaced."""
-    if isinstance(detectors, DetectorModel):
-        detectors = [detectors] * state.mode_count
     diag = state.diagonal_probabilities()
     max_count = state.photon_cutoff + 1
-    tables = [[det.count_probabilities(n, max_count) for n in range(state.photon_cutoff + 1)]
-              for det in detectors]
+    table = [detector.count_probabilities(n, max_count) for n in range(state.photon_cutoff + 1)]
     dist = {}
     for occ, p in diag.items():
         if p <= 0.0:
             continue
         partial = {(): p}
-        for mode, n in enumerate(occ):
+        for n in occ:
             nxt = {}
             for prefix, w in partial.items():
-                for count, q in enumerate(tables[mode][n]):
+                for count, q in enumerate(table[n]):
                     if q > 0.0:
                         key = prefix + (count,)
                         nxt[key] = nxt.get(key, 0.0) + w * q
@@ -226,20 +224,18 @@ def _detected_states(draw):
         diag = draw(st.lists(st.one_of(st.floats(0.0, 1.0), _EDGE_PROBS),
                              min_size=len(states), max_size=len(states)))
         state = DensityOperator(modes, cutoff, np.diag(diag))
-    if draw(st.booleans()):
-        return state, draw(_GRID_DETECTORS)
-    return state, draw(st.lists(_GRID_DETECTORS, min_size=modes, max_size=modes))
+    return state, draw(_GRID_DETECTORS)
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_detected_states())
 def test_outcome_distribution_equals_the_dict_expansion_bit_for_bit(case):
     """Same keys in the same order and the same bits of every value, for pure
-    and mixed states, 1-5 modes, cutoffs 0-4 and per-mode threshold or
+    and mixed states, 1-5 modes, cutoffs 0-4 and threshold or
     photon-number-resolving, lossy and noisy detectors."""
-    state, detectors = case
-    got = list(outcome_distribution(state, detectors).items())
-    want = list(_reference_outcome_distribution(state, detectors).items())
+    state, detector = case
+    got = list(outcome_distribution(state, detector).items())
+    want = list(_reference_outcome_distribution(state, detector).items())
     assert [k for k, _ in got] == [k for k, _ in want]
     assert [float(v).hex() for _, v in got] == [float(v).hex() for _, v in want]
     assert all(type(k[0]) is int for k, _ in got)
@@ -264,6 +260,15 @@ def test_validate_rejects_unnormalized():
     bad[1, 1] = -0.5
     with pytest.raises(ValueError):
         DensityOperator(1, 1, bad).validate()
+
+
+@pytest.mark.parametrize("modes, cutoff", [(1, 0), (1, 3), (3, 2), (4, 4), (8, 2)])
+def test_basis_rows_match_basis_index(modes, cutoff):
+    """The mixed-radix lookup behind every index map finds each row, in any order."""
+    states = basis_states(modes, cutoff)
+    rows = np.random.default_rng(0).permutation(len(states))
+    occs = np.array([states[i] for i in rows]).reshape(-1, modes)
+    assert _basis_rows(modes, cutoff, occs).tolist() == rows.tolist()
 
 
 def test_basis_is_total_photon_truncated():
@@ -310,10 +315,10 @@ def test_mode_validation():
         DensityOperator.pure(1, -1, {})
 
 
-def _uncapped_tensor(a, b, photon_cutoff=None):
+def _uncapped_tensor(a, b):
     """DensityOperator.tensor before the photon-support cap: the joint space
-    is the whole basis at the requested (or summed) cutoff."""
-    cutoff = a.photon_cutoff + b.photon_cutoff if photon_cutoff is None else photon_cutoff
+    is the whole basis at the summed cutoff."""
+    cutoff = a.photon_cutoff + b.photon_cutoff
     modes = a.mode_count + b.mode_count
     index = basis_index(modes, cutoff)
     out = np.zeros((len(index),) * 2, dtype=complex)
@@ -328,17 +333,22 @@ def _uncapped_tensor(a, b, photon_cutoff=None):
     return DensityOperator(modes, cutoff, out)
 
 
-@st.composite
-def _supported_states(draw, modes=st.integers(1, 2)):
-    """A random PSD state whose rows above a drawn photon number are zero."""
-    modes, cutoff = draw(modes), draw(st.integers(1, 4))
-    support = draw(st.integers(0, cutoff))
+def _supported_state(modes, cutoff, support, seed):
+    """A random PSD state whose rows above support photons are zero."""
     states = basis_states(modes, cutoff)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(seed)
     g = rng.normal(size=(len(states), 3)) + 1j * rng.normal(size=(len(states), 3))
     g[[sum(occ) > support for occ in states]] = 0.0
     rho = g @ g.conjugate().T
-    return DensityOperator(modes, cutoff, rho / np.trace(rho).real), support
+    return DensityOperator(modes, cutoff, rho / np.trace(rho).real)
+
+
+@st.composite
+def _supported_states(draw, modes=st.integers(1, 2)):
+    """(state, support) for a drawn mode count, cutoff and photon support."""
+    modes, cutoff = draw(modes), draw(st.integers(1, 4))
+    support = draw(st.integers(0, cutoff))
+    return _supported_state(modes, cutoff, support, draw(st.integers(0, 2**32 - 1))), support
 
 
 def _assert_within_ulps(got, want, ulps=4, scale=None):
@@ -349,17 +359,15 @@ def _assert_within_ulps(got, want, ulps=4, scale=None):
 
 
 @settings(max_examples=200, deadline=None)
-@given(a=_supported_states(), b=_supported_states(),
-       requested=st.one_of(st.none(), st.integers(0, 8)))
-def test_tensor_is_sized_by_photon_support(a, b, requested):
-    """The capped joint matrix is the uncapped one on the kept basis, and the
-    uncapped one holds only zeros outside it; a requested cutoff below the
-    operands' photons still truncates."""
+@given(a=_supported_states(), b=_supported_states())
+def test_tensor_is_sized_by_photon_support(a, b):
+    """The joint matrix is the uncapped one on the basis of the operands'
+    summed photon support, and the uncapped one holds only zeros outside it."""
     (a, support_a), (b, support_b) = a, b
     assert (a.photon_support(), b.photon_support()) == (support_a, support_b)
-    full = _uncapped_tensor(a, b, requested)
-    capped = a.tensor(b, photon_cutoff=requested)
-    assert capped.photon_cutoff == min(full.photon_cutoff, support_a + support_b)
+    full = _uncapped_tensor(a, b)
+    capped = a.tensor(b)
+    assert capped.photon_cutoff == support_a + support_b
     index = basis_index(full.mode_count, full.photon_cutoff)
     kept = [index[occ] for occ in basis_states(capped.mode_count, capped.photon_cutoff)]
     assert np.array_equal(capped.matrix, full.matrix[np.ix_(kept, kept)])
@@ -367,9 +375,6 @@ def test_tensor_is_sized_by_photon_support(a, b, requested):
     dropped[kept] = False
     assert not full.matrix[dropped].any() and not full.matrix[:, dropped].any()
     _assert_within_ulps(capped.trace(), full.trace())
-    if requested is not None and requested < support_a + support_b:
-        assert capped.photon_cutoff == requested
-        assert capped.trace() < 1.0
 
 
 def test_photon_support_reads_rows_and_columns():
@@ -439,17 +444,63 @@ def test_protocols_agree_with_the_uncapped_tensor(double, data, splitter, asymme
         _assert_same_protocol_result(got, want)
 
 
+# Seeds of two support-1 cutoff-4 pairs whose tables from the two tensors
+# differed by 6 and by 11 ulp of an entry (0.0063 and 0.00076) where
+# measured; how matrix products round depends on the BLAS build.
+_ROUNDOFF_SEEDS = [(246477872, 3832497087), (1617922478, 3157307851)]
+
+
+def _reference_two_telescope(astro, ref_state, dim=3):
+    """two_telescope_distribution with ideal threshold detectors, on the
+    oracle's per-mode basis; dim - 1 photons per mode hold two support-1
+    inputs."""
+    def embed(rho):
+        states = basis_states(2, rho.photon_cutoff)
+        fits = [max(occ) < dim for occ in states]
+        rows = [ref.index_of(occ, dim) for occ, f in zip(states, fits) if f]
+        out = np.zeros((dim**2,) * 2, dtype=complex)
+        out[np.ix_(rows, rows)] = rho.matrix[np.ix_(fits, fits)]
+        return out
+
+    u = ref.beam_splitter(4, dim, 1, 3, 0.5) @ ref.beam_splitter(4, dim, 0, 2, 0.5)
+    diag = np.real(np.diag(u @ np.kron(embed(astro), embed(ref_state)) @ u.conjugate().T))
+    table = {}
+    for occ in np.ndindex(*(dim,) * 4):
+        clicks = tuple(int(n > 0) for n in occ)
+        table[clicks] = table.get(clicks, 0.0) + diag[ref.index_of(occ, dim)]
+    return table
+
+
+@pytest.mark.parametrize("seeds", _ROUNDOFF_SEEDS)
+def test_two_telescope_tensors_agree_with_the_reference(seeds):
+    """Where the two tensors' tables differ by more than 4 ulp of an entry,
+    each is within 4 ulp of 1 of the oracle's table: the gap is roundoff."""
+    astro, ref_state = (_supported_state(2, 4, 1, seed) for seed in seeds)
+    got = two_telescope_distribution(astro, ref_state)
+    with mock.patch.object(DensityOperator, "tensor", _uncapped_tensor):
+        want = two_telescope_distribution(astro, ref_state)
+    expected = _reference_two_telescope(astro, ref_state)
+    _assert_within_ulps(list(got.values()), [expected[k] for k in got], scale=1.0)
+    _assert_within_ulps(list(want.values()), [expected[k] for k in want], scale=1.0)
+    _assert_within_ulps([v for k, v in expected.items() if k not in got], 0.0, scale=1.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(astro=st.one_of(st.none(), _supported_states(st.just(2))),
        ref=st.one_of(st.none(), _supported_states(st.just(2))),
-       detector=_GRID_DETECTORS, requested=st.integers(0, 6))
-def test_two_telescope_distribution_agrees_with_the_uncapped_tensor(
-        astro, ref, detector, requested):
-    """Same patterns in the same order, every value within 4 ulp."""
+       detector=_GRID_DETECTORS)
+@example(astro=(_supported_state(2, 4, 1, _ROUNDOFF_SEEDS[0][0]), 1),
+         ref=(_supported_state(2, 4, 1, _ROUNDOFF_SEEDS[0][1]), 1), detector=DetectorModel())
+def test_two_telescope_distribution_agrees_with_the_uncapped_tensor(astro, ref, detector):
+    """Same patterns in the same order, every value within 4 ulp of 1.
+
+    The table's entries are sums of products of matrix entries of order 1,
+    and the two tensors' matrix products round differently, so a small entry
+    can differ by many of its own ulps (see _ROUNDOFF_SEEDS)."""
     astro = astro and astro[0]
     ref = ref and ref[0]
-    got = two_telescope_distribution(astro, ref, detector, requested)
+    got = two_telescope_distribution(astro, ref, detector)
     with mock.patch.object(DensityOperator, "tensor", _uncapped_tensor):
-        want = two_telescope_distribution(astro, ref, detector, requested)
+        want = two_telescope_distribution(astro, ref, detector)
     assert list(got) == list(want)
-    _assert_within_ulps(list(got.values()), list(want.values()))
+    _assert_within_ulps(list(got.values()), list(want.values()), scale=1.0)

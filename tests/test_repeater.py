@@ -83,7 +83,7 @@ def test_transmit_pair_matches_loss_channel():
     pair = EntangledPairState(0.1, 0.6, 0.7, 0.4, 0.3)
     sent = transmit_pair(pair, link)
 
-    rho = pair.to_density(2)
+    rho = pair.to_density()
     rho = apply_loss(apply_loss(rho, 0, eta), 1, eta)
     routed, leakage = pair_family_projection(rho)
     assert leakage < 1e-12
