@@ -23,7 +23,7 @@ import numpy as np
 from . import config as cfg
 from .errors import ConfigError, InfeasibleBudgetError, LowStatisticsError
 from .estimation import fit_fringe, reconstruct_image
-from .eventlog import FringeCounter, JsonlWriter, pair_counts
+from .eventlog import FringeCounter, JsonlWriter
 from .repeater import chain_simulate, figure_of_merit
 from .rng import stream
 from .schemes import simulate_chunks
@@ -92,31 +92,23 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"n_slots: must be positive, got {n_slots}")
     out_dir = _ensure_out_dir(out_dir)
     chunks = simulate_chunks(scheme, source, geometry, n_slots, seed)
-    counter = FringeCounter(scheme.kind, scheme.delta_schedule)
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    counter = FringeCounter(scheme.kind, scheme.delta_schedule,
+                            scheme.n_telescopes if scheme.kind == "w_state" else None)
     log_path = os.path.join(out_dir, "events.jsonl")
     with _writing(log_path), open(log_path, "w", encoding="ascii") as fh:
         writer = JsonlWriter(fh)
-        for chunk in chunks:  # a slot range, so no pair straddles two chunks
+        for chunk in chunks:
             writer.write(chunk)
-            if scheme.kind == "w_state":
-                for key, (c, t) in pair_counts(chunk, scheme.n_telescopes).items():
-                    c0, t0 = pairs.get(key, (0, 0))
-                    pairs[key] = (c0 + c, t0 + t)
-            else:
-                counter.add(*chunk.columns())
+            counter.add(*chunk.columns())
     if scheme.kind == "w_state":
-        rows = [[i, j, c, t] for (i, j), (c, t) in sorted(pairs.items())]
+        rows = [[i, j, c, t] for (i, j), (c, t) in counter.pairs().items()]
         _write_csv(os.path.join(out_dir, "summary.csv"), PAIR_CSV_SCHEMA,
                    ["tel_i", "tel_j", "correlated", "accepted"], rows)
-        accepted = sum(row[3] for row in rows)
     else:
-        deltas, successes, totals = counter.counts()
         _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_CSV_SCHEMA,
                    ["delta", "correlated", "anticorrelated", "accepted"],
-                   _delta_summary_rows(deltas, successes, totals))
-        accepted = int(totals.sum())
-    print(f"simulated {n_slots} slots ({scheme.kind}); {accepted} accepted "
+                   _delta_summary_rows(*counter.counts()))
+    print(f"simulated {n_slots} slots ({scheme.kind}); {int(counter.total.sum())} accepted "
           f"coincidences -> {log_path}")
     return EXIT_OK
 
@@ -145,9 +137,7 @@ def cmd_estimate(args) -> int:
 def cmd_repeater(args) -> int:
     parser = cfg.load_config(args.config)
     segments, links, policy, n_trials, efficiency, bandwidth = cfg.build_chain(parser)
-    flag_mode = ("analytic" if args.analytic
-                 else "monte-carlo" if args.monte_carlo else None)
-    seed, out_dir, mode, _ = cfg.run_options(parser, args.seed, args.out_dir, flag_mode)
+    seed, out_dir, mode, _ = cfg.run_options(parser, args.seed, args.out_dir)
     out_dir = _ensure_out_dir(out_dir)
     rng = stream(seed) if mode == "monte-carlo" else None
     result = chain_simulate(segments, links, policy, rng=rng, n_trials=n_trials)
@@ -202,10 +192,26 @@ def cmd_sensitivity(args) -> int:
     return EXIT_OK
 
 
+def _check_field_of_view(source, grid: int, pixel_scale: float) -> None:
+    """Raise unless every source point, or nonzero pgm pixel, lies within half
+    a pixel of the outermost pixel centres, (i - grid//2) * pixel_scale."""
+    if source.points is not None:
+        angles = np.array([t for t, _ in source.points], dtype=float)
+    else:  # the nonzero pixels
+        angles = (np.argwhere(source.grid) - np.array(source.grid.shape) // 2) * source.pixel_scale
+    lo, hi = (-(grid // 2) - 0.5) * pixel_scale, (grid - 1 - grid // 2 + 0.5) * pixel_scale
+    outside = angles[((angles < lo) | (angles > hi)).reshape(len(angles), -1).any(axis=1)]
+    if len(outside):
+        raise ConfigError(f"[reconstruct] source at {outside[0].tolist()} rad lies outside the "
+                          f"field of view [{lo:.6g}, {hi:.6g}] rad per axis "
+                          f"(grid {grid}, pixel_scale {pixel_scale:g})")
+
+
 def cmd_reconstruct(args) -> int:
     parser = cfg.load_config(args.config)
     source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
     grid, pixel_scale, wavelength = cfg.build_reconstruct(parser)
+    _check_field_of_view(source, grid, pixel_scale)
     unit = wavelength / (grid * pixel_scale)
     axis = np.arange(-(grid // 2), grid - grid // 2) * unit
     vectors = axis
@@ -271,11 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = subs.add_parser("repeater", help="chain rate/fidelity + figure of merit")
     _add_common(rep)
-    mode = rep.add_mutually_exclusive_group()
-    mode.add_argument("--analytic", action="store_true",
-                      help="closed-form expectations (overrides [run] mode)")
-    mode.add_argument("--monte-carlo", action="store_true",
-                      help="Monte Carlo sampling (overrides [run] mode)")
     rep.set_defaults(func=cmd_repeater)
 
     sen = subs.add_parser("sensitivity", help="detection budget table")

@@ -141,11 +141,31 @@ def build_detector(parser) -> DetectorModel:
     return _build("detector", DetectorModel, **_fields(parser, "detector", DetectorModel))
 
 
+# The [scheme] keys each kind reads besides those every kind reads or checks;
+# bell_complete = true counts as a kind, and an unknown kind reads every key.
+_EVERY_KIND = {"kind", "n_telescopes", "bell_complete", "coherence_time",
+               "jitter_sigma", "arrival_offset"}
+_SCHEME_KEYS = {
+    "kind=direct": {"deltas", "p_a"},
+    "kind=hbt": {"deltas", "p_a", "double_pair_prob"},
+    "kind=entangled": {"deltas", "p_a", "p_e", "double_pair_prob"},
+    "kind=weak_coherent": {"deltas", "p_a", "p_e", "double_pair_prob"},
+    "kind=w_state": {"w_phases"},
+    "bell_complete": {"deltas"},
+}
+
+
 def build_scheme(parser) -> SchemeConfig:
     if not parser.has_section("scheme"):
         raise ConfigError("missing [scheme] section")
     kind = _get(parser, "scheme", "kind", str, required=True)
     settings = _fields(parser, "scheme", SchemeConfig)
+    reader = ("bell_complete" if kind == "entangled" and settings.get("bell_complete")
+              else f"kind={kind}")
+    used = _EVERY_KIND | _SCHEME_KEYS.get(reader, _KNOWN_KEYS["scheme"])
+    for key in parser["scheme"]:
+        if key not in used:
+            raise ConfigError(f"[scheme] {key}: {reader} does not use it")
     if parser.has_option("scheme", "deltas"):
         settings["delta_schedule"] = _get(parser, "scheme", "deltas", _deltas)
     if kind == "w_state" and "w_phases" not in settings:
@@ -276,8 +296,7 @@ def out_dir(parser, override=None, default="out"):
     return override or _get(parser, "run", "out_dir", str, default)
 
 
-def run_options(parser, seed_override=None, out_dir_override=None,
-                mode_override=None):
+def run_options(parser, seed_override=None, out_dir_override=None):
     """(seed, out_dir, mode, n_slots); the seed must come from the config or
     the command line, never from the clock."""
     seed = seed_override
@@ -286,7 +305,7 @@ def run_options(parser, seed_override=None, out_dir_override=None,
     if seed is None:
         raise ConfigError("[run] seed: required (pass it in the config or "
                           "with --seed; runs are never clock-seeded)")
-    mode = mode_override or _get(parser, "run", "mode", str, "monte-carlo")
+    mode = _get(parser, "run", "mode", str, "monte-carlo")
     if mode not in ("monte-carlo", "analytic"):
         raise ConfigError("[run] mode: expected 'monte-carlo' or 'analytic'")
     n_slots = _get(parser, "run", "n_slots", int, 100_000)

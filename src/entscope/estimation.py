@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import LowStatisticsError
 from .eventlog import EventLog, fringe_counts
+from .sky import checked_baselines
 
 MIN_EVENTS_PER_DELTA = 10
 _QUADRATURE_TOL = 1e-6
@@ -155,12 +156,7 @@ def reconstruct_image(vectors, wavelength: float, values, grid_size, pixel_scale
     Unsampled grid points are zero-filled after Hermitian completion
     V(-k) = conj(V(k)).
     """
-    vectors = np.asarray(vectors, dtype=float)
-    if vectors.ndim not in (1, 2) or vectors.ndim == 2 and vectors.shape[1] != 2:
-        raise ValueError(f"baseline vectors must have shape (m,) or (m, 2), "
-                         f"got {vectors.shape}")
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    vectors = checked_baselines(vectors, wavelength)
     m = len(vectors)
     values = np.asarray(values, dtype=complex)
     if values.shape != (m,):

@@ -21,8 +21,8 @@ Logs stream in both directions, so memory does not grow with the slot count.
 ranges).  One block reader parses a file ``READ_BLOCK_CHARS`` at a time and
 runs ``EventLog.validate``'s checks per block; ``EventLog.read_jsonl`` joins
 its blocks, and ``FringeCounter.from_jsonl`` reduces them to per-delay counts
-without building the columns.  ``FringeCounter`` pairs accepted records
-across block edges; ``fringe_counts`` is that counter over one whole log.
+without building the columns.  ``FringeCounter`` pairs accepted records across
+block edges; ``fringe_counts`` and ``pair_counts`` are it over one whole log.
 """
 from __future__ import annotations
 
@@ -352,26 +352,31 @@ class FringeCounter:
 
     Coincidence schemes: per accepted slot, success means both telescopes
     fired the same detector index (correlated outcome).  Direct detection:
-    success means the accepted click landed on detector 1.  Blocks are
-    consecutive runs of one log's records in COLUMNS order; a pair may
-    straddle two blocks.
+    success means the accepted click landed on detector 1.  Given n_telescopes,
+    it counts per telescope pair (i, j), in bin i * n_telescopes + j, for
+    pairs().  Blocks are consecutive runs of one log's records in COLUMNS
+    order; a pair may straddle two blocks.
     """
 
-    def __init__(self, scheme: str, deltas) -> None:
+    def __init__(self, scheme: str, deltas, n_telescopes: int | None = None) -> None:
         self.scheme = scheme
         self.deltas = np.asarray(deltas, dtype=float)
-        self.success = np.zeros(len(self.deltas), dtype=np.int64)
-        self.total = np.zeros(len(self.deltas), dtype=np.int64)
+        self.n_telescopes = n_telescopes
+        bins = len(self.deltas) if n_telescopes is None else n_telescopes * n_telescopes
+        self.success = np.zeros(bins, dtype=np.int64)
+        self.total = np.zeros(bins, dtype=np.int64)
         self.pairing = _Pairing()
 
     def add(self, slot, telescope, detector, accepted, delta_index) -> None:
-        if self.scheme == "direct":
-            di, success = delta_index[accepted], detector[accepted] == 1
+        n = self.n_telescopes
+        if n is None and self.scheme == "direct":
+            key, success = delta_index[accepted], detector[accepted] == 1
         else:
             first, second = self.pairing.add(slot, telescope, detector, accepted, delta_index)
-            di, success = first[3], first[2] == second[2]
-        self.total += np.bincount(di, minlength=len(self.deltas))
-        self.success += np.bincount(di[success], minlength=len(self.deltas))
+            key = first[3] if n is None else np.ravel_multi_index((first[1], second[1]), (n, n))
+            success = first[2] == second[2]
+        self.total += np.bincount(key, minlength=len(self.total))
+        self.success += np.bincount(key[success], minlength=len(self.total))
 
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(deltas, n_success, n_total) aligned with the delay schedule."""
@@ -380,6 +385,13 @@ class FringeCounter:
                              "use pair_counts for telescope arrays")
         self.pairing.check()
         return self.deltas, self.success, self.total
+
+    def pairs(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """{(i, j): (n_correlated, n_total)} over the telescope pairs i < j."""
+        self.pairing.check()
+        n, success, total = self.n_telescopes, self.success.tolist(), self.total.tolist()
+        return {(i, j): (success[i * n + j], total[i * n + j])
+                for i in range(n) for j in range(i + 1, n)}
 
     @classmethod
     def from_jsonl(cls, path) -> "FringeCounter":
@@ -405,15 +417,7 @@ def fringe_counts(log: EventLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def pair_counts(log: EventLog, n_telescopes: int) -> dict[tuple[int, int], tuple[int, int]]:
-    """Telescope-array coincidences: {(i, j): (n_correlated, n_total)}, i < j."""
-    pairing = _Pairing()
-    first, second = pairing.add(*log.columns())
-    pairing.check()
-    ti, tj = first[1], second[1]
-    same = first[2] == second[2]
-    out: dict[tuple[int, int], tuple[int, int]] = {}
-    for i in range(n_telescopes):
-        for j in range(i + 1, n_telescopes):
-            sel = (ti == i) & (tj == j)
-            out[(i, j)] = (int(same[sel].sum()), int(sel.sum()))
-    return out
+    """Telescope-array coincidences {(i, j): (n_correlated, n_total)}, i < j, over the log."""
+    counter = FringeCounter(log.scheme, log.deltas, n_telescopes)
+    counter.add(*log.columns())
+    return counter.pairs()

@@ -10,8 +10,9 @@ channels, and click-pattern detection used as the ground-truth reference by
 the higher-level interferometry and repeater modules.
 
 A joint state's cutoff is the photons its operands carry (`tensor`), a
-click-pattern table puts one `DetectorModel` on every mode, and tensor, loss,
-trace and conditioning rows come from one occupation array (`_basis_rows`).
+click-pattern table puts one `DetectorModel` on every mode, and the one basis
+representation is the occupation array `_basis_array`, where every index map
+(kets, splitters, tensor, loss, trace, conditioning, `pair_rows`) finds its rows.
 
 Beam splitter convention (fixed throughout the package), acting on creation
 operators of the two coupled modes::
@@ -49,33 +50,16 @@ def _check_mode(mode: int, mode_count: int) -> None:
         raise ValueError(f"mode index {mode!r} out of range for {mode_count} modes")
 
 
-def _check_dims(mode_count: int, photon_cutoff: int) -> None:
+@lru_cache(maxsize=64)
+def _basis_array(mode_count: int, photon_cutoff: int) -> np.ndarray:
+    """The basis: every occupation vector with sum <= photon_cutoff, in
+    lexicographic order, as a read-only (dimension, mode_count) integer array."""
     if not 1 <= mode_count <= MAX_MODES:
         raise ValueError(f"mode_count must be in [1, {MAX_MODES}], got {mode_count}")
     if photon_cutoff < 0:
         raise ValueError(f"photon_cutoff must be >= 0, got {photon_cutoff}")
-
-
-@lru_cache(maxsize=None)
-def basis_states(mode_count: int, photon_cutoff: int) -> tuple[Occupation, ...]:
-    """All occupation vectors with sum <= photon_cutoff, in lexicographic order."""
-    _check_dims(mode_count, photon_cutoff)
-    return tuple(
-        occ
-        for occ in itertools.product(range(photon_cutoff + 1), repeat=mode_count)
-        if sum(occ) <= photon_cutoff
-    )
-
-
-@lru_cache(maxsize=None)
-def basis_index(mode_count: int, photon_cutoff: int) -> dict[Occupation, int]:
-    return {occ: i for i, occ in enumerate(basis_states(mode_count, photon_cutoff))}
-
-
-@lru_cache(maxsize=64)
-def _basis_array(mode_count: int, photon_cutoff: int) -> np.ndarray:
-    """basis_states as a read-only (dimension, mode_count) integer array."""
-    occs = np.array(basis_states(mode_count, photon_cutoff), dtype=np.intp)
+    occs = np.array([occ for occ in itertools.product(range(photon_cutoff + 1), repeat=mode_count)
+                     if sum(occ) <= photon_cutoff], dtype=np.intp)
     occs.flags.writeable = False
     return occs
 
@@ -87,8 +71,17 @@ def _basis_rows(mode_count: int, photon_cutoff: int, occs: np.ndarray) -> np.nda
     return np.searchsorted(_basis_array(mode_count, photon_cutoff) @ radix, occs @ radix)
 
 
+@lru_cache(maxsize=None)
+def pair_rows(photon_cutoff: int) -> np.ndarray:
+    """Read-only two-mode basis rows of (0, 0), (0, 1), (1, 0) and, at cutoff >= 2, (1, 1)."""
+    occs = ((0, 0), (0, 1), (1, 0), (1, 1))[:4 if photon_cutoff >= 2 else 3]
+    rows = _basis_rows(2, photon_cutoff, np.array(occs))
+    rows.flags.writeable = False
+    return rows
+
+
 def dimension(mode_count: int, photon_cutoff: int) -> int:
-    return len(basis_states(mode_count, photon_cutoff))
+    return len(_basis_array(mode_count, photon_cutoff))
 
 
 @dataclass(frozen=True)
@@ -149,8 +142,7 @@ class DensityOperator:
     __slots__ = ("mode_count", "photon_cutoff", "matrix")
 
     def __init__(self, mode_count: int, photon_cutoff: int, matrix: np.ndarray) -> None:
-        _check_dims(mode_count, photon_cutoff)
-        dim = dimension(mode_count, photon_cutoff)
+        dim = dimension(mode_count, photon_cutoff)  # raises on a bad basis shape
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match basis size {dim}")
@@ -162,14 +154,13 @@ class DensityOperator:
     def pure(cls, mode_count: int, photon_cutoff: int,
              amplitudes: dict[Occupation, complex]) -> "DensityOperator":
         """The pure state |psi><psi| of a sparse ket occupation -> amplitude."""
-        _check_dims(mode_count, photon_cutoff)
-        index = basis_index(mode_count, photon_cutoff)
-        vec = np.zeros(len(index), dtype=complex)
-        for occ, amp in amplitudes.items():
-            if occ not in index:
+        vec = np.zeros(dimension(mode_count, photon_cutoff), dtype=complex)
+        for occ in amplitudes:
+            if len(occ) != mode_count or min(occ) < 0 or sum(occ) > photon_cutoff:
                 raise ValueError(f"occupation {occ} outside basis "
                                  f"({mode_count} modes, cutoff {photon_cutoff})")
-            vec[index[occ]] = amp
+        occs = np.array(list(amplitudes), dtype=np.intp).reshape(-1, mode_count)
+        vec[_basis_rows(mode_count, photon_cutoff, occs)] = list(amplitudes.values())
         return cls(mode_count, photon_cutoff, np.outer(vec, vec.conjugate()))
 
     @classmethod
@@ -191,9 +182,8 @@ class DensityOperator:
             raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
 
     def diagonal_probabilities(self) -> dict[Occupation, float]:
-        states = basis_states(self.mode_count, self.photon_cutoff)
-        diag = np.real(np.diag(self.matrix))
-        return {occ: float(p) for occ, p in zip(states, diag)}
+        occs = _basis_array(self.mode_count, self.photon_cutoff).tolist()
+        return dict(zip(map(tuple, occs), np.real(np.diag(self.matrix)).tolist()))
 
     def photon_support(self) -> int:
         """Highest total photon number whose basis row or column holds a
@@ -272,17 +262,15 @@ def _bs_output_amplitudes(n_a: int, n_b: int, t: float, phi: float) -> dict[int,
 @lru_cache(maxsize=64)
 def _bs_unitary(mode_count: int, photon_cutoff: int, mode_a: int, mode_b: int,
                 t: float, phi: float) -> np.ndarray:
-    states = basis_states(mode_count, photon_cutoff)
-    index = basis_index(mode_count, photon_cutoff)
-    dim = len(states)
-    u = np.zeros((dim, dim), dtype=complex)
-    for col, occ in enumerate(states):
-        n_a, n_b = occ[mode_a], occ[mode_b]
-        for m_a, amp in _bs_output_amplitudes(n_a, n_b, t, phi).items():
-            new = list(occ)
-            new[mode_a] = m_a
-            new[mode_b] = n_a + n_b - m_a
-            u[index[tuple(new)], col] = amp
+    occs = _basis_array(mode_count, photon_cutoff)
+    cols, m_a, m_b, amps = zip(*[
+        (col, m, n_a + n_b - m, amp)
+        for col, (n_a, n_b) in enumerate(occs[:, [mode_a, mode_b]].tolist())
+        for m, amp in _bs_output_amplitudes(n_a, n_b, t, phi).items()])
+    outputs = occs[list(cols)]
+    outputs[:, mode_a], outputs[:, mode_b] = m_a, m_b
+    u = np.zeros((len(occs),) * 2, dtype=complex)
+    u[_basis_rows(mode_count, photon_cutoff, outputs), cols] = amps
     return u
 
 

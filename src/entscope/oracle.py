@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, basis_index
+from .fock import DensityOperator, pair_rows
 from .repeater import EntangledPairState, entanglement_swap, sscg_distill
 from .schemes import (
     astro_pair_rate,
@@ -238,8 +238,8 @@ def _entry_error(rho: DensityOperator, kept_block: np.ndarray,
     Every other entry must be zero, except the vacuum/one-photon coherences,
     which are not compared.
     """
-    idx = basis_index(2, rho.photon_cutoff)
-    vac, kept = idx[(0, 0)], [idx[(1, 0)], idx[(0, 1)]]
+    vac, i01, i10 = pair_rows(rho.photon_cutoff)[:3]
+    kept = [i10, i01]
     diff = rho.matrix.copy()
     diff[vac, vac] -= vacuum_weight
     diff[np.ix_(kept, kept)] -= kept_block

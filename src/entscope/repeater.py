@@ -28,8 +28,9 @@ from .fock import (
     DensityOperator,
     apply_beam_splitter,
     apply_phase,
-    basis_index,
     condition_on_counts,
+    dimension,
+    pair_rows,
 )
 
 DEFAULT_SPLIT_LOW = 0.15
@@ -115,16 +116,13 @@ class EntangledPairState:
 
     def to_density(self) -> DensityOperator:
         """The pair at cutoff 2, which holds the |11> sector."""
-        idx = basis_index(2, 2)
-        mat = np.zeros((len(idx),) * 2, dtype=complex)
-        mat[idx[(0, 0)], idx[(0, 0)]] = self.vacuum_weight
+        rows = pair_rows(2)
+        mat = np.zeros((dimension(2, 2),) * 2, dtype=complex)
         half = self.one_photon_weight / 2.0
-        mat[idx[(0, 1)], idx[(0, 1)]] = half
-        mat[idx[(1, 0)], idx[(1, 0)]] = half
+        mat[rows, rows] = (self.vacuum_weight, half, half, self.two_photon_weight)
         off = half * self.coherence * np.exp(1j * self.phase)
-        mat[idx[(1, 0)], idx[(0, 1)]] = off
-        mat[idx[(0, 1)], idx[(1, 0)]] = np.conj(off)
-        mat[idx[(1, 1)], idx[(1, 1)]] = self.two_photon_weight
+        mat[rows[2], rows[1]] = off
+        mat[rows[1], rows[2]] = np.conj(off)
         return DensityOperator(2, 2, mat)
 
     @classmethod
@@ -133,21 +131,12 @@ class EntangledPairState:
         """Read a density matrix back into the family; off-form entries must
         be below atol (in particular the one-photon sector must be balanced).
         """
-        idx = basis_index(2, rho.photon_cutoff)
+        rows = pair_rows(rho.photon_cutoff)
         m = rho.matrix
-        w0 = float(m[idx[(0, 0)], idx[(0, 0)]].real)
-        p01 = float(m[idx[(0, 1)], idx[(0, 1)]].real)
-        p10 = float(m[idx[(1, 0)], idx[(1, 0)]].real)
-        w2 = float(m[idx[(1, 1)], idx[(1, 1)]].real) if (1, 1) in idx else 0.0
-        off = complex(m[idx[(1, 0)], idx[(0, 1)]])
-        keep = {(idx[a], idx[b]) for a, b in [
-            ((0, 0), (0, 0)), ((0, 1), (0, 1)), ((1, 0), (1, 0)),
-            ((1, 0), (0, 1)), ((0, 1), (1, 0))]}
-        if (1, 1) in idx:
-            keep.add((idx[(1, 1)], idx[(1, 1)]))
+        w0, p01, p10, w2 = (m[rows, rows].real.tolist() + [0.0])[:4]  # no (1, 1) below cutoff 2
+        off = complex(m[rows[2], rows[1]])
         mask = np.ones_like(m, dtype=bool)
-        for i, j in keep:
-            mask[i, j] = False
+        mask[rows, rows] = mask[rows[2], rows[1]] = mask[rows[1], rows[2]] = False
         stray = float(np.abs(m[mask]).max()) if mask.any() else 0.0
         if stray > atol:
             raise ValueError(f"density matrix is not of pair-family form "
@@ -174,8 +163,7 @@ def pair_family_projection(rho: DensityOperator, atol: float = 1e-9
     family form.  Used when double excitations or asymmetric splitter
     settings push a protocol output outside the exact family.
     """
-    idx = basis_index(2, rho.photon_cutoff)
-    inside = [idx[occ] for occ in ((0, 0), (0, 1), (1, 0), (1, 1)) if occ in idx]
+    inside = pair_rows(rho.photon_cutoff)
     sel = np.ix_(inside, inside)
     kept = np.zeros_like(rho.matrix)
     kept[sel] = rho.matrix[sel]
@@ -183,13 +171,10 @@ def pair_family_projection(rho: DensityOperator, atol: float = 1e-9
     leakage = max(rho.trace() - weight, 0.0)
     if weight <= 1e-15:
         return EntangledPairState(1.0, 0.0, 0.0, 0.0), leakage
-    i01, i10 = idx[(0, 1)], idx[(1, 0)]
-    p01 = float(kept[i01, i01].real)
-    p10 = float(kept[i10, i10].real)
+    one = inside[1:3]  # (0, 1) and (1, 0)
+    p01, p10 = kept[one, one].real.tolist()
     if abs(p01 - p10) > atol:
-        half = (p01 + p10) / 2.0
-        kept[i01, i01] = half
-        kept[i10, i10] = half
+        kept[one, one] = (p01 + p10) / 2.0
         leakage += abs(p01 - p10) / 2.0
         # Rebalancing can strand an off-diagonal above sqrt(p01' p10');
         # from_density clamps the read-back coherence at 1.
@@ -354,11 +339,6 @@ def sscg_distill(a: EntangledPairState, b: EntangledPairState,
     matrix[0, 0] = 0.0
     cond = DensityOperator(2, cond.photon_cutoff, matrix / kept)
     prob *= kept
-    if a.two_photon_weight == 0.0 and b.two_photon_weight == 0.0:
-        try:
-            return ProtocolResult(prob, EntangledPairState.from_density(cond), cond)
-        except ValueError:
-            pass
     pair, leakage = pair_family_projection(cond)
     return ProtocolResult(prob, pair, cond, leakage)
 

@@ -42,7 +42,8 @@ from .fock import (
     apply_phase,
     outcome_distribution,
 )
-from .sky import Baseline, SourceModel, arrival_density_matrix, visibility
+from .sky import (Baseline, SourceModel, arrival_density_matrix, check_visibility,
+                  visibilities, visibility)
 
 SCHEME_KINDS = ("direct", "entangled", "weak_coherent", "w_state", "hbt")
 
@@ -51,13 +52,6 @@ WARN_FAINT_PROB = 0.1
 
 # Slots per deterministic sampling partition (one RNG substream each).
 CHUNK_SLOTS = 1 << 16
-
-
-def _check_visibility(v: complex) -> complex:
-    v = complex(v)
-    if abs(v) > 1.0 + 1e-12:
-        raise ValueError(f"|visibility| must be <= 1, got {abs(v)}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +63,7 @@ def direct_detection_probs(v: complex, delta: float) -> tuple[float, float]:
 
     Port 1 fires with probability [1 + Re(v e^{-i delta})]/2.
     """
-    v = _check_visibility(v)
+    v = check_visibility(v)
     p1 = 0.5 * (1.0 + (v * np.exp(-1j * delta)).real)
     return float(p1), float(1.0 - p1)
 
@@ -88,7 +82,7 @@ def entangled_coincidence_probs(v: complex, delta: float) -> CoincidenceProbs:
     acceptance, the two sites fire matching detectors with probability
     [1 + Re(v e^{-i delta})]/2.
     """
-    v = _check_visibility(v)
+    v = check_visibility(v)
     corr = 0.5 * (1.0 + (v * np.exp(-1j * delta)).real)
     return CoincidenceProbs(acceptance=0.5, correlated=float(corr),
                             anticorrelated=float(1.0 - corr))
@@ -125,7 +119,7 @@ def weak_coherent_stats(p_a: float, p_e: float, v: complex, delta: float) -> Wea
     """
     p_a = _check_faint("p_a", p_a)
     p_e = _check_faint("p_e", p_e)
-    v = _check_visibility(v)
+    v = check_visibility(v)
     fringe = (v * np.exp(-1j * delta)).real
     background = p_e**2 + p_a**2 * (1.0 + v.real) + 2.0 * p_a * p_e
     p_total = p_a * p_e / 2.0 + p_e**2 / 4.0 + p_a**2 * (1.0 + v.real) / 4.0
@@ -148,7 +142,7 @@ def optimal_p_e(p_a: float, v: complex) -> float:
     p_a = float(p_a)
     if not 0.0 < p_a <= MAX_FAINT_PROB:
         raise ValueError(f"p_a must be in (0, {MAX_FAINT_PROB}], got {p_a}")
-    v = _check_visibility(v)
+    v = check_visibility(v)
     return float(min(p_a * math.sqrt(max(1.0 + v.real, 0.0)), MAX_FAINT_PROB))
 
 
@@ -159,7 +153,7 @@ def hbt_coincidence_prob(p_a: float, v: complex) -> float:
     p_a split between the sites.
     """
     p_a = _check_faint("p_a", p_a)
-    v = _check_visibility(v)
+    v = check_visibility(v)
     return float(p_a**2 * (1.0 + v.real) / 4.0)
 
 
@@ -179,7 +173,7 @@ def w_state_probs(n: int, v_ij: complex, delta_i: float, delta_j: float) -> WSta
     """
     if n < 2:
         raise ValueError(f"need at least 2 telescopes, got {n}")
-    v_ij = _check_visibility(v_ij)
+    v_ij = check_visibility(v_ij)
     corr = 0.5 * (1.0 + (v_ij * np.exp(-1j * (delta_i - delta_j))).real)
     return WStateProbs(discard=1.0 / n, correlated=float(corr),
                        anticorrelated=float(1.0 - corr))
@@ -202,8 +196,9 @@ def temporal_overlap_factor(coherence_time: float, jitter_sigma: float,
     if sig < 0.0:
         raise ValueError(f"jitter_sigma must be non-negative, got {sig}")
     width2 = tau * tau + sig * sig
-    if width2 == 0.0:
-        raise ValueError(f"coherence_time^2 + jitter_sigma^2 underflows to 0 at "
+    if not 0.0 < width2 < math.inf:
+        raise ValueError(f"coherence_time^2 + jitter_sigma^2 "
+                         f"{'underflows to 0' if width2 == 0.0 else 'overflows'} at "
                          f"coherence_time {tau!r}, jitter_sigma {sig!r}")
     return float(math.exp(-dt * dt / (2.0 * width2)) * tau / math.sqrt(width2))
 
@@ -237,7 +232,7 @@ def hbt_pair_state(v: complex) -> DensityOperator:
     bosonic pair-production rate (no per-pair renormalization), then
     normalized.  The one-photon-per-site weight is (1 + Re v)/(3 + Re v).
     """
-    v = _check_visibility(v)
+    v = check_visibility(v)
     spread = math.acos(min(abs(v), 1.0))
     phases = [np.angle(v) + spread, np.angle(v) - spread] if abs(v) > 0 else [
         math.pi / 2.0, -math.pi / 2.0]
@@ -517,28 +512,21 @@ def _w_state_outcomes(config: SchemeConfig, vis: dict[tuple[int, int], complex]
     n = config.n_telescopes
     outcomes = [_Outcome(1.0 / (2.0 * n * n), ((i, d),), False)
                 for i in range(n) for d in (1, 2)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v_ij = effective_visibility(config, vis[(i, j)])
-            probs = w_state_probs(n, v_ij, config.w_phases[i], config.w_phases[j])
-            outcomes += _pair_outcomes(i, j, 2.0 / (n * n), probs.correlated,
-                                       probs.anticorrelated)
+    for (i, j), v_ij in vis.items():
+        probs = w_state_probs(n, effective_visibility(config, v_ij),
+                              config.w_phases[i], config.w_phases[j])
+        outcomes += _pair_outcomes(i, j, 2.0 / (n * n), probs.correlated,
+                                   probs.anticorrelated)
     return outcomes
 
 
 def _pairwise_visibilities(source: SourceModel, positions,
                            wavelength: float) -> dict[tuple[int, int], complex]:
-    vis = {}
-    n = len(positions)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.isscalar(positions[i]):
-                vec = float(positions[i]) - float(positions[j])
-            else:
-                vec = tuple(np.asarray(positions[i], dtype=float)
-                            - np.asarray(positions[j], dtype=float))
-            vis[(i, j)] = visibility(source, Baseline(vec, wavelength))
-    return vis
+    """{(i, j): V} over the telescope pairs i < j, baseline positions[i] - positions[j]."""
+    positions = np.asarray(positions, dtype=float)
+    i, j = np.triu_indices(len(positions), 1)
+    vis = visibilities(source, positions[i] - positions[j], wavelength)
+    return dict(zip(zip(i.tolist(), j.tolist()), vis.tolist()))
 
 
 def _outcome_table(per_delta: list[list[_Outcome]]):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, basis_index
+from .fock import DensityOperator, dimension, pair_rows
 
 
 @dataclass(frozen=True)
@@ -30,16 +30,8 @@ class Baseline:
     wavelength: float
 
     def __post_init__(self) -> None:
-        if not self.wavelength > 0:
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if isinstance(self.vector, (tuple, list)):
-            object.__setattr__(self, "vector", tuple(float(v) for v in self.vector))
-            if len(self.vector) != 2:
-                raise ValueError("2-D baseline vector must have two components")
-        else:
-            object.__setattr__(self, "vector", float(self.vector))
-        if not np.isfinite(self.vector).all():
-            raise ValueError(f"baseline vector must be finite, got {self.vector}")
+        v = checked_baselines([self.vector], self.wavelength)[0]
+        object.__setattr__(self, "vector", tuple(v.tolist()) if v.ndim else float(v))
 
 
 def _phases(vectors: np.ndarray, wavelength: float, theta) -> np.ndarray:
@@ -115,19 +107,38 @@ class SourceModel:
         return cls(points=((-separation / 2.0, 1.0), (separation / 2.0, ratio)))
 
 
-def visibilities(source: SourceModel, vectors, wavelength: float) -> np.ndarray:
-    """Normalized complex visibility sum_k I_k e^{i phase_k} / sum_k I_k for
-    each baseline vector: vectors has shape (m,) (1-D) or (m, 2) (2-D).
-
-    Every value is computed with the same float operations whatever m is,
-    so a baseline's visibility does not depend on the others in the call.
-    """
+def checked_baselines(vectors, wavelength: float) -> np.ndarray:
+    """vectors as a float (m,) or (m, 2) array; raises on other shapes, a
+    non-finite vector or a wavelength <= 0."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim not in (1, 2) or vectors.ndim == 2 and vectors.shape[1] != 2:
         raise ValueError(f"baseline vectors must have shape (m,) or (m, 2), "
                          f"got {vectors.shape}")
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if not np.isfinite(vectors).all():  # name the first non-finite vector
+        bad = vectors[np.isfinite(vectors).reshape(len(vectors), -1).all(axis=1).argmin()].tolist()
+        raise ValueError(f"baseline vector must be finite, got "
+                         f"{tuple(bad) if vectors.ndim == 2 else bad}")
+    return vectors
+
+
+def check_visibility(v: complex) -> complex:
+    """v as a complex number, raising unless |v| <= 1 (to 1e-12)."""
+    v = complex(v)
+    if abs(v) > 1.0 + 1e-12:
+        raise ValueError(f"|visibility| must be <= 1, got {abs(v)}")
+    return v
+
+
+def visibilities(source: SourceModel, vectors, wavelength: float) -> np.ndarray:
+    """Normalized complex visibility sum_k I_k e^{i phase_k} / sum_k I_k for
+    each baseline vector: vectors has shape (m,) (1-D) or (m, 2) (2-D).
+
+    Every value is computed with the same float operations whatever m is,
+    so each value has the bits of the one-baseline call `visibility`.
+    """
+    vectors = checked_baselines(vectors, wavelength)
     if (vectors.ndim == 2) != source.two_d:
         dims = "2-D" if source.two_d else "1-D"
         raise ValueError(f"{dims} sources require {dims} baseline vectors")
@@ -160,14 +171,10 @@ def arrival_density_matrix(v: complex) -> DensityOperator:
     Basis (n_left, n_right): diagonal 1/2 on |0,1> and |1,0>, off-diagonal
     <1,0|rho|0,1> = v/2 (and conjugate).  |v| <= 1 required.
     """
-    v = complex(v)
-    if abs(v) > 1.0 + 1e-12:
-        raise ValueError(f"|v| must be <= 1, got {abs(v)}")
-    index = basis_index(2, 2)
-    mat = np.zeros((len(index),) * 2, dtype=complex)
-    i01, i10 = index[(0, 1)], index[(1, 0)]
-    mat[i01, i01] = 0.5
-    mat[i10, i10] = 0.5
+    v = check_visibility(v)
+    _, i01, i10 = pair_rows(2)[:3]
+    mat = np.zeros((dimension(2, 2),) * 2, dtype=complex)
+    mat[i01, i01] = mat[i10, i10] = 0.5
     mat[i10, i01] = v / 2.0
     mat[i01, i10] = v.conjugate() / 2.0
     return DensityOperator(2, 2, mat)

@@ -28,7 +28,7 @@ from entscope.cli import (
     main,
 )
 from entscope.eventlog import EventLog, FringeCounter, fringe_counts, pair_counts
-from entscope.sky import load_pgm
+from entscope.sky import load_pgm, save_pgm
 
 PRESETS = Path(entscope.__file__).parent / "presets"
 
@@ -100,6 +100,50 @@ def test_simulate_scheme_artifacts_match_recorded_sha256(tmp_path, capsys, kind)
     assert digests == [events_sha, summary_sha]
 
 
+# Ideal-detector runs whose tables skip the Fock circuits: a lossless
+# three-telescope array over three sampling chunks, and a complete Bell
+# measurement.  Each is pinned to the bytes of its two artifacts.
+PINNED_IDEAL_SCHEMES = {
+    "w_state": (
+        "[run]\nseed = 11\nn_slots = 150000\nmode = monte-carlo\n"
+        "[scheme]\nkind = w_state\nn_telescopes = 3\nw_phases = 0.0 0.7 1.9\n"
+        "[baseline]\npositions = 0.0 60.0 150.0\nwavelength = 800e-9\n",
+        "847a516cb7c9d915b5b61e32c3eb55d94809063b42150248a6df0dd49ac652dc",
+        "a3411b53a63a2a189ddbce0c438d8abd522f2018aa8ff2fbf7a4e4a469afa030"),
+    "bell_complete": (
+        "[run]\nseed = 11\nn_slots = 30000\nmode = monte-carlo\n"
+        "[scheme]\nkind = entangled\ndeltas = 8\nbell_complete = true\n"
+        "[baseline]\nvector = 100.0\nwavelength = 800e-9\n",
+        "1b24704225b23dad4b379b7d2978d72fd09f537e9608b12c9a94e90231c0d878",
+        "b760b0c5729b28d7c107eb1a09a5c4b4c4e60daed4fb86b9b05f65dbfc68acfb"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_IDEAL_SCHEMES))
+def test_simulate_ideal_scheme_artifacts_match_recorded_sha256(tmp_path, capsys, kind):
+    run, events_sha, summary_sha = PINNED_IDEAL_SCHEMES[kind]
+    config = tmp_path / f"{kind}.ini"
+    config.write_text(run + "[source]\nkind = binary\nseparation = 2.5e-9\nratio = 0.8\n")
+    assert main(["simulate", "--config", str(config),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    digests = [hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+               for name in ("events.jsonl", "summary.csv")]
+    assert digests == [events_sha, summary_sha]
+
+
+def test_estimate_w_state_log_is_input_error(tmp_path, capsys):
+    config = tmp_path / "w_state.ini"
+    config.write_text(PINNED_IDEAL_SCHEMES["w_state"][0].replace("150000", "600")
+                      + "[source]\nkind = point\n")
+    assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    log = tmp_path / "events.jsonl"
+    assert main(["estimate", "--log", str(log), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"input error: cannot fit event log {log}: fringe_counts handles "
+        "two-telescope schemes; use pair_counts for telescope arrays\n")
+
+
 def test_simulate_zero_slots_is_config_error(tmp_path, capsys):
     code = main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "0", "--out-dir", str(tmp_path)])
@@ -137,8 +181,9 @@ def test_simulate_analytic_mode_is_config_error(tmp_path, capsys):
 def test_repeater_nonpositive_n_trials_is_config_error(tmp_path, capsys, n_trials):
     ini = tmp_path / "trials.ini"
     ini.write_text(Path(preset("repeater_demo.ini")).read_text()
-                   .replace("n_trials = 20000", f"n_trials = {n_trials}"))
-    code = main(["repeater", "--config", str(ini), "--monte-carlo",
+                   .replace("n_trials = 20000", f"n_trials = {n_trials}")
+                   .replace("mode = analytic", "mode = monte-carlo"))
+    code = main(["repeater", "--config", str(ini),
                  "--out-dir", str(tmp_path / "run")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -172,18 +217,20 @@ def test_repeater_out_of_range_value_is_config_error(tmp_path, capsys, key, valu
 
 
 def test_repeater_mode_flags_override_the_config(tmp_path, capsys):
-    ini = tmp_path / "small.ini"
-    ini.write_text(Path(preset("repeater_demo.ini")).read_text()
-                   .replace("n_trials = 20000", "n_trials = 50"))
+    """[run] mode picks the repeater mode; the two modes write different rates."""
     rates = {}
-    for flag in ("--analytic", "--monte-carlo"):
-        assert main(["repeater", "--config", str(ini), flag,
-                     "--out-dir", str(tmp_path / flag)]) == 0
-        rates[flag] = (tmp_path / flag / "chain.csv").read_text()
+    for mode in ("analytic", "monte-carlo"):
+        ini = tmp_path / f"{mode}.ini"
+        ini.write_text(Path(preset("repeater_demo.ini")).read_text()
+                       .replace("n_trials = 20000", "n_trials = 50")
+                       .replace("mode = analytic", f"mode = {mode}"))
+        assert main(["repeater", "--config", str(ini),
+                     "--out-dir", str(tmp_path / mode)]) == 0
+        rates[mode] = (tmp_path / mode / "chain.csv").read_text()
     capsys.readouterr()
-    assert rates["--analytic"] != rates["--monte-carlo"]
-    with pytest.raises(SystemExit) as exc:
-        main(["repeater", "--config", str(ini), "--analytic", "--monte-carlo"])
+    assert rates["analytic"] != rates["monte-carlo"]
+    with pytest.raises(SystemExit) as exc:  # no command-line mode switch
+        main(["repeater", "--config", str(ini), "--analytic"])
     assert exc.value.code == EXIT_CONFIG
 
 
@@ -599,6 +646,7 @@ def test_bad_detector_is_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("edits, label", [
     ({"kind = entangled": "kind = w_state\nn_telescopes = 3",
+      "deltas = 8": "# deltas = 8",  # kind=w_state does not use it
       "vector = 100.0 ": "positions = 0 50 100 "}, "kind=w_state"),
     ({"kind = entangled": "kind = entangled\nbell_complete = true"}, "bell_complete"),
 ], ids=["w_state", "bell_complete"])
@@ -643,6 +691,75 @@ def test_reconstruct_non_hermitian_nyquist_is_config_error(tmp_path, capsys):
     ini = _config_with(tmp_path, "reconstruct", "kind = points\npoints = points.txt")
     err = _config_error(capsys, "reconstruct", ini, tmp_path)
     assert err.startswith("config error: [reconstruct] reconstruction not real"), err
+
+
+@pytest.mark.parametrize("source, grid, pixel_scale", [
+    ("kind = binary\nseparation = 2e-9", 9, "1e-11"),
+    ("kind = binary\nseparation = 2e-9", 9, "1e-300"),
+    ("kind = pgm\npgm = field.pgm\npixel_scale = 1e-9", 8, "1e-9"),
+], ids=["points-past-the-edge", "tiny-pixels", "pgm-pixel-past-the-edge"])
+def test_reconstruct_source_outside_the_field_of_view_is_config_error(
+        tmp_path, capsys, source, grid, pixel_scale):
+    """A point or nonzero PGM pixel more than half a pixel beyond the outermost
+    pixel centre would alias into the image, so the run stops instead."""
+    field = np.zeros((16, 16))
+    field[0, 8] = 1.0  # pixel (0, 8) sits at (-8e-9, 0) rad, past the edge at -4.5e-9
+    save_pgm(tmp_path / "field.pgm", field)
+    ini = _config_with(tmp_path, "reconstruct", source)
+    ini.write_text(ini.read_text().replace("grid = 8\npixel_scale = 1e-9",
+                                           f"grid = {grid}\npixel_scale = {pixel_scale}"))
+    err = _config_error(capsys, "reconstruct", ini, tmp_path)
+    assert re.match(r"config error: \[reconstruct\] source at \[?-[0-9.e-]+(, 0\.0\])? rad "
+                    r"lies outside the field of view", err), err
+    assert f"(grid {grid}, pixel_scale {float(pixel_scale):g})" in err
+
+
+# Per kind, a [scheme] body and its [baseline] that simulate runs as they are.
+_KIND_SCHEMES = {
+    "direct": ("kind = direct\ndeltas = 4\n", "vector = 100.0"),
+    "hbt": ("kind = hbt\ndeltas = 4\np_a = 0.1\n", "vector = 100.0"),
+    "entangled": ("kind = entangled\ndeltas = 4\n", "vector = 100.0"),
+    "weak_coherent": ("kind = weak_coherent\ndeltas = 4\np_a = 0.1\np_e = 0.1\n",
+                      "vector = 100.0"),
+    "bell_complete": ("kind = entangled\ndeltas = 4\nbell_complete = true\n",
+                      "vector = 100.0"),
+    "w_state": ("kind = w_state\nn_telescopes = 3\n", "positions = 0, 40, 100"),
+}
+_IGNORED_VALUES = {"p_a": "0.1", "p_e": "0.1", "double_pair_prob": "0.01",
+                   "w_phases": "0 0", "deltas": "4"}
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("direct", "p_e"), ("direct", "double_pair_prob"), ("direct", "w_phases"),
+    ("hbt", "p_e"), ("hbt", "w_phases"),
+    ("entangled", "w_phases"), ("weak_coherent", "w_phases"),
+    ("bell_complete", "p_a"), ("bell_complete", "p_e"),
+    ("bell_complete", "double_pair_prob"), ("bell_complete", "w_phases"),
+    ("w_state", "deltas"), ("w_state", "p_a"), ("w_state", "p_e"),
+    ("w_state", "double_pair_prob"),
+])
+def test_scheme_key_the_kind_does_not_use_is_config_error(tmp_path, capsys, kind, key):
+    """A [scheme] key that leaves the run's bytes as they are is rejected, not
+    silently ignored."""
+    scheme, baseline = _KIND_SCHEMES[kind]
+    ini = tmp_path / "scheme.ini"
+    ini.write_text(f"[run]\nseed = 1\n[scheme]\n{scheme}{key} = {_IGNORED_VALUES[key]}\n"
+                   f"[baseline]\n{baseline}\n")
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    label = "bell_complete" if kind == "bell_complete" else f"kind={kind}"
+    assert err == f"config error: [scheme] {key}: {label} does not use it\n"
+
+
+@pytest.mark.parametrize("jitter", [None, "1e160"], ids=["alone", "with-jitter"])
+def test_overflowing_coherence_time_is_config_error(tmp_path, capsys, jitter):
+    """A coherence time whose square overflows would give an overlap factor of
+    0 and flat fringes; it stops where it enters."""
+    ini = _set_key(tmp_path, "entangled_demo.ini", "scheme", "coherence_time", "1e160")
+    if jitter:
+        ini = _set_key(tmp_path, ini.read_text(), "scheme", "jitter_sigma", jitter)
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err == ("config error: [scheme] coherence_time^2 + jitter_sigma^2 overflows at "
+                   f"coherence_time 1e+160, jitter_sigma {float(jitter or 0.0)!r}\n")
 
 
 _STREAM_SCHEMES = {

@@ -45,8 +45,7 @@ def test_overrides_beat_config_values(tmp_path):
     parser = parse(tmp_path, "[run]\nseed = 1\nout_dir = a\n"
                              "mode = analytic\nn_slots = 5\n")
     assert cfg.run_options(parser) == (1, "a", "analytic", 5)
-    assert cfg.run_options(parser, 7, "b", "monte-carlo") == \
-        (7, "b", "monte-carlo", 5)
+    assert cfg.run_options(parser, 7, "b") == (7, "b", "analytic", 5)
 
 
 def test_threads_key_is_unknown(tmp_path):

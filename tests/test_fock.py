@@ -1,4 +1,5 @@
 """Fock simulator vs the independent matrix-exponential oracle."""
+import itertools
 import math
 from unittest import mock
 
@@ -14,8 +15,6 @@ from entscope.fock import (
     apply_beam_splitter,
     apply_loss,
     apply_phase,
-    basis_index,
-    basis_states,
     condition_on_counts,
     dimension,
     outcome_distribution,
@@ -29,6 +28,18 @@ from entscope.schemes import two_telescope_distribution
 
 T_GRID = [0.0, 0.15, 0.5, 0.85, 1.0]
 PHI_GRID = [0.0, 0.7, math.pi / 2.0, -1.2]
+
+
+def basis_states(mode_count, photon_cutoff):
+    """Reference basis: all occupation vectors with sum <= photon_cutoff, in
+    lexicographic order."""
+    return tuple(occ for occ in itertools.product(range(photon_cutoff + 1), repeat=mode_count)
+                 if sum(occ) <= photon_cutoff)
+
+
+def basis_index(mode_count, photon_cutoff):
+    """Reference lookup: occupation -> its row in basis_states."""
+    return {occ: i for i, occ in enumerate(basis_states(mode_count, photon_cutoff))}
 
 
 def _assert_equals_reference(rho, expected, dim):
