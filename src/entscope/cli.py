@@ -91,15 +91,15 @@ def cmd_simulate(args) -> int:
     if n_slots <= 0:
         raise ConfigError(f"n_slots: must be positive, got {n_slots}")
     out_dir = _ensure_out_dir(out_dir)
-    chunks = simulate_chunks(scheme, source, geometry, n_slots, seed)
+    pieces = simulate_chunks(scheme, source, geometry, n_slots, seed)
     counter = FringeCounter(scheme.kind, scheme.delta_schedule,
                             scheme.n_telescopes if scheme.kind == "w_state" else None)
     log_path = os.path.join(out_dir, "events.jsonl")
     with _writing(log_path), open(log_path, "w", encoding="ascii") as fh:
         writer = JsonlWriter(fh)
-        for chunk in chunks:
-            writer.write(chunk)
-            counter.add(*chunk.columns())
+        for piece in pieces:
+            writer.write(piece)
+            counter.add(*piece.columns())
     if scheme.kind == "w_state":
         rows = [[i, j, c, t] for (i, j), (c, t) in counter.pairs().items()]
         _write_csv(os.path.join(out_dir, "summary.csv"), PAIR_CSV_SCHEMA,

@@ -220,6 +220,9 @@ def build_geometry(parser, scheme: SchemeConfig, source: SourceModel | None = No
         if len(positions) != scheme.n_telescopes:
             raise ConfigError("[baseline] positions: need one position per "
                               "telescope")
+        if not math.isfinite(max(positions) - min(positions)):
+            raise ConfigError(f"[baseline] positions: pairwise differences must be finite, "
+                              f"got {max(positions)!r} - {min(positions)!r}")
         geometry, two_d = (positions, wavelength), False
     else:
         key = "vector"

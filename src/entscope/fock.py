@@ -384,6 +384,44 @@ def condition_on_counts(rho: DensityOperator, counts: dict[int, int]
 _BLOCK_ELEMENTS = 1 << 18
 
 
+@lru_cache(maxsize=64)
+def _outcome_structure(mode_count: int, photon_cutoff: int, detector: DetectorModel,
+                       live: bytes) -> tuple[tuple[np.ndarray, ...], np.ndarray, list]:
+    """What outcome_distribution's table depends on besides the probabilities.
+
+    live is the bool mask of the occupations of positive probability, as
+    bytes.  Returns, per mode, each live occupation's probabilities of the
+    counts any one of them can report; the reached patterns' indices into
+    the flattened product of those counts, in first-reach order; and the
+    patterns themselves in that order.
+    """
+    occs = _basis_array(mode_count, photon_cutoff)[np.frombuffer(live, dtype=bool)]
+    n_occs = len(occs)
+    table = _count_table(detector, photon_cutoff)
+    rows, counts = [], []
+    for photons in occs.T:
+        q = table[photons]
+        reported = np.flatnonzero((q > 0.0).any(axis=0))
+        rows.append(q[:, reported])
+        counts.append(reported)
+    shape = tuple(len(c) for c in counts)
+    first = np.full(math.prod(shape), n_occs)  # first occupation reaching each pattern
+    step = max(1, _BLOCK_ELEMENTS // len(first))
+    for start in range(0, n_occs, step):
+        block = slice(start, start + step)
+        reach = np.ones(len(occs[block]), dtype=bool)
+        for mode, q in enumerate(rows):
+            q = q[block].reshape((len(reach),) + (1,) * mode + (shape[mode],))
+            reach = reach[..., None] & (q > 0.0)
+        reach = reach.reshape(len(reach), -1)
+        first = np.minimum(first, np.where(reach.any(axis=0), start + reach.argmax(axis=0),
+                                           n_occs))
+    order = np.flatnonzero(first < n_occs)
+    order = order[np.argsort(first[order], kind="stable")]
+    keys = np.column_stack([c[i] for c, i in zip(counts, np.unravel_index(order, shape))])
+    return tuple(rows), order, list(map(tuple, keys.tolist()))
+
+
 def outcome_distribution(state: DensityOperator, detector: DetectorModel = IDEAL_DETECTOR
                          ) -> dict[Occupation, float]:
     """Exact probability table over click patterns, the same detector on every mode.
@@ -396,44 +434,27 @@ def outcome_distribution(state: DensityOperator, detector: DetectorModel = IDEAL
     detectors can report as ((p * q_0) * q_1) * ..., and a pattern's value
     adds those terms one by one in the state's occupation order.  Patterns
     are listed in the order the occupations first reach them,
-    lexicographically within one occupation.
+    lexicographically within one occupation.  Which patterns, and in which
+    order, is cached per set of occupations of positive probability.
     """
-    occs = _basis_array(state.mode_count, state.photon_cutoff)
     probs = np.real(np.diag(state.matrix))
     live = ~(probs <= 0.0)  # skips p <= 0 only: a NaN entry shows in the table
-    occs, probs = occs[live], probs[live]
-    n_occs = len(probs)
-    if not n_occs:
+    probs = probs[live]
+    if not len(probs):
         return {}
-    # Per mode, each occupation's probabilities of the counts any one of them can report.
-    table = _count_table(detector, state.photon_cutoff)
-    rows, counts = [], []
-    for photons in occs.T:
-        q = table[photons]
-        reported = np.flatnonzero((q > 0.0).any(axis=0))
-        rows.append(q[:, reported])
-        counts.append(reported)
-    shape = tuple(len(c) for c in counts)
+    rows, order, keys = _outcome_structure(state.mode_count, state.photon_cutoff,
+                                           detector, live.tobytes())
+    shape = tuple(q.shape[1] for q in rows)
     total = np.zeros(math.prod(shape))
-    first = np.full(len(total), n_occs)  # first occupation reaching each pattern
     step = max(1, _BLOCK_ELEMENTS // len(total))
-    for start in range(0, n_occs, step):
+    for start in range(0, len(probs), step):
         block = slice(start, start + step)
         weight = probs[block]
-        reach = np.ones(len(weight), dtype=bool)
         for mode, q in enumerate(rows):
-            q = q[block].reshape((len(weight),) + (1,) * mode + (shape[mode],))
-            weight = weight[..., None] * q
-            reach = reach[..., None] & (q > 0.0)
-        weight = weight.reshape(len(weight), -1)
-        reach = reach.reshape(len(reach), -1)
-        total = np.cumsum(np.vstack((total, weight)), axis=0)[-1]
-        first = np.minimum(first, np.where(reach.any(axis=0), start + reach.argmax(axis=0),
-                                           n_occs))
-    order = np.flatnonzero(first < n_occs)
-    order = order[np.argsort(first[order], kind="stable")]
-    keys = np.column_stack([c[i] for c, i in zip(counts, np.unravel_index(order, shape))])
-    return dict(zip(map(tuple, keys.tolist()), total[order]))
+            weight = weight[..., None] * q[block].reshape(
+                (len(weight),) + (1,) * mode + (shape[mode],))
+        total = np.cumsum(np.vstack((total, weight.reshape(len(weight), -1))), axis=0)[-1]
+    return dict(zip(keys, total[order]))
 
 
 def post_select(distribution: dict[Occupation, float], predicate

@@ -10,7 +10,7 @@ Covers four ways of turning starlight into fringe data:
 * intensity correlation (photon bunching across the two sites).
 
 Each scheme has closed-form per-slot probabilities plus a Monte Carlo
-(`simulate_chunks`, joined by `simulate_run`) that samples the exact
+(`simulate_chunks`, whose pieces `simulate_run` joins) that samples the exact
 click-pattern distribution of the corresponding few-mode circuit, so
 analytic and sampled statistics agree by construction and both can be
 checked against the Fock simulator.
@@ -52,6 +52,8 @@ WARN_FAINT_PROB = 0.1
 
 # Slots per deterministic sampling partition (one RNG substream each).
 CHUNK_SLOTS = 1 << 16
+# Slots per EventLog piece simulate_chunks yields; bounds its memory, changes no draw.
+PIECE_SLOTS = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -554,17 +556,21 @@ def _outcome_table(per_delta: list[list[_Outcome]]):
 
 def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
                     n_slots: int, seed: int) -> Iterator[EventLog]:
-    """Monte Carlo event log for a measurement run, one chunk at a time.
+    """Monte Carlo event log for a measurement run, one piece at a time.
 
     geometry: a Baseline for the two-telescope schemes, or a sequence of
     telescope positions (same units as baseline vectors) plus a wavelength
     via a (positions, wavelength) tuple for the telescope-array scheme.
-    Slots cycle through the delay schedule round-robin.  Sampling is
-    partitioned into chunks of CHUNK_SLOTS slots with one RNG substream per
-    chunk derived from (seed, chunk index), so a run depends only on its
-    seed.  The outcome table is built, and bad input raises, before this
-    returns; each chunk is then sampled when it is asked for and comes as an
-    EventLog of the run's fields holding its slot range's records.
+    Slots cycle through the delay schedule round-robin.  CHUNK_SLOTS is only
+    the RNG partition: each chunk of that many slots draws its outcome ids
+    from one RNG substream derived from (seed, chunk index), so a run
+    depends only on its seed.  PIECE_SLOTS bounds the memory: only a
+    chunk's outcome ids, one small integer per slot, live at chunk scope;
+    its uniforms are drawn, and its ids expanded into records, at most
+    PIECE_SLOTS slots at a time, and each such slot range is yielded as an
+    EventLog of the run's fields.  The outcome table is built, and bad
+    input raises, before this returns; each chunk is then sampled when its
+    first piece is asked for.
     """
     if n_slots <= 0:
         raise ValueError(f"n_slots must be positive, got {n_slots}")
@@ -583,19 +589,24 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
         outcomes = _direct_outcomes if config.kind == "direct" else _two_telescope_outcomes
         per_delta = outcomes(config, v, schedule)
     cdfs, first_ids, n_records, first_record, columns = _outcome_table(per_delta)
-    n_deltas, step = len(schedule), CHUNK_SLOTS
+    n_deltas, step, piece_step = len(schedule), CHUNK_SLOTS, PIECE_SLOTS
 
-    def sample(chunk_idx: int, start: int) -> EventLog:
-        chunk = np.arange(start, min(start + step, n_slots), dtype=np.int64)
+    def draw(chunk_idx: int, start: int) -> np.ndarray:
+        # One outcome id per slot, in the smallest dtype that holds every id:
+        # each delta draws one uniform per slot of its residue class, in delta
+        # order.  The uniforms of one delta are drawn at most a piece at a
+        # time; consecutive draws continue one stream, so the ids are the same.
         rng = rngmod.stream(seed, chunk_idx)
-        # One outcome id per slot: each delta draws one uniform per slot of
-        # its residue class, in delta order.
-        ids = np.empty(len(chunk), dtype=np.int64)
+        ids = np.empty(min(step, n_slots - start), dtype=np.min_scalar_type(len(n_records)))
         for delta_idx in range(n_deltas):
             block = ids[(delta_idx - start) % n_deltas::n_deltas]
-            if len(block):
-                block[:] = first_ids[delta_idx] + np.searchsorted(
-                    cdfs[delta_idx], rng.random(len(block)), side="right")
+            for lo in range(0, len(block), piece_step):
+                part = block[lo:lo + piece_step]
+                part[:] = first_ids[delta_idx] + np.searchsorted(
+                    cdfs[delta_idx], rng.random(len(part)), side="right")
+        return ids
+
+    def expand(ids: np.ndarray, start: int) -> EventLog:
         # Expand each slot into its outcome's run of records.  Slots ascend
         # and every outcome lists its records in (telescope, detector) order,
         # so the log comes out canonical without a sort.
@@ -604,19 +615,25 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
         record = np.repeat(first_record[ids] - (ends - counts), counts)
         record += np.arange(len(record))
         tel, det, acc, delta_index = (column[record] for column in columns)
+        slot = np.repeat(np.arange(start, start + len(ids), dtype=np.int64), counts)
         return EventLog(scheme=config.kind, n_slots=n_slots, deltas=schedule,
                         meta={"seed": int(seed), "kind": config.kind},
-                        slot=np.repeat(chunk, counts), telescope=tel, detector=det,
+                        slot=slot, telescope=tel, detector=det,
                         accepted=acc, delta_index=delta_index)
 
-    return (sample(chunk_idx, start)
-            for chunk_idx, start in enumerate(range(0, n_slots, step)))
+    def pieces() -> Iterator[EventLog]:
+        for chunk_idx, start in enumerate(range(0, n_slots, step)):
+            ids = draw(chunk_idx, start)
+            for lo in range(0, len(ids), piece_step):
+                yield expand(ids[lo:lo + piece_step], start + lo)
+
+    return pieces()
 
 
 def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
                  n_slots: int, seed: int) -> EventLog:
     """The whole event log of simulate_chunks(config, source, geometry,
-    n_slots, seed), its chunks joined in slot order."""
-    chunks = list(simulate_chunks(config, source, geometry, n_slots, seed))
-    joined = (np.concatenate(c) for c in zip(*(chunk.columns() for chunk in chunks)))
-    return replace(chunks[0], **dict(zip(COLUMNS, joined)))
+    n_slots, seed), its pieces joined in slot order."""
+    pieces = list(simulate_chunks(config, source, geometry, n_slots, seed))
+    joined = (np.concatenate(c) for c in zip(*(piece.columns() for piece in pieces)))
+    return replace(pieces[0], **dict(zip(COLUMNS, joined)))

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against the bundled presets."""
 import configparser
+import gc
 import hashlib
 import math
 import re
@@ -418,6 +419,8 @@ _W_STATE_INI = ("[run]\nseed = 5\n[scheme]\nkind = w_state\nn_telescopes = 3\n"
     ("simulate", "entangled_demo.ini", "scheme", "arrival_offset", "nan", None),
     ("simulate", "entangled_demo.ini", "baseline", "vector", "nan", None),
     ("simulate", _W_STATE_INI, "scheme", "w_phases", "0 nan 0", None),
+    ("simulate", _W_STATE_INI, "baseline", "positions", "1e308, -1e308, 0",
+     "[baseline] positions: pairwise differences must be finite, got 1e+308 - -1e+308"),
     ("sensitivity", "chara_like.ini", "sensitivity", "wavelength", "nan", None),
     ("sensitivity", "chara_like.ini", "sensitivity", "dark_counts_per_s", "nan", None),
 ])
@@ -786,21 +789,24 @@ def _stream_ini(path: Path, kind: str, n: int) -> Path:
 def _stream_runs(draw):
     kind = draw(st.sampled_from(sorted(_STREAM_SCHEMES)))
     chunk = draw(st.sampled_from([1, 7, 64, schemes.CHUNK_SLOTS]))
-    return (kind, draw(st.integers(2, 5)), chunk,
+    piece = draw(st.sampled_from([1, 7, schemes.PIECE_SLOTS]))
+    return (kind, draw(st.integers(2, 5)), chunk, piece,
             draw(st.integers(1, min(60 * chunk, 3000))))
 
 
 @settings(max_examples=40, deadline=None)
-@given(run=_stream_runs(), write_block=st.sampled_from([1, 7, 1 << 14]),
+@given(run=_stream_runs(), write_block=st.sampled_from([1, 7, eventlog.WRITE_BLOCK_RECORDS]),
        read_block=st.sampled_from([40, 1000, 1 << 20]), seed=st.integers(0, 2**63 - 1))
 def test_streamed_simulate_equals_the_whole_log(tmp_path_factory, run, write_block,
                                                 read_block, seed):
-    """simulate writes and counts chunk by chunk; estimate counts read block
-    by block.  Both equal the whole-log path at any chunk and block size."""
-    kind, n, chunk, n_slots = run
+    """simulate writes and counts piece by piece; estimate counts read block
+    by block.  Both equal the whole-log path at any chunk, piece and block
+    size."""
+    kind, n, chunk, piece, n_slots = run
     tmp = tmp_path_factory.mktemp("stream")
     ini = _stream_ini(tmp / "run.ini", kind, n)
     with mock.patch.object(schemes, "CHUNK_SLOTS", chunk), \
+            mock.patch.object(schemes, "PIECE_SLOTS", piece), \
             mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", write_block), \
             mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
         assert main(["simulate", "--config", str(ini), "--n-slots", str(n_slots),
@@ -831,6 +837,23 @@ def _traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_simulate_memory_is_set_by_the_piece_not_the_chunk(tmp_path, capsys):
+    """At the default CHUNK_SLOTS a chunk's draws span many pieces; simulate's
+    traced peak stays within 1.5x of its peak when each chunk is one piece,
+    at the same slot count, so a piece, not an RNG chunk, sets the memory."""
+    args = ["simulate", "--config", preset("entangled_demo.ini"),
+            "--out-dir", str(tmp_path / "run")]
+    n_slots, peaks = str(2 * schemes.CHUNK_SLOTS), {}
+    # Fill the outcome-table caches and import numpy.random first.
+    assert main([*args, "--n-slots", "2000"]) == 0
+    for chunk in (schemes.CHUNK_SLOTS, schemes.PIECE_SLOTS):
+        with mock.patch.object(schemes, "CHUNK_SLOTS", chunk):
+            gc.collect()
+            peaks[chunk] = _traced_peak(lambda: main([*args, "--n-slots", n_slots]))
+    capsys.readouterr()
+    assert peaks[schemes.CHUNK_SLOTS] < 1.5 * peaks[schemes.PIECE_SLOTS], peaks
 
 
 def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path, capsys):

@@ -490,9 +490,10 @@ def _runs(draw):
 
 @st.composite
 def _chunkings(draw):
-    """(CHUNK_SLOTS, n_slots) with at most ~60 chunks."""
+    """(CHUNK_SLOTS, PIECE_SLOTS, n_slots) with at most ~60 chunks."""
     chunk = draw(st.sampled_from([1, 7, 64, schemes.CHUNK_SLOTS]))
-    return chunk, draw(st.integers(1, min(60 * chunk, 3000)))
+    piece = draw(st.sampled_from([1, 7, schemes.PIECE_SLOTS]))
+    return chunk, piece, draw(st.integers(1, min(60 * chunk, 3000)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -501,11 +502,13 @@ def test_simulate_run_matches_per_outcome_sampler(run, chunking, seed):
     """Same columns as the column sampler for every kind, lossy, noisy and
     photon-number-resolving detectors, Bell-complete detection, pair
     background, up to 32 telescopes, any slot count against the delta count
-    (fewer slots than deltas included) and chunk sizes down to one slot."""
+    (fewer slots than deltas included) and chunk and piece sizes down to one
+    slot."""
     config, geometry = run
-    chunk, n_slots = chunking
+    chunk, piece, n_slots = chunking
     source = SourceModel.binary(2.0e-9, 0.7)
-    with mock.patch.object(schemes, "CHUNK_SLOTS", chunk):
+    with mock.patch.object(schemes, "CHUNK_SLOTS", chunk), \
+            mock.patch.object(schemes, "PIECE_SLOTS", piece):
         try:
             expected = _reference_simulate_run(config, source, geometry, n_slots, seed)
         except ConfigError:
