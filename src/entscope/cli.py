@@ -91,15 +91,15 @@ def cmd_simulate(args) -> int:
     if n_slots <= 0:
         raise ConfigError(f"n_slots: must be positive, got {n_slots}")
     out_dir = _ensure_out_dir(out_dir)
-    pieces = simulate_chunks(scheme, source, geometry, n_slots, seed)
+    fields, blocks = simulate_chunks(scheme, source, geometry, n_slots, seed)
     counter = FringeCounter(scheme.kind, scheme.delta_schedule,
                             scheme.n_telescopes if scheme.kind == "w_state" else None)
     log_path = os.path.join(out_dir, "events.jsonl")
     with _writing(log_path), open(log_path, "w", encoding="ascii") as fh:
-        writer = JsonlWriter(fh)
-        for piece in pieces:
-            writer.write(piece)
-            counter.add(*piece.columns())
+        writer = JsonlWriter(fh, **fields)
+        for block in blocks:
+            writer.write(*block)
+            counter.add(*block)
     if scheme.kind == "w_state":
         rows = [[i, j, c, t] for (i, j), (c, t) in counter.pairs().items()]
         _write_csv(os.path.join(out_dir, "summary.csv"), PAIR_CSV_SCHEMA,
@@ -217,7 +217,10 @@ def cmd_reconstruct(args) -> int:
     vectors = axis
     if source.two_d:
         vectors = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    values = visibilities(source, vectors, wavelength)
+    try:
+        values = visibilities(source, vectors, wavelength)
+    except ValueError as exc:  # a phase overflows
+        raise ConfigError(f"[baseline] wavelength: {exc}") from exc
     try:
         image = reconstruct_image(vectors, wavelength, values, grid,
                                   pixel_scale).reshape(-1, grid)

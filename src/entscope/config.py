@@ -27,7 +27,7 @@ from .fock import DetectorModel
 from .repeater import ChainPolicy, LinkModel, figure_of_merit
 from .schemes import SchemeConfig
 from .sensitivity import SensitivityBudget
-from .sky import Baseline, SourceModel, load_pgm, load_point_sources
+from .sky import Baseline, SourceModel, load_pgm, load_point_sources, visibilities
 
 
 def _names(*classes) -> set[str]:
@@ -210,7 +210,7 @@ def _wavelength(parser) -> float:
 def build_geometry(parser, scheme: SchemeConfig, source: SourceModel | None = None):
     """Baseline for two-telescope schemes, (positions, wavelength) for
     telescope arrays.  With a source, its 1-D or 2-D angles must match the
-    baselines' dimension."""
+    baselines' dimension, and its visibilities on them must be finite."""
     if not parser.has_section("baseline"):
         raise ConfigError("missing [baseline] section")
     wavelength = _wavelength(parser)
@@ -224,6 +224,7 @@ def build_geometry(parser, scheme: SchemeConfig, source: SourceModel | None = No
             raise ConfigError(f"[baseline] positions: pairwise differences must be finite, "
                               f"got {max(positions)!r} - {min(positions)!r}")
         geometry, two_d = (positions, wavelength), False
+        vectors = [a - b for a in positions for b in positions]
     else:
         key = "vector"
         vector = _get(parser, "baseline", key, _float_list, required=True)
@@ -231,9 +232,12 @@ def build_geometry(parser, scheme: SchemeConfig, source: SourceModel | None = No
             raise ConfigError("[baseline] vector: expected one or two components")
         two_d = len(vector) == 2
         geometry = Baseline(tuple(vector) if two_d else vector[0], wavelength)
-    if source is not None and source.two_d != two_d:
-        dims = "2-D" if source.two_d else "1-D"
-        raise ConfigError(f"[baseline] {key}: a {dims} source needs {dims} baselines")
+        vectors = [geometry.vector]
+    if source is not None:
+        if source.two_d != two_d:
+            dims = "2-D" if source.two_d else "1-D"
+            raise ConfigError(f"[baseline] {key}: a {dims} source needs {dims} baselines")
+        _build("baseline", visibilities, source, vectors, wavelength)
     return geometry
 
 
@@ -290,7 +294,14 @@ def build_reconstruct(parser) -> tuple[int, float, float]:
                        required=True)
     if pixel_scale <= 0:
         raise ConfigError("[reconstruct] pixel_scale: must be positive")
-    return grid, pixel_scale, _wavelength(parser)
+    wavelength = _wavelength(parser)
+    # Imaging baselines reach grid // 2 * wavelength / (grid * pixel_scale),
+    # and their grid indices are those times grid * pixel_scale / wavelength.
+    if not math.isfinite(grid * wavelength / pixel_scale):
+        raise ConfigError(f"[baseline] wavelength: grid * wavelength / pixel_scale overflows "
+                          f"at wavelength {wavelength!r}, grid {grid}, "
+                          f"pixel_scale {pixel_scale!r}")
+    return grid, pixel_scale, wavelength
 
 
 def out_dir(parser, override=None, default="out"):

@@ -17,12 +17,12 @@ another key order), goes through the reference parser, one ``json.loads``
 per line.
 
 Logs stream in both directions, so memory does not grow with the slot count.
-``JsonlWriter`` appends a log given as consecutive chunks (the sampler's slot
-ranges).  One block reader parses a file ``READ_BLOCK_CHARS`` at a time and
-runs ``EventLog.validate``'s checks per block; ``EventLog.read_jsonl`` joins
-its blocks, and ``FringeCounter.from_jsonl`` reduces them to per-delay counts
-without building the columns.  ``FringeCounter`` pairs accepted records across
-block edges; ``fringe_counts`` and ``pair_counts`` are it over one whole log.
+A streamed log is its fields (scheme, n_slots, deltas, meta) once, then blocks
+of records, each a tuple of arrays in ``COLUMNS`` order.  ``JsonlWriter`` writes
+the header when made and each block after it; one block reader parses a file
+``READ_BLOCK_CHARS`` at a time, running ``EventLog.validate``'s checks per block.
+``EventLog.joined`` makes one log of fields and blocks; ``FringeCounter`` counts
+blocks, pairing accepted records across their edges, over a log or a stream.
 """
 from __future__ import annotations
 
@@ -85,24 +85,25 @@ class EventLog:
 
     def write_jsonl(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
-            JsonlWriter(fh).write(self)
+            JsonlWriter(fh, self.scheme, self.n_slots, self.deltas, self.meta).write(
+                *self.columns())
 
     @classmethod
     def read_jsonl(cls, path) -> "EventLog":
         with open(path, "r", encoding="ascii") as fh:
             reader = _BlockReader(fh, path)
-            # Typed empty columns first, so a log may hold no records.
-            blocks = [_line_columns((), {}), *reader.blocks()]
-        columns = (np.concatenate(c) for c in zip(*blocks))
-        return cls(**reader.fields(), **dict(zip(COLUMNS, columns)))
+            blocks = list(reader.blocks())
+        return cls.joined(reader.fields(), blocks)
+
+    @classmethod
+    def joined(cls, fields: dict, blocks) -> "EventLog":
+        """The log of fields with the blocks' records, in order; there may be no blocks."""
+        columns = (np.concatenate(c) for c in zip(_line_columns((), {}), *blocks))
+        return cls(**fields, **dict(zip(COLUMNS, columns)))
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _fields(log: EventLog) -> str:
-    return _dumps([log.scheme, log.n_slots, list(log.deltas)])
 
 
 def _prefixes(deltas) -> list[str]:
@@ -114,42 +115,30 @@ def _prefixes(deltas) -> list[str]:
 
 
 class JsonlWriter:
-    """Writes one event log, given as consecutive chunks, to an open text file.
+    """Writes one event log to an open text file: the header line of its
+    fields when made, then the record lines of each block given to write().
 
-    The first chunk's fields make the header line; a later chunk whose
-    scheme, n_slots or delta bits differ raises ValueError.  Every record
-    line starts with its row of _prefixes(deltas); each block of up to
-    WRITE_BLOCK_RECORDS lines is formatted by one % over the block's
+    Every record line starts with its row of _prefixes(deltas); each run of
+    up to WRITE_BLOCK_RECORDS lines is formatted by one % over the run's
     interleaved (prefix, slot, tel) values and written at once.
     """
 
-    def __init__(self, fh) -> None:
-        self.fh = fh
-        self.key: tuple | None = None  # (scheme, n_slots, delta bits) of the first chunk
-        self.fields = ""  # the same as JSON, for the error message
-        self.prefixes = np.array([], dtype=object)
+    def __init__(self, fh, scheme: str, n_slots: int, deltas, meta: dict) -> None:
+        fh.write(_dumps({"schema": SCHEMA, "scheme": scheme, "n_slots": n_slots,
+                         "deltas": list(deltas), "meta": meta}) + "\n")
+        self.fh, self.n_deltas = fh, len(deltas)
+        self.prefixes = np.array(_prefixes(deltas), dtype=object)
 
-    def write(self, log: EventLog) -> None:
-        # The deltas' bits, so that 0.0 and -0.0 differ.
-        key = (log.scheme, log.n_slots, np.asarray(log.deltas, dtype=float).tobytes())
-        if self.key is None:
-            self.fh.write(_dumps({"schema": SCHEMA, "scheme": log.scheme,
-                                  "n_slots": log.n_slots, "deltas": list(log.deltas),
-                                  "meta": log.meta}) + "\n")
-            self.key, self.fields = key, _fields(log)
-            self.prefixes = np.array(_prefixes(log.deltas), dtype=object)
-        elif key != self.key:
-            raise ValueError(f"chunk [scheme, n_slots, deltas] {_fields(log)} differs "
-                             f"from the first chunk's {self.fields}")
-        rows = self.prefixes[(log.accepted * len(log.deltas) + log.delta_index) * 2
-                             + log.detector - 1]
-        for start in range(0, len(log), WRITE_BLOCK_RECORDS):
+    def write(self, slot, telescope, detector, accepted, delta_index) -> None:
+        """Append one block of records, given as COLUMNS-ordered arrays."""
+        rows = self.prefixes[(accepted * self.n_deltas + delta_index) * 2 + detector - 1]
+        for start in range(0, len(slot), WRITE_BLOCK_RECORDS):
             block = slice(start, start + WRITE_BLOCK_RECORDS)
-            slots = log.slot[block].tolist()
+            slots = slot[block].tolist()
             args = [None] * (3 * len(slots))
             args[0::3] = rows[block].tolist()
             args[1::3] = slots
-            args[2::3] = log.telescope[block].tolist()
+            args[2::3] = telescope[block].tolist()
             self.fh.write(('%s%d,"tel":%d}\n' * len(slots)) % tuple(args))
 
 
@@ -208,15 +197,24 @@ def _decimal(windows, stop, count) -> np.ndarray | None:
     return value
 
 
+def _typed(obj: dict, key: str, kind: type):
+    """obj[key] if it is a JSON boolean (kind bool) or a JSON integer within
+    int64 (kind int; a boolean is none); else ValueError naming the key."""
+    value = obj[key]
+    if type(value) is not kind or kind is int and not -(1 << 63) <= value < 1 << 63:
+        what = "an integer within int64" if kind is int else "a boolean"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
 def _line_columns(lines, lookup: dict) -> tuple[np.ndarray, ...]:
-    """Record columns from one json.loads per line, the reference parser."""
+    """Record columns from one json.loads per line, the reference parser:
+    slot, tel and det must be JSON integers and acc a JSON boolean."""
     cols: tuple[list, ...] = ([], [], [], [], [])
     for line in lines:
         rec = json.loads(line)
-        cols[0].append(rec["slot"])
-        cols[1].append(rec["tel"])
-        cols[2].append(rec["det"])
-        cols[3].append(rec["acc"])
+        for col, key in zip(cols, ("slot", "tel", "det", "acc")):
+            col.append(_typed(rec, key, bool if key == "acc" else int))
         cols[4].append(lookup[rec["delta"]])
     return tuple(np.array(c, dtype=bool if k == 3 else np.int64) for k, c in enumerate(cols))
 
@@ -318,7 +316,7 @@ class _BlockReader:
     def fields(self) -> dict:
         """The EventLog fields other than the columns; call after blocks()."""
         header = self.header
-        fields = dict(scheme=header["scheme"], n_slots=int(header["n_slots"]),
+        fields = dict(scheme=header["scheme"], n_slots=_typed(header, "n_slots", int),
                       deltas=self.deltas, meta=header.get("meta", {}))
         self.checks.raise_first(fields["n_slots"], len(self.deltas))
         return fields

@@ -64,6 +64,11 @@ class LinkModel:
                               f"got {self.extra_transmission}")
         if self.phase_noise_sigma < 0:
             raise ConfigError("phase_noise_sigma must be >= 0")
+        try:  # heralded_pair_state dephases by exp(-sigma ** 2 / 2)
+            self.phase_noise_sigma ** 2
+        except OverflowError:
+            raise ConfigError(f"phase_noise_sigma: sigma ** 2 overflows, "
+                              f"got {self.phase_noise_sigma!r}") from None
         if not self.transmission() > 0.0:  # 10^(-0.2 * 1e5 / 10) underflows
             raise ConfigError(f"transmission must be positive, got {self.transmission()} "
                               f"at length_km {self.length_km}")

@@ -10,9 +10,9 @@ Covers four ways of turning starlight into fringe data:
 * intensity correlation (photon bunching across the two sites).
 
 Each scheme has closed-form per-slot probabilities plus a Monte Carlo
-(`simulate_chunks`, whose pieces `simulate_run` joins) that samples the exact
-click-pattern distribution of the corresponding few-mode circuit, so
-analytic and sampled statistics agree by construction and both can be
+(`simulate_chunks`, whose record blocks `simulate_run` joins) that samples
+the exact click-pattern distribution of the corresponding few-mode circuit,
+so analytic and sampled statistics agree by construction and both can be
 checked against the Fock simulator.
 
 Per-slot event model for faint sources: time is discretized into coherence
@@ -27,13 +27,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError
-from .eventlog import COLUMNS, EventLog
+from .eventlog import EventLog
 from .fock import (
     DensityOperator,
     DetectorModel,
@@ -52,7 +52,7 @@ WARN_FAINT_PROB = 0.1
 
 # Slots per deterministic sampling partition (one RNG substream each).
 CHUNK_SLOTS = 1 << 16
-# Slots per EventLog piece simulate_chunks yields; bounds its memory, changes no draw.
+# Slots per record block simulate_chunks yields; bounds its memory, changes no draw.
 PIECE_SLOTS = 1 << 12
 
 
@@ -555,8 +555,8 @@ def _outcome_table(per_delta: list[list[_Outcome]]):
 
 
 def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
-                    n_slots: int, seed: int) -> Iterator[EventLog]:
-    """Monte Carlo event log for a measurement run, one piece at a time.
+                    n_slots: int, seed: int) -> tuple[dict, Iterator[tuple[np.ndarray, ...]]]:
+    """Monte Carlo event log for a measurement run, as (fields, blocks).
 
     geometry: a Baseline for the two-telescope schemes, or a sequence of
     telescope positions (same units as baseline vectors) plus a wavelength
@@ -567,10 +567,11 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
     depends only on its seed.  PIECE_SLOTS bounds the memory: only a
     chunk's outcome ids, one small integer per slot, live at chunk scope;
     its uniforms are drawn, and its ids expanded into records, at most
-    PIECE_SLOTS slots at a time, and each such slot range is yielded as an
-    EventLog of the run's fields.  The outcome table is built, and bad
-    input raises, before this returns; each chunk is then sampled when its
-    first piece is asked for.
+    PIECE_SLOTS slots at a time, and each such slot range's records are one
+    block of COLUMNS-ordered arrays.  fields are the log's scheme, n_slots,
+    deltas and meta.  The outcome table is built, and bad input raises,
+    before this returns; each chunk is then sampled when its first block is
+    asked for.
     """
     if n_slots <= 0:
         raise ValueError(f"n_slots must be positive, got {n_slots}")
@@ -606,7 +607,7 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
                     cdfs[delta_idx], rng.random(len(part)), side="right")
         return ids
 
-    def expand(ids: np.ndarray, start: int) -> EventLog:
+    def expand(ids: np.ndarray, start: int) -> tuple[np.ndarray, ...]:
         # Expand each slot into its outcome's run of records.  Slots ascend
         # and every outcome lists its records in (telescope, detector) order,
         # so the log comes out canonical without a sort.
@@ -614,26 +615,21 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
         ends = np.cumsum(counts)
         record = np.repeat(first_record[ids] - (ends - counts), counts)
         record += np.arange(len(record))
-        tel, det, acc, delta_index = (column[record] for column in columns)
         slot = np.repeat(np.arange(start, start + len(ids), dtype=np.int64), counts)
-        return EventLog(scheme=config.kind, n_slots=n_slots, deltas=schedule,
-                        meta={"seed": int(seed), "kind": config.kind},
-                        slot=slot, telescope=tel, detector=det,
-                        accepted=acc, delta_index=delta_index)
+        return (slot, *(column[record] for column in columns))
 
-    def pieces() -> Iterator[EventLog]:
+    def blocks() -> Iterator[tuple[np.ndarray, ...]]:
         for chunk_idx, start in enumerate(range(0, n_slots, step)):
             ids = draw(chunk_idx, start)
             for lo in range(0, len(ids), piece_step):
                 yield expand(ids[lo:lo + piece_step], start + lo)
 
-    return pieces()
+    return dict(scheme=config.kind, n_slots=n_slots, deltas=schedule,
+                meta={"seed": int(seed), "kind": config.kind}), blocks()
 
 
 def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
                  n_slots: int, seed: int) -> EventLog:
     """The whole event log of simulate_chunks(config, source, geometry,
-    n_slots, seed), its pieces joined in slot order."""
-    pieces = list(simulate_chunks(config, source, geometry, n_slots, seed))
-    joined = (np.concatenate(c) for c in zip(*(piece.columns() for piece in pieces)))
-    return replace(pieces[0], **dict(zip(COLUMNS, joined)))
+    n_slots, seed), its blocks joined in slot order."""
+    return EventLog.joined(*simulate_chunks(config, source, geometry, n_slots, seed))

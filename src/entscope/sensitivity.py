@@ -107,6 +107,13 @@ class SensitivityBudget:
             raise ConfigError("min_events must be at least 1")
         if self.n_channels < 1:
             raise ConfigError("n_channels must be at least 1")
+        try:
+            finite_area = math.isfinite(self.aperture_area)
+        except OverflowError:  # in aperture_diameter ** 2
+            finite_area = False
+        if not finite_area:
+            raise ConfigError(f"aperture_diameter: the area pi * d ** 2 / 4 is not finite, "
+                              f"got {self.aperture_diameter!r}")
 
     @property
     def aperture_area(self) -> float:

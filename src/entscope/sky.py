@@ -124,9 +124,9 @@ def checked_baselines(vectors, wavelength: float) -> np.ndarray:
 
 
 def check_visibility(v: complex) -> complex:
-    """v as a complex number, raising unless |v| <= 1 (to 1e-12)."""
+    """v as a complex number, raising unless |v| <= 1 (to 1e-12), so nan too."""
     v = complex(v)
-    if abs(v) > 1.0 + 1e-12:
+    if not abs(v) <= 1.0 + 1e-12:
         raise ValueError(f"|visibility| must be <= 1, got {abs(v)}")
     return v
 
@@ -137,11 +137,24 @@ def visibilities(source: SourceModel, vectors, wavelength: float) -> np.ndarray:
 
     Every value is computed with the same float operations whatever m is,
     so each value has the bits of the one-baseline call `visibility`.
+    Raises if a phase overflows, which would make a value nan.
     """
     vectors = checked_baselines(vectors, wavelength)
     if (vectors.ndim == 2) != source.two_d:
         dims = "2-D" if source.two_d else "1-D"
         raise ValueError(f"{dims} sources require {dims} baseline vectors")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = _visibilities(source, vectors, wavelength)
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = vectors[finite.argmin()].tolist()
+        raise ValueError(f"visibility is not finite at baseline vector "
+                         f"{tuple(bad) if vectors.ndim == 2 else bad} and wavelength "
+                         f"{wavelength!r}: the phase 2*pi*b*theta/lambda overflows")
+    return out
+
+
+def _visibilities(source: SourceModel, vectors: np.ndarray, wavelength: float) -> np.ndarray:
     if source.points is not None:
         total = sum(i for _, i in source.points)
         acc = 0

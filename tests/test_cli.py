@@ -264,8 +264,12 @@ def _single_delta(text: str) -> str:
      "unreadable event log .*ValueError: .*repeated delta values"),
     (lambda t: t.replace('"det":2', '"det":\u00e9', 1),
      "unreadable event log .*UnicodeDecodeError: 'ascii' codec"),
+    (lambda t: t.replace('"slot":0,', f'"slot":{10 ** 20},', 1),
+     "unreadable event log .*ValueError: slot must be an integer within int64"),
+    (lambda t: t.replace('"acc":false', '"acc":"false"', 1),
+     "unreadable event log .*ValueError: acc must be a boolean"),
 ], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta",
-        "repeated-delta", "non-ascii"])
+        "repeated-delta", "non-ascii", "slot-beyond-int64", "acc-string"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
@@ -406,6 +410,9 @@ def test_config_error_exit_code(tmp_path, capsys):
 _W_STATE_INI = ("[run]\nseed = 5\n[scheme]\nkind = w_state\nn_telescopes = 3\n"
                 "[baseline]\npositions = 0, 40, 100\n")
 
+_RECONSTRUCT_INI = ("[source]\nkind = binary\nseparation = 2e-9\n[baseline]\n"
+                    "wavelength = 800e-9\n[reconstruct]\ngrid = 8\npixel_scale = 1e-9\n")
+
 
 @pytest.mark.parametrize("command,base,section,key,value,message", [
     ("repeater", "repeater_demo.ini", "repeater", "length_km", "1e5",
@@ -423,6 +430,14 @@ _W_STATE_INI = ("[run]\nseed = 5\n[scheme]\nkind = w_state\nn_telescopes = 3\n"
      "[baseline] positions: pairwise differences must be finite, got 1e+308 - -1e+308"),
     ("sensitivity", "chara_like.ini", "sensitivity", "wavelength", "nan", None),
     ("sensitivity", "chara_like.ini", "sensitivity", "dark_counts_per_s", "nan", None),
+    # Finite values whose derived values overflow.
+    ("repeater", "repeater_demo.ini", "repeater", "phase_noise_sigma", "1e200",
+     "[repeater] phase_noise_sigma: sigma ** 2 overflows, got 1e+200"),
+    ("reconstruct", _RECONSTRUCT_INI, "baseline", "wavelength", "1e300",
+     "[baseline] wavelength: grid * wavelength / pixel_scale overflows at wavelength 1e+300, "
+     "grid 8, pixel_scale 1e-09"),
+    ("sensitivity", "chara_like.ini", "sensitivity", "aperture_diameter", "1e200",
+     "[sensitivity] aperture_diameter: the area pi * d ** 2 / 4 is not finite, got 1e+200"),
 ])
 def test_non_finite_config_value_is_config_error(tmp_path, capsys, command, base,
                                                  section, key, value, message):
@@ -443,8 +458,21 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, command, base
     assert not (tmp_path / "run").exists()
 
 
-_RECONSTRUCT_INI = ("[source]\nkind = binary\nseparation = 2e-9\n[baseline]\n"
-                    "wavelength = 800e-9\n[reconstruct]\ngrid = 8\npixel_scale = 1e-9\n")
+@pytest.mark.parametrize("base, key, value, vector", [
+    ("entangled_demo.ini", "vector", "1e300", "1e+300"),
+    ("[run]\nseed = 5\n[scheme]\nkind = w_state\nn_telescopes = 3\n[source]\nkind = binary\n"
+     "separation = 2.5e-9\n[baseline]\npositions = 0, 40, 100\n",
+     "positions", "0, 1e300, 2e300", "-1e+300"),
+], ids=["two-telescope", "w_state"])
+def test_non_finite_visibility_is_config_error(tmp_path, capsys, base, key, value, vector):
+    """A phase 2 pi b sin(theta) / lambda that overflows would make the
+    visibilities nan: the two-telescope table would have no outcomes, and a
+    telescope array would sample garbage."""
+    ini = _set_key(tmp_path, base, "baseline", key, value)
+    ini = _set_key(tmp_path, ini.read_text(), "baseline", "wavelength", "1e-300")
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err == (f"config error: [baseline] visibility is not finite at baseline vector "
+                   f"{vector} and wavelength 1e-300: the phase 2*pi*b*theta/lambda overflows\n")
 
 
 @pytest.mark.parametrize("command, base, section, key, value, message", [

@@ -123,6 +123,17 @@ def event_logs(draw):
         meta={"seed": draw(st.integers(0, 2 ** 63))})
 
 
+def json_value(obj: dict, key: str, kind: type):
+    """obj[key] if json.loads made it a kind (a bool is no int), and an int
+    fits in int64; else ValueError."""
+    value = obj[key]
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ValueError(f"{key}: {value!r} is not a JSON {kind.__name__}")
+    if kind is int and not np.iinfo(np.int64).min <= value <= np.iinfo(np.int64).max:
+        raise ValueError(f"{key}: {value!r} is outside int64")
+    return value
+
+
 def per_line_log(path) -> EventLog:
     """The reference reader: json.loads on the header and on every body
     line, then EventLog's validation, with read_jsonl's error messages."""
@@ -141,10 +152,10 @@ def per_line_log(path) -> EventLog:
     columns: tuple[list, ...] = tuple([] for _ in COLUMNS)
     for line in lines:
         rec = json.loads(line)
-        for column, value in zip(columns, (rec["slot"], rec["tel"], rec["det"], rec["acc"],
-                                           lookup[rec["delta"]])):
-            column.append(value)
-    return EventLog(scheme=header["scheme"], n_slots=int(header["n_slots"]),
+        for column, key in zip(columns, ("slot", "tel", "det", "acc")):
+            column.append(json_value(rec, key, bool if key == "acc" else int))
+        columns[4].append(lookup[rec["delta"]])
+    return EventLog(scheme=header["scheme"], n_slots=json_value(header, "n_slots", int),
                     deltas=deltas, meta=header.get("meta", {}), **{
                         name: np.array(c, dtype=bool if name == "accepted" else np.int64)
                         for name, c in zip(COLUMNS, columns)})
@@ -219,18 +230,20 @@ def test_write_read_round_trip_matches_per_record_reference(
         assert_same_columns(EventLog.read_jsonl(path), log)
 
 
-def reference_writer_text(chunks) -> str:
+def log_fields(log: EventLog) -> dict:
+    return dict(scheme=log.scheme, n_slots=log.n_slots, deltas=log.deltas, meta=log.meta)
+
+
+def reference_writer_text(fields: dict, blocks) -> str:
     """JsonlWriter's text by its per-record f-string formatter, the reference
-    for the formatter that makes each block with one %."""
-    first = chunks[0]
-    prefixes = eventlog._prefixes(first.deltas)
-    header = {"schema": SCHEMA, "scheme": first.scheme, "n_slots": first.n_slots,
-              "deltas": list(first.deltas), "meta": first.meta}
+    for the formatter that makes each run of lines with one %."""
+    prefixes = eventlog._prefixes(fields["deltas"])
+    header = {"schema": SCHEMA, **fields, "deltas": list(fields["deltas"])}
     text = [json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"]
-    for log in chunks:
-        code = (log.accepted * len(log.deltas) + log.delta_index) * 2 + log.detector - 1
+    for slot, telescope, detector, accepted, delta_index in blocks:
+        code = (accepted * len(fields["deltas"]) + delta_index) * 2 + detector - 1
         text += [f'{prefixes[c]}{s},"tel":{t}}}\n' for c, s, t in zip(
-            code.tolist(), log.slot.tolist(), log.telescope.tolist())]
+            code.tolist(), slot.tolist(), telescope.tolist())]
     return "".join(text)
 
 
@@ -249,17 +262,15 @@ def every_prefix_row_log() -> EventLog:
 
 @st.composite
 def chunked_logs(draw):
-    """A log and the indices that cut it into consecutive chunks; repeated
-    cuts and cuts at either end make empty chunks."""
+    """A log and the indices that cut it into consecutive blocks; repeated
+    cuts and cuts at either end make empty blocks."""
     log = draw(event_logs())
     return log, draw(st.lists(st.integers(0, len(log)), max_size=4))
 
 
-def _chunks(log: EventLog, cuts) -> list[EventLog]:
+def _blocks(log: EventLog, cuts) -> list[tuple[np.ndarray, ...]]:
     edges = [0, *sorted(cuts), len(log)]
-    return [EventLog(scheme=log.scheme, n_slots=log.n_slots, deltas=log.deltas, meta=log.meta,
-                     **{name: col[lo:hi] for name, col in zip(COLUMNS, log.columns())})
-            for lo, hi in zip(edges, edges[1:])]
+    return [tuple(col[lo:hi] for col in log.columns()) for lo, hi in zip(edges, edges[1:])]
 
 
 @settings(max_examples=150, deadline=None)
@@ -269,38 +280,36 @@ def _chunks(log: EventLog, cuts) -> list[EventLog]:
 @example(run=(every_prefix_row_log(), [9]), block="n+1")
 @example(run=(every_prefix_row_log(), [16]), block="default")
 def test_writer_text_equals_the_f_string_reference(run, block):
-    """n is the longest chunk's record count; WRITE_BLOCK_RECORDS of n - 1
-    and n + 1 put a block edge just before and just past a chunk's end."""
+    """n is the longest block's record count; WRITE_BLOCK_RECORDS of n - 1
+    and n + 1 put a formatting edge just before and just past a block's end."""
     log, cuts = run
-    chunks = _chunks(log, cuts)
-    n = max(map(len, chunks))
+    blocks = _blocks(log, cuts)
+    n = max(len(b[0]) for b in blocks)
     size = {"1": 1, "n-1": max(n - 1, 1), "n+1": n + 1,
             "default": eventlog.WRITE_BLOCK_RECORDS}[block]
     fh = io.StringIO()
     with mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", size):
-        writer = eventlog.JsonlWriter(fh)
-        for chunk in chunks:
-            writer.write(chunk)
-    assert fh.getvalue() == reference_writer_text(chunks)
+        writer = eventlog.JsonlWriter(fh, **log_fields(log))
+        for columns in blocks:
+            writer.write(*columns)
+    assert fh.getvalue() == reference_writer_text(log_fields(log), blocks)
     assert fh.getvalue() == reference_jsonl(log)
 
 
-@pytest.mark.parametrize("overrides", [
-    {"scheme": "direct"}, {"n_slots": 5}, {"deltas": (0.0, 1.0)},
-    {"deltas": (-0.0, math.pi / 2.0)}])
-def test_writer_rejects_a_chunk_unlike_the_first(overrides):
-    """A chunk's lines would be formatted with the first chunk's prefixes
-    under the first chunk's header."""
-    fh = io.StringIO()
-    writer = eventlog.JsonlWriter(fh)
-    writer.write(two_slot_log())
-    written = fh.getvalue()
-    with pytest.raises(ValueError, match="differs from the first chunk's"):
-        writer.write(two_slot_log(**overrides))
-    assert fh.getvalue() == written
-    # meta goes only into the header, so a later chunk's meta is not checked.
-    writer.write(two_slot_log(meta={"other": "meta"}))
-    assert fh.getvalue() == written + written.partition("\n")[2]
+def test_writer_given_no_blocks_leaves_a_header_only_log(tmp_path):
+    """The header is written when the writer is made, so a log of no
+    records reads back as zero records with the writer's fields."""
+    fields = dict(scheme="entangled", n_slots=4, deltas=(0.0, 1.5), meta={"seed": 3})
+    path = tmp_path / "events.jsonl"
+    with open(path, "w", encoding="ascii") as fh:
+        eventlog.JsonlWriter(fh, **fields)
+    assert path.read_text() == reference_writer_text(fields, [])
+    log = EventLog.read_jsonl(path)
+    assert log_fields(log) == fields
+    assert all(len(col) == 0 for col in log.columns())
+    deltas, successes, totals = FringeCounter.from_jsonl(path).counts()
+    assert deltas.tolist() == list(fields["deltas"])
+    assert successes.tolist() == totals.tolist() == [0, 0]
 
 
 @pytest.mark.parametrize("read_block", [40, 1 << 18])
@@ -377,14 +386,40 @@ def test_non_canonical_lines_read_like_canonical(tmp_path):
     ('{"acc":true,"delta":0..0,"det":1,"slot":0,"tel":0}\n', json.JSONDecodeError),
     ('{"acc":true,"delta":0.5,"det":1,"slot":0,"tel":0}\n', KeyError),
     ('{"acc":true, "delta":0.5,"det":1,"slot":0,"tel":0}\n', KeyError),
+    # Fields of another JSON type, or an integer beyond int64.
+    ('{"acc":"false","delta":0.0,"det":1,"slot":0,"tel":0}\n', "acc must be a boolean"),
+    ('{"acc":1,"delta":0.0,"det":1,"slot":0,"tel":0}\n', "acc must be a boolean"),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":1.5,"tel":0}\n', "slot must be an integer"),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":1e0,"tel":0}\n', "slot must be an integer"),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0.7}\n', "tel must be an integer"),
+    ('{"acc":true,"delta":0.0,"det":"1","slot":0,"tel":0}\n', "det must be an integer"),
+    ('{"acc":true,"delta":0.0,"det":true,"slot":0,"tel":0}\n', "det must be an integer"),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":100000000000000000000,"tel":0}\n',
+     "slot must be an integer within int64, got 100000000000000000000"),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":-9223372036854775809}\n',
+     "tel must be an integer within int64"),
 ])
 def test_read_raises_on_cut_or_corrupt_bodies(tmp_path, body, error):
+    """A str error is the message of the ValueError both readers raise."""
     path = tmp_path / "events.jsonl"
     two_slot_log().write_jsonl(path)
     header = path.read_text().splitlines()[0]
     path.write_text(header + "\n" + body)
-    with pytest.raises(error):
-        EventLog.read_jsonl(path)
+    message = isinstance(error, str)
+    for read in (EventLog.read_jsonl, FringeCounter.from_jsonl):
+        with pytest.raises(ValueError if message else error,
+                           match=re.escape(error) if message else None):
+            read(path)
+
+
+@pytest.mark.parametrize("n_slots", ['"10"', "10.0", "true", "1e1", str(2 ** 63)])
+def test_read_rejects_a_header_n_slots_that_is_no_int64(tmp_path, n_slots):
+    path = tmp_path / "events.jsonl"
+    two_slot_log(n_slots=10).write_jsonl(path)
+    path.write_text(path.read_text().replace('"n_slots":10', f'"n_slots":{n_slots}', 1))
+    for read in (EventLog.read_jsonl, FringeCounter.from_jsonl):
+        with pytest.raises(ValueError, match="n_slots must be an integer"):
+            read(path)
 
 
 def test_read_rejects_other_schemas(tmp_path):

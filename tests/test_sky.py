@@ -10,6 +10,7 @@ from entscope.sky import (
     Baseline,
     SourceModel,
     arrival_density_matrix,
+    check_visibility,
     load_pgm,
     load_point_sources,
     save_pgm,
@@ -171,6 +172,24 @@ def test_visibilities_reject_mismatched_vectors():
         visibilities(SourceModel.point(), np.zeros((3, 3)), WAVELENGTH)
     with pytest.raises(ValueError, match="wavelength"):
         visibilities(SourceModel.point(), np.zeros(3), 0.0)
+
+
+@pytest.mark.parametrize("source, vectors, bad", [
+    (SourceModel.binary(2.5e-9), [1.0, 1e300], r"1e\+300"),
+    (SourceModel(points=(((1e-9, 2e-9), 1.0),)), [(1.0, 0.0), (0.0, -1e300)],
+     r"\(0.0, -1e\+300\)"),
+    (SourceModel(grid=np.ones((3, 3)), pixel_scale=1e-9), [(1e300, 0.0)], r"\(1e\+300, 0.0\)"),
+], ids=["1d-points", "2d-points", "grid"])
+def test_visibilities_reject_an_overflowing_phase(source, vectors, bad):
+    """Raised without a numpy RuntimeWarning, which the suite makes an error."""
+    with pytest.raises(ValueError, match=f"visibility is not finite at baseline vector {bad} "):
+        visibilities(source, vectors, 1e-300)
+
+
+def test_check_visibility_rejects_nan():
+    for v in (math.nan, complex(0.5, math.nan), 1.5):
+        with pytest.raises(ValueError, match="must be <= 1"):
+            check_visibility(v)
 
 
 def test_source_model_rejects_mixed_or_wide_angles():
