@@ -138,9 +138,9 @@ def cmd_repeater(args) -> int:
     parser = cfg.load_config(args.config)
     segments, links, policy, n_trials, efficiency, bandwidth = cfg.build_chain(parser)
     seed, out_dir, mode, _ = cfg.run_options(parser, args.seed, args.out_dir)
-    out_dir = _ensure_out_dir(out_dir)
     rng = stream(seed) if mode == "monte-carlo" else None
     result = chain_simulate(segments, links, policy, rng=rng, n_trials=n_trials)
+    out_dir = _ensure_out_dir(out_dir)
     merit = figure_of_merit(result.rate, efficiency, bandwidth)
     policy_label = (f"{'memory' if policy.with_memory else 'memoryless'}"
                     f"/distill={','.join(map(str, policy.distill_rounds)) or 'none'}")

@@ -70,7 +70,7 @@ class EventLog:
             if len(getattr(self, name)) != len(self.slot):
                 raise ValueError(f"column {name} length mismatch")
         checks = _Checks()
-        checks.add(self.slot, self.detector, self.delta_index)
+        checks.add(*self.columns())
         checks.raise_first(self.n_slots, len(self.deltas))
 
     def __len__(self) -> int:
@@ -151,15 +151,18 @@ class _Checks:
 
     def __init__(self) -> None:
         self.last = -math.inf  # slot of the last record so far
-        self.unsorted = self.bad_detector = False
+        self.unsorted = self.bad_detector = self.negative_telescope = False
         self.slots = self.indices = (math.inf, -math.inf)  # (min, max) so far
 
-    def add(self, slot: np.ndarray, detector: np.ndarray, delta_index: np.ndarray) -> None:
+    def add(self, slot: np.ndarray, telescope: np.ndarray, detector: np.ndarray,
+            accepted: np.ndarray, delta_index: np.ndarray) -> None:
+        """Take one block's COLUMNS-ordered record columns."""
         if not len(slot):
             return
         self.unsorted |= bool(np.any(np.diff(slot) < 0) or slot[0] < self.last)
         self.last = slot[-1]
         self.bad_detector |= not ((detector == 1) | (detector == 2)).all()
+        self.negative_telescope |= bool(telescope.min() < 0)
         self.slots = (min(self.slots[0], slot.min()), max(self.slots[1], slot.max()))
         self.indices = (min(self.indices[0], delta_index.min()),
                         max(self.indices[1], delta_index.max()))
@@ -173,6 +176,8 @@ class _Checks:
             raise ValueError("detector ids must be 1 or 2")
         if self.indices[0] < 0 or self.indices[1] >= n_deltas:
             raise ValueError("delta index out of range")
+        if self.negative_telescope:
+            raise ValueError("telescope ids must be non-negative")
 
 
 _MAX_DIGITS = 18  # a decimal of up to 18 digits always fits in int64
@@ -209,12 +214,15 @@ def _typed(obj: dict, key: str, kind: type):
 
 def _line_columns(lines, lookup: dict) -> tuple[np.ndarray, ...]:
     """Record columns from one json.loads per line, the reference parser:
-    slot, tel and det must be JSON integers and acc a JSON boolean."""
+    slot, tel and det must be JSON integers, acc a JSON boolean and delta a
+    JSON number (a boolean is none)."""
     cols: tuple[list, ...] = ([], [], [], [], [])
     for line in lines:
         rec = json.loads(line)
         for col, key in zip(cols, ("slot", "tel", "det", "acc")):
             col.append(_typed(rec, key, bool if key == "acc" else int))
+        if type(rec["delta"]) not in (int, float):
+            raise ValueError(f"delta must be a number, got {rec['delta']!r}")
         cols[4].append(lookup[rec["delta"]])
     return tuple(np.array(c, dtype=bool if k == 3 else np.int64) for k, c in enumerate(cols))
 
@@ -273,7 +281,7 @@ class _BlockReader:
         columns = self._written_columns(block.encode("ascii"))
         if columns is None:
             columns = _line_columns(block.split("\n")[:-1], self.lookup)
-        self.checks.add(columns[0], columns[2], columns[4])
+        self.checks.add(*columns)
         return columns
 
     def _written_columns(self, data: bytes) -> tuple[np.ndarray, ...] | None:

@@ -535,6 +535,12 @@ def _depth_of(n_segments: int) -> int:
     return max(math.ceil(math.log2(n_segments)), 0) if n_segments > 1 else 0
 
 
+# Smallest success probability the Monte Carlo draws a geometric from:
+# numpy's int64 geometric stops at 2**63 - 1, which a draw at 2**-56 reaches
+# with probability about e**-128.
+MC_MIN_PROB = 2.0 ** -56
+
+
 def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
                    policy: ChainPolicy | None = None,
                    rng: np.random.Generator | None = None,
@@ -547,6 +553,9 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
     succeed within one slot).  Monte Carlo mode samples the schedule's
     delivery times over n_trials and reports rate = trials / total slots;
     the state and fidelity always come from the analytic ensemble average.
+    It raises ConfigError where a geometric it draws from has success
+    probability below MC_MIN_PROB; memoryless chains whose per-slot
+    probability underflows to 0 raise in both modes.
 
     The with-memory Monte Carlo draws exactly what a recursive scalar
     sampler would -- one rng.geometric per generation, then one rng.random
@@ -563,12 +572,21 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
     policy = policy or ChainPolicy()
     plan = _chain_plan(link_list, policy)
     root = plan[-1]
+    if not policy.with_memory and root.prob_slot == 0.0:
+        raise ConfigError("memoryless chain: the per-slot success probability "
+                          "underflows to 0")
     slots = root.slots if policy.with_memory else 1.0 / root.prob_slot
     if rng is not None:
+        drawn = min(node.p for node in plan if node.children is None) \
+            if policy.with_memory else root.prob_slot
+        if drawn < MC_MIN_PROB:
+            raise ConfigError(f"monte-carlo: success probability {drawn:.6e} per "
+                              f"geometric draw is below 2**-56, where int64 draws "
+                              f"saturate; use mode = analytic")
         if policy.with_memory:
             total = _mc_total_slots(plan, rng, n_trials)
         else:
-            total = float(rng.geometric(root.prob_slot, size=n_trials).sum())
+            total = float(rng.geometric(root.prob_slot, size=n_trials).sum(dtype=float))
         slots = total / n_trials
     return ChainResult(rate=min(1.0 / slots, 1.0), fidelity=root.state.fidelity(),
                        distill_rounds_used=root.used, final_state=root.state,

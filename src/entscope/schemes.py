@@ -13,7 +13,10 @@ Each scheme has closed-form per-slot probabilities plus a Monte Carlo
 (`simulate_chunks`, whose record blocks `simulate_run` joins) that samples
 the exact click-pattern distribution of the corresponding few-mode circuit,
 so analytic and sampled statistics agree by construction and both can be
-checked against the Fock simulator.
+checked against the Fock simulator.  One builder (`_circuit_outcomes`) makes
+the per-delay outcome lists of every scheme but the telescope array, as
+(probability, records, accepted) tuples; accepted = one click per telescope,
+read off the (telescope, detector) records.
 
 Per-slot event model for faint sources: time is discretized into coherence
 slots.  Leading-order photon-number cases (single astronomical photon, single
@@ -390,32 +393,75 @@ def effective_visibility(config: SchemeConfig, v: complex) -> complex:
     return complex(v) * config.overlap_factor()
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    probability: float
-    records: tuple[tuple[int, int], ...]  # (telescope, detector), in that order
-    accepted: bool
+def _pair_outcomes(tel_i: int, tel_j: int, weight: float, correlated: float,
+                   anticorrelated: float) -> list[tuple]:
+    """Accepted one-click-per-site outcomes of the telescope pair (i < j)."""
+    return [(weight * frac, ((tel_i, d_i), (tel_j, d_j)), True) for d_i, d_j, frac in (
+        (1, 1, correlated / 2.0), (2, 2, correlated / 2.0),
+        (1, 2, anticorrelated / 2.0), (2, 1, anticorrelated / 2.0))]
 
 
-def _pattern_outcomes(cases: list[tuple[float, object]], schedule: tuple[float, ...],
-                      detector: DetectorModel, mode_records: tuple[tuple[int, int], ...],
-                      accept) -> list[list[_Outcome]]:
-    """Mix the per-case click tables into one per-slot outcome list per delay.
+def _circuit_outcomes(config: SchemeConfig, v: complex, schedule: tuple[float, ...]
+                      ) -> list[list[tuple]]:
+    """Per-slot outcomes of every scheme but the telescope array, one list
+    per delay in schedule.
 
-    cases are (case probability, click-pattern table) pairs, where a table
-    that depends on the delay is a function of it and any other table serves
-    every delay; the rest of the slot probability is an empty slot (dark
-    counts only), whose table is built once.  mode_records maps
-    each detected mode to its (telescope, detector) record, and
-    accept(pattern) says whether a pattern is an accepted event.
+    Each outcome is (probability, records, accepted): records are the
+    (telescope, detector) clicks in that order, and accepted holds when
+    every telescope of the layout has exactly one record.  A circuit slot
+    mixes exclusive cases, each a click-pattern table (a function of the
+    delay where it depends on it); the rest is an empty slot (dark counts).
     """
+    det = config.detector
+    v_eff = effective_visibility(config, v)
+    if config.bell_complete:
+        return [_pair_outcomes(0, 1, 1.0, probs.correlated, probs.anticorrelated)
+                for probs in (entangled_coincidence_probs(v_eff, d) for d in schedule)]
+
+    if config.kind == "direct":
+        # One site; its two ports are detectors 1 and 2.
+        mode_records = ((0, 1), (0, 2))
+        cases = [(config.p_a, lambda delta: direct_distribution(v_eff, delta, det))]
+    else:
+        # Detected modes (astro_L, astro_R, ref_L, ref_R) of the two-site
+        # circuit.  Inputs are (probability, astro, reference); None is
+        # vacuum, and a reference that depends on the delay is a function.
+        mode_records = ((0, 1), (1, 1), (0, 2), (1, 2))
+        p_a, p_e = config.p_a, config.p_e
+        astro, ref = arrival_density_matrix(v_eff), resource_state
+        if config.kind == "entangled":
+            inputs = [(p_a * p_e, astro, ref)]
+            if p_a < 1.0 and p_e > 0.0:
+                inputs.append((p_e * (1.0 - p_a), None, ref))
+            if p_e < 1.0 and p_a > 0.0:
+                inputs.append((p_a * (1.0 - p_e), astro, None))
+        elif config.kind == "weak_coherent":
+            inputs = [(p_a * p_e, astro, ref),
+                      (p_e**2 / 2.0, None, lab_pair_state),
+                      (astro_pair_rate(p_a, v_eff), hbt_pair_state(v_eff), None),
+                      (p_a * (1.0 - p_e), astro, None),
+                      (p_e * (1.0 - p_a), None, ref)]
+        else:  # hbt
+            inputs = [(astro_pair_rate(p_a, v_eff), hbt_pair_state(v_eff), None),
+                      (p_a, astro, None)]
+        if config.double_pair_prob > 0.0:
+            inputs.append((config.double_pair_prob, None,
+                           DensityOperator.pure(2, 2, {(1, 1): 1.0 + 0.0j})))
+
+        def table(astro, ref):
+            if callable(ref):
+                return lambda delta: two_telescope_distribution(astro, ref(delta), det)
+            return two_telescope_distribution(astro, ref, det)
+
+        cases = [(p, table(a, r)) for p, a, r in inputs]
+
     total_case = sum(p for p, _ in cases)
     if total_case > 1.0 + 1e-9:
         raise ConfigError(f"per-slot case probabilities sum to {total_case:.4f} > 1")
-    vacuum_prob = max(1.0 - total_case, 0.0)
-    if vacuum_prob > 0.0:
-        cases = cases + [(vacuum_prob, outcome_distribution(
-            DensityOperator.vacuum(len(mode_records), 0), detector))]
+    if total_case < 1.0:
+        cases.append((1.0 - total_case, outcome_distribution(
+            DensityOperator.vacuum(len(mode_records), 0), det)))
+    sites = tuple(sorted({tel for tel, _ in mode_records}))
 
     per_delta = []
     for delta in schedule:
@@ -423,88 +469,18 @@ def _pattern_outcomes(cases: list[tuple[float, object]], schedule: tuple[float, 
         for case_prob, dist in cases:
             for pattern, p in (dist(delta) if callable(dist) else dist).items():
                 combined[pattern] = combined.get(pattern, 0.0) + case_prob * p
-        per_delta.append([
-            _Outcome(combined[pattern],
-                     tuple(sorted(rec for rec, c in zip(mode_records, pattern) if c)),
-                     accept(pattern))
-            for pattern in sorted(combined) if combined[pattern] > 0.0
-        ])
+        outcomes = []
+        for pattern in sorted(combined):
+            if combined[pattern] > 0.0:
+                records = tuple(sorted(rec for rec, c in zip(mode_records, pattern) if c))
+                outcomes.append((combined[pattern], records,
+                                 tuple(tel for tel, _ in records) == sites))
+        per_delta.append(outcomes)
     return per_delta
 
 
-def _pair_outcomes(tel_i: int, tel_j: int, weight: float, correlated: float,
-                   anticorrelated: float) -> list[_Outcome]:
-    """Accepted one-click-per-site outcomes of the telescope pair (i < j)."""
-    return [
-        _Outcome(weight * frac, ((tel_i, d_i), (tel_j, d_j)), True)
-        for d_i, d_j, frac in (
-            (1, 1, correlated / 2.0), (2, 2, correlated / 2.0),
-            (1, 2, anticorrelated / 2.0), (2, 1, anticorrelated / 2.0))
-    ]
-
-
-# Detected modes (astro_L, astro_R, ref_L, ref_R) of the two-site circuit.
-_TWO_TELESCOPE_RECORDS = ((0, 1), (1, 1), (0, 2), (1, 2))
-
-
-def _two_telescope_outcomes(config: SchemeConfig, v: complex, schedule: tuple[float, ...]
-                            ) -> list[list[_Outcome]]:
-    """Combined per-slot click distributions of the 2-telescope schemes, one
-    per delay in schedule."""
-    det = config.detector
-    v_eff = effective_visibility(config, v)
-
-    if config.kind == "entangled" and config.bell_complete:
-        return [_pair_outcomes(0, 1, 1.0, probs.correlated, probs.anticorrelated)
-                for probs in (entangled_coincidence_probs(v_eff, d) for d in schedule)]
-
-    # (case probability, astro input, reference input); None is vacuum, and a
-    # reference that depends on the delay is a function of it.
-    p_a, p_e = config.p_a, config.p_e
-    astro, ref = arrival_density_matrix(v_eff), resource_state
-    if config.kind == "entangled":
-        cases = [(p_a * p_e, astro, ref)]
-        if p_a < 1.0 and p_e > 0.0:
-            cases.append((p_e * (1.0 - p_a), None, ref))
-        if p_e < 1.0 and p_a > 0.0:
-            cases.append((p_a * (1.0 - p_e), astro, None))
-    elif config.kind == "weak_coherent":
-        cases = [(p_a * p_e, astro, ref),
-                 (p_e**2 / 2.0, None, lab_pair_state),
-                 (astro_pair_rate(p_a, v_eff), hbt_pair_state(v_eff), None),
-                 (p_a * (1.0 - p_e), astro, None),
-                 (p_e * (1.0 - p_a), None, ref)]
-    elif config.kind == "hbt":
-        cases = [(astro_pair_rate(p_a, v_eff), hbt_pair_state(v_eff), None),
-                 (p_a, astro, None)]
-    else:
-        raise ValueError(f"not a two-telescope circuit scheme: {config.kind}")
-    if config.double_pair_prob > 0.0:
-        cases.append((config.double_pair_prob, None,
-                      DensityOperator.pure(2, 2, {(1, 1): 1.0 + 0.0j})))
-
-    def table(astro, ref):
-        if callable(ref):
-            return lambda delta: two_telescope_distribution(astro, ref(delta), det)
-        return two_telescope_distribution(astro, ref, det)
-
-    return _pattern_outcomes([(p, table(a, r)) for p, a, r in cases], schedule, det,
-                             _TWO_TELESCOPE_RECORDS,
-                             lambda pattern: classify_pattern(pattern)[0])
-
-
-def _direct_outcomes(config: SchemeConfig, v: complex, schedule: tuple[float, ...]
-                     ) -> list[list[_Outcome]]:
-    """Per-slot outcomes of direct detection, one list per delay: one site,
-    ports as detectors 1, 2."""
-    v_eff = effective_visibility(config, v)
-    cases = [(config.p_a, lambda delta: direct_distribution(v_eff, delta, config.detector))]
-    return _pattern_outcomes(cases, schedule, config.detector, ((0, 1), (0, 2)),
-                             lambda pattern: (pattern[0] > 0) != (pattern[1] > 0))
-
-
 def _w_state_outcomes(config: SchemeConfig, vis: dict[tuple[int, int], complex]
-                      ) -> list[_Outcome]:
+                      ) -> list[tuple]:
     """Per-slot outcomes for the telescope-array scheme (ideal detectors).
 
     Both photons land on one site with probability 1/n (single merged click,
@@ -512,7 +488,7 @@ def _w_state_outcomes(config: SchemeConfig, vis: dict[tuple[int, int], complex]
     unordered pairs with the pairwise fringe statistics.
     """
     n = config.n_telescopes
-    outcomes = [_Outcome(1.0 / (2.0 * n * n), ((i, d),), False)
+    outcomes = [(1.0 / (2.0 * n * n), ((i, d),), False)
                 for i in range(n) for d in (1, 2)]
     for (i, j), v_ij in vis.items():
         probs = w_state_probs(n, effective_visibility(config, v_ij),
@@ -531,7 +507,7 @@ def _pairwise_visibilities(source: SourceModel, positions,
     return dict(zip(zip(i.tolist(), j.tolist()), vis.tolist()))
 
 
-def _outcome_table(per_delta: list[list[_Outcome]]):
+def _outcome_table(per_delta: list[list[tuple]]):
     """Flatten the per-delta outcome lists into one outcome table.
 
     Returns the per-delta cumulative probabilities, the first outcome id of
@@ -541,13 +517,13 @@ def _outcome_table(per_delta: list[list[_Outcome]]):
     """
     cdfs, first_ids, counts, records = [], [], [], []
     for delta_idx, outcomes in enumerate(per_delta):
-        cdf = np.cumsum([o.probability for o in outcomes])
+        cdf = np.cumsum([p for p, _, _ in outcomes])
         cdf[-1] = max(cdf[-1], 1.0)  # guard roundoff; tail mass goes to the last outcome
         cdfs.append(cdf)
         first_ids.append(len(counts))
-        for o in outcomes:
-            counts.append(len(o.records))
-            records += [(tel, det, o.accepted, delta_idx) for tel, det in o.records]
+        for _, recs, accepted in outcomes:
+            counts.append(len(recs))
+            records += [(tel, det, accepted, delta_idx) for tel, det in recs]
     n_records = np.array(counts, dtype=np.int64)
     tel, det, acc, delta_index = np.array(records, dtype=np.int64).reshape(-1, 4).T
     return (cdfs, first_ids, n_records, np.cumsum(n_records) - n_records,
@@ -587,8 +563,7 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
             raise TypeError("two-telescope schemes take a Baseline geometry")
         v = visibility(source, geometry)
         schedule = config.delta_schedule
-        outcomes = _direct_outcomes if config.kind == "direct" else _two_telescope_outcomes
-        per_delta = outcomes(config, v, schedule)
+        per_delta = _circuit_outcomes(config, v, schedule)
     cdfs, first_ids, n_records, first_record, columns = _outcome_table(per_delta)
     n_deltas, step, piece_step = len(schedule), CHUNK_SLOTS, PIECE_SLOTS
 

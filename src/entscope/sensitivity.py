@@ -187,11 +187,17 @@ def accidental_rate(budget: SensitivityBudget, astro_rate_total: float,
 
 
 def _feasible(budget: SensitivityBudget, magnitude: float) -> bool:
+    """Both constraints at one magnitude.  Where the photon or accidental
+    rate leaves the float range, the accidentals exceed any finite signal,
+    so the magnitude is infeasible."""
     astro_per_nm = photon_rate_from_magnitude(magnitude, budget)
     signal = signal_event_rate(budget.merit_nm, astro_per_nm)
     astro_total = astro_per_nm * budget.bandwidth_nm
-    noise = accidental_rate(budget, astro_total)
-    if signal < noise:
+    try:
+        noise = accidental_rate(budget, astro_total)
+    except OverflowError:  # in per_channel ** 2
+        return False
+    if not (math.isfinite(astro_total) and math.isfinite(noise)) or signal < noise:
         return False
     per_coherence = signal * budget.atmospheric_coherence_time
     return per_coherence >= budget.min_events

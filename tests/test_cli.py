@@ -217,6 +217,25 @@ def test_repeater_out_of_range_value_is_config_error(tmp_path, capsys, key, valu
     assert err == f"config error: [repeater] {message}\n"
 
 
+@pytest.mark.parametrize("mode, keys, message", [
+    ("monte-carlo", "segments = 1\nlength_km = 1000\n",
+     "monte-carlo: success probability 1.000000e-20 per geometric draw is below "
+     "2**-56, where int64 draws saturate; use mode = analytic"),
+    ("monte-carlo", "segments = 16\nlength_km = 50\nschedule = memoryless\n",
+     "monte-carlo: success probability 3.051758e-21 per geometric draw is below "
+     "2**-56, where int64 draws saturate; use mode = analytic"),
+    ("analytic", "segments = 16\nlength_km = 1500\nschedule = memoryless\n",
+     "memoryless chain: the per-slot success probability underflows to 0"),
+], ids=["mc-saturated-leaf", "mc-memoryless-sum-wraps", "memoryless-underflow"])
+def test_repeater_rate_beyond_the_draws_is_config_error(tmp_path, capsys, mode, keys, message):
+    """Geometric draws saturate at 2**63 - 1, and their int64 sum wraps:
+    the Monte Carlo refuses success probabilities below 2**-56 rather than
+    report a rate from such draws."""
+    ini = tmp_path / "chain.ini"
+    ini.write_text(f"[run]\nseed = 1\nmode = {mode}\n[repeater]\nn_trials = 50\n{keys}")
+    assert _config_error(capsys, "repeater", ini, tmp_path) == f"config error: {message}\n"
+
+
 def test_repeater_mode_flags_override_the_config(tmp_path, capsys):
     """[run] mode picks the repeater mode; the two modes write different rates."""
     rates = {}
@@ -268,8 +287,13 @@ def _single_delta(text: str) -> str:
      "unreadable event log .*ValueError: slot must be an integer within int64"),
     (lambda t: t.replace('"acc":false', '"acc":"false"', 1),
      "unreadable event log .*ValueError: acc must be a boolean"),
+    (lambda t: t.replace('"delta":0.0,', '"delta":false,', 1),
+     "unreadable event log .*ValueError: delta must be a number, got False"),
+    (lambda t: t.replace('"tel":1}', '"tel":-7}', 1),
+     "unreadable event log .*ValueError: telescope ids must be non-negative"),
 ], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta",
-        "repeated-delta", "non-ascii", "slot-beyond-int64", "acc-string"])
+        "repeated-delta", "non-ascii", "slot-beyond-int64", "acc-string",
+        "delta-boolean", "telescope-negative"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
@@ -568,6 +592,20 @@ def test_sensitivity_infeasible_exit_code(tmp_path, capsys):
     config.write_text("[sensitivity]\ndark_counts_per_s = 1e12\n")
     assert main(["sensitivity", "--config", str(config)]) == EXIT_INFEASIBLE
     assert "infeasible budget:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("aperture_diameter", "1e100"), ("aperture_diameter", "1e150"),
+    ("aperture_diameter", "1e153"), ("bandwidth_nm", "1e200"), ("bandwidth_nm", "1e300"),
+])
+def test_sensitivity_overflowing_rates_are_infeasible(tmp_path, capsys, key, value):
+    """Accidentals beyond the float range exceed any finite signal."""
+    config = tmp_path / "huge.ini"
+    config.write_text(f"[sensitivity]\n{key} = {value}\n")
+    assert main(["sensitivity", "--config", str(config),
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible budget: ") and err.count("\n") == 1, err
 
 
 def test_sensitivity_unknown_preset_is_config_error(capsys):

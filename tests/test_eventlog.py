@@ -154,6 +154,8 @@ def per_line_log(path) -> EventLog:
         rec = json.loads(line)
         for column, key in zip(columns, ("slot", "tel", "det", "acc")):
             column.append(json_value(rec, key, bool if key == "acc" else int))
+        if isinstance(rec["delta"], bool) or not isinstance(rec["delta"], (int, float)):
+            raise ValueError(f"delta must be a number, got {rec['delta']!r}")
         columns[4].append(lookup[rec["delta"]])
     return EventLog(scheme=header["scheme"], n_slots=json_value(header, "n_slots", int),
                     deltas=deltas, meta=header.get("meta", {}), **{
@@ -398,6 +400,11 @@ def test_non_canonical_lines_read_like_canonical(tmp_path):
      "slot must be an integer within int64, got 100000000000000000000"),
     ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":-9223372036854775809}\n',
      "tel must be an integer within int64"),
+    # A boolean delta equals a delta of 0.0 or 1.0 as a dict key, but is no number.
+    ('{"acc":true,"delta":false,"det":1,"slot":0,"tel":0}\n',
+     "delta must be a number, got False"),
+    ('{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":-7}\n',
+     "telescope ids must be non-negative"),
 ])
 def test_read_raises_on_cut_or_corrupt_bodies(tmp_path, body, error):
     """A str error is the message of the ValueError both readers raise."""
@@ -409,6 +416,20 @@ def test_read_raises_on_cut_or_corrupt_bodies(tmp_path, body, error):
     for read in (EventLog.read_jsonl, FringeCounter.from_jsonl):
         with pytest.raises(ValueError if message else error,
                            match=re.escape(error) if message else None):
+            read(path)
+
+
+def test_read_rejects_a_boolean_delta_equal_to_a_header_delta(tmp_path):
+    """With one delta of 1.0, "delta":true would look up delta index 0."""
+    log = two_slot_log(n_slots=1, deltas=(1.0,), slot=[0, 0], telescope=[0, 1],
+                       detector=[1, 1], accepted=[True, True], delta_index=[0, 0])
+    path = tmp_path / "events.jsonl"
+    log.write_jsonl(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = _edit_field(lines[1], "delta", "true")
+    path.write_text("".join(lines))
+    for read in (EventLog.read_jsonl, FringeCounter.from_jsonl, per_line_log):
+        with pytest.raises(ValueError, match="delta must be a number, got True"):
             read(path)
 
 
@@ -439,6 +460,7 @@ def test_read_rejects_other_schemas(tmp_path):
     (dict(slot=[0, 0, 4, 4]), "slot index out of range"),
     (dict(delta_index=[0, 0, 2, 2]), "delta index out of range"),
     (dict(telescope=[0, 1, 0]), "length mismatch"),
+    (dict(telescope=[0, -7, 0, 1]), "telescope ids must be non-negative"),
 ])
 def test_validation_rejects_bad_columns(overrides, message):
     with pytest.raises(ValueError, match=message):
