@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfg
 from .errors import ConfigError, InfeasibleBudgetError, LowStatisticsError
-from .estimation import fit_fringe, reconstruct_image
+from .estimation import dirty_image, fit_fringe, grid_visibilities
 from .eventlog import FringeCounter, JsonlWriter
 from .repeater import chain_simulate, figure_of_merit
 from .rng import stream
@@ -207,27 +207,40 @@ def _check_field_of_view(source, grid: int, pixel_scale: float) -> None:
                           f"(grid {grid}, pixel_scale {pixel_scale:g})")
 
 
-def cmd_reconstruct(args) -> int:
-    parser = cfg.load_config(args.config)
-    source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
-    grid, pixel_scale, wavelength = cfg.build_reconstruct(parser)
-    _check_field_of_view(source, grid, pixel_scale)
+def _full_grid_image(source, grid: int, pixel_scale: float, wavelength: float) -> np.ndarray:
+    """The dirty image of the source's visibilities on every baseline of the
+    grid; the baselines and visibilities are dropped before the inverse DFT."""
     unit = wavelength / (grid * pixel_scale)
     axis = np.arange(-(grid // 2), grid - grid // 2) * unit
     vectors = axis
-    if source.two_d:
-        vectors = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    if source.two_d:  # row i * grid + j is (axis[i], axis[j])
+        vectors = np.empty((grid, grid, 2))
+        vectors[..., 0] = axis[:, None]
+        vectors[..., 1] = axis
+        vectors = vectors.reshape(-1, 2)
     try:
         values = visibilities(source, vectors, wavelength)
     except ValueError as exc:  # a phase overflows
         raise ConfigError(f"[baseline] wavelength: {exc}") from exc
     try:
-        image = reconstruct_image(vectors, wavelength, values, grid,
-                                  pixel_scale).reshape(-1, grid)
+        samples = grid_visibilities(vectors, wavelength, values, grid, pixel_scale)
+        del vectors, values
+        return dirty_image(samples).reshape(-1, grid)
     except ValueError as exc:
         # An even grid's Nyquist samples are real only for a source on the
         # pixel grid.
         raise ConfigError(f"[reconstruct] {exc}") from exc
+
+
+def cmd_reconstruct(args) -> int:
+    parser = cfg.load_config(args.config)
+    source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
+    grid, pixel_scale, wavelength = cfg.build_reconstruct(parser)
+    _check_field_of_view(source, grid, pixel_scale)
+    try:
+        image = _full_grid_image(source, grid, pixel_scale, wavelength)
+    except MemoryError as exc:  # numpy's request for a grid-sized array was refused
+        raise ConfigError(f"[reconstruct] grid: {grid} is too large to image: {exc}") from exc
     out_dir = _ensure_out_dir(cfg.out_dir(parser, args.out_dir))
     path = os.path.join(out_dir, "image.pgm")
     with _writing(path):

@@ -154,7 +154,17 @@ def reconstruct_image(vectors, wavelength: float, values, grid_size, pixel_scale
     for 2-D; pixel i sits at angle (i - n//2) * pixel_scale per axis, like
     `sky.SourceModel` grids.
     Unsampled grid points are zero-filled after Hermitian completion
-    V(-k) = conj(V(k)).
+    V(-k) = conj(V(k)).  The two steps are `grid_visibilities` and
+    `dirty_image`; a caller that can drop its samples in between holds less.
+    """
+    return dirty_image(grid_visibilities(vectors, wavelength, values, grid_size, pixel_scale))
+
+
+def grid_visibilities(vectors, wavelength: float, values, grid_size, pixel_scale: float):
+    """The Hermitian-completed complex grid that `reconstruct_image` inverts.
+
+    Raises on a duplicate baseline or an off-grid sample; the arrays are
+    read, never written.
     """
     vectors = checked_baselines(vectors, wavelength)
     m = len(vectors)
@@ -175,51 +185,89 @@ def reconstruct_image(vectors, wavelength: float, values, grid_size, pixel_scale
     if not two_d and len(shape) != 1:
         raise ValueError("1-D baselines need a scalar grid size")
     vectors = vectors.reshape(m, -1)
+    _check_distinct(vectors, two_d)
+    cells = _grid_cells(vectors, shape, pixel_scale, wavelength)
 
-    # Equal rows sort next to each other; report the first row that repeats
-    # an earlier one.
+    # A later sample on the same grid point replaces an earlier one.
+    cells, first = np.unique(cells[::-1], return_index=True)
+    grid = np.zeros(shape, dtype=complex)
+    filled = np.zeros(shape, dtype=bool)
+    grid.flat[cells] = values[::-1][first]
+    filled.flat[cells] = True
+
+    # Hermitian completion: fill missing conjugate samples.
+    mirror = np.ix_(*[(-np.arange(n)) % n for n in shape])
+    missing = np.nonzero(~filled & filled[mirror])
+    grid[missing] = np.conj(grid[tuple((-i) % n for i, n in zip(missing, shape))])
+    return grid
+
+
+def _check_distinct(vectors: np.ndarray, two_d: bool) -> None:
+    """Raise naming the first row of vectors that repeats an earlier one."""
+    # Equal rows sort next to each other.
     order = np.lexsort(vectors.T[::-1])
-    repeats = np.all(vectors[order[1:]] == vectors[order[:-1]], axis=1)
+    ordered = vectors[order]
+    repeats = np.all(ordered[1:] == ordered[:-1], axis=1)
     if repeats.any():
         row = int(order[1:][repeats].min())
         vector = tuple(vectors[row].tolist()) if two_d else float(vectors[row, 0])
         raise ValueError(f"duplicate baseline {vector!r}")
 
-    # The first off-grid sample raises, naming its first off-grid axis.
-    exact = vectors * np.array(shape) * pixel_scale / wavelength
-    nearest = np.rint(exact)
-    off_grid = ~(np.abs(exact - nearest) <= _GRID_TOL)
+
+def _grid_index(vectors: np.ndarray, shape, pixel_scale: float, wavelength: float) -> np.ndarray:
+    """Fractional grid index vector * n * pixel_scale / wavelength per axis."""
+    index = vectors * np.array(shape)
+    index *= pixel_scale
+    index /= wavelength
+    return index
+
+
+def _grid_cells(vectors: np.ndarray, shape, pixel_scale: float, wavelength: float) -> np.ndarray:
+    """Flat grid index of each sample; the first off-grid sample raises,
+    naming its first off-grid axis."""
+    deviation = _grid_index(vectors, shape, pixel_scale, wavelength)
+    nearest = np.rint(deviation)
+    deviation -= nearest
+    np.abs(deviation, out=deviation)
+    off_grid = ~(deviation <= _GRID_TOL)
     failed = np.flatnonzero(off_grid.any(axis=1))
     if failed.size:
         row = failed[0]
         axis = int(np.argmax(off_grid[row]))
+        exact = _grid_index(vectors[row], shape, pixel_scale, wavelength)[axis]
         raise ValueError(
             f"baseline component {float(vectors[row, axis])!r} is off the "
-            f"reconstruction grid (index {exact[row, axis]:.6f} not within "
+            f"reconstruction grid (index {exact:.6f} not within "
             f"{_GRID_TOL} of an integer)")
+    np.mod(nearest, shape, out=nearest)
+    index = nearest.astype(np.intp)
+    del nearest  # one grid-sized array fewer under the flat index
+    return np.ravel_multi_index(tuple(index.T), shape)
 
-    # A later sample on the same grid point replaces an earlier one.
-    flat = np.ravel_multi_index(tuple(np.mod(nearest, shape).astype(np.intp).T), shape)
-    last = len(flat) - 1 - np.unique(flat[::-1], return_index=True)[1]
-    grid = np.zeros(shape, dtype=complex)
-    filled = np.zeros(shape, dtype=bool)
-    grid.flat[flat[last]] = values[last]
-    filled.flat[flat[last]] = True
 
-    # Hermitian completion: fill missing conjugate samples.
-    mirror = np.ix_(*[(-np.arange(n)) % n for n in shape])
-    missing = ~filled & filled[mirror]
-    grid[missing] = np.conj(grid[mirror][missing])
+def _dft_ramp(n: int) -> np.ndarray:
+    """exp(-2 pi i k (p - n//2) / n) / n for frequency k (row), pixel p (column)."""
+    k = np.arange(n)
+    pix = np.arange(n) - n // 2
+    ramp = -2j * math.pi * np.outer(k, pix)
+    ramp /= n
+    np.exp(ramp, out=ramp)
+    ramp /= n
+    return ramp
 
-    ramps = []
-    for n in shape:
-        k = np.arange(n)
-        pix = np.arange(n) - n // 2
-        ramps.append(np.exp(-2j * math.pi * np.outer(k, pix) / n) / n)
-    if two_d:
-        image = ramps[0].T @ grid @ ramps[1]
+
+def dirty_image(grid: np.ndarray) -> np.ndarray:
+    """Real, unit-flux inverse DFT of a `grid_visibilities` grid.
+
+    A 2-D grid is overwritten with the complex image, which saves a
+    grid-sized array; a square grid's two axes share one ramp.
+    """
+    ramps = {n: _dft_ramp(n) for n in set(grid.shape)}
+    if grid.ndim == 2:
+        np.matmul(ramps[grid.shape[0]].T @ grid, ramps[grid.shape[1]], out=grid)
+        image = grid
     else:
-        image = grid @ ramps[0]
+        image = grid @ ramps[grid.shape[0]]
     worst_imag = float(np.abs(image.imag).max())
     if worst_imag > 1e-10:
         raise ValueError(f"reconstruction not real (max imaginary part "

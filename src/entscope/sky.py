@@ -12,6 +12,7 @@ and pixel grids) use the small-angle form 2*pi*(b . theta)/lambda.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,16 +78,16 @@ class SourceModel:
                     raise ValueError(f"source angle must satisfy |theta| < pi/2, got {t}")
                 if not 0 <= i < math.inf:
                     raise ValueError(f"intensities must be finite and non-negative, got {i}")
-            if not 0 < sum(i for _, i in pts) < math.inf:
-                raise ValueError("total intensity must be positive and finite")
+            _check_total(sum(i for _, i in pts))
             object.__setattr__(self, "points", pts)
         else:
             grid = np.asarray(self.grid, dtype=float)
             if grid.ndim != 2:
                 raise ValueError("grid must be 2-D")
-            if not np.isfinite(grid).all() or np.any(grid < 0) or grid.sum() <= 0:
-                raise ValueError("grid intensities must be finite and non-negative "
-                                 "with positive total")
+            if not np.isfinite(grid).all() or np.any(grid < 0):
+                raise ValueError("grid intensities must be finite and non-negative")
+            with np.errstate(over="ignore"):  # an infinite sum is checked
+                _check_total(float(grid.sum()))
             if not 0 < self.pixel_scale < math.inf:
                 raise ValueError(f"pixel_scale must be positive and finite for grid "
                                  f"sources, got {self.pixel_scale}")
@@ -105,6 +106,14 @@ class SourceModel:
     def binary(cls, separation: float, ratio: float = 1.0) -> "SourceModel":
         """Equal-or-weighted pair at +/- separation/2 (1-D angles)."""
         return cls(points=((-separation / 2.0, 1.0), (separation / 2.0, ratio)))
+
+
+def _check_total(total: float) -> None:
+    """Raise unless the total intensity, which divides every visibility, is a
+    normal, positive, finite float; a subnormal one overflows the quotient."""
+    if not sys.float_info.min <= total < math.inf:
+        raise ValueError(f"total intensity must be positive and finite, at least "
+                         f"{sys.float_info.min:g}, got {total!r}")
 
 
 def checked_baselines(vectors, wavelength: float) -> np.ndarray:
@@ -156,11 +165,16 @@ def visibilities(source: SourceModel, vectors, wavelength: float) -> np.ndarray:
 
 def _visibilities(source: SourceModel, vectors: np.ndarray, wavelength: float) -> np.ndarray:
     if source.points is not None:
-        total = sum(i for _, i in source.points)
-        acc = 0
+        # In place, with each element's float operations those of
+        # 0 + i_1 e^{i phase_1} + i_2 e^{i phase_2} + ... then / total.
+        out = np.zeros(len(vectors), dtype=complex)
         for theta, i in source.points:
-            acc = acc + i * np.exp(1j * _phases(vectors, wavelength, theta))
-        return acc / total
+            term = 1j * _phases(vectors, wavelength, theta)
+            np.exp(term, out=term)
+            np.multiply(i, term, out=term)
+            out += term
+        out /= sum(i for _, i in source.points)
+        return out
     grid = source.grid
     nx, ny = grid.shape
     tx = (np.arange(nx) - nx // 2) * source.pixel_scale

@@ -1,9 +1,12 @@
 """End-to-end command-line runs against the bundled presets."""
 import configparser
+import contextlib
 import gc
 import hashlib
 import math
+import os
 import re
+import resource
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -694,8 +697,10 @@ def _config_error(capsys, command: str, ini: Path, tmp_path) -> str:
     ("2.0 1.0\n", r"\[source\] source angle must satisfy \|theta\| < pi/2, got 2.0"),
     ("nan 0.0 1.0\n", r"\[source\] 2-D source angle must be finite, got \(nan, 0.0\)"),
     ("1e-9 nan\n", r"\[source\] intensities must be finite and non-negative, got nan"),
+    ("0 0 1e-320\n", r"\[source\] total intensity must be positive and finite, "
+                     r"at least 2.22507e-308, got 1e-320$"),
 ], ids=["missing-file", "non-numeric", "mixed-columns", "wide-angle", "nan-angle",
-        "nan-intensity"])
+        "nan-intensity", "subnormal-total"])
 @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
 def test_bad_points_file_is_config_error(tmp_path, capsys, command, points, message):
     if points is not None:
@@ -781,6 +786,33 @@ def test_reconstruct_source_outside_the_field_of_view_is_config_error(
     assert re.match(r"config error: \[reconstruct\] source at \[?-[0-9.e-]+(, 0\.0\])? rad "
                     r"lies outside the field of view", err), err
     assert f"(grid {grid}, pixel_scale {float(pixel_scale):g})" in err
+
+
+@contextlib.contextmanager
+def _address_space_headroom(extra: int):
+    """Cap this process's address space at its current size plus extra bytes,
+    so that a huge request fails at once even where the OS would grant it."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    limit = size + extra if hard == resource.RLIM_INFINITY else min(size + extra, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("grid, size", [(1_000_000, "7.28 TiB"), (10_000_000_000, "74.5 GiB")])
+def test_reconstruct_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, grid, size):
+    """numpy's first request for a grid-sized array is refused whole, so no
+    memory is touched; reconstruct stops with one config error line."""
+    ini = _config_with(tmp_path, "reconstruct", "kind = point")
+    ini.write_text(ini.read_text().replace("grid = 8", f"grid = {grid}"))
+    with _address_space_headroom(1 << 30):
+        err = _config_error(capsys, "reconstruct", ini, tmp_path)
+    assert err.startswith(f"config error: [reconstruct] grid: {grid} is too large to image: "
+                          f"Unable to allocate {size} "), err
 
 
 # Per kind, a [scheme] body and its [baseline] that simulate runs as they are.
@@ -920,6 +952,25 @@ def test_simulate_memory_is_set_by_the_piece_not_the_chunk(tmp_path, capsys):
             peaks[chunk] = _traced_peak(lambda: main([*args, "--n-slots", n_slots]))
     capsys.readouterr()
     assert peaks[schemes.CHUNK_SLOTS] < 1.5 * peaks[schemes.PIECE_SLOTS], peaks
+
+
+def test_reconstruct_memory_is_a_few_grids(tmp_path, capsys):
+    """At grid 256, reconstruct's traced peak stays within 8 complex 256 x 256
+    grids: each imaging stage's temporaries die with the stage, and the
+    baselines and visibilities are dropped before the inverse DFT."""
+    n = 256
+    (tmp_path / "points.txt").write_text("-3e-09 5e-09 1.0\n4e-08 -1.7e-08 0.5\n")
+    ini = tmp_path / "reconstruct.ini"
+    ini.write_text("[source]\nkind = points\npoints = points.txt\n"
+                   "[baseline]\nwavelength = 800e-9\n"
+                   f"[reconstruct]\ngrid = {n}\npixel_scale = 1e-9\n")
+    args = ["reconstruct", "--config", str(ini), "--out-dir", str(tmp_path / "run")]
+    assert main(args) == 0  # import lazily loaded code first
+    gc.collect()
+    peak = _traced_peak(lambda: main(args))
+    capsys.readouterr()
+    grid_bytes = n * n * np.dtype(complex).itemsize
+    assert peak <= 8 * grid_bytes, f"{peak / grid_bytes:.2f} grids"
 
 
 def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path, capsys):

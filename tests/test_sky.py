@@ -1,5 +1,6 @@
 """Source models, visibilities, and image file I/O."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -221,6 +222,30 @@ def test_source_model_rejects_mixed_or_wide_angles():
 def test_source_model_rejects_non_finite_data(kwargs, message):
     with pytest.raises(ValueError, match=message):
         SourceModel(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, total", [
+    ({"grid": np.array([[1e308, 1e308]]), "pixel_scale": 1e-9}, "inf"),
+    ({"grid": np.array([[5e-324, 0.0]]), "pixel_scale": 1e-9}, "5e-324"),
+    ({"grid": np.zeros((2, 2)), "pixel_scale": 1e-9}, "0.0"),
+    ({"points": (((0.0, 0.0), 1e-320),)}, "1e-320"),
+    ({"points": ((0.0, 0.0),)}, "0.0"),
+], ids=["grid-overflowing-total", "grid-subnormal-total", "grid-zero-total",
+        "points-subnormal-total", "points-zero-total"])
+def test_source_model_total_intensity_must_be_a_normal_float(kwargs, total):
+    """The total divides every visibility: an infinite one zeroes them, and
+    a subnormal one overflows the quotient at the zero baseline."""
+    with pytest.raises(ValueError, match=f"^total intensity must be positive and finite, "
+                                         f"at least 2.22507e-308, got {total}$"):
+        SourceModel(**kwargs)
+
+
+@pytest.mark.parametrize("source", [
+    SourceModel(points=(((0.0, 0.0), sys.float_info.min),)),
+    SourceModel(grid=np.array([[sys.float_info.min, 0.0]]), pixel_scale=1e-9),
+], ids=["points", "grid"])
+def test_smallest_normal_total_intensity_gives_unit_visibility(source):
+    assert visibility(source, Baseline((0.0, 0.0), WAVELENGTH)) == 1.0
 
 
 @pytest.mark.parametrize("vector, wavelength, message", [
