@@ -12,6 +12,7 @@ from .eventlog import EventLog, fringe_counts, pair_counts
 from .fock import (
     DensityOperator,
     DetectorModel,
+    EntangledPairState,
     apply_beam_splitter,
     apply_loss,
     apply_phase,
@@ -41,13 +42,11 @@ from .schemes import (
 from .repeater import (
     ChainPolicy,
     ChainResult,
-    EntangledPairState,
     LinkModel,
     ProtocolResult,
     chain_simulate,
     entanglement_swap,
     figure_of_merit,
-    heralded_generate,
     optimize_distill_splitter,
     sscg_distill,
     transmit_pair,
@@ -102,7 +101,6 @@ __all__ = [
     "figure_of_merit",
     "fringe_counts",
     "hbt_coincidence_prob",
-    "heralded_generate",
     "inject_telescope_phases",
     "limiting_magnitude",
     "load_pgm",

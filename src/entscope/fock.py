@@ -14,6 +14,12 @@ click-pattern table puts one `DetectorModel` on every mode, and the one basis
 representation is the occupation array `_basis_array`, where every index map
 (kets, splitters, tensor, loss, trace, conditioning, `pair_rows`) finds its rows.
 
+The two-mode pair family `EntangledPairState` (vacuum, a balanced one-photon
+sector, |11>) is the one builder of the shared photon: the starlight's
+arrival state, the entangled scheme's reference photon, the |11>
+reference-pair background and the repeater's pairs all come from its
+`to_density`.
+
 Beam splitter convention (fixed throughout the package), acting on creation
 operators of the two coupled modes::
 
@@ -39,6 +45,8 @@ MAX_MODES = 8
 TRACE_TOL = 1e-10
 HERM_TOL = 1e-12
 EIG_TOL = 1e-10
+# Tolerance of the pair family's field checks and of reading a matrix back into it.
+FORM_TOL = 1e-12
 
 
 class EmptyPostSelectionError(ValueError):
@@ -226,6 +234,86 @@ def _tensor_rows(modes_a: int, cutoff_a: int, modes_b: int, cutoff_b: int,
     rows = np.array((ia, ib, joint))
     rows.flags.writeable = False
     return rows
+
+
+@dataclass(frozen=True)
+class EntangledPairState:
+    """Two-mode single-rail pair in the vacuum/one-photon/double-excitation family.
+
+    The one-photon sector is (|01><01| + |10><10| + c e^{i psi}|10><01| + h.c.)/2
+    scaled by one_photon_weight; the double excitation is |11><11|.
+    """
+
+    vacuum_weight: float = 0.0
+    one_photon_weight: float = 1.0
+    coherence: float = 1.0
+    phase: float = 0.0
+    two_photon_weight: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+        w = (self.vacuum_weight, self.one_photon_weight, self.two_photon_weight)
+        if min(w) < -FORM_TOL:
+            raise ValueError(f"weights must be non-negative, got {w}")
+        if abs(sum(w) - 1.0) > 1e-12:
+            raise ValueError(f"weights must sum to 1, got {sum(w)}")
+        if not -FORM_TOL <= self.coherence <= 1.0 + FORM_TOL:
+            raise ValueError(f"coherence must be in [0, 1], got {self.coherence}")
+
+    @classmethod
+    def perfect(cls) -> "EntangledPairState":
+        return cls()
+
+    @property
+    def visibility(self) -> complex:
+        return self.coherence * np.exp(1j * self.phase)
+
+    def fidelity(self) -> float:
+        """Overlap with (|01> + |10>)/sqrt(2)."""
+        return self.one_photon_weight * (1.0 + self.coherence * math.cos(self.phase)) / 2.0
+
+    def to_density(self) -> DensityOperator:
+        """The pair at cutoff 2, which holds the |11> sector."""
+        rows = pair_rows(2)
+        mat = np.zeros((dimension(2, 2),) * 2, dtype=complex)
+        half = self.one_photon_weight / 2.0
+        mat[rows, rows] = (self.vacuum_weight, half, half, self.two_photon_weight)
+        off = half * self.coherence * np.exp(1j * self.phase)
+        mat[rows[2], rows[1]] = off
+        mat[rows[1], rows[2]] = np.conj(off)
+        return DensityOperator(2, 2, mat)
+
+    @classmethod
+    def from_density(cls, rho: DensityOperator, atol: float = FORM_TOL
+                     ) -> "EntangledPairState":
+        """Read a density matrix back into the family; off-form entries must
+        be below atol (in particular the one-photon sector must be balanced).
+        """
+        rows = pair_rows(rho.photon_cutoff)
+        m = rho.matrix
+        w0, p01, p10, w2 = (m[rows, rows].real.tolist() + [0.0])[:4]  # no (1, 1) below cutoff 2
+        off = complex(m[rows[2], rows[1]])
+        mask = np.ones_like(m, dtype=bool)
+        mask[rows, rows] = mask[rows[2], rows[1]] = mask[rows[1], rows[2]] = False
+        stray = float(np.abs(m[mask]).max()) if mask.any() else 0.0
+        if stray > atol:
+            raise ValueError(f"density matrix is not of pair-family form "
+                             f"(off-form entry {stray:.3e} > {atol:.0e})")
+        if abs(p01 - p10) > atol:
+            raise ValueError(f"one-photon sector unbalanced by {abs(p01 - p10):.3e}")
+        w1 = p01 + p10
+        if w1 > atol:
+            c = min(abs(off) / (w1 / 2.0), 1.0)
+            psi = float(np.angle(off))
+        else:
+            w1, c, psi = 0.0, 0.0, 0.0
+        total = w0 + w1 + w2
+        if not total > 0.0:
+            raise ValueError(f"weights must have a positive sum, got {total} "
+                             f"(vacuum {w0}, one-photon {w1}, |11> {w2})")
+        return cls(w0 / total, w1 / total, c, psi, w2 / total)
 
 
 @lru_cache(maxsize=256)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, pair_rows
-from .repeater import EntangledPairState, entanglement_swap, sscg_distill
+from .fock import DensityOperator, EntangledPairState, pair_rows
+from .repeater import entanglement_swap, sscg_distill
 from .schemes import (
     astro_pair_rate,
     direct_detection_probs,

@@ -1,10 +1,10 @@
 """Single-rail entanglement distribution: links, distillation, swapping, chains.
 
 The states flowing through a repeater chain live in a three-parameter family
-(`EntangledPairState`): a vacuum weight, a balanced one-photon sector with
-coherence c and phase psi (the same shape as the interferometric arrival
-state, with c e^{i psi} in place of the visibility), and a double-excitation
-|11> weight from imperfect pair sources.  Loss and dephasing keep the family
+(`fock.EntangledPairState`): a vacuum weight, a balanced one-photon sector
+with coherence c and phase psi (the interferometric arrival state is the
+member with c e^{i psi} = v), and a double-excitation |11> weight from
+imperfect pair sources.  Loss and dephasing keep the family
 closed; so do the distillation and swapping circuits below for states with no
 double excitation.  Every protocol step is realized as an exact circuit on
 the Fock simulator and then read back into the family, so the parameterized
@@ -19,23 +19,23 @@ additionally drops herald events that leave the kept modes empty (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .fock import (
+    FORM_TOL,
     DensityOperator,
+    EntangledPairState,
     apply_beam_splitter,
     apply_phase,
     condition_on_counts,
-    dimension,
     pair_rows,
 )
 
 DEFAULT_SPLIT_LOW = 0.15
 DEFAULT_SPLIT_HIGH = 0.85
-FORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -82,80 +82,6 @@ class LinkModel:
         """Free-space downlink preset: overall transmission 0.01."""
         return cls(length_km=0.0, attenuation_db_per_km=0.0,
                    extra_transmission=0.01, phase_noise_sigma=phase_noise_sigma)
-
-
-@dataclass(frozen=True)
-class EntangledPairState:
-    """Two-mode single-rail pair in the vacuum/one-photon/double-excitation family.
-
-    The one-photon sector is (|01><01| + |10><10| + c e^{i psi}|10><01| + h.c.)/2
-    scaled by one_photon_weight; the double excitation is |11><11|.
-    """
-
-    vacuum_weight: float = 0.0
-    one_photon_weight: float = 1.0
-    coherence: float = 1.0
-    phase: float = 0.0
-    two_photon_weight: float = 0.0
-
-    def __post_init__(self) -> None:
-        w = (self.vacuum_weight, self.one_photon_weight, self.two_photon_weight)
-        if min(w) < -FORM_TOL:
-            raise ValueError(f"weights must be non-negative, got {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(w)}")
-        if not -FORM_TOL <= self.coherence <= 1.0 + FORM_TOL:
-            raise ValueError(f"coherence must be in [0, 1], got {self.coherence}")
-
-    @classmethod
-    def perfect(cls) -> "EntangledPairState":
-        return cls()
-
-    @property
-    def visibility(self) -> complex:
-        return self.coherence * np.exp(1j * self.phase)
-
-    def fidelity(self) -> float:
-        """Overlap with (|01> + |10>)/sqrt(2)."""
-        return self.one_photon_weight * (1.0 + self.coherence * math.cos(self.phase)) / 2.0
-
-    def to_density(self) -> DensityOperator:
-        """The pair at cutoff 2, which holds the |11> sector."""
-        rows = pair_rows(2)
-        mat = np.zeros((dimension(2, 2),) * 2, dtype=complex)
-        half = self.one_photon_weight / 2.0
-        mat[rows, rows] = (self.vacuum_weight, half, half, self.two_photon_weight)
-        off = half * self.coherence * np.exp(1j * self.phase)
-        mat[rows[2], rows[1]] = off
-        mat[rows[1], rows[2]] = np.conj(off)
-        return DensityOperator(2, 2, mat)
-
-    @classmethod
-    def from_density(cls, rho: DensityOperator, atol: float = FORM_TOL
-                     ) -> "EntangledPairState":
-        """Read a density matrix back into the family; off-form entries must
-        be below atol (in particular the one-photon sector must be balanced).
-        """
-        rows = pair_rows(rho.photon_cutoff)
-        m = rho.matrix
-        w0, p01, p10, w2 = (m[rows, rows].real.tolist() + [0.0])[:4]  # no (1, 1) below cutoff 2
-        off = complex(m[rows[2], rows[1]])
-        mask = np.ones_like(m, dtype=bool)
-        mask[rows, rows] = mask[rows[2], rows[1]] = mask[rows[1], rows[2]] = False
-        stray = float(np.abs(m[mask]).max()) if mask.any() else 0.0
-        if stray > atol:
-            raise ValueError(f"density matrix is not of pair-family form "
-                             f"(off-form entry {stray:.3e} > {atol:.0e})")
-        if abs(p01 - p10) > atol:
-            raise ValueError(f"one-photon sector unbalanced by {abs(p01 - p10):.3e}")
-        w1 = p01 + p10
-        if w1 > atol:
-            c = min(abs(off) / (w1 / 2.0), 1.0)
-            psi = float(np.angle(off))
-        else:
-            w1, c, psi = 0.0, 0.0, 0.0
-        total = w0 + w1 + w2
-        return cls(w0 / total, w1 / total, c, psi, w2 / total)
 
 
 def pair_family_projection(rho: DensityOperator, atol: float = 1e-9
@@ -219,24 +145,6 @@ def transmit_pair(pair: EntangledPairState, link: LinkModel,
     if w1_new <= FORM_TOL:
         c, psi = 0.0, 0.0
     return EntangledPairState(w0_new, w1_new, c, psi, w2_new)
-
-
-def heralded_generate(link: LinkModel | None = None, q: float | None = None,
-                      rng: np.random.Generator | None = None) -> float:
-    """Attempts until a heralded success; geometric with per-attempt rate q.
-
-    q defaults to the link transmission.  With rng the sample is drawn;
-    without, the expected value 1/q is returned.
-    """
-    if q is None:
-        if link is None:
-            raise ValueError("need a link or an explicit success probability q")
-        q = link.transmission()
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"success probability must be in (0, 1], got {q}")
-    if rng is None:
-        return 1.0 / q
-    return float(rng.geometric(q))
 
 
 def heralded_pair_state(link: LinkModel,
@@ -565,6 +473,8 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
     """
     if segments < 1:
         raise ConfigError(f"segments must be >= 1, got {segments}")
+    if rng is not None and n_trials < 1:
+        raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     link_list = list(links) if isinstance(links, (list, tuple)) else [links] * segments
     if len(link_list) != segments:
         raise ConfigError(f"need one link per segment ({segments}), "

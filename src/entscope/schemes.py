@@ -40,6 +40,7 @@ from .eventlog import EventLog
 from .fock import (
     DensityOperator,
     DetectorModel,
+    EntangledPairState,
     IDEAL_DETECTOR,
     apply_beam_splitter,
     apply_phase,
@@ -63,13 +64,18 @@ PIECE_SLOTS = 1 << 12
 # Closed-form per-slot statistics
 # ---------------------------------------------------------------------------
 
+def _fringe(v: complex, delta: float) -> float:
+    """Re(v e^{-i delta}), the fringe term of the closed forms below."""
+    return (v * np.exp(-1j * delta)).real
+
+
 def direct_detection_probs(v: complex, delta: float) -> tuple[float, float]:
     """Single-photon interferometer port probabilities.
 
     Port 1 fires with probability [1 + Re(v e^{-i delta})]/2.
     """
     v = check_visibility(v)
-    p1 = 0.5 * (1.0 + (v * np.exp(-1j * delta)).real)
+    p1 = 0.5 * (1.0 + _fringe(v, delta))
     return float(p1), float(1.0 - p1)
 
 
@@ -88,7 +94,7 @@ def entangled_coincidence_probs(v: complex, delta: float) -> CoincidenceProbs:
     [1 + Re(v e^{-i delta})]/2.
     """
     v = check_visibility(v)
-    corr = 0.5 * (1.0 + (v * np.exp(-1j * delta)).real)
+    corr = 0.5 * (1.0 + _fringe(v, delta))
     return CoincidenceProbs(acceptance=0.5, correlated=float(corr),
                             anticorrelated=float(1.0 - corr))
 
@@ -125,7 +131,7 @@ def weak_coherent_stats(p_a: float, p_e: float, v: complex, delta: float) -> Wea
     p_a = _check_faint("p_a", p_a)
     p_e = _check_faint("p_e", p_e)
     v = check_visibility(v)
-    fringe = (v * np.exp(-1j * delta)).real
+    fringe = _fringe(v, delta)
     background = p_e**2 + p_a**2 * (1.0 + v.real) + 2.0 * p_a * p_e
     p_total = p_a * p_e / 2.0 + p_e**2 / 4.0 + p_a**2 * (1.0 + v.real) / 4.0
     p_corr = (background + 2.0 * p_a * p_e * fringe) / 8.0
@@ -179,7 +185,7 @@ def w_state_probs(n: int, v_ij: complex, delta_i: float, delta_j: float) -> WSta
     if n < 2:
         raise ValueError(f"need at least 2 telescopes, got {n}")
     v_ij = check_visibility(v_ij)
-    corr = 0.5 * (1.0 + (v_ij * np.exp(-1j * (delta_i - delta_j))).real)
+    corr = 0.5 * (1.0 + _fringe(v_ij, delta_i - delta_j))
     return WStateProbs(discard=1.0 / n, correlated=float(corr),
                        anticorrelated=float(1.0 - corr))
 
@@ -213,11 +219,9 @@ def temporal_overlap_factor(coherence_time: float, jitter_sigma: float,
 # ---------------------------------------------------------------------------
 
 def resource_state(delta: float) -> DensityOperator:
-    """Distributed single photon (|0,1> + e^{i delta}|1,0>)/sqrt(2), site-L arm delayed."""
-    return DensityOperator.pure(2, 2, {
-        (0, 1): 1.0 / math.sqrt(2.0),
-        (1, 0): np.exp(1j * delta) / math.sqrt(2.0),
-    })
+    """Distributed single photon (|0,1> + e^{i delta}|1,0>)/sqrt(2), site-L arm
+    delayed: the perfect pair of the pair family at phase delta."""
+    return EntangledPairState(phase=delta).to_density()
 
 
 def lab_pair_state(delta: float) -> DensityOperator:
@@ -446,7 +450,7 @@ def _circuit_outcomes(config: SchemeConfig, v: complex, schedule: tuple[float, .
                       (p_a, astro, None)]
         if config.double_pair_prob > 0.0:
             inputs.append((config.double_pair_prob, None,
-                           DensityOperator.pure(2, 2, {(1, 1): 1.0 + 0.0j})))
+                           EntangledPairState(0.0, 0.0, 0.0, 0.0, 1.0).to_density()))
 
         def table(astro, ref):
             if callable(ref):

@@ -11,13 +11,14 @@ and pixel grids) use the small-angle form 2*pi*(b . theta)/lambda.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, dimension, pair_rows
+from .fock import DensityOperator, EntangledPairState
 
 
 @dataclass(frozen=True)
@@ -195,16 +196,12 @@ def visibility(source: SourceModel, baseline: Baseline) -> complex:
 def arrival_density_matrix(v: complex) -> DensityOperator:
     """One-photon two-mode state of an astronomical photon with visibility v.
 
-    Basis (n_left, n_right): diagonal 1/2 on |0,1> and |1,0>, off-diagonal
+    The pair-family member with coherence |v| and phase arg v: basis
+    (n_left, n_right), diagonal 1/2 on |0,1> and |1,0>, off-diagonal
     <1,0|rho|0,1> = v/2 (and conjugate).  |v| <= 1 required.
     """
     v = check_visibility(v)
-    _, i01, i10 = pair_rows(2)[:3]
-    mat = np.zeros((dimension(2, 2),) * 2, dtype=complex)
-    mat[i01, i01] = mat[i10, i10] = 0.5
-    mat[i10, i01] = v / 2.0
-    mat[i01, i10] = v.conjugate() / 2.0
-    return DensityOperator(2, 2, mat)
+    return EntangledPairState(0.0, 1.0, abs(v), cmath.phase(v)).to_density()
 
 
 def load_point_sources(path) -> SourceModel:

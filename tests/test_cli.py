@@ -928,10 +928,15 @@ def test_streamed_simulate_equals_the_whole_log(tmp_path_factory, run, write_blo
     assert (tmp / "run" / "summary.csv").read_text().splitlines()[2:] == rows
 
 
-def _traced_peak(run) -> int:
+def _traced_peak(run, sites: list | None = None) -> int:
+    """Traced peak bytes of run(); with sites, also appends the top five
+    allocation sites still held when it returns, for a failure message."""
     tracemalloc.start()
     try:
         run()
+        if sites is not None:
+            sites += [str(stat) for stat in
+                      tracemalloc.take_snapshot().statistics("lineno")[:5]]
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -977,7 +982,7 @@ def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path, capsys):
     """Small chunks and blocks, so both commands' traced peak is set by one
     block, not by the slot count."""
     ini = preset("entangled_demo.ini")
-    peaks = {}
+    peaks, sites = {}, {"simulate": [], "estimate": []}
     with mock.patch.object(schemes, "CHUNK_SLOTS", 1 << 12), \
             mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", 1 << 10), \
             mock.patch.object(eventlog, "READ_BLOCK_CHARS", 1 << 14):
@@ -989,11 +994,15 @@ def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path, capsys):
                      "--out-dir", str(warm)]) == 0
         for n_slots in (10_000, 100_000):
             out = tmp_path / str(n_slots)
+            larger = n_slots == 100_000
             peaks["simulate", n_slots] = _traced_peak(lambda: main(
                 ["simulate", "--config", ini, "--n-slots", str(n_slots),
-                 "--out-dir", str(out)]))
+                 "--out-dir", str(out)]), sites["simulate"] if larger else None)
             peaks["estimate", n_slots] = _traced_peak(lambda: main(
-                ["estimate", "--log", str(out / "events.jsonl"), "--out-dir", str(out)]))
+                ["estimate", "--log", str(out / "events.jsonl"), "--out-dir", str(out)]),
+                sites["estimate"] if larger else None)
     capsys.readouterr()
     for command in ("simulate", "estimate"):
-        assert peaks[command, 100_000] < 1.5 * peaks[command, 10_000], peaks
+        assert peaks[command, 100_000] < 1.5 * peaks[command, 10_000], "\n".join(
+            [f"{peaks}", f"top {command} allocation sites held after the 1e5-slot run:",
+             *sites[command]])

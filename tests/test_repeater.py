@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entscope
 from entscope import fock, oracle, repeater
 from entscope.errors import ConfigError
 from entscope.fock import apply_loss
@@ -17,7 +18,6 @@ from entscope.repeater import (
     chain_simulate,
     entanglement_swap,
     figure_of_merit,
-    heralded_generate,
     heralded_pair_state,
     optimize_distill_splitter,
     pair_family_projection,
@@ -60,6 +60,31 @@ def test_pair_state_validation():
         EntangledPairState(0.5, 0.6, 1.0, 0.0)
     with pytest.raises(ValueError):
         EntangledPairState(0.0, 1.0, 1.4, 0.0)
+
+
+def test_pair_family_is_one_class_owned_by_the_fock_layer():
+    assert entscope.EntangledPairState is EntangledPairState is fock.EntangledPairState
+    assert repeater.FORM_TOL is fock.FORM_TOL
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(vacuum_weight=math.nan), "vacuum_weight"),
+    (dict(one_photon_weight=math.inf), "one_photon_weight"),
+    (dict(coherence=math.nan), "coherence"),
+    (dict(phase=math.nan), "phase"),
+    (dict(phase=math.inf), "phase"),
+    (dict(phase=-math.inf), "phase"),
+    (dict(two_photon_weight=math.nan), "two_photon_weight"),
+])
+def test_pair_state_rejects_non_finite_fields(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        EntangledPairState(**kwargs)
+
+
+def test_pair_state_from_a_zero_matrix_raises_value_error():
+    zero = fock.DensityOperator(2, 2, np.zeros((6, 6)))
+    with pytest.raises(ValueError, match="weights must have a positive sum"):
+        EntangledPairState.from_density(zero)
 
 
 def test_link_transmission():
@@ -106,16 +131,9 @@ def test_transmit_pair_dephasing_modes():
 
 
 def test_heralded_generation():
-    link = LinkModel(length_km=10.0)
-    assert heralded_generate(link) == pytest.approx(1.0 / link.transmission())
-    rng = stream(11)
-    draws = [heralded_generate(q=0.25, rng=rng) for _ in range(4000)]
-    assert np.mean(draws) == pytest.approx(4.0, rel=0.1)
     state = heralded_pair_state(LinkModel(length_km=50.0, phase_noise_sigma=0.3))
     assert state.vacuum_weight == 0.0
     assert state.coherence == pytest.approx(math.exp(-0.045), abs=1e-15)
-    with pytest.raises(ValueError):
-        heralded_generate(q=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +344,20 @@ def test_chain_fidelity_decreases_with_noise():
             for s in (0.0, 0.2, 0.5)]
     assert fids[0] == pytest.approx(1.0, abs=1e-12)
     assert fids[0] > fids[1] > fids[2]
+
+
+@pytest.mark.parametrize("with_memory", [True, False])
+@pytest.mark.parametrize("n_trials", [0, -3])
+def test_chain_monte_carlo_rejects_n_trials_below_one(with_memory, n_trials):
+    rng = stream(1)
+    with pytest.raises(ConfigError, match=f"n_trials must be >= 1, got {n_trials}"):
+        chain_simulate(2, LinkModel(), ChainPolicy(with_memory=with_memory),
+                       rng=rng, n_trials=n_trials)
+    assert rng.random() == stream(1).random()  # nothing was drawn
+    # The analytic mode draws nothing and reads no n_trials.
+    policy = ChainPolicy(with_memory=with_memory)
+    assert chain_simulate(2, LinkModel(), policy, n_trials=n_trials) \
+        == chain_simulate(2, LinkModel(), policy)
 
 
 def test_chain_monte_carlo_agrees_with_analytic():

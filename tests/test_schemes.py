@@ -1,4 +1,5 @@
 """Measurement schemes: closed forms, circuit agreement, Monte Carlo."""
+import cmath
 import math
 from unittest import mock
 
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from entscope import oracle, schemes
 from entscope.errors import ConfigError
 from entscope.eventlog import EventLog, fringe_counts, pair_counts
-from entscope.fock import DensityOperator, DetectorModel, outcome_distribution
+from entscope.fock import (
+    DensityOperator,
+    DetectorModel,
+    EntangledPairState,
+    apply_beam_splitter,
+    apply_phase,
+    outcome_distribution,
+)
 from entscope.rng import stream
 from entscope.schemes import (
     SchemeConfig,
@@ -183,6 +191,91 @@ def test_hbt_pair_state_bits_match_reference(v):
     expected = _reference_hbt_pair_matrix(v)
     assert hbt_pair_state(v).matrix.tobytes() == expected.tobytes()
     assert _reference_hbt_pair_matrix(v, bare_sum=True).tobytes() != expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Shared-photon states: one pair family
+# ---------------------------------------------------------------------------
+
+# Rows of |0,1>, |1,0> and |1,1> in the cutoff-2 two-mode basis
+# (0,0), (0,1), (0,2), (1,0), (1,1), (2,0).
+I01, I10, I11 = 1, 3, 4
+LOSSY = DetectorModel(efficiency=0.7, dark_prob_per_window=0.01)
+
+
+def _hand_filled_arrival(v: complex) -> DensityOperator:
+    """The arrival state as a matrix filled entry by entry: 1/2 on the
+    one-photon diagonal, v/2 and its conjugate off it."""
+    v = complex(v)
+    mat = np.zeros((6, 6), dtype=complex)
+    mat[I01, I01] = mat[I10, I10] = 0.5
+    mat[I10, I01] = v / 2.0
+    mat[I01, I10] = v.conjugate() / 2.0
+    return DensityOperator(2, 2, mat)
+
+
+def _pure_reference(delta: float) -> DensityOperator:
+    """The reference photon as the ket (|0,1> + e^{i delta}|1,0>)/sqrt(2)."""
+    ket = np.zeros(6, dtype=complex)
+    ket[I01] = 1.0 / math.sqrt(2.0)
+    ket[I10] = np.exp(1j * delta) / math.sqrt(2.0)
+    return DensityOperator(2, 2, np.outer(ket, ket.conjugate()))
+
+
+def test_shared_photon_states_are_pair_family_densities_bit_for_bit():
+    for v in oracle.VISIBILITY_GRID:
+        family = EntangledPairState(0.0, 1.0, abs(v), cmath.phase(v)).to_density()
+        assert arrival_density_matrix(v).matrix.tobytes() == family.matrix.tobytes()
+    for delta in oracle.DELTA_GRID:
+        family = EntangledPairState(phase=delta).to_density()
+        assert resource_state(delta).matrix.tobytes() == family.matrix.tobytes()
+    # The |11> reference-pair background, as _circuit_outcomes passes it on.
+    seen = []
+    real = schemes.two_telescope_distribution
+
+    def spy(astro, ref, detector):
+        seen.append((astro, ref))
+        return real(astro, ref, detector)
+
+    with mock.patch.object(schemes, "two_telescope_distribution", spy):
+        schemes._circuit_outcomes(SchemeConfig("entangled", p_a=0.9, p_e=0.9,
+                                               double_pair_prob=0.01), 0.5, (0.0,))
+    (background,) = [ref for _, ref in seen if ref is not None and ref.matrix[I11, I11]]
+    family = EntangledPairState(0.0, 0.0, 0.0, 0.0, 1.0).to_density()
+    assert background.matrix.tobytes() == family.matrix.tobytes()
+
+
+def test_arrival_state_reads_back_its_visibility():
+    for v in (*oracle.VISIBILITY_GRID, 1j, -1.0, 0.3 - 0.4j, 1e-300):
+        back = EntangledPairState.from_density(arrival_density_matrix(v))
+        assert abs(back.visibility - v) <= 1e-15, v
+
+
+@pytest.mark.parametrize("detector", [DetectorModel(), LOSSY])
+def test_pair_family_tables_match_the_pure_state_construction(detector):
+    """Every table entry is within 1e-16 of the hand-filled arrival matrix
+    and pure-ket reference.  Only at |v| = 1 and delta in {0, pi} may a
+    pattern of probability exactly 0 there appear, at a roundoff value."""
+    gained = []
+    for v in oracle.VISIBILITY_GRID:
+        for delta in oracle.DELTA_GRID:
+            new = two_telescope_distribution(arrival_density_matrix(v),
+                                             resource_state(delta), detector)
+            old = two_telescope_distribution(_hand_filled_arrival(v),
+                                             _pure_reference(delta), detector)
+            assert set(old) <= set(new)
+            for key, p in new.items():
+                assert abs(p - old.get(key, 0.0)) <= 1e-16, (v, delta, key)
+                if key not in old:
+                    assert abs(v) == 1.0 and delta in (0.0, math.pi), (v, delta, key)
+                    gained.append(key)
+            rho = apply_phase(_hand_filled_arrival(v), 1, delta)
+            rho = apply_beam_splitter(rho, 0, 1, 0.5, phase=math.pi / 2.0)
+            old = outcome_distribution(rho, detector)
+            new = direct_distribution(v, delta, detector)
+            assert new.keys() == old.keys()
+            assert all(abs(new[key] - old[key]) <= 1e-16 for key in new), (v, delta)
+    assert len(gained) <= 2
 
 
 # ---------------------------------------------------------------------------
