@@ -18,17 +18,8 @@ import csv
 import os
 import sys
 
-import numpy as np
-
-from . import config as cfg
+from . import config as cfg, estimation, eventlog, oracle, repeater, rng, schemes, sensitivity, sky
 from .errors import ConfigError, InfeasibleBudgetError, LowStatisticsError
-from .estimation import dirty_image, fit_fringe, grid_visibilities
-from .eventlog import FringeCounter, JsonlWriter
-from .repeater import chain_simulate, figure_of_merit
-from .rng import stream
-from .schemes import simulate_chunks
-from .sensitivity import limiting_magnitude
-from .sky import save_pgm, visibilities
 
 SUMMARY_CSV_SCHEMA = "entscope.delta-summary-csv.v1"
 PAIR_CSV_SCHEMA = "entscope.pair-summary-csv.v1"
@@ -91,12 +82,12 @@ def cmd_simulate(args) -> int:
     if n_slots <= 0:
         raise ConfigError(f"n_slots: must be positive, got {n_slots}")
     out_dir = _ensure_out_dir(out_dir)
-    fields, blocks = simulate_chunks(scheme, source, geometry, n_slots, seed)
-    counter = FringeCounter(scheme.kind, scheme.delta_schedule,
-                            scheme.n_telescopes if scheme.kind == "w_state" else None)
+    fields, blocks = schemes.simulate_chunks(scheme, source, geometry, n_slots, seed)
+    counter = eventlog.FringeCounter(scheme.kind, scheme.delta_schedule,
+                                     scheme.n_telescopes if scheme.kind == "w_state" else None)
     log_path = os.path.join(out_dir, "events.jsonl")
     with _writing(log_path), open(log_path, "w", encoding="ascii") as fh:
-        writer = JsonlWriter(fh, **fields)
+        writer = eventlog.JsonlWriter(fh, **fields)
         for block in blocks:
             writer.write(*block)
             counter.add(*block)
@@ -115,12 +106,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     try:
-        counter = FringeCounter.from_jsonl(args.log)
+        counter = eventlog.FringeCounter.from_jsonl(args.log)
     except (OSError, TypeError, ValueError, KeyError) as exc:
         raise InputError(f"unreadable event log {args.log}: "
                          f"{type(exc).__name__}: {exc}") from exc
     try:
-        fit = fit_fringe(*counter.counts())
+        fit = estimation.fit_fringe(*counter.counts())
     except ValueError as exc:
         raise InputError(f"cannot fit event log {args.log}: {exc}") from exc
     out_dir = _ensure_out_dir(args.out_dir or "out")
@@ -138,10 +129,11 @@ def cmd_repeater(args) -> int:
     parser = cfg.load_config(args.config)
     segments, links, policy, n_trials, efficiency, bandwidth = cfg.build_chain(parser)
     seed, out_dir, mode, _ = cfg.run_options(parser, args.seed, args.out_dir)
-    rng = stream(seed) if mode == "monte-carlo" else None
-    result = chain_simulate(segments, links, policy, rng=rng, n_trials=n_trials)
+    generator = rng.stream(seed) if mode == "monte-carlo" else None
+    result = repeater.chain_simulate(segments, links, policy, rng=generator,
+                                     n_trials=n_trials)
     out_dir = _ensure_out_dir(out_dir)
-    merit = figure_of_merit(result.rate, efficiency, bandwidth)
+    merit = repeater.figure_of_merit(result.rate, efficiency, bandwidth)
     policy_label = (f"{'memory' if policy.with_memory else 'memoryless'}"
                     f"/distill={','.join(map(str, policy.distill_rounds)) or 'none'}")
     _write_csv(os.path.join(out_dir, "chain.csv"), CHAIN_CSV_SCHEMA,
@@ -154,7 +146,7 @@ def cmd_repeater(args) -> int:
 
 
 def _budget_rows(budget) -> list[list[str]]:
-    m_lim = limiting_magnitude(budget)
+    m_lim = sensitivity.limiting_magnitude(budget)
     rows = [
         ["wavelength_nm", f"{budget.wavelength * 1e9:.6g}"],
         ["bandwidth_nm", f"{budget.bandwidth_nm:.6g}"],
@@ -174,12 +166,15 @@ def _budget_rows(budget) -> list[list[str]]:
 
 
 def cmd_sensitivity(args) -> int:
+    if args.config and args.budget:
+        raise ConfigError("--budget: a config picks its preset with [sensitivity] budget; "
+                          "pass one of --config and --budget")
     if args.config:
         parser = cfg.load_config(args.config)
         budget = cfg.build_budget(parser)
         out_dir = cfg.out_dir(parser, args.out_dir, None)
     else:
-        budget = cfg.budget_preset(args.budget)
+        budget = cfg.budget_preset(args.budget or "default")
         out_dir = args.out_dir
     rows = _budget_rows(budget)
     width = max(len(name) for name, _ in rows)
@@ -192,68 +187,26 @@ def cmd_sensitivity(args) -> int:
     return EXIT_OK
 
 
-def _check_field_of_view(source, grid: int, pixel_scale: float) -> None:
-    """Raise unless every source point, or nonzero pgm pixel, lies within half
-    a pixel of the outermost pixel centres, (i - grid//2) * pixel_scale."""
-    if source.points is not None:
-        angles = np.array([t for t, _ in source.points], dtype=float)
-    else:  # the nonzero pixels
-        angles = (np.argwhere(source.grid) - np.array(source.grid.shape) // 2) * source.pixel_scale
-    lo, hi = (-(grid // 2) - 0.5) * pixel_scale, (grid - 1 - grid // 2 + 0.5) * pixel_scale
-    outside = angles[((angles < lo) | (angles > hi)).reshape(len(angles), -1).any(axis=1)]
-    if len(outside):
-        raise ConfigError(f"[reconstruct] source at {outside[0].tolist()} rad lies outside the "
-                          f"field of view [{lo:.6g}, {hi:.6g}] rad per axis "
-                          f"(grid {grid}, pixel_scale {pixel_scale:g})")
-
-
-def _full_grid_image(source, grid: int, pixel_scale: float, wavelength: float) -> np.ndarray:
-    """The dirty image of the source's visibilities on every baseline of the
-    grid; the baselines and visibilities are dropped before the inverse DFT."""
-    unit = wavelength / (grid * pixel_scale)
-    axis = np.arange(-(grid // 2), grid - grid // 2) * unit
-    vectors = axis
-    if source.two_d:  # row i * grid + j is (axis[i], axis[j])
-        vectors = np.empty((grid, grid, 2))
-        vectors[..., 0] = axis[:, None]
-        vectors[..., 1] = axis
-        vectors = vectors.reshape(-1, 2)
-    try:
-        values = visibilities(source, vectors, wavelength)
-    except ValueError as exc:  # a phase overflows
-        raise ConfigError(f"[baseline] wavelength: {exc}") from exc
-    try:
-        samples = grid_visibilities(vectors, wavelength, values, grid, pixel_scale)
-        del vectors, values
-        return dirty_image(samples).reshape(-1, grid)
-    except ValueError as exc:
-        # An even grid's Nyquist samples are real only for a source on the
-        # pixel grid.
-        raise ConfigError(f"[reconstruct] {exc}") from exc
-
-
 def cmd_reconstruct(args) -> int:
     parser = cfg.load_config(args.config)
     source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
     grid, pixel_scale, wavelength = cfg.build_reconstruct(parser)
-    _check_field_of_view(source, grid, pixel_scale)
+    estimation.check_field_of_view(source, grid, pixel_scale)
     try:
-        image = _full_grid_image(source, grid, pixel_scale, wavelength)
+        image = estimation.full_grid_image(source, grid, pixel_scale, wavelength)
     except MemoryError as exc:  # numpy's request for a grid-sized array was refused
         raise ConfigError(f"[reconstruct] grid: {grid} is too large to image: {exc}") from exc
     out_dir = _ensure_out_dir(cfg.out_dir(parser, args.out_dir))
     path = os.path.join(out_dir, "image.pgm")
     with _writing(path):
-        save_pgm(path, image, comment=IMAGE_PGM_SCHEMA)
-    peak = np.unravel_index(np.argmax(image), image.shape)
+        sky.save_pgm(path, image, comment=IMAGE_PGM_SCHEMA)
+    peak = divmod(int(image.argmax()), image.shape[1])
     print(f"reconstructed {image.shape[0]}x{image.shape[1]} image -> {path} "
-          f"(peak at pixel {tuple(int(p) for p in peak)})")
+          f"(peak at pixel {peak})")
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
-    from . import oracle
-
     failures, lines = oracle.run_all()
     for line in lines:
         print(line)
@@ -297,8 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sen = subs.add_parser("sensitivity", help="detection budget table")
     sen.add_argument("--config", default=None, help="INI file with [sensitivity]")
-    sen.add_argument("--budget", default="default",
-                     help="preset name when no config given (default, improved)")
+    sen.add_argument("--budget", default=None,
+                     help="preset name when no config is given: default (the default) "
+                          "or improved")
     sen.add_argument("--out-dir", default=None)
     sen.set_defaults(func=cmd_sensitivity)
 

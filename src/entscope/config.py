@@ -22,31 +22,29 @@ import os
 import sys
 from dataclasses import fields as dataclass_fields, replace
 
+from . import fock, repeater, schemes, sensitivity, sky
 from .errors import ConfigError
-from .fock import DetectorModel
-from .repeater import ChainPolicy, LinkModel, figure_of_merit
-from .schemes import SchemeConfig
-from .sensitivity import SensitivityBudget
-from .sky import Baseline, SourceModel, load_pgm, load_point_sources, visibilities
 
 
 def _names(*classes) -> set[str]:
     return {f.name for cls in classes for f in dataclass_fields(cls)}
 
 
-# [detector], [scheme], [repeater] and [sensitivity] keys are their dataclasses'
-# fields, less those set another way, plus the keys that are no field.
+# The keys of each section.  [detector], [scheme], [repeater] and [sensitivity]
+# keys are their dataclasses' fields, less those set another way, plus the keys
+# that are no field.  Each entry is called only for a section a file has, so
+# loading a file runs the model modules of its own sections only.
 _KNOWN_KEYS = {
-    "run": {"seed", "out_dir", "mode", "n_slots"},
-    "scheme": _names(SchemeConfig) - {"delta_schedule", "detector"} | {"deltas"},
-    "detector": _names(DetectorModel),
-    "source": {"kind", "separation", "ratio", "points", "pgm", "pixel_scale"},
-    "baseline": {"vector", "wavelength", "positions"},
-    "repeater": (_names(LinkModel, ChainPolicy) - {"with_memory"}
-                 | {"segments", "satellite", "schedule", "n_trials", "efficiency",
-                    "bandwidth_nm"}),
-    "sensitivity": _names(SensitivityBudget) | {"budget"},
-    "reconstruct": {"grid", "pixel_scale"},
+    "run": lambda: {"seed", "out_dir", "mode", "n_slots"},
+    "scheme": lambda: _names(schemes.SchemeConfig) - {"delta_schedule", "detector"} | {"deltas"},
+    "detector": lambda: _names(fock.DetectorModel),
+    "source": lambda: {"kind", "separation", "ratio", "points", "pgm", "pixel_scale"},
+    "baseline": lambda: {"vector", "wavelength", "positions"},
+    "repeater": lambda: (_names(repeater.LinkModel, repeater.ChainPolicy) - {"with_memory"}
+                         | {"segments", "satellite", "schedule", "n_trials", "efficiency",
+                            "bandwidth_nm"}),
+    "sensitivity": lambda: _names(sensitivity.SensitivityBudget) | {"budget"},
+    "reconstruct": lambda: {"grid", "pixel_scale"},
 }
 
 
@@ -64,11 +62,12 @@ def load_config(path) -> configparser.ConfigParser:
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")
+        known = _KNOWN_KEYS[section]()
         for key in parser[section]:
-            if key not in _KNOWN_KEYS[section]:
+            if key not in known:
                 raise ConfigError(
                     f"{path}: unknown field [{section}] {key} "
-                    f"(known: {', '.join(sorted(_KNOWN_KEYS[section]))})")
+                    f"(known: {', '.join(sorted(known))})")
     return parser
 
 
@@ -137,8 +136,9 @@ def _deltas(raw: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in toks)
 
 
-def build_detector(parser) -> DetectorModel:
-    return _build("detector", DetectorModel, **_fields(parser, "detector", DetectorModel))
+def build_detector(parser) -> fock.DetectorModel:
+    return _build("detector", fock.DetectorModel,
+                  **_fields(parser, "detector", fock.DetectorModel))
 
 
 # The [scheme] keys each kind reads besides those every kind reads or checks;
@@ -155,44 +155,44 @@ _SCHEME_KEYS = {
 }
 
 
-def build_scheme(parser) -> SchemeConfig:
+def build_scheme(parser) -> schemes.SchemeConfig:
     if not parser.has_section("scheme"):
         raise ConfigError("missing [scheme] section")
     kind = _get(parser, "scheme", "kind", str, required=True)
-    settings = _fields(parser, "scheme", SchemeConfig)
+    settings = _fields(parser, "scheme", schemes.SchemeConfig)
     reader = ("bell_complete" if kind == "entangled" and settings.get("bell_complete")
               else f"kind={kind}")
-    used = _EVERY_KIND | _SCHEME_KEYS.get(reader, _KNOWN_KEYS["scheme"])
+    used = _EVERY_KIND | _SCHEME_KEYS.get(reader) or _KNOWN_KEYS["scheme"]()
     for key in parser["scheme"]:
         if key not in used:
             raise ConfigError(f"[scheme] {key}: {reader} does not use it")
     if parser.has_option("scheme", "deltas"):
         settings["delta_schedule"] = _get(parser, "scheme", "deltas", _deltas)
     if kind == "w_state" and "w_phases" not in settings:
-        n_telescopes = settings.get("n_telescopes", SchemeConfig.n_telescopes)
+        n_telescopes = settings.get("n_telescopes", schemes.SchemeConfig.n_telescopes)
         settings["w_phases"] = (0.0,) * n_telescopes
-    return _build("scheme", SchemeConfig, detector=build_detector(parser), **settings)
+    return _build("scheme", schemes.SchemeConfig, detector=build_detector(parser), **settings)
 
 
-def build_source(parser, base_dir) -> SourceModel:
+def build_source(parser, base_dir) -> sky.SourceModel:
     if not parser.has_section("source"):
-        return SourceModel.point()
+        return sky.SourceModel.point()
     kind = _get(parser, "source", "kind", str, "point")
     try:
         if kind == "point":
-            return SourceModel.point()
+            return sky.SourceModel.point()
         if kind == "binary":
             separation = _get(parser, "source", "separation", float, required=True)
             ratio = _get(parser, "source", "ratio", float, 1.0)
-            return SourceModel.binary(separation, ratio)
+            return sky.SourceModel.binary(separation, ratio)
         if kind == "points":
             rel = _get(parser, "source", "points", str, required=True)
-            return load_point_sources(os.path.join(base_dir, rel))
+            return sky.load_point_sources(os.path.join(base_dir, rel))
         if kind == "pgm":
             rel = _get(parser, "source", "pgm", str, required=True)
             pixel_scale = _get(parser, "source", "pixel_scale", float, required=True)
-            return SourceModel(grid=load_pgm(os.path.join(base_dir, rel)),
-                               pixel_scale=pixel_scale)
+            return sky.SourceModel(grid=sky.load_pgm(os.path.join(base_dir, rel)),
+                                   pixel_scale=pixel_scale)
     except ConfigError:
         raise
     except (OSError, ValueError) as exc:
@@ -207,7 +207,7 @@ def _wavelength(parser) -> float:
     return wavelength
 
 
-def build_geometry(parser, scheme: SchemeConfig, source: SourceModel | None = None):
+def build_geometry(parser, scheme: schemes.SchemeConfig, source: sky.SourceModel | None = None):
     """Baseline for two-telescope schemes, (positions, wavelength) for
     telescope arrays.  With a source, its 1-D or 2-D angles must match the
     baselines' dimension, and its visibilities on them must be finite."""
@@ -231,13 +231,13 @@ def build_geometry(parser, scheme: SchemeConfig, source: SourceModel | None = No
         if len(vector) not in (1, 2):
             raise ConfigError("[baseline] vector: expected one or two components")
         two_d = len(vector) == 2
-        geometry = Baseline(tuple(vector) if two_d else vector[0], wavelength)
+        geometry = sky.Baseline(tuple(vector) if two_d else vector[0], wavelength)
         vectors = [geometry.vector]
     if source is not None:
         if source.two_d != two_d:
             dims = "2-D" if source.two_d else "1-D"
             raise ConfigError(f"[baseline] {key}: a {dims} source needs {dims} baselines")
-        _build("baseline", visibilities, source, vectors, wavelength)
+        _build("baseline", sky.visibilities, source, vectors, wavelength)
     return geometry
 
 
@@ -248,37 +248,37 @@ def build_chain(parser):
     segments = _get(parser, "repeater", "segments", int, required=True)
     if segments < 1:
         raise ConfigError("[repeater] segments: must be >= 1")
-    link = _fields(parser, "repeater", LinkModel)
+    link = _fields(parser, "repeater", repeater.LinkModel)
     if _get(parser, "repeater", "satellite", _bool, False):
-        extra = link.get("extra_transmission", LinkModel.extra_transmission)
-        link["extra_transmission"] = extra * LinkModel.satellite().extra_transmission
-    link = _build("repeater", LinkModel, **link)
+        extra = link.get("extra_transmission", repeater.LinkModel.extra_transmission)
+        link["extra_transmission"] = extra * repeater.LinkModel.satellite().extra_transmission
+    link = _build("repeater", repeater.LinkModel, **link)
     schedule = _get(parser, "repeater", "schedule", str, "memory")
     if schedule not in ("memory", "memoryless"):
         raise ConfigError("[repeater] schedule: expected 'memory' or "
                           "'memoryless'")
-    policy = _build("repeater", ChainPolicy, with_memory=(schedule == "memory"),
-                    **_fields(parser, "repeater", ChainPolicy))
+    policy = _build("repeater", repeater.ChainPolicy, with_memory=(schedule == "memory"),
+                    **_fields(parser, "repeater", repeater.ChainPolicy))
     n_trials = _get(parser, "repeater", "n_trials", int, 2000)
     if n_trials < 1:
         raise ConfigError("[repeater] n_trials: must be >= 1")
     efficiency = _get(parser, "repeater", "efficiency", float, 0.5)
     bandwidth = _get(parser, "repeater", "bandwidth_nm", float, 0.1)
-    _build("repeater", figure_of_merit, 0.0, efficiency, bandwidth)  # its range checks
+    _build("repeater", repeater.figure_of_merit, 0.0, efficiency, bandwidth)  # its range checks
     return segments, [link] * segments, policy, n_trials, efficiency, bandwidth
 
 
-def build_budget(parser) -> SensitivityBudget:
+def build_budget(parser) -> sensitivity.SensitivityBudget:
     budget = budget_preset(_get(parser, "sensitivity", "budget", str, "default"))
     return _build("sensitivity", replace, budget,
-                  **_fields(parser, "sensitivity", SensitivityBudget))
+                  **_fields(parser, "sensitivity", sensitivity.SensitivityBudget))
 
 
-def budget_preset(name: str) -> SensitivityBudget:
+def budget_preset(name: str) -> sensitivity.SensitivityBudget:
     if name == "default":
-        return SensitivityBudget()
+        return sensitivity.SensitivityBudget()
     if name == "improved":
-        return SensitivityBudget.improved()
+        return sensitivity.SensitivityBudget.improved()
     raise ConfigError(f"[sensitivity] budget: unknown preset {name!r} "
                       f"(known: default, improved)")
 

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LowStatisticsError
-from .eventlog import EventLog, fringe_counts
-from .sky import checked_baselines
+from . import eventlog, sky
+from .errors import ConfigError, LowStatisticsError
 
 MIN_EVENTS_PER_DELTA = 10
 _QUADRATURE_TOL = 1e-6
@@ -64,9 +63,9 @@ def _has_quadrature_pair(deltas: np.ndarray) -> bool:
     return False
 
 
-def estimate_visibility(log: EventLog) -> FringeFit:
+def estimate_visibility(log: eventlog.EventLog) -> FringeFit:
     """fit_fringe over the log's fringe_counts."""
-    return fit_fringe(*fringe_counts(log))
+    return fit_fringe(*eventlog.fringe_counts(log))
 
 
 def fit_fringe(deltas: np.ndarray, successes: np.ndarray, totals: np.ndarray) -> FringeFit:
@@ -166,7 +165,7 @@ def grid_visibilities(vectors, wavelength: float, values, grid_size, pixel_scale
     Raises on a duplicate baseline or an off-grid sample; the arrays are
     read, never written.
     """
-    vectors = checked_baselines(vectors, wavelength)
+    vectors = sky.checked_baselines(vectors, wavelength)
     m = len(vectors)
     values = np.asarray(values, dtype=complex)
     if values.shape != (m,):
@@ -278,3 +277,46 @@ def dirty_image(grid: np.ndarray) -> np.ndarray:
         raise ValueError("reconstructed image has no usable total flux; "
                          "was the zero baseline sampled?")
     return image / flux
+
+
+def check_field_of_view(source, grid: int, pixel_scale: float) -> None:
+    """Raise ConfigError unless every source point, or nonzero pgm pixel, lies
+    within half a pixel of the outermost pixel centres, (i - grid//2) * pixel_scale.
+
+    This and `full_grid_image` are the `reconstruct` command's imaging; their
+    errors name the INI keys that set the grid."""
+    if source.points is not None:
+        angles = np.array([t for t, _ in source.points], dtype=float)
+    else:  # the nonzero pixels
+        angles = (np.argwhere(source.grid) - np.array(source.grid.shape) // 2) * source.pixel_scale
+    lo, hi = (-(grid // 2) - 0.5) * pixel_scale, (grid - 1 - grid // 2 + 0.5) * pixel_scale
+    outside = angles[((angles < lo) | (angles > hi)).reshape(len(angles), -1).any(axis=1)]
+    if len(outside):
+        raise ConfigError(f"[reconstruct] source at {outside[0].tolist()} rad lies outside the "
+                          f"field of view [{lo:.6g}, {hi:.6g}] rad per axis "
+                          f"(grid {grid}, pixel_scale {pixel_scale:g})")
+
+
+def full_grid_image(source, grid: int, pixel_scale: float, wavelength: float) -> np.ndarray:
+    """The dirty image of the source's visibilities on every baseline of the
+    grid; the baselines and visibilities are dropped before the inverse DFT."""
+    unit = wavelength / (grid * pixel_scale)
+    axis = np.arange(-(grid // 2), grid - grid // 2) * unit
+    vectors = axis
+    if source.two_d:  # row i * grid + j is (axis[i], axis[j])
+        vectors = np.empty((grid, grid, 2))
+        vectors[..., 0] = axis[:, None]
+        vectors[..., 1] = axis
+        vectors = vectors.reshape(-1, 2)
+    try:
+        values = sky.visibilities(source, vectors, wavelength)
+    except ValueError as exc:  # a phase overflows
+        raise ConfigError(f"[baseline] wavelength: {exc}") from exc
+    try:
+        samples = grid_visibilities(vectors, wavelength, values, grid, pixel_scale)
+        del vectors, values
+        return dirty_image(samples).reshape(-1, grid)
+    except ValueError as exc:
+        # An even grid's Nyquist samples are real only for a source on the
+        # pixel grid.
+        raise ConfigError(f"[reconstruct] {exc}") from exc

@@ -3,10 +3,13 @@ import configparser
 import contextlib
 import gc
 import hashlib
+import json
 import math
 import os
 import re
 import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -614,6 +617,65 @@ def test_sensitivity_overflowing_rates_are_infeasible(tmp_path, capsys, key, val
 def test_sensitivity_unknown_preset_is_config_error(capsys):
     assert main(["sensitivity", "--budget", "miracle"]) == EXIT_CONFIG
     assert "unknown preset" in capsys.readouterr().err
+
+
+def test_sensitivity_config_with_budget_is_config_error(tmp_path, capsys):
+    """A config picks its preset with [sensitivity] budget; --budget with it
+    would be ignored, so the pair stops with one line and writes nothing."""
+    assert main(["sensitivity", "--config", preset("chara_like.ini"), "--budget", "improved",
+                 "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --budget: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+# What each command may execute besides the CLI: a module counts once its
+# stub has run, i.e. once it is a plain module object in sys.modules.
+_LOADED = """
+import json, runpy, sys, types
+sys.argv = ["entscope", *json.loads(sys.argv[1])]
+try:
+    runpy.run_module("entscope.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules,
+                  "executed": [n.split(".", 1)[1] for n, m in sys.modules.items()
+                               if n.startswith("entscope.") and type(m) is types.ModuleType]}))
+"""
+
+
+@pytest.mark.parametrize("command, args, only, never", [
+    ("sensitivity", ["--budget", "default"], {"config", "errors", "sensitivity"}, None),
+    # A config file's key check reads the dataclasses of its own sections only.
+    ("sensitivity", ["--config", preset("chara_like.ini")],
+     {"config", "errors", "sensitivity"}, None),
+    ("estimate", ["--log", "{log}"], None, {"schemes", "repeater", "oracle", "sky", "fock"}),
+    ("repeater", ["--config", preset("repeater_demo.ini")], None,
+     {"schemes", "eventlog", "estimation", "oracle", "sky"}),
+    ("reconstruct", ["--config", preset("reconstruct_demo.ini")], None,
+     {"schemes", "repeater", "oracle", "eventlog"}),
+])
+def test_each_command_executes_only_its_layers(tmp_path, capsys, command, args, only, never):
+    log = tmp_path / "run" / "events.jsonl"
+    if command == "estimate":
+        assert main(["simulate", "--config", preset("entangled_demo.ini"),
+                     "--n-slots", "2000", "--out-dir", str(log.parent)]) == 0
+    argv = [command, *(a.format(log=log) for a in args), "--out-dir", str(tmp_path / "out")]
+    src = str(Path(entscope.__file__).resolve().parents[1])
+    # -W error: runpy warns, as `python -m entscope.cli` would, if the CLI
+    # module were in sys.modules before it runs.
+    child = subprocess.run([sys.executable, "-W", "error", "-c", _LOADED, json.dumps(argv)],
+                           check=True, capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert child.stderr == ""
+    report = json.loads(child.stdout.splitlines()[-1])
+    assert report["exit"] == 0
+    executed = set(report["executed"])
+    if only is not None:
+        assert executed <= only and not report["numpy"], report
+    if never is not None:
+        assert not executed & never, report
 
 
 def test_reconstruct_demo_pgm(tmp_path, capsys):
