@@ -166,7 +166,7 @@ def _budget_rows(budget) -> list[list[str]]:
 
 
 def cmd_sensitivity(args) -> int:
-    if args.config and args.budget:
+    if args.config and args.budget is not None:
         raise ConfigError("--budget: a config picks its preset with [sensitivity] budget; "
                           "pass one of --config and --budget")
     if args.config:
@@ -174,7 +174,7 @@ def cmd_sensitivity(args) -> int:
         budget = cfg.build_budget(parser)
         out_dir = cfg.out_dir(parser, args.out_dir, None)
     else:
-        budget = cfg.budget_preset(args.budget or "default")
+        budget = cfg.budget_preset("default" if args.budget is None else args.budget)
         out_dir = args.out_dir
     rows = _budget_rows(budget)
     width = max(len(name) for name, _ in rows)
@@ -191,9 +191,22 @@ def cmd_reconstruct(args) -> int:
     parser = cfg.load_config(args.config)
     source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
     grid, pixel_scale, wavelength = cfg.build_reconstruct(parser)
-    estimation.check_field_of_view(source, grid, pixel_scale)
     try:
-        image = estimation.full_grid_image(source, grid, pixel_scale, wavelength)
+        estimation.check_field_of_view(source, grid, pixel_scale)
+    except ValueError as exc:
+        raise ConfigError(f"[reconstruct] {exc}") from exc
+    try:
+        try:
+            samples = estimation.full_grid_samples(source, grid, pixel_scale, wavelength)
+        except ValueError as exc:  # a phase overflows
+            raise ConfigError(f"[baseline] wavelength: {exc}") from exc
+        try:
+            image = estimation.dirty_image(samples).reshape(-1, grid)
+        except ValueError as exc:
+            # An even grid's Nyquist samples are real only for a source on the
+            # pixel grid.
+            raise ConfigError(f"[reconstruct] {exc}") from exc
+        del samples  # the complex grid, before the image is written
     except MemoryError as exc:  # numpy's request for a grid-sized array was refused
         raise ConfigError(f"[reconstruct] grid: {grid} is too large to image: {exc}") from exc
     out_dir = _ensure_out_dir(cfg.out_dir(parser, args.out_dir))

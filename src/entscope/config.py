@@ -162,7 +162,7 @@ def build_scheme(parser) -> schemes.SchemeConfig:
     settings = _fields(parser, "scheme", schemes.SchemeConfig)
     reader = ("bell_complete" if kind == "entangled" and settings.get("bell_complete")
               else f"kind={kind}")
-    used = _EVERY_KIND | _SCHEME_KEYS.get(reader) or _KNOWN_KEYS["scheme"]()
+    used = _EVERY_KIND | (_SCHEME_KEYS.get(reader) or _KNOWN_KEYS["scheme"]())
     for key in parser["scheme"]:
         if key not in used:
             raise ConfigError(f"[scheme] {key}: {reader} does not use it")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import eventlog, sky
-from .errors import ConfigError, LowStatisticsError
+from .errors import LowStatisticsError
 
 MIN_EVENTS_PER_DELTA = 10
 _QUADRATURE_TOL = 1e-6
@@ -280,11 +280,8 @@ def dirty_image(grid: np.ndarray) -> np.ndarray:
 
 
 def check_field_of_view(source, grid: int, pixel_scale: float) -> None:
-    """Raise ConfigError unless every source point, or nonzero pgm pixel, lies
-    within half a pixel of the outermost pixel centres, (i - grid//2) * pixel_scale.
-
-    This and `full_grid_image` are the `reconstruct` command's imaging; their
-    errors name the INI keys that set the grid."""
+    """Raise ValueError unless every source point, or nonzero pgm pixel, lies
+    within half a pixel of the outermost pixel centres, (i - grid//2) * pixel_scale."""
     if source.points is not None:
         angles = np.array([t for t, _ in source.points], dtype=float)
     else:  # the nonzero pixels
@@ -292,14 +289,15 @@ def check_field_of_view(source, grid: int, pixel_scale: float) -> None:
     lo, hi = (-(grid // 2) - 0.5) * pixel_scale, (grid - 1 - grid // 2 + 0.5) * pixel_scale
     outside = angles[((angles < lo) | (angles > hi)).reshape(len(angles), -1).any(axis=1)]
     if len(outside):
-        raise ConfigError(f"[reconstruct] source at {outside[0].tolist()} rad lies outside the "
-                          f"field of view [{lo:.6g}, {hi:.6g}] rad per axis "
-                          f"(grid {grid}, pixel_scale {pixel_scale:g})")
+        raise ValueError(f"source at {outside[0].tolist()} rad lies outside the "
+                         f"field of view [{lo:.6g}, {hi:.6g}] rad per axis "
+                         f"(grid {grid}, pixel_scale {pixel_scale:g})")
 
 
-def full_grid_image(source, grid: int, pixel_scale: float, wavelength: float) -> np.ndarray:
-    """The dirty image of the source's visibilities on every baseline of the
-    grid; the baselines and visibilities are dropped before the inverse DFT."""
+def full_grid_samples(source, grid: int, pixel_scale: float, wavelength: float) -> np.ndarray:
+    """The source's visibilities on every baseline of the grid, gridded for
+    `dirty_image`; the baselines and visibilities are dropped on return.
+    Raises `sky.visibilities`' ValueError where a phase overflows."""
     unit = wavelength / (grid * pixel_scale)
     axis = np.arange(-(grid // 2), grid - grid // 2) * unit
     vectors = axis
@@ -308,15 +306,5 @@ def full_grid_image(source, grid: int, pixel_scale: float, wavelength: float) ->
         vectors[..., 0] = axis[:, None]
         vectors[..., 1] = axis
         vectors = vectors.reshape(-1, 2)
-    try:
-        values = sky.visibilities(source, vectors, wavelength)
-    except ValueError as exc:  # a phase overflows
-        raise ConfigError(f"[baseline] wavelength: {exc}") from exc
-    try:
-        samples = grid_visibilities(vectors, wavelength, values, grid, pixel_scale)
-        del vectors, values
-        return dirty_image(samples).reshape(-1, grid)
-    except ValueError as exc:
-        # An even grid's Nyquist samples are real only for a source on the
-        # pixel grid.
-        raise ConfigError(f"[reconstruct] {exc}") from exc
+    values = sky.visibilities(source, vectors, wavelength)
+    return grid_visibilities(vectors, wavelength, values, grid, pixel_scale)

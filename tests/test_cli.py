@@ -614,15 +614,17 @@ def test_sensitivity_overflowing_rates_are_infeasible(tmp_path, capsys, key, val
     assert err.startswith("infeasible budget: ") and err.count("\n") == 1, err
 
 
-def test_sensitivity_unknown_preset_is_config_error(capsys):
-    assert main(["sensitivity", "--budget", "miracle"]) == EXIT_CONFIG
+@pytest.mark.parametrize("budget", ["miracle", ""])
+def test_sensitivity_unknown_preset_is_config_error(capsys, budget):
+    assert main(["sensitivity", "--budget", budget]) == EXIT_CONFIG
     assert "unknown preset" in capsys.readouterr().err
 
 
-def test_sensitivity_config_with_budget_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("budget", ["improved", ""])
+def test_sensitivity_config_with_budget_is_config_error(tmp_path, capsys, budget):
     """A config picks its preset with [sensitivity] budget; --budget with it
     would be ignored, so the pair stops with one line and writes nothing."""
-    assert main(["sensitivity", "--config", preset("chara_like.ini"), "--budget", "improved",
+    assert main(["sensitivity", "--config", preset("chara_like.ini"), "--budget", budget,
                  "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -911,6 +913,20 @@ def test_scheme_key_the_kind_does_not_use_is_config_error(tmp_path, capsys, kind
     err = _config_error(capsys, "simulate", ini, tmp_path)
     label = "bell_complete" if kind == "bell_complete" else f"kind={kind}"
     assert err == f"config error: [scheme] {key}: {label} does not use it\n"
+
+
+@pytest.mark.parametrize("scheme", ["kind = directt\n", "kind = bogus\np_e = 0.1\n",
+                                    "kind = bogus\nbell_complete = true\n"],
+                         ids=["typo", "with-p_e", "with-bell_complete"])
+def test_unknown_scheme_kind_is_config_error(tmp_path, capsys, scheme):
+    """An unknown kind reads every [scheme] key, so the kind itself is what
+    the one error line names."""
+    ini = tmp_path / "scheme.ini"
+    ini.write_text(f"[run]\nseed = 1\n[scheme]\n{scheme}[baseline]\nvector = 100.0\n")
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    kind = scheme.split("\n")[0].split(" = ")[1]
+    assert err.startswith("config error: [scheme] kind must be one of ("), err
+    assert err.endswith(f"got {kind!r}\n"), err
 
 
 @pytest.mark.parametrize("jitter", [None, "1e160"], ids=["alone", "with-jitter"])

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entscope.errors import LowStatisticsError
+from entscope.errors import ConfigError, LowStatisticsError
 from entscope.estimation import (
     FringeFit,
+    check_field_of_view,
     closure_phase,
+    dirty_image,
     estimate_visibility,
+    full_grid_samples,
     inject_telescope_phases,
     reconstruct_image,
 )
@@ -424,3 +427,15 @@ def test_full_grid_image_matches_per_sample_loop():
     vectors.flags.writeable = values.flags.writeable = False
     image = reconstruct_image(vectors, WAVELENGTH, values, (n, n), pixel_scale)
     assert np.array_equal(image, _reference_reconstruct(vectors, values, (n, n), pixel_scale))
+    # The reconstruct command's route builds the same samples itself.
+    samples = full_grid_samples(source, n, pixel_scale, WAVELENGTH)
+    assert np.array_equal(dirty_image(samples), image)
+
+
+def test_check_field_of_view_raises_a_plain_value_error():
+    """The library names no config key; the CLI adds the [reconstruct] prefix."""
+    check_field_of_view(SourceModel(points=((-4.5e-9, 1.0),)), 8, 1e-9)  # on the edge
+    with pytest.raises(ValueError, match=r"^source at 4e-09 rad lies outside the field of "
+                                         r"view \[-4\.5e-09, 3\.5e-09\] rad per axis") as info:
+        check_field_of_view(SourceModel(points=((4e-9, 1.0),)), 8, 1e-9)
+    assert not isinstance(info.value, ConfigError)
