@@ -257,8 +257,13 @@ def build_chain(parser):
     if schedule not in ("memory", "memoryless"):
         raise ConfigError("[repeater] schedule: expected 'memory' or "
                           "'memoryless'")
+    settings = _fields(parser, "repeater", repeater.ChainPolicy)
+    levels = repeater._depth_of(segments) + 1
+    if len(settings.get("distill_rounds", ())) > levels:
+        raise ConfigError(f"[repeater] distill_rounds: a chain of {segments} segments has "
+                          f"{levels} nesting levels, got {len(settings['distill_rounds'])} entries")
     policy = _build("repeater", repeater.ChainPolicy, with_memory=(schedule == "memory"),
-                    **_fields(parser, "repeater", repeater.ChainPolicy))
+                    **settings)
     n_trials = _get(parser, "repeater", "n_trials", int, 2000)
     if n_trials < 1:
         raise ConfigError("[repeater] n_trials: must be >= 1")
@@ -269,6 +274,8 @@ def build_chain(parser):
 
 
 def build_budget(parser) -> sensitivity.SensitivityBudget:
+    if not parser.has_section("sensitivity"):
+        raise ConfigError("missing [sensitivity] section")
     budget = budget_preset(_get(parser, "sensitivity", "budget", str, "default"))
     return _build("sensitivity", replace, budget,
                   **_fields(parser, "sensitivity", sensitivity.SensitivityBudget))
@@ -296,7 +303,8 @@ def build_reconstruct(parser) -> tuple[int, float, float]:
         raise ConfigError("[reconstruct] pixel_scale: must be positive")
     wavelength = _wavelength(parser)
     # Imaging baselines reach grid // 2 * wavelength / (grid * pixel_scale),
-    # and their grid indices are those times grid * pixel_scale / wavelength.
+    # below this bound, so they are finite where it is; so are their grid
+    # indices b * grid * pixel_scale / wavelength in `reconstruct_image`.
     if not math.isfinite(grid * wavelength / pixel_scale):
         raise ConfigError(f"[baseline] wavelength: grid * wavelength / pixel_scale overflows "
                           f"at wavelength {wavelength!r}, grid {grid}, "

@@ -153,17 +153,8 @@ def reconstruct_image(vectors, wavelength: float, values, grid_size, pixel_scale
     for 2-D; pixel i sits at angle (i - n//2) * pixel_scale per axis, like
     `sky.SourceModel` grids.
     Unsampled grid points are zero-filled after Hermitian completion
-    V(-k) = conj(V(k)).  The two steps are `grid_visibilities` and
-    `dirty_image`; a caller that can drop its samples in between holds less.
-    """
-    return dirty_image(grid_visibilities(vectors, wavelength, values, grid_size, pixel_scale))
-
-
-def grid_visibilities(vectors, wavelength: float, values, grid_size, pixel_scale: float):
-    """The Hermitian-completed complex grid that `reconstruct_image` inverts.
-
-    Raises on a duplicate baseline or an off-grid sample; the arrays are
-    read, never written.
+    V(-k) = conj(V(k)).  Raises on a duplicate baseline or an off-grid
+    sample; the arrays are read, never written.
     """
     vectors = sky.checked_baselines(vectors, wavelength)
     m = len(vectors)
@@ -185,7 +176,21 @@ def grid_visibilities(vectors, wavelength: float, values, grid_size, pixel_scale
         raise ValueError("1-D baselines need a scalar grid size")
     vectors = vectors.reshape(m, -1)
     _check_distinct(vectors, two_d)
-    cells = _grid_cells(vectors, shape, pixel_scale, wavelength)
+
+    # Fractional grid index of each sample; the first off-grid sample
+    # raises, naming its first off-grid axis.
+    index = vectors * np.array(shape) * pixel_scale / wavelength
+    nearest = np.rint(index)
+    off_grid = ~(np.abs(index - nearest) <= _GRID_TOL)
+    failed = np.flatnonzero(off_grid.any(axis=1))
+    if failed.size:
+        row = failed[0]
+        axis = int(np.argmax(off_grid[row]))
+        raise ValueError(
+            f"baseline component {float(vectors[row, axis])!r} is off the "
+            f"reconstruction grid (index {index[row, axis]:.6f} not within "
+            f"{_GRID_TOL} of an integer)")
+    cells = np.ravel_multi_index(tuple(np.mod(nearest, shape).astype(np.intp).T), shape)
 
     # A later sample on the same grid point replaces an earlier one.
     cells, first = np.unique(cells[::-1], return_index=True)
@@ -198,7 +203,7 @@ def grid_visibilities(vectors, wavelength: float, values, grid_size, pixel_scale
     mirror = np.ix_(*[(-np.arange(n)) % n for n in shape])
     missing = np.nonzero(~filled & filled[mirror])
     grid[missing] = np.conj(grid[tuple((-i) % n for i, n in zip(missing, shape))])
-    return grid
+    return dirty_image(grid)
 
 
 def _check_distinct(vectors: np.ndarray, two_d: bool) -> None:
@@ -213,37 +218,6 @@ def _check_distinct(vectors: np.ndarray, two_d: bool) -> None:
         raise ValueError(f"duplicate baseline {vector!r}")
 
 
-def _grid_index(vectors: np.ndarray, shape, pixel_scale: float, wavelength: float) -> np.ndarray:
-    """Fractional grid index vector * n * pixel_scale / wavelength per axis."""
-    index = vectors * np.array(shape)
-    index *= pixel_scale
-    index /= wavelength
-    return index
-
-
-def _grid_cells(vectors: np.ndarray, shape, pixel_scale: float, wavelength: float) -> np.ndarray:
-    """Flat grid index of each sample; the first off-grid sample raises,
-    naming its first off-grid axis."""
-    deviation = _grid_index(vectors, shape, pixel_scale, wavelength)
-    nearest = np.rint(deviation)
-    deviation -= nearest
-    np.abs(deviation, out=deviation)
-    off_grid = ~(deviation <= _GRID_TOL)
-    failed = np.flatnonzero(off_grid.any(axis=1))
-    if failed.size:
-        row = failed[0]
-        axis = int(np.argmax(off_grid[row]))
-        exact = _grid_index(vectors[row], shape, pixel_scale, wavelength)[axis]
-        raise ValueError(
-            f"baseline component {float(vectors[row, axis])!r} is off the "
-            f"reconstruction grid (index {exact:.6f} not within "
-            f"{_GRID_TOL} of an integer)")
-    np.mod(nearest, shape, out=nearest)
-    index = nearest.astype(np.intp)
-    del nearest  # one grid-sized array fewer under the flat index
-    return np.ravel_multi_index(tuple(index.T), shape)
-
-
 def _dft_ramp(n: int) -> np.ndarray:
     """exp(-2 pi i k (p - n//2) / n) / n for frequency k (row), pixel p (column)."""
     k = np.arange(n)
@@ -256,7 +230,8 @@ def _dft_ramp(n: int) -> np.ndarray:
 
 
 def dirty_image(grid: np.ndarray) -> np.ndarray:
-    """Real, unit-flux inverse DFT of a `grid_visibilities` grid.
+    """Real, unit-flux inverse DFT of a complex visibility grid, cell k of an
+    axis holding baseline k (mod n) grid units.
 
     A 2-D grid is overwritten with the complex image, which saves a
     grid-sized array; a square grid's two axes share one ramp.
@@ -295,7 +270,7 @@ def check_field_of_view(source, grid: int, pixel_scale: float) -> None:
 
 
 def full_grid_samples(source, grid: int, pixel_scale: float, wavelength: float) -> np.ndarray:
-    """The source's visibilities on every baseline of the grid, gridded for
+    """The source's visibilities on every baseline of the grid, laid out for
     `dirty_image`; the baselines and visibilities are dropped on return.
     Raises `sky.visibilities`' ValueError where a phase overflows."""
     unit = wavelength / (grid * pixel_scale)
@@ -307,4 +282,7 @@ def full_grid_samples(source, grid: int, pixel_scale: float, wavelength: float) 
         vectors[..., 1] = axis
         vectors = vectors.reshape(-1, 2)
     values = sky.visibilities(source, vectors, wavelength)
-    return grid_visibilities(vectors, wavelength, values, grid, pixel_scale)
+    # Sample k of an axis is baseline (k - grid//2) * unit, so it belongs in
+    # cell (k - grid//2) mod grid.
+    return np.roll(values.reshape((grid,) * vectors.ndim), -(grid // 2),
+                   axis=tuple(range(vectors.ndim)))

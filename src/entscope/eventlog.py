@@ -35,6 +35,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 SCHEMA = "entscope.eventlog.v1"
 
+# The schemes a log can come from; `schemes` simulates each of them.
+SCHEME_KINDS = ("direct", "entangled", "weak_coherent", "w_state", "hbt")
+
 # Records formatted per write() call; bounds the text held in memory.  Larger
 # blocks' buffers go back to the system and are faulted in again block after
 # block: at 1 << 14 a 1e6-slot simulate took ~4x the page faults and ~15% longer.
@@ -326,6 +329,8 @@ class _BlockReader:
         header = self.header
         fields = dict(scheme=header["scheme"], n_slots=_typed(header, "n_slots", int),
                       deltas=self.deltas, meta=header.get("meta", {}))
+        if fields["scheme"] not in SCHEME_KINDS:
+            raise ValueError(f"scheme must be one of {SCHEME_KINDS}, got {fields['scheme']!r}")
         self.checks.raise_first(fields["n_slots"], len(self.deltas))
         return fields
 
@@ -340,6 +345,7 @@ class _Pairing:
     def __init__(self) -> None:
         self.carry: list[np.ndarray] | None = None  # an unpaired accepted record
         self.split = False  # some pair's records lie in two slots
+        self.one_telescope = False  # some pair's records come from one telescope
 
     def add(self, slot, telescope, detector, accepted, delta_index):
         """(slot, telescope, detector, delta index) of the first and of the
@@ -352,6 +358,7 @@ class _Pairing:
         self.carry = [c[paired:] for c in cols] if paired < len(cols[0]) else None
         first, second = [c[0:paired:2] for c in cols], [c[1:paired:2] for c in cols]
         self.split |= bool(np.any(first[0] != second[0]))
+        self.one_telescope |= bool(np.any(first[1] == second[1]))
         return first, second
 
     def check(self) -> None:
@@ -359,6 +366,8 @@ class _Pairing:
             raise ValueError("accepted coincidence records must come in pairs")
         if self.split:
             raise ValueError("accepted pair records must share a slot")
+        if self.one_telescope:
+            raise ValueError("accepted pair records must come from two telescopes")
 
 
 class FringeCounter:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError
-from .eventlog import EventLog
+from .eventlog import SCHEME_KINDS, EventLog
 from .fock import (
     DensityOperator,
     DetectorModel,
@@ -48,8 +48,6 @@ from .fock import (
 )
 from .sky import (Baseline, SourceModel, arrival_density_matrix, check_visibility,
                   visibilities, visibility)
-
-SCHEME_KINDS = ("direct", "entangled", "weak_coherent", "w_state", "hbt")
 
 MAX_FAINT_PROB = 0.2
 WARN_FAINT_PROB = 0.1

@@ -215,8 +215,10 @@ def _set_key(tmp_path, base: str, section: str, key: str, value: str) -> Path:
     ("distill_rounds", "-1", "distill_rounds entries must be >= 0"),
     ("schedule", "memoryless",
      "distillation requires with_memory=True (schedule = memory): pairs must wait for each other"),
+    ("distill_rounds", "1,0,0,7",
+     "distill_rounds: a chain of 4 segments has 3 nesting levels, got 4 entries"),
 ], ids=["efficiency-above-1", "efficiency-negative", "bandwidth-negative",
-        "negative-rounds", "memoryless-distillation"])
+        "negative-rounds", "memoryless-distillation", "rounds-beyond-levels"])
 def test_repeater_out_of_range_value_is_config_error(tmp_path, capsys, key, value, message):
     ini = _set_key(tmp_path, "repeater_demo.ini", "repeater", key, value)
     err = _config_error(capsys, "repeater", ini, tmp_path)
@@ -297,9 +299,13 @@ def _single_delta(text: str) -> str:
      "unreadable event log .*ValueError: delta must be a number, got False"),
     (lambda t: t.replace('"tel":1}', '"tel":-7}', 1),
      "unreadable event log .*ValueError: telescope ids must be non-negative"),
+    (lambda t: t.replace('"scheme":"entangled"', '"scheme":"bogus"', 1),
+     "unreadable event log .*ValueError: scheme must be one of .*, got 'bogus'"),
+    (lambda t: re.sub(r'("acc":true[^\n]*"tel":)1}', r'\g<1>0}', t, count=1),
+     "cannot fit event log .*: accepted pair records must come from two telescopes"),
 ], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta",
         "repeated-delta", "non-ascii", "slot-beyond-int64", "acc-string",
-        "delta-boolean", "telescope-negative"])
+        "delta-boolean", "telescope-negative", "unknown-scheme", "pair-one-telescope"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
@@ -612,6 +618,12 @@ def test_sensitivity_overflowing_rates_are_infeasible(tmp_path, capsys, key, val
                  "--out-dir", str(tmp_path / "run")]) == EXIT_INFEASIBLE
     err = capsys.readouterr().err
     assert err.startswith("infeasible budget: ") and err.count("\n") == 1, err
+
+
+def test_sensitivity_config_without_section_is_config_error(tmp_path, capsys):
+    """A config without [sensitivity] has no budget to report, not the default one."""
+    err = _config_error(capsys, "sensitivity", Path(preset("repeater_demo.ini")), tmp_path)
+    assert err == "config error: missing [sensitivity] section\n"
 
 
 @pytest.mark.parametrize("budget", ["miracle", ""])

@@ -417,16 +417,22 @@ def test_reconstruct_image_matches_per_sample_loop(case):
         assert np.array_equal(got, expected)
 
 
-def test_full_grid_image_matches_per_sample_loop():
-    n, pixel_scale = 32, 0.5e-9
-    source = SourceModel(points=(((2e-9, -3e-9), 1.0), ((-4.5e-9, 1e-9), 0.4)))
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("two_d", [False, True], ids=["1-D", "2-D"])
+def test_full_grid_image_matches_per_sample_loop(two_d, n):
+    pixel_scale = 0.5e-9
+    if two_d:
+        source = SourceModel(points=(((2e-9, -3e-9), 1.0), ((-4.5e-9, 1e-9), 0.4)))
+    else:
+        source = SourceModel(points=((2e-9, 1.0), (-4.5e-9, 0.4)))
     k = np.arange(-(n // 2), n - n // 2) * (WAVELENGTH / (n * pixel_scale))
-    vectors = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    vectors = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2) if two_d else k
+    grid_size = (n, n) if two_d else n
     values = visibilities(source, vectors, WAVELENGTH)
     # The arrays are read in place, never written.
     vectors.flags.writeable = values.flags.writeable = False
-    image = reconstruct_image(vectors, WAVELENGTH, values, (n, n), pixel_scale)
-    assert np.array_equal(image, _reference_reconstruct(vectors, values, (n, n), pixel_scale))
+    image = reconstruct_image(vectors, WAVELENGTH, values, grid_size, pixel_scale)
+    assert np.array_equal(image, _reference_reconstruct(vectors, values, grid_size, pixel_scale))
     # The reconstruct command's route builds the same samples itself.
     samples = full_grid_samples(source, n, pixel_scale, WAVELENGTH)
     assert np.array_equal(dirty_image(samples), image)

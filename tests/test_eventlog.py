@@ -499,6 +499,9 @@ def test_fringe_counts_rejects_arrays_and_bad_pairing():
     split = two_slot_log(slot=[0, 1, 2, 3])
     with pytest.raises(ValueError, match="share a slot"):
         fringe_counts(split)
+    one_telescope = two_slot_log(telescope=[0, 0, 0, 1])
+    with pytest.raises(ValueError, match="from two telescopes"):
+        fringe_counts(one_telescope)
 
 
 def test_pair_counts_by_telescope_pair():
