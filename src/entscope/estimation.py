@@ -77,7 +77,8 @@ def fit_fringe(deltas: np.ndarray, successes: np.ndarray, totals: np.ndarray) ->
     Raises LowStatisticsError when any schedule entry has fewer than
     MIN_EVENTS_PER_DELTA accepted events.
     """
-    if len(np.unique(np.round(deltas, 12))) < 2:
+    # A set, not np.unique, which loads numpy.ma; every NaN counts as one value, as there.
+    if len({d if d == d else math.nan for d in np.round(deltas, 12).tolist()}) < 2:
         raise ValueError("need at least two distinct delta values")
     if not _has_quadrature_pair(np.asarray(deltas, dtype=float)):
         raise ValueError("delta schedule must contain a quadrature pair "

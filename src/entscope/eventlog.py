@@ -48,6 +48,12 @@ READ_BLOCK_CHARS = 1 << 18
 # Record columns, in the order the reader and counters take them.
 COLUMNS = ("slot", "telescope", "detector", "accepted", "delta_index")
 
+
+def _check_scheme(scheme) -> None:
+    if scheme not in SCHEME_KINDS:
+        raise ValueError(f"scheme must be one of {SCHEME_KINDS}, got {scheme!r}")
+
+
 @dataclass
 class EventLog:
     scheme: str
@@ -69,6 +75,7 @@ class EventLog:
         self.validate()
 
     def validate(self) -> None:
+        _check_scheme(self.scheme)
         for name in COLUMNS[1:]:
             if len(getattr(self, name)) != len(self.slot):
                 raise ValueError(f"column {name} length mismatch")
@@ -329,8 +336,7 @@ class _BlockReader:
         header = self.header
         fields = dict(scheme=header["scheme"], n_slots=_typed(header, "n_slots", int),
                       deltas=self.deltas, meta=header.get("meta", {}))
-        if fields["scheme"] not in SCHEME_KINDS:
-            raise ValueError(f"scheme must be one of {SCHEME_KINDS}, got {fields['scheme']!r}")
+        _check_scheme(fields["scheme"])
         self.checks.raise_first(fields["n_slots"], len(self.deltas))
         return fields
 
@@ -382,6 +388,7 @@ class FringeCounter:
     """
 
     def __init__(self, scheme: str, deltas, n_telescopes: int | None = None) -> None:
+        _check_scheme(scheme)
         self.scheme = scheme
         self.deltas = np.asarray(deltas, dtype=float)
         self.n_telescopes = n_telescopes
@@ -423,9 +430,10 @@ class FringeCounter:
         cannot read; pairing faults wait for counts()."""
         with open(path, "r", encoding="ascii") as fh:
             reader = _BlockReader(fh, path)
-            # A missing scheme raises in fields(), after the body, as it
-            # does in read_jsonl.
-            counter = cls(reader.header.get("scheme"), reader.deltas)
+            # A missing or unknown scheme raises in fields(), after the body,
+            # as it does in read_jsonl; until then the body counts as pairs.
+            scheme = reader.header.get("scheme")
+            counter = cls(scheme if scheme in SCHEME_KINDS else "entangled", reader.deltas)
             for block in reader.blocks():
                 counter.add(*block)
         reader.fields()

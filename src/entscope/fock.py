@@ -92,6 +92,23 @@ def dimension(mode_count: int, photon_cutoff: int) -> int:
     return len(_basis_array(mode_count, photon_cutoff))
 
 
+@lru_cache(maxsize=16)
+def _entry_support(mode_count: int, photon_cutoff: int) -> np.ndarray:
+    """Read-only dim x dim: the larger total photon number of each entry's row and column."""
+    totals = _basis_array(mode_count, photon_cutoff).sum(axis=1)
+    support = np.maximum.outer(totals, totals)
+    support.flags.writeable = False
+    return support
+
+
+def _flat_block(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Read-only flat indices of the rows x rows block of a dim x dim matrix,
+    shaped as that block."""
+    flat = rows[:, None] * dim + rows
+    flat.flags.writeable = False
+    return flat
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Per-mode detector: binomial efficiency thinning plus dark counts.
@@ -173,10 +190,13 @@ class DensityOperator:
 
     @classmethod
     def vacuum(cls, mode_count: int, photon_cutoff: int) -> "DensityOperator":
-        return cls.pure(mode_count, photon_cutoff, {(0,) * mode_count: 1.0 + 0.0j})
+        dim = dimension(mode_count, photon_cutoff)
+        matrix = np.zeros((dim, dim), dtype=complex)
+        matrix[0, 0] = 1.0  # the vacuum is the first occupation in lexicographic order
+        return cls(mode_count, photon_cutoff, matrix)
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
+        return float(self.matrix.trace().real)
 
     def validate(self) -> None:
         """Raise if the matrix is not a physical state (trace/hermiticity/positivity)."""
@@ -196,10 +216,8 @@ class DensityOperator:
     def photon_support(self) -> int:
         """Highest total photon number whose basis row or column holds a
         nonzero entry (0 for the zero matrix)."""
-        nonzero = self.matrix != 0
-        live = nonzero.any(axis=0) | nonzero.any(axis=1)
-        totals = _basis_array(self.mode_count, self.photon_cutoff).sum(axis=1)
-        return int(totals[live].max(initial=0))
+        support = _entry_support(self.mode_count, self.photon_cutoff)
+        return int(support.max(where=self.matrix != 0, initial=0))
 
     def tensor(self, other: "DensityOperator") -> "DensityOperator":
         """Joint state, its cutoff the operands' summed photon support.
@@ -210,12 +228,10 @@ class DensityOperator:
         """
         cutoff = self.photon_support() + other.photon_support()
         modes = self.mode_count + other.mode_count
-        dim = dimension(modes, cutoff)
-        out = np.zeros((dim, dim), dtype=complex)
-        rows_a, rows_b, rows_out = _tensor_rows(self.mode_count, self.photon_cutoff,
+        out = np.zeros((dimension(modes, cutoff),) * 2, dtype=complex)
+        flat_a, flat_b, flat_out = _tensor_rows(self.mode_count, self.photon_cutoff,
                                                 other.mode_count, other.photon_cutoff, cutoff)
-        block = self.matrix[np.ix_(rows_a, rows_a)] * other.matrix[np.ix_(rows_b, rows_b)]
-        out[np.ix_(rows_out, rows_out)] = block
+        out.put(flat_out, self.matrix.take(flat_a) * other.matrix.take(flat_b))
         return DensityOperator(modes, cutoff, out)
 
     def __repr__(self) -> str:
@@ -225,15 +241,15 @@ class DensityOperator:
 
 @lru_cache(maxsize=64)
 def _tensor_rows(modes_a: int, cutoff_a: int, modes_b: int, cutoff_b: int,
-                 cutoff: int) -> np.ndarray:
-    """Read-only (3, n) rows of A, of B and of the joint basis, one column per
-    pair of basis states whose joint occupation fits the joint cutoff."""
+                 cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of A, of B and of the joint basis, one per pair of basis
+    states whose joint occupation fits the joint cutoff, as flat indices of
+    their block in A's, B's and the joint matrix."""
     occ_a, occ_b = _basis_array(modes_a, cutoff_a), _basis_array(modes_b, cutoff_b)
     ia, ib = np.nonzero(occ_a.sum(axis=1)[:, None] + occ_b.sum(axis=1) <= cutoff)
     joint = _basis_rows(modes_a + modes_b, cutoff, np.hstack((occ_a[ia], occ_b[ib])))
-    rows = np.array((ia, ib, joint))
-    rows.flags.writeable = False
-    return rows
+    return (_flat_block(ia, len(occ_a)), _flat_block(ib, len(occ_b)),
+            _flat_block(joint, dimension(modes_a + modes_b, cutoff)))
 
 
 @dataclass(frozen=True)
@@ -291,13 +307,19 @@ class EntangledPairState:
         """Read a density matrix back into the family; off-form entries must
         be below atol (in particular the one-photon sector must be balanced).
         """
-        rows = pair_rows(rho.photon_cutoff)
+        block, outside = _pair_block(rho.photon_cutoff)
         m = rho.matrix
-        w0, p01, p10, w2 = (m[rows, rows].real.tolist() + [0.0])[:4]  # no (1, 1) below cutoff 2
-        off = complex(m[rows[2], rows[1]])
-        mask = np.ones_like(m, dtype=bool)
-        mask[rows, rows] = mask[rows[2], rows[1]] = mask[rows[1], rows[2]] = False
-        stray = float(np.abs(m[mask]).max()) if mask.any() else 0.0
+        return cls.from_pair_block(m.take(block), float(np.abs(m.take(outside)).max(initial=0.0)),
+                                   atol)
+
+    @classmethod
+    def from_pair_block(cls, block: np.ndarray, outside: float = 0.0, atol: float = FORM_TOL
+                        ) -> "EntangledPairState":
+        """from_density of a matrix given by its block over `pair_rows` and its
+        largest |entry| outside that block."""
+        w0, p01, p10, w2 = (block.diagonal().real.tolist() + [0.0])[:4]  # no (1, 1) below cutoff 2
+        off = complex(block[2, 1])
+        stray = float(np.abs(block[_OFF_FORM[:len(block), :len(block)]]).max(initial=outside))
         if stray > atol:
             raise ValueError(f"density matrix is not of pair-family form "
                              f"(off-form entry {stray:.3e} > {atol:.0e})")
@@ -314,6 +336,26 @@ class EntangledPairState:
             raise ValueError(f"weights must have a positive sum, got {total} "
                              f"(vacuum {w0}, one-photon {w1}, |11> {w2})")
         return cls(w0 / total, w1 / total, c, psi, w2 / total)
+
+
+# The entries of a block over pair_rows that the pair family holds at zero:
+# all but its diagonal and its one-photon coherences.
+_OFF_FORM = ~np.eye(4, dtype=bool)
+_OFF_FORM[1, 2] = _OFF_FORM[2, 1] = False
+_OFF_FORM.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _pair_block(photon_cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices of a two-mode matrix's block over pair_rows,
+    shaped as that block, and of every entry outside it."""
+    dim = dimension(2, photon_cutoff)
+    block = _flat_block(pair_rows(photon_cutoff), dim)
+    outside = np.ones(dim * dim, dtype=bool)
+    outside[block] = False
+    outside = np.flatnonzero(outside)
+    outside.flags.writeable = False
+    return block, outside
 
 
 @lru_cache(maxsize=256)
@@ -349,7 +391,9 @@ def _bs_output_amplitudes(n_a: int, n_b: int, t: float, phi: float) -> dict[int,
 # optimizations try hundreds of them.
 @lru_cache(maxsize=64)
 def _bs_unitary(mode_count: int, photon_cutoff: int, mode_a: int, mode_b: int,
-                t: float, phi: float) -> np.ndarray:
+                t: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only splitter unitary and its adjoint, a transposed view of
+    its conjugate."""
     occs = _basis_array(mode_count, photon_cutoff)
     cols, m_a, m_b, amps = zip(*[
         (col, m, n_a + n_b - m, amp)
@@ -359,7 +403,9 @@ def _bs_unitary(mode_count: int, photon_cutoff: int, mode_a: int, mode_b: int,
     outputs[:, mode_a], outputs[:, mode_b] = m_a, m_b
     u = np.zeros((len(occs),) * 2, dtype=complex)
     u[_basis_rows(mode_count, photon_cutoff, outputs), cols] = amps
-    return u
+    adjoint = u.conjugate()
+    u.flags.writeable = adjoint.flags.writeable = False
+    return u, adjoint.T
 
 
 def apply_beam_splitter(state: DensityOperator, mode_a: int, mode_b: int,
@@ -375,18 +421,25 @@ def apply_beam_splitter(state: DensityOperator, mode_a: int, mode_b: int,
     _check_mode(mode_b, state.mode_count)
     if mode_a == mode_b:
         raise ValueError("beam splitter requires two distinct modes")
-    u = _bs_unitary(state.mode_count, state.photon_cutoff, mode_a, mode_b,
-                    float(transmissivity), float(phase))
-    return DensityOperator(state.mode_count, state.photon_cutoff,
-                           u @ state.matrix @ u.conjugate().T)
+    u, adjoint = _bs_unitary(state.mode_count, state.photon_cutoff, mode_a, mode_b,
+                             float(transmissivity), float(phase))
+    return DensityOperator(state.mode_count, state.photon_cutoff, u @ state.matrix @ adjoint)
 
 
 def apply_phase(state: DensityOperator, mode: int, delta: float) -> DensityOperator:
     """Phase shifter: |n> on the given mode picks up exp(i n delta)."""
     _check_mode(mode, state.mode_count)
-    phases = np.exp(1j * delta * _basis_array(state.mode_count, state.photon_cutoff)[:, mode])
-    return DensityOperator(state.mode_count, state.photon_cutoff,
-                           state.matrix * np.outer(phases, phases.conjugate()))
+    return DensityOperator(state.mode_count, state.photon_cutoff, state.matrix
+                           * _phase_factors(state.mode_count, state.photon_cutoff, mode, delta))
+
+
+@lru_cache(maxsize=64)
+def _phase_factors(mode_count: int, photon_cutoff: int, mode: int, delta: float) -> np.ndarray:
+    """Read-only exp(i delta (n_row - n_col)) of the mode's occupations."""
+    phases = np.exp(1j * delta * _basis_array(mode_count, photon_cutoff)[:, mode])
+    factors = np.outer(phases, phases.conjugate())
+    factors.flags.writeable = False
+    return factors
 
 
 def apply_loss(rho: DensityOperator, mode: int, transmission: float) -> DensityOperator:
@@ -434,14 +487,15 @@ def partial_trace(rho: DensityOperator, keep_modes: tuple[int, ...]) -> DensityO
 @lru_cache(maxsize=64)
 def _conditioned_rows(mode_count: int, photon_cutoff: int,
                       counts: tuple[tuple[int, int], ...], keep: tuple[int, ...]
-                      ) -> np.ndarray:
-    """Read-only (2, n): the basis rows with the given (mode, count) pairs and
-    their rows in the basis of the kept modes."""
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The basis rows with the given (mode, count) pairs, as flat indices of
+    their diagonal and of their block, and the flat indices of that block in
+    the matrix over the kept modes."""
     occs = _basis_array(mode_count, photon_cutoff)
     sel = np.flatnonzero((occs[:, [m for m, _ in counts]] == [c for _, c in counts]).all(axis=1))
-    rows = np.array((sel, _basis_rows(len(keep), photon_cutoff, occs[np.ix_(sel, keep)])))
-    rows.flags.writeable = False
-    return rows
+    new_rows = _basis_rows(len(keep), photon_cutoff, occs[sel][:, keep])
+    block = _flat_block(sel, len(occs))
+    return block.diagonal(), block, _flat_block(new_rows, dimension(len(keep), photon_cutoff))
 
 
 def condition_on_counts(rho: DensityOperator, counts: dict[int, int]
@@ -456,14 +510,14 @@ def condition_on_counts(rho: DensityOperator, counts: dict[int, int]
     keep = tuple(m for m in range(rho.mode_count) if m not in counts)
     if not keep:
         raise ValueError("conditioning on all modes leaves no state")
-    sel, new_rows = _conditioned_rows(rho.mode_count, rho.photon_cutoff,
-                                      tuple(sorted(counts.items())), keep)
-    prob = float(np.real(rho.matrix[sel, sel].sum()))
+    diagonal, block, new_block = _conditioned_rows(rho.mode_count, rho.photon_cutoff,
+                                                   tuple(sorted(counts.items())), keep)
+    prob = float(rho.matrix.take(diagonal).sum().real)
     if prob <= 0.0:
         return 0.0, None
     dim_new = dimension(len(keep), rho.photon_cutoff)
     out = np.zeros((dim_new, dim_new), dtype=complex)
-    out[np.ix_(new_rows, new_rows)] = rho.matrix[np.ix_(sel, sel)]
+    out.put(new_block, rho.matrix.take(block))
     return prob, DensityOperator(len(keep), rho.photon_cutoff, out / prob)
 
 
@@ -474,23 +528,26 @@ _BLOCK_ELEMENTS = 1 << 18
 
 @lru_cache(maxsize=64)
 def _outcome_structure(mode_count: int, photon_cutoff: int, detector: DetectorModel,
-                       live: bytes) -> tuple[tuple[np.ndarray, ...], np.ndarray, list]:
+                       live: bytes) -> tuple[tuple[np.ndarray, ...], int, np.ndarray, list]:
     """What outcome_distribution's table depends on besides the probabilities.
 
     live is the bool mask of the occupations of positive probability, as
     bytes.  Returns, per mode, each live occupation's probabilities of the
-    counts any one of them can report; the reached patterns' indices into
-    the flattened product of those counts, in first-reach order; and the
-    patterns themselves in that order.
+    counts any one of them can report, shaped (occupations, 1, ..., counts)
+    to broadcast over the earlier modes; the size of the flattened product
+    of those counts; the reached patterns' indices into it, in first-reach
+    order; and the patterns themselves in that order.
     """
     occs = _basis_array(mode_count, photon_cutoff)[np.frombuffer(live, dtype=bool)]
     n_occs = len(occs)
     table = _count_table(detector, photon_cutoff)
     rows, counts = [], []
-    for photons in occs.T:
+    for mode, photons in enumerate(occs.T):
         q = table[photons]
         reported = np.flatnonzero((q > 0.0).any(axis=0))
-        rows.append(q[:, reported])
+        q = q[:, reported].reshape((n_occs,) + (1,) * mode + (len(reported),))
+        q.flags.writeable = False
+        rows.append(q)
         counts.append(reported)
     shape = tuple(len(c) for c in counts)
     first = np.full(math.prod(shape), n_occs)  # first occupation reaching each pattern
@@ -498,16 +555,15 @@ def _outcome_structure(mode_count: int, photon_cutoff: int, detector: DetectorMo
     for start in range(0, n_occs, step):
         block = slice(start, start + step)
         reach = np.ones(len(occs[block]), dtype=bool)
-        for mode, q in enumerate(rows):
-            q = q[block].reshape((len(reach),) + (1,) * mode + (shape[mode],))
-            reach = reach[..., None] & (q > 0.0)
+        for q in rows:
+            reach = reach[..., None] & (q[block] > 0.0)
         reach = reach.reshape(len(reach), -1)
         first = np.minimum(first, np.where(reach.any(axis=0), start + reach.argmax(axis=0),
                                            n_occs))
     order = np.flatnonzero(first < n_occs)
     order = order[np.argsort(first[order], kind="stable")]
     keys = np.column_stack([c[i] for c, i in zip(counts, np.unravel_index(order, shape))])
-    return tuple(rows), order, list(map(tuple, keys.tolist()))
+    return tuple(rows), len(first), order, list(map(tuple, keys.tolist()))
 
 
 def outcome_distribution(state: DensityOperator, detector: DetectorModel = IDEAL_DETECTOR
@@ -525,24 +581,25 @@ def outcome_distribution(state: DensityOperator, detector: DetectorModel = IDEAL
     lexicographically within one occupation.  Which patterns, and in which
     order, is cached per set of occupations of positive probability.
     """
-    probs = np.real(np.diag(state.matrix))
+    probs = state.matrix.diagonal().real
     live = ~(probs <= 0.0)  # skips p <= 0 only: a NaN entry shows in the table
     probs = probs[live]
     if not len(probs):
         return {}
-    rows, order, keys = _outcome_structure(state.mode_count, state.photon_cutoff,
-                                           detector, live.tobytes())
-    shape = tuple(q.shape[1] for q in rows)
-    total = np.zeros(math.prod(shape))
-    step = max(1, _BLOCK_ELEMENTS // len(total))
+    rows, size, order, keys = _outcome_structure(state.mode_count, state.photon_cutoff,
+                                                 detector, live.tobytes())
+    total = None
+    step = max(1, _BLOCK_ELEMENTS // size)
     for start in range(0, len(probs), step):
         block = slice(start, start + step)
         weight = probs[block]
-        for mode, q in enumerate(rows):
-            weight = weight[..., None] * q[block].reshape(
-                (len(weight),) + (1,) * mode + (shape[mode],))
-        total = np.cumsum(np.vstack((total, weight.reshape(len(weight), -1))), axis=0)[-1]
-    return dict(zip(keys, total[order]))
+        for q in rows:
+            weight = weight[..., None] * q[block]
+        weight = weight.reshape(len(weight), -1)
+        if total is not None:  # the sums so far, then this block's terms
+            weight = np.vstack((total, weight))
+        total = weight.cumsum(axis=0)[-1]
+    return dict(zip(keys, total[order].tolist()))
 
 
 def post_select(distribution: dict[Occupation, float], predicate

@@ -9,17 +9,20 @@ calls the group functions directly.
 
 The distillation and swap groups do not reuse the repeater circuit: they
 recompute the heralded two-photon statistics from the 4x4 single-particle
-unitary with hand-expanded bosonic combinatorics, so a bug in the Fock
-machinery cannot cancel against itself.
+unitary with hand-expanded bosonic combinatorics on Python complex scalars,
+making no Fock call, so a bug in the Fock machinery cannot cancel against
+itself.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, EntangledPairState, pair_rows
+from .fock import DensityOperator, EntangledPairState, dimension, pair_rows
 from .repeater import entanglement_swap, sscg_distill
 from .schemes import (
     astro_pair_rate,
@@ -114,15 +117,17 @@ def check_weak_coherent() -> GridReport:
     """
     worst = 0.0
     cases = 0
+    deltas = DELTA_GRID[::2]
+    # The two-reference-photon case does not depend on the source.
+    ee_sums = [_site_sums(two_telescope_distribution(None, lab_pair_state(delta)))
+               for delta in deltas]
     for v in VISIBILITY_GRID:
         pair_rate = astro_pair_rate(1.0, v)
         acc_aa, corr_aa = _site_sums(
             two_telescope_distribution(hbt_pair_state(v), None))
-        for delta in DELTA_GRID[::2]:
+        for delta, (acc_ee, corr_ee) in zip(deltas, ee_sums):
             acc_ae, corr_ae = _site_sums(two_telescope_distribution(
                 arrival_density_matrix(v), resource_state(delta)))
-            acc_ee, corr_ee = _site_sums(two_telescope_distribution(
-                None, lab_pair_state(delta)))
             for p_a in FAINT_GRID:
                 for p_e in FAINT_GRID:
                     stats = weak_coherent_stats(p_a, p_e, v, delta)
@@ -171,81 +176,91 @@ def _splitter_unitary(n_modes: int, i: int, j: int, t: float,
 
 
 def _qubit_components(pair: EntangledPairState, mode_lo: int, mode_hi: int,
-                      n_modes: int):
-    """Pure one-photon eigencomponents (weight, coefficient vector).
+                      unitary: list[list[complex]]) -> list[tuple[float, list[complex]]]:
+    """Pure one-photon eigencomponents (weight, output amplitude per mode).
 
     The one-photon block of the pair family diagonalizes into
-    (|01> +- e^{i psi}|10>)/sqrt(2) with weights w1 (1 +- c)/2.
+    (|01> +- e^{i psi}|10>)/sqrt(2) with weights w1 (1 +- c)/2; each
+    component's photon leaves the unitary (nested lists of Python complex
+    numbers) with amplitude U[m][hi] / sqrt(2) +- U[m][lo] e^{i psi} / sqrt(2)
+    in mode m.
     """
     out = []
     for sign in (+1.0, -1.0):
         weight = pair.one_photon_weight * (1.0 + sign * pair.coherence) / 2.0
         if weight <= 0.0:
             continue
-        vec = np.zeros(n_modes, dtype=complex)
-        vec[mode_hi] = 1.0 / math.sqrt(2.0)
-        vec[mode_lo] = sign * np.exp(1j * pair.phase) / math.sqrt(2.0)
-        out.append((weight, vec))
+        hi = 1.0 / math.sqrt(2.0)
+        lo = sign * cmath.exp(1j * pair.phase) / math.sqrt(2.0)
+        out.append((weight, [row[mode_hi] * hi + row[mode_lo] * lo for row in unitary]))
     return out
 
 
 def _two_photon_conditionals(a: EntangledPairState, b: EntangledPairState,
-                             unitary: np.ndarray, kept: tuple[int, int],
+                             unitary: list[list[complex]], kept: tuple[int, int],
                              monitors: tuple[int, int],
-                             phase_on_kept0) -> tuple[float, np.ndarray]:
+                             phase_on_kept0) -> tuple[float, list[complex]]:
     """Herald statistics of the two-photon sector.
 
     Returns (success probability of the sector weighted by both one-photon
-    weights, 2x2 unnormalized one-photon density block on the kept modes in
-    order (kept[0], kept[1])).  `phase_on_kept0(monitor)` gives the
-    feed-forward phase applied to the kept[0] amplitude for each herald.
+    weights, unnormalized one-photon density block on the kept modes in
+    order (kept[0], kept[1]), flattened row by row).  `phase_on_kept0(monitor)`
+    gives the feed-forward phase applied to the kept[0] amplitude for each
+    herald.
     """
-    n = unitary.shape[0]
     prob = 0.0
-    block = np.zeros((2, 2), dtype=complex)
-    for wa, alpha in _qubit_components(a, 0, 1, n):
-        alpha_out = unitary @ alpha
-        for wb, beta in _qubit_components(b, 2, 3, n):
-            beta_out = unitary @ beta
+    block = [0j] * 4
+    k0, k1 = kept
+    heralds = [(monitor, cmath.exp(1j * phase_on_kept0(monitor))) for monitor in monitors]
+    components_b = _qubit_components(b, 2, 3, unitary)
+    for wa, alpha in _qubit_components(a, 0, 1, unitary):
+        for wb, beta in components_b:
             weight = wa * wb
-            for monitor in monitors:
-                ket = np.array([
-                    alpha_out[k] * beta_out[monitor]
-                    + alpha_out[monitor] * beta_out[k]
-                    for k in kept])
-                ket[0] *= np.exp(1j * phase_on_kept0(monitor))
-                prob += weight * float(np.vdot(ket, ket).real)
-                block += weight * np.outer(ket, ket.conj())
+            for m, phase in heralds:
+                x = (alpha[k0] * beta[m] + alpha[m] * beta[k0]) * phase
+                y = alpha[k1] * beta[m] + alpha[m] * beta[k1]
+                cx, cy = x.conjugate(), y.conjugate()
+                xx, yy = x * cx, y * cy
+                prob += weight * (xx.real + yy.real)
+                block[0] += weight * xx
+                block[1] += weight * (x * cy)
+                block[2] += weight * (y * cx)
+                block[3] += weight * yy
     return prob, block
 
 
 def _herald_click_prob(pair: EntangledPairState, pair_modes: tuple[int, int],
-                       unitary: np.ndarray, monitors: tuple[int, int]) -> float:
+                       unitary: list[list[complex]], monitors: tuple[int, int]) -> float:
     """Probability that a lone photon from one pair clicks a monitor."""
-    n = unitary.shape[0]
-    total = 0.0
-    for weight, vec in _qubit_components(pair, *pair_modes, n):
-        out = unitary @ vec
-        total += weight * sum(abs(out[m])**2 for m in monitors)
-    return total
+    return sum(weight * sum(abs(out[m]) ** 2 for m in monitors)
+               for weight, out in _qubit_components(pair, *pair_modes, unitary))
 
 
-def _entry_error(rho: DensityOperator, kept_block: np.ndarray,
+@lru_cache(maxsize=None)
+def _compared_entries(photon_cutoff: int) -> np.ndarray:
+    """Flat indices of the two-mode matrix entries `_entry_error` compares:
+    (vac, vac), then the kept block over occupations (1,0), (0,1) row by
+    row, then every other entry but the vacuum/one-photon coherences."""
+    vac, i01, i10 = pair_rows(photon_cutoff)[:3]
+    dim = dimension(2, photon_cutoff)
+    first = [vac * dim + vac, i10 * dim + i10, i10 * dim + i01, i01 * dim + i10, i01 * dim + i01]
+    coherences = [vac * dim + i01, vac * dim + i10, i01 * dim + vac, i10 * dim + vac]
+    entries = np.array(first + [e for e in range(dim * dim)
+                                if e not in first and e not in coherences])
+    entries.flags.writeable = False
+    return entries
+
+
+def _entry_error(rho: DensityOperator, kept_block: list[complex],
                  vacuum_weight: float) -> float:
     """Worst difference between a 2-mode density matrix and the closed form.
 
-    kept_block is ordered (mode0, mode1), i.e. occupations (1,0), (0,1).
-    Every other entry must be zero, except the vacuum/one-photon coherences,
-    which are not compared.
+    kept_block is ordered (mode0, mode1), i.e. occupations (1,0), (0,1),
+    flattened row by row.  Every other entry must be zero, except the
+    vacuum/one-photon coherences, which are not compared.
     """
-    vac, i01, i10 = pair_rows(rho.photon_cutoff)[:3]
-    kept = [i10, i01]
-    diff = rho.matrix.copy()
-    diff[vac, vac] -= vacuum_weight
-    diff[np.ix_(kept, kept)] -= kept_block
-    compared = np.ones(diff.shape, dtype=bool)
-    compared[vac, kept] = compared[kept, vac] = False
-    diff = diff[compared]
+    diff = rho.matrix.take(_compared_entries(rho.photon_cutoff))
+    diff[:5] -= (vacuum_weight, *kept_block)
     # hypot, not np.abs: numpy's vectorized complex abs can differ from the
     # scalar abs by an ulp.
     return float(np.hypot(diff.real, diff.imag).max())
@@ -270,7 +285,7 @@ def check_distillation() -> GridReport:
     kept = (0, 1)
     for t_low, t_high in DISTILL_SPLITTERS:
         unitary = (_splitter_unitary(4, 1, 3, t_high, phase=math.pi)
-                   @ _splitter_unitary(4, 0, 2, t_low))
+                   @ _splitter_unitary(4, 0, 2, t_low)).tolist()
         for w0_a in DISTILL_WEIGHT_GRID:
             for w0_b in DISTILL_WEIGHT_GRID:
                 for c in DISTILL_COHERENCE_GRID:
@@ -286,7 +301,7 @@ def check_distillation() -> GridReport:
                                     abs(result.success_probability - prob))
                         if prob > 1e-12:
                             worst = max(worst, _entry_error(
-                                result.output_density, block / prob, 0.0))
+                                result.output_density, [z / prob for z in block], 0.0))
                         cases += 1
     return GridReport("distillation closed form", cases, worst)
 
@@ -302,7 +317,7 @@ def check_swap() -> GridReport:
     cases = 0
     monitors = (1, 2)
     kept = (0, 3)
-    unitary = _splitter_unitary(4, 1, 2, 0.5)
+    unitary = _splitter_unitary(4, 1, 2, 0.5).tolist()
 
     def feed_forward(monitor: int) -> float:
         correction = math.pi if monitor == 2 else 0.0
@@ -326,7 +341,7 @@ def check_swap() -> GridReport:
                                 abs(result.success_probability - prob))
                     if prob > 1e-12:
                         worst = max(worst, _entry_error(
-                            result.output_density, block / prob, vac / prob))
+                            result.output_density, [z / prob for z in block], vac / prob))
                     cases += 1
     return GridReport("entanglement swap closed form", cases, worst)
 

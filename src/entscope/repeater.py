@@ -28,6 +28,7 @@ from .fock import (
     FORM_TOL,
     DensityOperator,
     EntangledPairState,
+    _pair_block,
     apply_beam_splitter,
     apply_phase,
     condition_on_counts,
@@ -94,25 +95,26 @@ def pair_family_projection(rho: DensityOperator, atol: float = 1e-9
     family form.  Used when double excitations or asymmetric splitter
     settings push a protocol output outside the exact family.
     """
+    m = rho.matrix
     inside = pair_rows(rho.photon_cutoff)
-    sel = np.ix_(inside, inside)
-    kept = np.zeros_like(rho.matrix)
-    kept[sel] = rho.matrix[sel]
-    weight = float(np.real(np.trace(kept)))
+    # The trace of the projection: its diagonal, zero off the pair rows,
+    # summed as np.trace sums it.
+    diagonal = np.zeros(len(m), dtype=complex)
+    diagonal[inside] = m.diagonal()[inside]
+    weight = float(diagonal.sum().real)
     leakage = max(rho.trace() - weight, 0.0)
     if weight <= 1e-15:
         return EntangledPairState(1.0, 0.0, 0.0, 0.0), leakage
-    one = inside[1:3]  # (0, 1) and (1, 0)
-    p01, p10 = kept[one, one].real.tolist()
+    kept = m.take(_pair_block(rho.photon_cutoff)[0])
+    p01, p10 = kept.diagonal()[1:3].real.tolist()  # (0, 1) and (1, 0)
     if abs(p01 - p10) > atol:
-        kept[one, one] = (p01 + p10) / 2.0
+        kept[1, 1] = kept[2, 2] = (p01 + p10) / 2.0
         leakage += abs(p01 - p10) / 2.0
         # Rebalancing can strand an off-diagonal above sqrt(p01' p10');
-        # from_density clamps the read-back coherence at 1.
-    reduced = DensityOperator(2, rho.photon_cutoff, kept / weight)
+        # from_pair_block clamps the read-back coherence at 1.
     # Coherences between the kept sector and discarded occupations are gone;
     # within the kept sector the projection is exact.
-    return EntangledPairState.from_density(reduced, atol=atol), leakage
+    return EntangledPairState.from_pair_block(kept / weight, atol=atol), leakage
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +185,13 @@ class ProtocolResult:
 
 
 def _monitored_heralds(rho: DensityOperator, monitor_a: int,
-                       monitor_b: int) -> tuple[float, DensityOperator | None]:
+                       monitor_b: int) -> tuple[float, np.ndarray | None]:
     """Condition on exactly one photon detected across two monitored modes.
 
-    Mixes the two single-photon heralds.  For the herald where monitor_b
-    fired, the remaining two modes get a phase of pi on mode 0 relative to
-    the monitor_a branch.
+    Mixes the two single-photon heralds into the matrix of the remaining two
+    modes.  For the herald where monitor_b fired, they get a phase of pi on
+    mode 0 relative to the monitor_a branch.
     """
-    cutoff = rho.photon_cutoff
     total = 0.0
     acc = None
     for counts, flip in (({monitor_a: 1, monitor_b: 0}, False),
@@ -204,7 +205,7 @@ def _monitored_heralds(rho: DensityOperator, monitor_a: int,
         acc = cond.matrix * prob if acc is None else acc + cond.matrix * prob
     if acc is None:
         return 0.0, None
-    return total, DensityOperator(2, cutoff, acc / total)
+    return total, acc / total
 
 
 def sscg_distill(a: EntangledPairState, b: EntangledPairState,
@@ -241,16 +242,14 @@ def sscg_distill(a: EntangledPairState, b: EntangledPairState,
     # inputs (checked against the circuit in the tests).
     rho = apply_beam_splitter(rho, 0, 2, t_low)
     rho = apply_beam_splitter(rho, 1, 3, t_high, phase=math.pi)
-    prob, cond = _monitored_heralds(rho, 3, 2)
-    if cond is None:
+    prob, matrix = _monitored_heralds(rho, 3, 2)
+    if matrix is None:
         return ProtocolResult(0.0, None)
-    vacuum_part = float(cond.matrix[0, 0].real)
-    kept = 1.0 - vacuum_part
+    kept = 1.0 - float(matrix[0, 0].real)
     if kept <= 1e-15:
         return ProtocolResult(0.0, None)
-    matrix = cond.matrix.copy()
     matrix[0, 0] = 0.0
-    cond = DensityOperator(2, cond.photon_cutoff, matrix / kept)
+    cond = DensityOperator(2, rho.photon_cutoff, matrix / kept)
     prob *= kept
     pair, leakage = pair_family_projection(cond)
     return ProtocolResult(prob, pair, cond, leakage)
@@ -271,10 +270,10 @@ def entanglement_swap(a: EntangledPairState, b: EntangledPairState) -> ProtocolR
     # outer-left arm; the monitor-2 branch gets -pi/2.  Both are undone below
     # (the monitor-1 branch via the base correction, the monitor-2 branch via
     # the relative correction of +pi).
-    prob, cond = _monitored_heralds(rho, 1, 2)
-    if cond is None:
+    prob, matrix = _monitored_heralds(rho, 1, 2)
+    if matrix is None:
         return ProtocolResult(0.0, None)
-    cond = apply_phase(cond, 0, -math.pi / 2.0)
+    cond = apply_phase(DensityOperator(2, rho.photon_cutoff, matrix), 0, -math.pi / 2.0)
     return ProtocolResult(prob, EntangledPairState.from_density(cond), cond)
 
 

@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng as rngmod
+from . import eventlog, rng as rngmod
 from .errors import ConfigError
-from .eventlog import SCHEME_KINDS, EventLog
 from .fock import (
     DensityOperator,
     DetectorModel,
@@ -347,8 +346,8 @@ class SchemeConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.kind not in SCHEME_KINDS:
-            raise ConfigError(f"kind must be one of {SCHEME_KINDS}, got {self.kind!r}")
+        if self.kind not in eventlog.SCHEME_KINDS:
+            raise ConfigError(f"kind must be one of {eventlog.SCHEME_KINDS}, got {self.kind!r}")
         if not self.delta_schedule:
             raise ConfigError("delta_schedule must not be empty")
         if not all(math.isfinite(d) for d in self.delta_schedule):
@@ -606,7 +605,7 @@ def simulate_chunks(config: SchemeConfig, source: SourceModel, geometry,
 
 
 def simulate_run(config: SchemeConfig, source: SourceModel, geometry,
-                 n_slots: int, seed: int) -> EventLog:
+                 n_slots: int, seed: int) -> eventlog.EventLog:
     """The whole event log of simulate_chunks(config, source, geometry,
     n_slots, seed), its blocks joined in slot order."""
-    return EventLog.joined(*simulate_chunks(config, source, geometry, n_slots, seed))
+    return eventlog.EventLog.joined(*simulate_chunks(config, source, geometry, n_slots, seed))

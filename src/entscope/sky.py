@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, EntangledPairState
+from . import fock
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def visibility(source: SourceModel, baseline: Baseline) -> complex:
     return complex(visibilities(source, [baseline.vector], baseline.wavelength)[0])
 
 
-def arrival_density_matrix(v: complex) -> DensityOperator:
+def arrival_density_matrix(v: complex) -> fock.DensityOperator:
     """One-photon two-mode state of an astronomical photon with visibility v.
 
     The pair-family member with coherence |v| and phase arg v: basis
@@ -201,7 +201,7 @@ def arrival_density_matrix(v: complex) -> DensityOperator:
     <1,0|rho|0,1> = v/2 (and conjugate).  |v| <= 1 required.
     """
     v = check_visibility(v)
-    return EntangledPairState(0.0, 1.0, abs(v), cmath.phase(v)).to_density()
+    return fock.EntangledPairState(0.0, 1.0, abs(v), cmath.phase(v)).to_density()
 
 
 def load_point_sources(path) -> SourceModel:

@@ -654,28 +654,34 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules,
+                  "numpy.ma": "numpy.ma" in sys.modules,
                   "executed": [n.split(".", 1)[1] for n, m in sys.modules.items()
                                if n.startswith("entscope.") and type(m) is types.ModuleType]}))
 """
 
 
+_OUT = ("--out-dir", "{out}")
+
+
 @pytest.mark.parametrize("command, args, only, never", [
-    ("sensitivity", ["--budget", "default"], {"config", "errors", "sensitivity"}, None),
+    ("sensitivity", ["--budget", "default", *_OUT], {"config", "errors", "sensitivity"}, None),
     # A config file's key check reads the dataclasses of its own sections only.
-    ("sensitivity", ["--config", preset("chara_like.ini")],
+    ("sensitivity", ["--config", preset("chara_like.ini"), *_OUT],
      {"config", "errors", "sensitivity"}, None),
-    ("estimate", ["--log", "{log}"], None, {"schemes", "repeater", "oracle", "sky", "fock"}),
-    ("repeater", ["--config", preset("repeater_demo.ini")], None,
+    ("estimate", ["--log", "{log}", *_OUT], None,
+     {"schemes", "repeater", "oracle", "sky", "fock"}),
+    ("repeater", ["--config", preset("repeater_demo.ini"), *_OUT], None,
      {"schemes", "eventlog", "estimation", "oracle", "sky"}),
-    ("reconstruct", ["--config", preset("reconstruct_demo.ini")], None,
-     {"schemes", "repeater", "oracle", "eventlog"}),
+    ("reconstruct", ["--config", preset("reconstruct_demo.ini"), *_OUT], None,
+     {"schemes", "repeater", "oracle", "eventlog", "fock"}),
+    ("oracle-check", [], None, {"eventlog", "estimation", "config"}),
 ])
 def test_each_command_executes_only_its_layers(tmp_path, capsys, command, args, only, never):
     log = tmp_path / "run" / "events.jsonl"
     if command == "estimate":
         assert main(["simulate", "--config", preset("entangled_demo.ini"),
                      "--n-slots", "2000", "--out-dir", str(log.parent)]) == 0
-    argv = [command, *(a.format(log=log) for a in args), "--out-dir", str(tmp_path / "out")]
+    argv = [command, *(a.format(log=log, out=tmp_path / "out") for a in args)]
     src = str(Path(entscope.__file__).resolve().parents[1])
     # -W error: runpy warns, as `python -m entscope.cli` would, if the CLI
     # module were in sys.modules before it runs.
@@ -686,6 +692,8 @@ def test_each_command_executes_only_its_layers(tmp_path, capsys, command, args, 
     report = json.loads(child.stdout.splitlines()[-1])
     assert report["exit"] == 0
     executed = set(report["executed"])
+    # numpy.ma costs about 15 ms to load (np.unique loads it); no command needs it.
+    assert not report["numpy.ma"], report
     if only is not None:
         assert executed <= only and not report["numpy"], report
     if never is not None:

@@ -467,6 +467,20 @@ def test_validation_rejects_bad_columns(overrides, message):
         two_slot_log(**overrides)
 
 
+@pytest.mark.parametrize("scheme", ["bogus", "", None, "Entangled"])
+def test_validation_rejects_an_unknown_scheme(scheme):
+    """An in-memory log meets the reader's scheme check; it would otherwise
+    be counted as a coincidence log."""
+    with pytest.raises(ValueError, match=f"scheme must be one of .*, got {scheme!r}"):
+        two_slot_log(scheme=scheme)
+
+
+@pytest.mark.parametrize("n_telescopes", [None, 2])
+def test_fringe_counter_rejects_an_unknown_scheme(n_telescopes):
+    with pytest.raises(ValueError, match="scheme must be one of .*, got 'bogus'"):
+        FringeCounter("bogus", (0.0, math.pi / 2.0), n_telescopes)
+
+
 def test_n_accepted_slots_counts_unique_slots():
     log = two_slot_log(accepted=[True, True, False, False])
     assert log.n_accepted_slots() == 1

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from entscope import oracle, schemes
 from entscope.errors import ConfigError
-from entscope.eventlog import EventLog, fringe_counts, pair_counts
+from entscope.eventlog import SCHEME_KINDS, EventLog, fringe_counts, pair_counts
 from entscope.fock import (
     DensityOperator,
     DetectorModel,
@@ -555,7 +555,7 @@ _DETECTORS = (
 
 @st.composite
 def _runs(draw):
-    kind = draw(st.sampled_from(schemes.SCHEME_KINDS))
+    kind = draw(st.sampled_from(SCHEME_KINDS))
     n_deltas = draw(st.integers(1, 9))
     if kind == "w_state":
         n_tel = draw(st.integers(2, 32))
