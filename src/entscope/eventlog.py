@@ -10,17 +10,20 @@ The canonical record line is part of schema v1: compact JSON with sorted
 keys, e.g. ``{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}``.  Every
 line starts with one of 4 * n_deltas prefixes, up to ``"slot":``, built from
 the header's deltas by one helper for the writer and the reader.  The writer
-emits only that layout.  The reader parses each block as a numpy byte array
-when every line in it is byte-identical to a line the writer writes; any
-other block, including valid JSON records in another layout (whitespace,
-another key order), goes through the reference parser, one ``json.loads``
-per line.
+emits only that layout, from one format fragment per (prefix, telescope id)
+pair with one ``%d`` for the slot.  The reader reads the file's bytes, with
+universal newlines as text mode reads them, and parses each block as a numpy
+byte array when every line in it is byte-identical to a line the writer
+writes; any other block, including valid JSON records in another layout
+(whitespace, another key order), is decoded as ASCII and goes through the
+reference parser, one ``json.loads`` per line.
 
 Logs stream in both directions, so memory does not grow with the slot count.
 A streamed log is its fields (scheme, n_slots, deltas, meta) once, then blocks
 of records, each a tuple of arrays in ``COLUMNS`` order.  ``JsonlWriter`` writes
 the header when made and each block after it; one block reader parses a file
-``READ_BLOCK_CHARS`` at a time, running ``EventLog.validate``'s checks per block.
+``READ_BLOCK_CHARS`` bytes at a time into one reused buffer, running
+``EventLog.validate``'s checks per block.
 ``EventLog.joined`` makes one log of fields and blocks; ``FringeCounter`` counts
 blocks, pairing accepted records across their edges, over a log or a stream.
 """
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +42,12 @@ SCHEMA = "entscope.eventlog.v1"
 # The schemes a log can come from; `schemes` simulates each of them.
 SCHEME_KINDS = ("direct", "entangled", "weak_coherent", "w_state", "hbt")
 
-# Records formatted per write() call; bounds the text held in memory.  Larger
-# blocks' buffers go back to the system and are faulted in again block after
-# block: at 1 << 14 a 1e6-slot simulate took ~4x the page faults and ~15% longer.
-WRITE_BLOCK_RECORDS = 1 << 11
-# Characters read per block; larger blocks raise peak RSS for no speed gain.
+# Records formatted per % and written at once; bounds the text held in memory.
+# Larger blocks' buffers go back to the system and are faulted in again block
+# after block: at 1 << 14 a 1e6-slot simulate took ~4x the page faults and ~15%
+# longer, and at 1 << 11 the format string and its output raised peak RSS.
+WRITE_BLOCK_RECORDS = 1 << 9
+# Bytes read per block; larger blocks raise peak RSS for no speed gain.
 READ_BLOCK_CHARS = 1 << 18
 
 # Record columns, in the order the reader and counters take them.
@@ -100,7 +105,7 @@ class EventLog:
 
     @classmethod
     def read_jsonl(cls, path) -> "EventLog":
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:
             reader = _BlockReader(fh, path)
             blocks = list(reader.blocks())
         return cls.joined(reader.fields(), blocks)
@@ -128,28 +133,44 @@ class JsonlWriter:
     """Writes one event log to an open text file: the header line of its
     fields when made, then the record lines of each block given to write().
 
-    Every record line starts with its row of _prefixes(deltas); each run of
-    up to WRITE_BLOCK_RECORDS lines is formatted by one % over the run's
-    interleaved (prefix, slot, tel) values and written at once.
+    Every record line is its row of _prefixes(deltas), the slot and
+    ',"tel":<id>}' with a newline.  The writer keeps one format fragment
+    per (prefix row, telescope id) pair, for the ids it has met: the line
+    with '%d' for the slot.  Each run of up to WRITE_BLOCK_RECORDS lines is
+    the "".join of its fragments, formatted by one % over its slots and
+    written at once.
     """
 
     def __init__(self, fh, scheme: str, n_slots: int, deltas, meta: dict) -> None:
         fh.write(_dumps({"schema": SCHEMA, "scheme": scheme, "n_slots": n_slots,
                          "deltas": list(deltas), "meta": meta}) + "\n")
-        self.fh, self.n_deltas = fh, len(deltas)
-        self.prefixes = np.array(_prefixes(deltas), dtype=object)
+        self.fh, self.deltas = fh, deltas
+        # The telescope ids met so far, sorted; fragments[i * 4 * n_deltas +
+        # row] are the fragments of ids[i].  The table is all the writer
+        # keeps: at 128 deltas and two telescopes its 1,024 strings hold
+        # about 126 KB.
+        self.ids = np.zeros(0, dtype=np.int64)
+        self.fragments = np.zeros(0, dtype=object)
+
+    def _fragments(self, telescope: np.ndarray, row: np.ndarray) -> np.ndarray:
+        """Each record's fragment; ids not met before rebuild the table."""
+        at = self.ids.searchsorted(telescope)
+        if not ((at < len(self.ids)).all() and (self.ids[at] == telescope).all()):
+            self.ids = np.array(sorted(set(telescope.tolist()).union(self.ids.tolist())),
+                                dtype=np.int64)
+            prefixes = [p.replace("%", "%%") for p in _prefixes(self.deltas)]
+            self.fragments = np.array([f'{p}%d,"tel":{t}}}\n' for t in self.ids.tolist()
+                                       for p in prefixes], dtype=object)
+            at = self.ids.searchsorted(telescope)
+        return self.fragments[at * (4 * len(self.deltas)) + row]
 
     def write(self, slot, telescope, detector, accepted, delta_index) -> None:
         """Append one block of records, given as COLUMNS-ordered arrays."""
-        rows = self.prefixes[(accepted * self.n_deltas + delta_index) * 2 + detector - 1]
+        fragments = self._fragments(
+            telescope, (accepted * len(self.deltas) + delta_index) * 2 + detector - 1)
         for start in range(0, len(slot), WRITE_BLOCK_RECORDS):
             block = slice(start, start + WRITE_BLOCK_RECORDS)
-            slots = slot[block].tolist()
-            args = [None] * (3 * len(slots))
-            args[0::3] = rows[block].tolist()
-            args[1::3] = slots
-            args[2::3] = telescope[block].tolist()
-            self.fh.write(('%s%d,"tel":%d}\n' * len(slots)) % tuple(args))
+            self.fh.write("".join(fragments[block].tolist()) % tuple(slot[block].tolist()))
 
 
 class _Checks:
@@ -191,6 +212,7 @@ class _Checks:
 
 
 _MAX_DIGITS = 18  # a decimal of up to 18 digits always fits in int64
+_LINE_END = re.compile(rb"\r\n?|\n")  # as universal newlines end a line
 
 
 def _decimal(windows, stop, count) -> np.ndarray | None:
@@ -238,91 +260,142 @@ def _line_columns(lines, lookup: dict) -> tuple[np.ndarray, ...]:
 
 
 class _BlockReader:
-    """One event log, read from an open file block by block.
+    """One event log, read from a file opened in binary mode, block by block.
 
-    The constructor reads the header and rejects repeated delta values, which
-    would make the delta lookup ambiguous.  blocks() yields the record
-    columns of each block of whole lines.  A block whose every line is
-    byte-identical to one JsonlWriter writes for this header is parsed as a
-    numpy byte array: each line's prefix must equal a row of the writer's
-    prefix table and its slot and tel must be 1-18 digits without a leading
-    zero, so the columns are those that json.loads gives line by line.  Any
-    other block goes through the per-line parser, which raises on the first
-    bad line.  A parse error raises where it is met; fields() settles the
-    header fields and the validation checks after the last block, so a log
-    raises the error it raises when parsed whole first.
+    The file is read READ_BLOCK_CHARS bytes at a time into one reused
+    bytearray, zero-padded past its data and grown only for a line longer
+    than a block.  Lines end as text mode ends them (universal newlines):
+    at LF, CRLF or a lone CR; a block that holds a CR has its line ends
+    turned into LF before it is parsed.
+
+    The constructor reads the header, decoded as ASCII, and rejects repeated
+    delta values, which would make the delta lookup ambiguous.  blocks()
+    yields the record columns of each block of whole lines.  A block whose
+    every line is byte-identical to one JsonlWriter writes for this header
+    is parsed as a numpy byte array over the buffer: each line's prefix must
+    equal a row of the writer's prefix table and its slot and tel must be
+    1-18 digits without a leading zero, so the columns are those that
+    json.loads gives line by line.  Any other block is decoded as ASCII and
+    goes through the per-line parser, which raises on the first bad line.
+    A parse error raises where it is met; fields() settles the header fields
+    and the validation checks after the last block, so a log raises the
+    error it raises when parsed whole first.
     """
 
     def __init__(self, fh, path) -> None:
-        header = json.loads(fh.readline())
+        self.fh, self.buf, self.end = fh, bytearray(), 0  # the data is buf[:end]
+        self.pad = 0  # zero bytes kept past the data
+        header = json.loads(self._first_line())
         schema = header.get("schema") if isinstance(header, dict) else None
         if schema != SCHEMA:
             raise ValueError(f"{path}: unsupported schema {schema!r}")
-        self.fh, self.header = fh, header
+        self.header = header
         self.deltas = tuple(float(d) for d in header["deltas"])
         self.lookup = {d: i for i, d in enumerate(self.deltas)}
         if len(self.lookup) != len(self.deltas):
             raise ValueError(f"{path}: repeated delta values in {list(self.deltas)}")
         # The writer's prefix table as byte strings null-padded to whole
-        # uint64 words, sorted so that a line's prefix finds its row by
-        # binary search; masks[k] keeps the first k bytes of a row.
+        # uint64 words, sorted by a hash of their words, so that a line's
+        # prefix finds its row by binary search; the row's words must then
+        # equal the prefix.  masks[k] keeps the first k bytes of a row.
         prefixes = [p.encode("ascii") for p in _prefixes(self.deltas)]
         width = -(-max(map(len, prefixes), default=1) // 8) * 8
-        keys = np.array(prefixes, dtype=f"S{width}")
-        self.rows = np.argsort(keys)
-        self.keys = keys[self.rows]
-        self.words = self.keys.view(np.uint64).reshape(len(keys), width // 8)
+        words = np.array(prefixes, dtype=f"S{width}").view(np.uint64).reshape(-1, width // 8)
+        self.hash = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, width // 8 + 1, dtype=np.uint64)
+        self.rows = np.argsort(words @ self.hash)
+        self.words = words[self.rows]
+        self.hashes = self.words @ self.hash
         self.lengths = np.array([len(p) for p in prefixes], dtype=np.int64)[self.rows]
         self.masks = np.where(np.arange(width) < np.arange(width + 1)[:, None],
                               np.uint8(255), np.uint8(0)).view(np.uint64)
+        # Windows of span bytes start at any byte of a block, and one more
+        # byte takes the newline of a last line that has none.
+        self.span = max(width, _MAX_DIGITS)
+        self.pad = self.span + 1
         self.checks = _Checks()
 
-    def blocks(self):
-        tail = ""
-        while text := self.fh.read(READ_BLOCK_CHARS):
-            text = tail + text
-            cut = text.rfind("\n") + 1
-            tail = text[cut:]
-            yield self._parse(text[:cut])
-        if tail:  # last line without a newline
-            yield self._parse(tail + "\n")
+    def _fill(self, size: int) -> int:
+        """Read up to size more bytes into the buffer after its data; the
+        count read, 0 at the end of the file."""
+        grow = self.end + size + self.pad - len(self.buf)
+        if grow > 0:
+            self.buf += bytes(grow)
+        with memoryview(self.buf) as view:
+            n = self.fh.readinto(view[self.end:self.end + size])
+        self.end += n
+        self.buf[self.end:self.end + self.pad] = bytes(self.pad)
+        return n
 
-    def _parse(self, block: str) -> tuple[np.ndarray, ...]:
-        columns = self._written_columns(block.encode("ascii"))
+    def _first_line(self) -> str:
+        """The header line; it and its line end leave the buffer."""
+        # Read on, doubling the data, until a byte follows the first line end
+        # (a CR there opens a CRLF or not) or to the end of the file.
+        while not ((found := _LINE_END.search(self.buf, 0, self.end))
+                   and found.end() < self.end) and self._fill(max(self.end, 1 << 12)):
+            pass
+        start, stop = found.span() if found else (self.end, self.end)
+        line = self.buf[:start].decode("ascii")
+        self._drop(stop)
+        return line
+
+    def _drop(self, cut: int) -> None:
+        """Take the first cut bytes of data off the buffer."""
+        self.buf[:self.end - cut] = self.buf[cut:self.end]
+        self.end -= cut
+
+    def blocks(self):
+        while (more := self._fill(READ_BLOCK_CHARS)) or self.end:
+            cr = self.buf.find(b"\r", 0, self.end) >= 0
+            # A CR that ends the data read so far may open a CRLF.
+            cut = max(self.buf.rfind(b"\n", 0, self.end),
+                      self.buf.rfind(b"\r", 0, self.end - bool(more)) if cr else -1) + 1
+            if not more and cut < self.end:  # the end of the file ends the last line
+                self.buf[self.end] = ord("\n")
+                self.end = cut = self.end + 1
+            if cut:
+                yield self._parse(cut, cr)
+                self._drop(cut)
+
+    def _parse(self, cut: int, cr: bool) -> tuple[np.ndarray, ...]:
+        """The record columns of the first cut bytes of the buffer, whole
+        lines; cr if a CR may end some of them."""
+        data = self.buf
+        if cr:  # as text mode reads them
+            data = data[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + bytes(self.span)
+            cut = len(data) - self.span
+        columns = self._written_columns(np.frombuffer(data, np.uint8, cut + self.span), cut)
         if columns is None:
-            columns = _line_columns(block.split("\n")[:-1], self.lookup)
+            columns = _line_columns(data[:cut].decode("ascii").split("\n")[:-1], self.lookup)
         self.checks.add(*columns)
         return columns
 
-    def _written_columns(self, data: bytes) -> tuple[np.ndarray, ...] | None:
-        """The record columns of a block of lines ending in newlines, if
-        every line is one JsonlWriter writes for this header; else None."""
-        if not len(self.keys):
+    def _written_columns(self, buf: np.ndarray, cut: int) -> tuple[np.ndarray, ...] | None:
+        """The record columns of the lines that fill buf[:cut], if every
+        line is one JsonlWriter writes for this header; else None.  buf
+        runs at least span bytes past cut."""
+        if not len(self.rows):
             return None
-        width = self.keys.itemsize
-        # Zero padding lets a window start at any byte of the block.
-        span = max(width, _MAX_DIGITS)
-        buf = np.frombuffer(data + bytes(span), np.uint8)
-        end = np.flatnonzero(buf == ord("\n"))
-        colon = np.flatnonzero(buf == ord(":"))
+        width = self.words.shape[1] * 8
+        lines = buf[:cut]
+        end = np.flatnonzero(lines == ord("\n"))
+        colon = np.flatnonzero(lines == ord(":"))
         if not len(end) or len(colon) != 5 * len(end):
             return None
-        windows = sliding_window_view(buf, span)
+        windows = sliding_window_view(buf, self.span)
         start = np.concatenate(([0], end[:-1] + 1))
         slot_colon, tel_colon = colon[3::5], colon[4::5]
         # Prefix: the bytes up to the fourth colon equal a table row.
         length = slot_colon + 1 - start
         prefix = windows[start, :width].view(np.uint64) & self.masks[np.clip(length, 0, width)]
-        at = np.searchsorted(self.keys, prefix.view(self.keys.dtype)[:, 0])
-        at = np.minimum(at, len(self.keys) - 1)
-        if not (np.array_equal(self.words[at], prefix)
-                and np.array_equal(self.lengths[at], length)):
+        at = np.minimum(self.hashes.searchsorted(prefix @ self.hash), len(self.rows) - 1)
+        if not ((self.words[at] == prefix).all() and (self.lengths[at] == length).all()):
             return None
         row = self.rows[at]
         # Then slot digits, ',"tel":', tel digits, '}' and the newline.
         comma = tel_colon - 6
-        if not (np.all(windows[comma, :7] == np.frombuffer(b',"tel":', np.uint8))
-                and np.all(buf[end - 1] == ord("}"))):
+        tel_key = windows[comma, :8].view(np.uint64)[:, 0] & self.masks[7, 0]
+        if not ((tel_key == np.frombuffer(b',"tel":\0', np.uint64)).all()
+                and (lines[end - 1] == ord("}")).all()):
             return None
         slot = _decimal(windows, comma, comma - slot_colon - 1)
         tel = _decimal(windows, end - 1, end - 2 - tel_colon)
@@ -428,7 +501,7 @@ class FringeCounter:
         """The counter fed every record of the event log at path, one read
         block at a time.  Raises as EventLog.read_jsonl does on a log it
         cannot read; pairing faults wait for counts()."""
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:
             reader = _BlockReader(fh, path)
             # A missing or unknown scheme raises in fields(), after the body,
             # as it does in read_jsonl; until then the body counts as pairs.

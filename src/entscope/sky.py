@@ -269,15 +269,18 @@ def save_pgm(path, image: np.ndarray, maxval: int = 255, comment: str | None = N
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("image must be 2-D")
+    if not np.isfinite(image).all():  # no grey level stands for nan or inf
+        raise ValueError("image must be finite")
     top = image.max()
     scaled = np.zeros_like(image, dtype=int) if top <= 0 else np.rint(
         np.clip(image / top, 0.0, 1.0) * maxval).astype(int)
+    levels = np.array([str(v) for v in range(maxval + 1)], dtype=object)
     lines = [b"P2"]
     if comment:
         lines.append(f"# {comment}".encode("ascii"))
     lines.append(f"{image.shape[1]} {image.shape[0]}".encode("ascii"))
     lines.append(str(maxval).encode("ascii"))
-    for row in scaled.tolist():
-        lines.append(" ".join(map(str, row)).encode("ascii"))
+    for row in scaled:
+        lines.append(" ".join(levels[row].tolist()).encode("ascii"))
     with open(path, "wb") as fh:
         fh.write(b"\n".join(lines) + b"\n")

@@ -291,6 +291,8 @@ def _single_delta(text: str) -> str:
      "unreadable event log .*ValueError: .*repeated delta values"),
     (lambda t: t.replace('"det":2', '"det":\u00e9', 1),
      "unreadable event log .*UnicodeDecodeError: 'ascii' codec"),
+    (lambda t: t.replace('"scheme":"entangled"', '"scheme":"entangl\u00e9d"', 1),
+     "unreadable event log .*UnicodeDecodeError: 'ascii' codec"),
     (lambda t: t.replace('"slot":0,', f'"slot":{10 ** 20},', 1),
      "unreadable event log .*ValueError: slot must be an integer within int64"),
     (lambda t: t.replace('"acc":false', '"acc":"false"', 1),
@@ -304,7 +306,7 @@ def _single_delta(text: str) -> str:
     (lambda t: re.sub(r'("acc":true[^\n]*"tel":)1}', r'\g<1>0}', t, count=1),
      "cannot fit event log .*: accepted pair records must come from two telescopes"),
 ], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta",
-        "repeated-delta", "non-ascii", "slot-beyond-int64", "acc-string",
+        "repeated-delta", "non-ascii", "non-ascii-header", "slot-beyond-int64", "acc-string",
         "delta-boolean", "telescope-negative", "unknown-scheme", "pair-one-telescope"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", preset("entangled_demo.ini"),

@@ -262,6 +262,23 @@ def every_prefix_row_log() -> EventLog:
                     delta_index=[di for _, di, _ in rows], meta={"seed": 1})
 
 
+def int64_edge_log() -> EventLog:
+    """Telescope ids at the int64 edge, of 19 digits, which the byte parser
+    leaves to json.loads."""
+    edge = 2 ** 63 - 1
+    return EventLog(scheme="w_state", n_slots=3, deltas=(0.5,), slot=[0, 0, 1, 2],
+                    telescope=[edge, 0, edge - 1, edge], detector=[1, 2, 2, 1],
+                    accepted=[True, True, False, True], delta_index=[0, 0, 0, 0])
+
+
+def many_telescopes_log() -> EventLog:
+    """Ten telescope ids against four prefix rows, met out of order, so that
+    ids that sort first arrive in later blocks."""
+    return EventLog(scheme="w_state", n_slots=10, deltas=(0.0,), slot=list(range(10)),
+                    telescope=[9, 3, 7, 0, 5, 1, 8, 2, 6, 4], detector=[1, 2] * 5,
+                    accepted=[True, False] * 5, delta_index=[0] * 10)
+
+
 @st.composite
 def chunked_logs(draw):
     """A log and the indices that cut it into consecutive blocks; repeated
@@ -281,6 +298,10 @@ def _blocks(log: EventLog, cuts) -> list[tuple[np.ndarray, ...]]:
 @example(run=(every_prefix_row_log(), [0, 5, 5, 16]), block="n-1")
 @example(run=(every_prefix_row_log(), [9]), block="n+1")
 @example(run=(every_prefix_row_log(), [16]), block="default")
+@example(run=(int64_edge_log(), [1]), block="1")
+@example(run=(int64_edge_log(), []), block="default")
+@example(run=(many_telescopes_log(), [3, 6]), block="n-1")
+@example(run=(many_telescopes_log(), []), block="default")
 def test_writer_text_equals_the_f_string_reference(run, block):
     """n is the longest block's record count; WRITE_BLOCK_RECORDS of n - 1
     and n + 1 put a formatting edge just before and just past a block's end."""
@@ -316,19 +337,22 @@ def test_writer_given_no_blocks_leaves_a_header_only_log(tmp_path):
 
 @pytest.mark.parametrize("read_block", [40, 1 << 18])
 def test_crlf_copy_reads_like_the_original(tmp_path, read_block):
-    """Text-mode reading turns CRLF into LF before the body is parsed, with
-    read blocks of one line and of the whole file."""
+    """Lines read as universal newlines, as text mode reads them: CRLF and
+    lone-CR line ends, the header's included, read as LF, with read blocks
+    of one line and of the whole file."""
     log = two_slot_log(deltas=(0.0, math.pi / 2.0, 1.0), n_slots=9,
                        slot=[0, 0, 1, 1, 5, 5], telescope=[0, 1] * 3,
                        detector=[1, 1, 2, 1, 2, 2], accepted=[True] * 6,
                        delta_index=[0, 0, 1, 1, 2, 2])
-    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf = tmp_path / "lf.jsonl"
     log.write_jsonl(lf)
-    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
-    with mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
-        assert_same_columns(EventLog.read_jsonl(crlf), EventLog.read_jsonl(lf))
-        assert [c.tolist() for c in FringeCounter.from_jsonl(crlf).counts()] == \
-            [c.tolist() for c in fringe_counts(log)]
+    for name, newline in (("crlf", b"\r\n"), ("cr", b"\r")):
+        copy = tmp_path / f"{name}.jsonl"
+        copy.write_bytes(lf.read_bytes().replace(b"\n", newline))
+        with mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+            assert_same_columns(EventLog.read_jsonl(copy), EventLog.read_jsonl(lf))
+            assert [c.tolist() for c in FringeCounter.from_jsonl(copy).counts()] == \
+                [c.tolist() for c in fringe_counts(log)]
 
 
 def test_read_rejects_repeated_deltas(tmp_path):

@@ -316,6 +316,15 @@ def test_pgm_round_trip(tmp_path):
     assert np.max(np.abs(back - scaled)) < 1.0 / 65535
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_save_pgm_rejects_a_non_finite_image(tmp_path, bad):
+    """A nan or inf pixel has no grey level; the file is not written."""
+    path = tmp_path / "field.pgm"
+    with pytest.raises(ValueError, match="image must be finite"):
+        save_pgm(path, np.array([[0.5, bad], [1.0, 0.0]]))
+    assert not path.exists()
+
+
 def test_load_pgm_binary_format(tmp_path):
     path = tmp_path / "raw.pgm"
     header = b"P5\n3 2\n255\n"
