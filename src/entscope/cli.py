@@ -86,7 +86,7 @@ def cmd_simulate(args) -> int:
     counter = eventlog.FringeCounter(scheme.kind, scheme.delta_schedule,
                                      scheme.n_telescopes if scheme.kind == "w_state" else None)
     log_path = os.path.join(out_dir, "events.jsonl")
-    with _writing(log_path), open(log_path, "w", encoding="ascii") as fh:
+    with _writing(log_path), open(log_path, "w", encoding="ascii", newline="") as fh:
         writer = eventlog.JsonlWriter(fh, **fields)
         for block in blocks:
             writer.write(*block)
@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     try:
         counter = eventlog.FringeCounter.from_jsonl(args.log)
-    except (OSError, TypeError, ValueError, KeyError) as exc:
+    except (OSError, TypeError, ValueError, KeyError, OverflowError) as exc:
         raise InputError(f"unreadable event log {args.log}: "
                          f"{type(exc).__name__}: {exc}") from exc
     try:

@@ -11,12 +11,12 @@ keys, e.g. ``{"acc":true,"delta":0.0,"det":1,"slot":0,"tel":0}``.  Every
 line starts with one of 4 * n_deltas prefixes, up to ``"slot":``, built from
 the header's deltas by one helper for the writer and the reader.  The writer
 emits only that layout, from one format fragment per (prefix, telescope id)
-pair with one ``%d`` for the slot.  The reader reads the file's bytes, with
-universal newlines as text mode reads them, and parses each block as a numpy
-byte array when every line in it is byte-identical to a line the writer
-writes; any other block, including valid JSON records in another layout
-(whitespace, another key order), is decoded as ASCII and goes through the
-reference parser, one ``json.loads`` per line.
+pair with one ``%d`` for the slot.  Lines end at LF on every platform.  The
+reader parses each block of the file's bytes as a numpy byte array when
+every line in it is byte-identical to a line the writer writes; any other
+block, including valid JSON records in another layout (whitespace, another
+key order, CRLF), is decoded as ASCII and goes through the reference parser,
+one ``json.loads`` per line.
 
 Logs stream in both directions, so memory does not grow with the slot count.
 A streamed log is its fields (scheme, n_slots, deltas, meta) once, then blocks
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,7 +98,7 @@ class EventLog:
         return len(np.unique(self.slot[self.accepted]))
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="ascii", newline="") as fh:
             JsonlWriter(fh, self.scheme, self.n_slots, self.deltas, self.meta).write(
                 *self.columns())
 
@@ -132,6 +131,7 @@ def _prefixes(deltas) -> list[str]:
 class JsonlWriter:
     """Writes one event log to an open text file: the header line of its
     fields when made, then the record lines of each block given to write().
+    Lines end in LF: open the file with newline="", so none is translated.
 
     Every record line is its row of _prefixes(deltas), the slot and
     ',"tel":<id>}' with a newline.  The writer keeps one format fragment
@@ -212,7 +212,6 @@ class _Checks:
 
 
 _MAX_DIGITS = 18  # a decimal of up to 18 digits always fits in int64
-_LINE_END = re.compile(rb"\r\n?|\n")  # as universal newlines end a line
 
 
 def _decimal(windows, stop, count) -> np.ndarray | None:
@@ -264,22 +263,22 @@ class _BlockReader:
 
     The file is read READ_BLOCK_CHARS bytes at a time into one reused
     bytearray, zero-padded past its data and grown only for a line longer
-    than a block.  Lines end as text mode ends them (universal newlines):
-    at LF, CRLF or a lone CR; a block that holds a CR has its line ends
-    turned into LF before it is parsed.
+    than a block.  Lines end at LF only: a CRLF line reads through json.loads,
+    to which its CR is whitespace, and a lone CR ends no line.
 
-    The constructor reads the header, decoded as ASCII, and rejects repeated
-    delta values, which would make the delta lookup ambiguous.  blocks()
-    yields the record columns of each block of whole lines.  A block whose
-    every line is byte-identical to one JsonlWriter writes for this header
-    is parsed as a numpy byte array over the buffer: each line's prefix must
-    equal a row of the writer's prefix table and its slot and tel must be
-    1-18 digits without a leading zero, so the columns are those that
-    json.loads gives line by line.  Any other block is decoded as ASCII and
-    goes through the per-line parser, which raises on the first bad line.
-    A parse error raises where it is met; fields() settles the header fields
-    and the validation checks after the last block, so a log raises the
-    error it raises when parsed whole first.
+    The constructor reads the header, decoded as ASCII; its deltas must be a
+    JSON array of JSON numbers, none boolean, and distinct, since a repeat
+    would make the delta lookup ambiguous.  blocks() yields the record
+    columns of each block of whole lines.  A block whose every line is
+    byte-identical to one JsonlWriter writes for this header is parsed as a
+    numpy byte array over the buffer: each line's prefix must equal a row of
+    the writer's prefix table and its slot and tel must be 1-18 digits
+    without a leading zero, so the columns are those that json.loads gives
+    line by line.  Any other block is decoded as ASCII and goes through the
+    per-line parser, which raises on the first bad line.  A parse error
+    raises where it is met; fields() settles the header fields and the
+    validation checks after the last block, so a log raises the error it
+    raises when parsed whole first.
     """
 
     def __init__(self, fh, path) -> None:
@@ -290,7 +289,10 @@ class _BlockReader:
         if schema != SCHEMA:
             raise ValueError(f"{path}: unsupported schema {schema!r}")
         self.header = header
-        self.deltas = tuple(float(d) for d in header["deltas"])
+        deltas = header["deltas"]
+        if type(deltas) is not list or any(type(d) not in (int, float) for d in deltas):
+            raise ValueError(f"deltas must be an array of numbers, got {deltas!r}")
+        self.deltas = tuple(float(d) for d in deltas)
         self.lookup = {d: i for i, d in enumerate(self.deltas)}
         if len(self.lookup) != len(self.deltas):
             raise ValueError(f"{path}: repeated delta values in {list(self.deltas)}")
@@ -317,9 +319,7 @@ class _BlockReader:
     def _fill(self, size: int) -> int:
         """Read up to size more bytes into the buffer after its data; the
         count read, 0 at the end of the file."""
-        grow = self.end + size + self.pad - len(self.buf)
-        if grow > 0:
-            self.buf += bytes(grow)
+        self.buf += bytes(max(0, self.end + size + self.pad - len(self.buf)))
         with memoryview(self.buf) as view:
             n = self.fh.readinto(view[self.end:self.end + size])
         self.end += n
@@ -327,16 +327,13 @@ class _BlockReader:
         return n
 
     def _first_line(self) -> str:
-        """The header line; it and its line end leave the buffer."""
-        # Read on, doubling the data, until a byte follows the first line end
-        # (a CR there opens a CRLF or not) or to the end of the file.
-        while not ((found := _LINE_END.search(self.buf, 0, self.end))
-                   and found.end() < self.end) and self._fill(max(self.end, 1 << 12)):
+        """The header line; it and its LF leave the buffer."""
+        # Read on, doubling the data, until the first LF or the end of the file.
+        while self.buf.find(b"\n", 0, self.end) < 0 and self._fill(max(self.end, 1 << 12)):
             pass
-        start, stop = found.span() if found else (self.end, self.end)
-        line = self.buf[:start].decode("ascii")
-        self._drop(stop)
-        return line
+        line, lf, _ = self.buf[:self.end].partition(b"\n")
+        self._drop(len(line) + len(lf))
+        return line.decode("ascii")
 
     def _drop(self, cut: int) -> None:
         """Take the first cut bytes of data off the buffer."""
@@ -345,37 +342,28 @@ class _BlockReader:
 
     def blocks(self):
         while (more := self._fill(READ_BLOCK_CHARS)) or self.end:
-            cr = self.buf.find(b"\r", 0, self.end) >= 0
-            # A CR that ends the data read so far may open a CRLF.
-            cut = max(self.buf.rfind(b"\n", 0, self.end),
-                      self.buf.rfind(b"\r", 0, self.end - bool(more)) if cr else -1) + 1
+            cut = self.buf.rfind(b"\n", 0, self.end) + 1
             if not more and cut < self.end:  # the end of the file ends the last line
                 self.buf[self.end] = ord("\n")
                 self.end = cut = self.end + 1
             if cut:
-                yield self._parse(cut, cr)
+                yield self._parse(cut)
                 self._drop(cut)
 
-    def _parse(self, cut: int, cr: bool) -> tuple[np.ndarray, ...]:
-        """The record columns of the first cut bytes of the buffer, whole
-        lines; cr if a CR may end some of them."""
-        data = self.buf
-        if cr:  # as text mode reads them
-            data = data[:cut].replace(b"\r\n", b"\n").replace(b"\r", b"\n") + bytes(self.span)
-            cut = len(data) - self.span
-        columns = self._written_columns(np.frombuffer(data, np.uint8, cut + self.span), cut)
-        if columns is None:
-            columns = _line_columns(data[:cut].decode("ascii").split("\n")[:-1], self.lookup)
+    def _parse(self, cut: int) -> tuple[np.ndarray, ...]:
+        """The record columns of the first cut bytes of the buffer, whole lines."""
+        columns = self._written_columns(cut) or _line_columns(
+            self.buf[:cut].decode("ascii").split("\n")[:-1], self.lookup)
         self.checks.add(*columns)
         return columns
 
-    def _written_columns(self, buf: np.ndarray, cut: int) -> tuple[np.ndarray, ...] | None:
-        """The record columns of the lines that fill buf[:cut], if every
-        line is one JsonlWriter writes for this header; else None.  buf
-        runs at least span bytes past cut."""
+    def _written_columns(self, cut: int) -> tuple[np.ndarray, ...] | None:
+        """The record columns of the first cut bytes of the buffer, if every
+        line is one JsonlWriter writes for this header; else None."""
         if not len(self.rows):
             return None
         width = self.words.shape[1] * 8
+        buf = np.frombuffer(self.buf, np.uint8, cut + self.span)
         lines = buf[:cut]
         end = np.flatnonzero(lines == ord("\n"))
         colon = np.flatnonzero(lines == ord(":"))

@@ -279,6 +279,10 @@ def _single_delta(text: str) -> str:
         r'"deltas":\[[^]]*\]', '"deltas":[0.0]', lines[0]), 1)
 
 
+def _header_deltas(deltas: str):
+    return lambda text: re.sub(r'"deltas":\[[^]]*\]', f'"deltas":{deltas}', text, count=1)
+
+
 @pytest.mark.parametrize("edit, message", [
     (_cut_mid_line, "unreadable event log .*JSONDecodeError"),
     (_corrupt_line, "unreadable event log .*JSONDecodeError"),
@@ -305,9 +309,21 @@ def _single_delta(text: str) -> str:
      "unreadable event log .*ValueError: scheme must be one of .*, got 'bogus'"),
     (lambda t: re.sub(r'("acc":true[^\n]*"tel":)1}', r'\g<1>0}', t, count=1),
      "cannot fit event log .*: accepted pair records must come from two telescopes"),
+    (_header_deltas("[false,true]"),
+     "unreadable event log .*ValueError: deltas must be an array of numbers"),
+    (_header_deltas('"12"'),
+     "unreadable event log .*ValueError: deltas must be an array of numbers"),
+    (_header_deltas('["0.5"]'),
+     "unreadable event log .*ValueError: deltas must be an array of numbers"),
+    (_header_deltas("[1" + "0" * 400 + "]"),
+     "unreadable event log .*OverflowError: int too large to convert to float"),
+    (lambda t: t.replace("\n", "\r"),
+     "unreadable event log .*JSONDecodeError: Extra data: line 1 column"),
 ], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta",
         "repeated-delta", "non-ascii", "non-ascii-header", "slot-beyond-int64", "acc-string",
-        "delta-boolean", "telescope-negative", "unknown-scheme", "pair-one-telescope"])
+        "delta-boolean", "telescope-negative", "unknown-scheme", "pair-one-telescope",
+        "deltas-boolean", "deltas-string", "deltas-string-element", "deltas-beyond-float",
+        "lone-cr"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
@@ -319,6 +335,18 @@ def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert re.match("input error: " + message, err), err
     assert err.count("\n") == 1
+
+
+def test_event_log_is_written_without_newline_translation(tmp_path):
+    """simulate and EventLog.write_jsonl open events.jsonl so that no
+    platform translates its LF line ends, which the sha256 pins record."""
+    with mock.patch("builtins.open", side_effect=open) as opened:
+        assert main(["simulate", "--config", preset("entangled_demo.ini"),
+                     "--n-slots", "40", "--out-dir", str(tmp_path)]) == 0
+        EventLog.read_jsonl(tmp_path / "events.jsonl").write_jsonl(tmp_path / "events.jsonl")
+    newlines = [c.kwargs.get("newline") for c in opened.call_args_list
+                if str(c.args[0]).endswith("events.jsonl") and c.args[1:2] == ("w",)]
+    assert newlines == ["", ""]
 
 
 def test_estimate_missing_log_is_input_error(tmp_path, capsys):

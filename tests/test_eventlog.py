@@ -137,7 +137,7 @@ def json_value(obj: dict, key: str, kind: type):
 def per_line_log(path) -> EventLog:
     """The reference reader: json.loads on the header and on every body
     line, then EventLog's validation, with read_jsonl's error messages."""
-    header, _, body = path.read_text(encoding="ascii").partition("\n")
+    header, _, body = path.read_bytes().decode("ascii").partition("\n")
     header = json.loads(header)
     schema = header.get("schema") if isinstance(header, dict) else None
     if schema != SCHEMA:
@@ -337,22 +337,78 @@ def test_writer_given_no_blocks_leaves_a_header_only_log(tmp_path):
 
 @pytest.mark.parametrize("read_block", [40, 1 << 18])
 def test_crlf_copy_reads_like_the_original(tmp_path, read_block):
-    """Lines read as universal newlines, as text mode reads them: CRLF and
-    lone-CR line ends, the header's included, read as LF, with read blocks
-    of one line and of the whole file."""
+    """CRLF line ends, the header's included, read as LF, since a CR before
+    an LF is JSON whitespace, with read blocks of one line and of the whole
+    file."""
     log = two_slot_log(deltas=(0.0, math.pi / 2.0, 1.0), n_slots=9,
                        slot=[0, 0, 1, 1, 5, 5], telescope=[0, 1] * 3,
                        detector=[1, 1, 2, 1, 2, 2], accepted=[True] * 6,
                        delta_index=[0, 0, 1, 1, 2, 2])
     lf = tmp_path / "lf.jsonl"
     log.write_jsonl(lf)
-    for name, newline in (("crlf", b"\r\n"), ("cr", b"\r")):
-        copy = tmp_path / f"{name}.jsonl"
-        copy.write_bytes(lf.read_bytes().replace(b"\n", newline))
-        with mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
-            assert_same_columns(EventLog.read_jsonl(copy), EventLog.read_jsonl(lf))
-            assert [c.tolist() for c in FringeCounter.from_jsonl(copy).counts()] == \
-                [c.tolist() for c in fringe_counts(log)]
+    copy = tmp_path / "crlf.jsonl"
+    copy.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    with mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+        assert_same_columns(EventLog.read_jsonl(copy), EventLog.read_jsonl(lf))
+        assert [c.tolist() for c in FringeCounter.from_jsonl(copy).counts()] == \
+            [c.tolist() for c in fringe_counts(log)]
+
+
+class ShortReads:
+    """A binary file whose every readinto fills at most size bytes, as a
+    pipe's reads may."""
+
+    def __init__(self, data: bytes, size: int) -> None:
+        self.file, self.size = io.BytesIO(data), size
+
+    def readinto(self, view) -> int:
+        return self.file.readinto(view[:self.size])
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=event_logs(), read_block=st.sampled_from([40, 1000, 1 << 18]),
+       size=st.sampled_from([1, 7, 1 << 20]))
+def test_crlf_copy_round_trip_reads_the_written_columns(tmp_path_factory, log,
+                                                        read_block, size):
+    """A CRLF copy of a written log reads the columns the LF original reads.
+    Reads of one byte end at every CR, so its LF opens the next read; reads
+    of 7 bytes and of whole blocks split the lines elsewhere."""
+    path = tmp_path_factory.mktemp("crlf") / "events.jsonl"
+    log.write_jsonl(path)
+    with mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+        assert_same_columns(EventLog.read_jsonl(path), log)
+        reader = eventlog._BlockReader(
+            ShortReads(path.read_bytes().replace(b"\n", b"\r\n"), size), path)
+        blocks = list(reader.blocks())
+        assert_same_columns(EventLog.joined(reader.fields(), blocks), log)
+
+
+@pytest.mark.parametrize("read_block", [40, 1000, 1 << 18])
+def test_written_log_reads_through_the_byte_parser_alone(tmp_path, read_block):
+    """Every block of a log JsonlWriter wrote takes the byte parser: with
+    the per-line parser raising on any line, the log reads back, whether a
+    block holds one line, a few or the whole file.  (EventLog.joined takes
+    its empty columns from the per-line parser, given no lines.)"""
+    rng = np.random.default_rng(3)
+    n = 400
+    log = EventLog(scheme="entangled", n_slots=10 ** 18,
+                   deltas=(-0.0, 1e-05, math.pi / 2.0, 1e300),
+                   slot=np.sort(rng.integers(0, 10 ** rng.integers(1, 19, n))),
+                   telescope=rng.integers(0, 10 ** rng.integers(1, 19, n)),
+                   detector=rng.integers(1, 3, n), accepted=rng.random(n) < 0.5,
+                   delta_index=rng.integers(0, 4, n))
+    path = tmp_path / "events.jsonl"
+    log.write_jsonl(path)
+    per_line = eventlog._line_columns
+
+    def refuse_lines(lines, lookup):
+        if lines:
+            raise AssertionError(f"a block left the byte parser: {lines[0]!r}")
+        return per_line(lines, lookup)
+
+    with mock.patch.object(eventlog, "_line_columns", refuse_lines), \
+            mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
+        assert_same_columns(EventLog.read_jsonl(path), log)
 
 
 def test_read_rejects_repeated_deltas(tmp_path):
