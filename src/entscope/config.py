@@ -12,7 +12,8 @@ One file can describe a whole scenario; each section feeds one module:
     [reconstruct] grid, pixel_scale
 
 Unknown keys raise ConfigError naming the section and field, so typos do
-not silently fall back to defaults.
+not silently fall back to defaults, and so does a [scheme] key that the
+scheme's run does not read (schemes.FIELDS_READ), even at its default.
 """
 from __future__ import annotations
 
@@ -141,36 +142,19 @@ def build_detector(parser) -> fock.DetectorModel:
                   **_fields(parser, "detector", fock.DetectorModel))
 
 
-# The [scheme] keys each kind reads besides those every kind reads or checks;
-# bell_complete = true counts as a kind, and an unknown kind reads every key.
-_EVERY_KIND = {"kind", "n_telescopes", "bell_complete", "coherence_time",
-               "jitter_sigma", "arrival_offset"}
-_SCHEME_KEYS = {
-    "kind=direct": {"deltas", "p_a"},
-    "kind=hbt": {"deltas", "p_a", "double_pair_prob"},
-    "kind=entangled": {"deltas", "p_a", "p_e", "double_pair_prob"},
-    "kind=weak_coherent": {"deltas", "p_a", "p_e", "double_pair_prob"},
-    "kind=w_state": {"w_phases"},
-    "bell_complete": {"deltas"},
-}
-
-
 def build_scheme(parser) -> schemes.SchemeConfig:
     if not parser.has_section("scheme"):
         raise ConfigError("missing [scheme] section")
     kind = _get(parser, "scheme", "kind", str, required=True)
     settings = _fields(parser, "scheme", schemes.SchemeConfig)
-    reader = ("bell_complete" if kind == "entangled" and settings.get("bell_complete")
-              else f"kind={kind}")
-    used = _EVERY_KIND | (_SCHEME_KEYS.get(reader) or _KNOWN_KEYS["scheme"]())
     for key in parser["scheme"]:
-        if key not in used:
-            raise ConfigError(f"[scheme] {key}: {reader} does not use it")
+        why = schemes.unread(kind, settings.get("bell_complete", False),
+                             settings.get("coherence_time", 0.0),
+                             "delta_schedule" if key == "deltas" else key)
+        if why:
+            raise ConfigError(f"[scheme] {key}: {why}")
     if parser.has_option("scheme", "deltas"):
         settings["delta_schedule"] = _get(parser, "scheme", "deltas", _deltas)
-    if kind == "w_state" and "w_phases" not in settings:
-        n_telescopes = settings.get("n_telescopes", schemes.SchemeConfig.n_telescopes)
-        settings["w_phases"] = (0.0,) * n_telescopes
     return _build("scheme", schemes.SchemeConfig, detector=build_detector(parser), **settings)
 
 

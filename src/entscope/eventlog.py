@@ -112,7 +112,8 @@ class EventLog:
     @classmethod
     def joined(cls, fields: dict, blocks) -> "EventLog":
         """The log of fields with the blocks' records, in order; there may be no blocks."""
-        columns = (np.concatenate(c) for c in zip(_line_columns((), {}), *blocks))
+        empty = (np.empty(0, dtype=bool if name == "accepted" else np.int64) for name in COLUMNS)
+        columns = (np.concatenate(c) for c in zip(empty, *blocks))
         return cls(**fields, **dict(zip(COLUMNS, columns)))
 
 

@@ -443,26 +443,18 @@ def _phase_factors(mode_count: int, photon_cutoff: int, mode: int, delta: float)
 
 
 def apply_loss(rho: DensityOperator, mode: int, transmission: float) -> DensityOperator:
-    """Pure loss on one mode, Kraus form of a vacuum-ancilla beam splitter.
-
-    K_k = sum_n sqrt(C(n, k) eta^(n-k) (1-eta)^k) |n-k><n|  on the lossy mode.
-    """
+    """Pure loss on one mode: a splitter of that transmissivity onto a
+    vacuum ancilla, which is then traced out; the result keeps rho's cutoff."""
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must be in [0, 1], got {transmission}")
     _check_mode(mode, rho.mode_count)
-    eta = float(transmission)
-    occs = _basis_array(rho.mode_count, rho.photon_cutoff)
-    dim = len(occs)
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(rho.photon_cutoff + 1):
-        cols = np.flatnonzero(occs[:, mode] >= k)
-        lowered = occs[cols]
-        lowered[:, mode] -= k
-        kraus = np.zeros((dim, dim))
-        kraus[_basis_rows(rho.mode_count, rho.photon_cutoff, lowered), cols] = [
-            math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
-            for n in occs[cols, mode].tolist()]
-        out += kraus @ rho.matrix @ kraus.T
+    joint = apply_beam_splitter(rho.tensor(DensityOperator.vacuum(1, 0)), mode,
+                                rho.mode_count, transmission)
+    lossy = partial_trace(joint, tuple(range(rho.mode_count)))
+    rows = _basis_rows(rho.mode_count, rho.photon_cutoff,
+                       _basis_array(rho.mode_count, lossy.photon_cutoff))
+    out = np.zeros_like(rho.matrix)
+    out[np.ix_(rows, rows)] = lossy.matrix
     return DensityOperator(rho.mode_count, rho.photon_cutoff, out)
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -309,6 +309,33 @@ def classify_pattern(pattern: tuple[int, ...]) -> tuple[bool, bool]:
 # Scheme configuration and Monte Carlo
 # ---------------------------------------------------------------------------
 
+# The SchemeConfig fields each scheme's run reads besides kind and
+# coherence_time, which every run reads; bell_complete = true on
+# kind=entangled is a scheme of its own.  SchemeConfig refuses an unread
+# field off its default, config.build_scheme an unread [scheme] key.
+FIELDS_READ = {
+    "kind=direct": {"delta_schedule", "p_a", "detector"},
+    "kind=hbt": {"delta_schedule", "p_a", "detector", "double_pair_prob"},
+    "kind=entangled": {"delta_schedule", "p_a", "p_e", "detector", "double_pair_prob",
+                       "bell_complete"},
+    "kind=weak_coherent": {"delta_schedule", "p_a", "p_e", "detector", "double_pair_prob"},
+    "kind=w_state": {"n_telescopes", "w_phases"},
+    "bell_complete": {"delta_schedule", "bell_complete"},
+}
+
+
+def unread(kind: str, bell_complete: bool, coherence_time: float, name: str) -> str | None:
+    """Why the run of this scheme does not read the field name, or None; it
+    reads jitter_sigma and arrival_offset where coherence_time > 0, and an
+    unknown kind reads every field."""
+    scheme = "bell_complete" if kind == "entangled" and bell_complete else f"kind={kind}"
+    if scheme not in FIELDS_READ or name in FIELDS_READ[scheme] | {"kind", "coherence_time"}:
+        return None
+    if name in ("jitter_sigma", "arrival_offset"):
+        return None if coherence_time > 0 else f"{scheme} does not use it unless coherence_time > 0"
+    return f"{scheme} does not use it"
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Per-run measurement configuration.
@@ -317,13 +344,14 @@ class SchemeConfig:
     (1.0 = ideal deterministic source, allowed for the single-photon
     schemes; the weak-coherent scheme requires the faint regime <= 0.2).
     delta_schedule is cycled slot by slot.  w_phases are the per-telescope
-    delay phases of the telescope-array scheme (length n_telescopes).
-    double_pair_prob adds uncorrelated reference-pair background events.
-    coherence_time/jitter_sigma/arrival_offset feed the temporal overlap
-    factor applied to the visibility (coherence_time 0 disables it).
-    bell_complete models a complete two-photon parity measurement; it removes
-    the one-click-per-side acceptance loss.  kind=w_state and bell_complete
-    model ideal detectors only: any other detector is rejected.
+    delay phases of the telescope-array scheme (length n_telescopes, zeros
+    when left empty).  double_pair_prob adds uncorrelated reference-pair
+    background events.  coherence_time/jitter_sigma/arrival_offset feed the
+    temporal overlap factor applied to the visibility (coherence_time 0
+    disables it).  bell_complete models a complete two-photon parity
+    measurement; it removes the one-click-per-side acceptance loss.
+    A field its scheme's run does not read (`unread`) must keep its default,
+    so kind=w_state and bell_complete model ideal detectors.
     """
 
     kind: str
@@ -332,7 +360,7 @@ class SchemeConfig:
     p_e: float = 1.0
     n_telescopes: int = 2
     w_phases: tuple[float, ...] = ()
-    detector: DetectorModel = field(default_factory=DetectorModel)
+    detector: DetectorModel = IDEAL_DETECTOR
     double_pair_prob: float = 0.0
     coherence_time: float = 0.0
     jitter_sigma: float = 0.0
@@ -342,12 +370,17 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta_schedule",
                            tuple(float(d) for d in self.delta_schedule))
-        object.__setattr__(self, "w_phases", tuple(float(d) for d in self.w_phases))
+        zeros = (0.0,) * self.n_telescopes if self.kind == "w_state" else ()
+        object.__setattr__(self, "w_phases", tuple(float(d) for d in self.w_phases) or zeros)
         self.validate()
 
     def validate(self) -> None:
         if self.kind not in eventlog.SCHEME_KINDS:
             raise ConfigError(f"kind must be one of {eventlog.SCHEME_KINDS}, got {self.kind!r}")
+        for f in fields(self):
+            why = unread(self.kind, self.bell_complete, self.coherence_time, f.name)
+            if why and getattr(self, f.name) != f.default:
+                raise ConfigError(f"{f.name}: {why}")
         if not self.delta_schedule:
             raise ConfigError("delta_schedule must not be empty")
         if not all(math.isfinite(d) for d in self.delta_schedule):
@@ -368,30 +401,17 @@ class SchemeConfig:
                 raise ConfigError("n_telescopes must be >= 2 for kind=w_state")
             if len(self.w_phases) != self.n_telescopes:
                 raise ConfigError("w_phases must have one entry per telescope")
-        elif self.n_telescopes != 2:
-            raise ConfigError(f"kind={self.kind} uses exactly 2 telescopes")
         if not 0.0 <= self.double_pair_prob < 1.0:
             raise ConfigError("double_pair_prob must be in [0, 1)")
         if self.coherence_time < 0 or self.jitter_sigma < 0:
             raise ConfigError("temporal parameters must be non-negative")
         self.overlap_factor()  # raises where the overlap underflows
-        if self.bell_complete and self.kind != "entangled":
-            raise ConfigError("bell_complete applies to kind=entangled only")
-        if (self.kind == "w_state" or self.bell_complete) and self.detector != IDEAL_DETECTOR:
-            what = "kind=w_state" if self.kind == "w_state" else "bell_complete"
-            raise ConfigError(f"detector: {what} models ideal detectors only, "
-                              f"got {self.detector}")
 
     def overlap_factor(self) -> float:
         if self.coherence_time <= 0.0:
             return 1.0
         return temporal_overlap_factor(self.coherence_time, self.jitter_sigma,
                                        self.arrival_offset)
-
-
-def effective_visibility(config: SchemeConfig, v: complex) -> complex:
-    """Visibility after the temporal mode-overlap penalty."""
-    return complex(v) * config.overlap_factor()
 
 
 def _pair_outcomes(tel_i: int, tel_j: int, weight: float, correlated: float,
@@ -414,7 +434,7 @@ def _circuit_outcomes(config: SchemeConfig, v: complex, schedule: tuple[float, .
     delay where it depends on it); the rest is an empty slot (dark counts).
     """
     det = config.detector
-    v_eff = effective_visibility(config, v)
+    v_eff = v * config.overlap_factor()
     if config.bell_complete:
         return [_pair_outcomes(0, 1, 1.0, probs.correlated, probs.anticorrelated)
                 for probs in (entangled_coincidence_probs(v_eff, d) for d in schedule)]
@@ -492,7 +512,7 @@ def _w_state_outcomes(config: SchemeConfig, vis: dict[tuple[int, int], complex]
     outcomes = [(1.0 / (2.0 * n * n), ((i, d),), False)
                 for i in range(n) for d in (1, 2)]
     for (i, j), v_ij in vis.items():
-        probs = w_state_probs(n, effective_visibility(config, v_ij),
+        probs = w_state_probs(n, v_ij * config.overlap_factor(),
                               config.w_phases[i], config.w_phases[j])
         outcomes += _pair_outcomes(i, j, 2.0 / (n * n), probs.correlated,
                                    probs.anticorrelated)

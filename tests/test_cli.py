@@ -48,6 +48,20 @@ def first_line(path: Path) -> str:
     return path.read_text().splitlines()[0]
 
 
+# The command each bundled preset is for.
+PRESET_COMMANDS = {"chara_like.ini": "sensitivity", "entangled_demo.ini": "simulate",
+                   "improved.ini": "sensitivity", "reconstruct_demo.ini": "reconstruct",
+                   "repeater_demo.ini": "repeater"}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.ini")))
+def test_every_bundled_preset_runs(tmp_path, capsys, name):
+    """Each shipped preset passes its command's config checks and runs whole;
+    a preset missing from PRESET_COMMANDS fails here."""
+    assert main([PRESET_COMMANDS[name], "--config", preset(name),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+
+
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
@@ -845,8 +859,7 @@ def test_ideal_detector_schemes_reject_detector_settings(tmp_path, capsys, edits
     ini = tmp_path / "ideal.ini"
     ini.write_text(text)
     err = _config_error(capsys, "simulate", ini, tmp_path)
-    assert err.startswith(f"config error: [scheme] detector: {label} models "
-                          f"ideal detectors only"), err
+    assert err == f"config error: [scheme] detector: {label} does not use it\n"
     # The same scheme runs with the default (ideal) detector.
     ini.write_text(text.replace("efficiency = 0.3", "efficiency = 1.0"))
     assert main(["simulate", "--config", str(ini), "--n-slots", "40",
@@ -941,7 +954,7 @@ _KIND_SCHEMES = {
     "w_state": ("kind = w_state\nn_telescopes = 3\n", "positions = 0, 40, 100"),
 }
 _IGNORED_VALUES = {"p_a": "0.1", "p_e": "0.1", "double_pair_prob": "0.01",
-                   "w_phases": "0 0", "deltas": "4"}
+                   "w_phases": "0 0", "deltas": "4", "n_telescopes": "2", "bell_complete": "false"}
 
 
 @pytest.mark.parametrize("kind, key", [
@@ -952,10 +965,12 @@ _IGNORED_VALUES = {"p_a": "0.1", "p_e": "0.1", "double_pair_prob": "0.01",
     ("bell_complete", "double_pair_prob"), ("bell_complete", "w_phases"),
     ("w_state", "deltas"), ("w_state", "p_a"), ("w_state", "p_e"),
     ("w_state", "double_pair_prob"),
+    ("direct", "n_telescopes"), ("entangled", "n_telescopes"), ("bell_complete", "n_telescopes"),
+    ("hbt", "bell_complete"), ("weak_coherent", "bell_complete"), ("w_state", "bell_complete"),
 ])
 def test_scheme_key_the_kind_does_not_use_is_config_error(tmp_path, capsys, kind, key):
     """A [scheme] key that leaves the run's bytes as they are is rejected, not
-    silently ignored."""
+    silently ignored, even at its default value (n_telescopes, bell_complete)."""
     scheme, baseline = _KIND_SCHEMES[kind]
     ini = tmp_path / "scheme.ini"
     ini.write_text(f"[run]\nseed = 1\n[scheme]\n{scheme}{key} = {_IGNORED_VALUES[key]}\n"
@@ -963,6 +978,23 @@ def test_scheme_key_the_kind_does_not_use_is_config_error(tmp_path, capsys, kind
     err = _config_error(capsys, "simulate", ini, tmp_path)
     label = "bell_complete" if kind == "bell_complete" else f"kind={kind}"
     assert err == f"config error: [scheme] {key}: {label} does not use it\n"
+
+
+@pytest.mark.parametrize("key, value", [("jitter_sigma", "1e-9"), ("arrival_offset", "5e-9")])
+@pytest.mark.parametrize("coherence_time", [None, "0"], ids=["no-coherence-time", "zero"])
+def test_timing_key_without_coherence_time_is_config_error(tmp_path, capsys, key, value,
+                                                          coherence_time):
+    """Jitter and arrival offset enter only the overlap factor, which a
+    coherence time of 0 switches off; the same key runs with one set."""
+    ini = _set_key(tmp_path, "entangled_demo.ini", "scheme", key, value)
+    if coherence_time is not None:
+        ini = _set_key(tmp_path, ini.read_text(), "scheme", "coherence_time", coherence_time)
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err == (f"config error: [scheme] {key}: kind=entangled does not use it "
+                   f"unless coherence_time > 0\n")
+    ini = _set_key(tmp_path, ini.read_text(), "scheme", "coherence_time", "1e-9")
+    assert main(["simulate", "--config", str(ini), "--n-slots", "40",
+                 "--out-dir", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("scheme", ["kind = directt\n", "kind = bogus\np_e = 0.1\n",
@@ -1106,31 +1138,46 @@ def test_reconstruct_memory_is_a_few_grids(tmp_path, capsys):
     assert peak <= 8 * grid_bytes, f"{peak / grid_bytes:.2f} grids"
 
 
-def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path, capsys):
+# Traced peaks of simulate and estimate at 2e3 (the warm-up: it fills the
+# outcome-table caches and imports lazily loaded code), 1e4 and 1e5 slots,
+# with small chunks and blocks, and the top five allocation sites still held
+# after each 1e5-slot run.  Prints them as one JSON line.
+_FLAT_IN_SLOTS = """
+import json, sys, tracemalloc
+from unittest import mock
+from entscope import eventlog, schemes
+from entscope.cli import main
+
+ini, root = sys.argv[1:]
+peaks, sites = {}, {}
+with mock.patch.object(schemes, "CHUNK_SLOTS", 1 << 12), \\
+        mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", 1 << 10), \\
+        mock.patch.object(eventlog, "READ_BLOCK_CHARS", 1 << 14):
+    for n_slots in (2_000, 10_000, 100_000):
+        out = f"{root}/{n_slots}"
+        for command, args in (("simulate", ["--config", ini, "--n-slots", str(n_slots)]),
+                              ("estimate", ["--log", f"{out}/events.jsonl"])):
+            tracemalloc.start()
+            assert main([command, *args, "--out-dir", out]) == 0
+            peaks[f"{command} {n_slots}"] = tracemalloc.get_traced_memory()[1]
+            sites[command] = [str(stat) for stat in
+                              tracemalloc.take_snapshot().statistics("lineno")[:5]]
+            tracemalloc.stop()
+print(json.dumps({"peaks": peaks, "sites": sites}))
+"""
+
+
+def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path):
     """Small chunks and blocks, so both commands' traced peak is set by one
-    block, not by the slot count."""
-    ini = preset("entangled_demo.ini")
-    peaks, sites = {}, {"simulate": [], "estimate": []}
-    with mock.patch.object(schemes, "CHUNK_SLOTS", 1 << 12), \
-            mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", 1 << 10), \
-            mock.patch.object(eventlog, "READ_BLOCK_CHARS", 1 << 14):
-        # Fill the outcome-table caches and import lazily loaded code first.
-        warm = tmp_path / "warm"
-        assert main(["simulate", "--config", ini, "--n-slots", "2000",
-                     "--out-dir", str(warm)]) == 0
-        assert main(["estimate", "--log", str(warm / "events.jsonl"),
-                     "--out-dir", str(warm)]) == 0
-        for n_slots in (10_000, 100_000):
-            out = tmp_path / str(n_slots)
-            larger = n_slots == 100_000
-            peaks["simulate", n_slots] = _traced_peak(lambda: main(
-                ["simulate", "--config", ini, "--n-slots", str(n_slots),
-                 "--out-dir", str(out)]), sites["simulate"] if larger else None)
-            peaks["estimate", n_slots] = _traced_peak(lambda: main(
-                ["estimate", "--log", str(out / "events.jsonl"), "--out-dir", str(out)]),
-                sites["estimate"] if larger else None)
-    capsys.readouterr()
+    block, not by the slot count.  The runs are made in a fresh interpreter,
+    so no earlier test's state enters a peak."""
+    src = str(Path(entscope.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", _FLAT_IN_SLOTS, preset("entangled_demo.ini"),
+                            str(tmp_path)], check=True, capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    report = json.loads(child.stdout.splitlines()[-1])
+    peaks = report["peaks"]
     for command in ("simulate", "estimate"):
-        assert peaks[command, 100_000] < 1.5 * peaks[command, 10_000], "\n".join(
+        assert peaks[f"{command} 100000"] < 1.5 * peaks[f"{command} 10000"], "\n".join(
             [f"{peaks}", f"top {command} allocation sites held after the 1e5-slot run:",
-             *sites[command]])
+             *report["sites"][command]])

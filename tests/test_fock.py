@@ -123,8 +123,21 @@ def test_loss_matches_reference(eta):
     lossy.validate()
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.37, 1.0])
+def test_loss_keeps_a_cutoff_above_the_photons_carried(eta):
+    """A mixed state at cutoff 3 that carries at most 2 photons: the lossy
+    state is the reference channel's, element by element, at cutoff 3."""
+    kets = ({(1, 1, 0): 0.6, (0, 1, 0): 0.8j}, {(0, 0, 1): 1.0})
+    rho = DensityOperator(3, 3, sum(0.5 * DensityOperator.pure(3, 3, k).matrix for k in kets))
+    lossy = apply_loss(rho, 1, eta)
+    assert (lossy.mode_count, lossy.photon_cutoff) == (3, 3)
+    full = sum(0.5 * ref.density(ref.ket(3, 4, k)) for k in kets)
+    _assert_equals_reference(lossy, ref.loss(full, 3, 4, 1, eta), 4)
+
+
 def test_loss_equals_vacuum_ancilla_splitter():
-    """The Kraus form must equal the explicit ancilla construction."""
+    """apply_loss equals the ancilla construction written out, with an
+    ancilla of cutoff 2."""
     rho = DensityOperator.pure(2, 2, {(1, 1): 1j * math.sqrt(0.5), (0, 2): math.sqrt(0.5)})
     eta = 0.37
     direct = apply_loss(rho, 1, eta)

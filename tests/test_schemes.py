@@ -26,7 +26,6 @@ from entscope.schemes import (
     classify_pattern,
     direct_detection_probs,
     direct_distribution,
-    effective_visibility,
     entangled_coincidence_probs,
     hbt_coincidence_prob,
     hbt_pair_state,
@@ -137,6 +136,49 @@ def test_scheme_config_validation():
         SchemeConfig(kind="direct", delta_schedule=())
     with pytest.raises(ConfigError):
         SchemeConfig(kind="weak_coherent", bell_complete=True)
+
+
+# Per scheme, the arguments that make it and the settings its run reads
+# besides coherence_time (jitter_sigma and arrival_offset are read where
+# coherence_time > 0).  bell_complete = true on kind=entangled makes the
+# bell_complete scheme.
+_SCHEMES = {
+    "kind=direct": ({"kind": "direct"}, {"delta_schedule", "p_a", "detector"}),
+    "kind=hbt": ({"kind": "hbt"}, {"delta_schedule", "p_a", "detector", "double_pair_prob"}),
+    "kind=entangled": ({"kind": "entangled", "bell_complete": False},
+                       {"delta_schedule", "p_a", "p_e", "detector", "double_pair_prob"}),
+    "kind=weak_coherent": ({"kind": "weak_coherent"},
+                           {"delta_schedule", "p_a", "p_e", "detector", "double_pair_prob"}),
+    "bell_complete": ({"kind": "entangled", "bell_complete": True}, {"delta_schedule"}),
+    "kind=w_state": ({"kind": "w_state", "n_telescopes": 3}, {"w_phases"}),
+}
+# A value off the default for each setting, valid for every scheme that reads it.
+_OFF_DEFAULT = {"delta_schedule": (0.0, 1.0), "p_a": 0.1, "p_e": 0.1, "n_telescopes": 3,
+                "w_phases": (0.0, 0.5, 1.0), "detector": DetectorModel(efficiency=0.6),
+                "double_pair_prob": 0.05, "jitter_sigma": 0.3, "arrival_offset": 0.2,
+                "bell_complete": True}
+
+
+@pytest.mark.parametrize("scheme, name", [
+    (scheme, name) for scheme, (args, reads) in _SCHEMES.items()
+    for name in _OFF_DEFAULT if name not in reads and name not in args])
+def test_scheme_config_refuses_a_field_its_scheme_does_not_read(scheme, name):
+    """A setting the run ignores, off its default, is an error naming the
+    field and the scheme; the timing fields name the coherence time too."""
+    args, _ = _SCHEMES[scheme]
+    with pytest.raises(ConfigError) as err:
+        SchemeConfig(**args, **{name: _OFF_DEFAULT[name]})
+    unless = " unless coherence_time > 0" if name in ("jitter_sigma", "arrival_offset") else ""
+    assert str(err.value) == f"{name}: {scheme} does not use it{unless}"
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES)
+def test_scheme_config_accepts_every_field_its_scheme_reads(scheme):
+    args, reads = _SCHEMES[scheme]
+    settings = {**{name: _OFF_DEFAULT[name] for name in reads}, "coherence_time": 1.0,
+                "jitter_sigma": 0.3, "arrival_offset": 0.2}
+    config = SchemeConfig(**args, **settings)
+    assert {name: getattr(config, name) for name in settings} == settings
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +472,7 @@ def _reference_outcomes(config, v, delta):
     """(probability, records, accepted) per click pattern of one delta, as
     the per-scheme pattern tables built them; records are (tel, det)."""
     det = config.detector
-    v_eff = effective_visibility(config, v)
+    v_eff = complex(v) * config.overlap_factor()
     if config.kind == "entangled" and config.bell_complete:
         probs = entangled_coincidence_probs(v_eff, delta)
         return [(p, ((0, d_l), (1, d_r)), True) for d_l, d_r, p in (
@@ -496,7 +538,7 @@ def _reference_w_state_outcomes(config, vis):
                 for i in range(n) for d in (1, 2)]
     for i in range(n):
         for j in range(i + 1, n):
-            v_ij = effective_visibility(config, vis[(i, j)])
+            v_ij = complex(vis[(i, j)]) * config.overlap_factor()
             probs = w_state_probs(n, v_ij, config.w_phases[i], config.w_phases[j])
             for d_i, d_j, frac in (
                 (1, 1, probs.correlated / 2.0), (2, 2, probs.correlated / 2.0),
@@ -555,28 +597,34 @@ _DETECTORS = (
 
 @st.composite
 def _runs(draw):
+    """(config, geometry) with only the fields its scheme reads set."""
     kind = draw(st.sampled_from(SCHEME_KINDS))
     n_deltas = draw(st.integers(1, 9))
+    settings = {"coherence_time": draw(st.sampled_from((0.0, 1.0)))}
+    if settings["coherence_time"]:
+        settings["jitter_sigma"] = 0.3
     if kind == "w_state":
         n_tel = draw(st.integers(2, 32))
         config = SchemeConfig(
             kind=kind, n_telescopes=n_tel,
-            w_phases=draw(st.lists(st.floats(-4.0, 4.0), min_size=n_tel, max_size=n_tel)))
+            w_phases=draw(st.lists(st.floats(-4.0, 4.0), min_size=n_tel, max_size=n_tel)),
+            **settings)
         geometry = (tuple(float(x) for x in np.linspace(0.0, 300.0, n_tel)), WAVELENGTH)
     else:
         faint = kind in ("weak_coherent", "hbt")
         probs = st.sampled_from((0.0, 0.05, 0.2) if faint else (0.0, 0.6, 1.0))
-        # Bell-complete detection models ideal detectors only.
-        bell_complete = kind == "entangled" and draw(st.booleans())
-        config = SchemeConfig(
-            kind=kind,
-            delta_schedule=draw(st.lists(st.floats(-7.0, 7.0), min_size=n_deltas,
-                                         max_size=n_deltas, unique=True)),
-            p_a=draw(probs), p_e=draw(probs),
-            detector=DetectorModel() if bell_complete else draw(st.sampled_from(_DETECTORS)),
-            double_pair_prob=draw(st.sampled_from((0.0, 0.05, 0.15))),
-            coherence_time=draw(st.sampled_from((0.0, 1.0))), jitter_sigma=0.3,
-            bell_complete=bell_complete)
+        settings["delta_schedule"] = draw(st.lists(st.floats(-7.0, 7.0), min_size=n_deltas,
+                                                   max_size=n_deltas, unique=True))
+        if kind == "entangled" and draw(st.booleans()):
+            # Bell-complete detection reads only the schedule and the timing.
+            settings["bell_complete"] = True
+        else:
+            settings.update(p_a=draw(probs), detector=draw(st.sampled_from(_DETECTORS)))
+            if kind in ("entangled", "weak_coherent"):
+                settings["p_e"] = draw(probs)
+            if kind != "direct":
+                settings["double_pair_prob"] = draw(st.sampled_from((0.0, 0.05, 0.15)))
+        config = SchemeConfig(kind=kind, **settings)
         geometry = Baseline(100.0, WAVELENGTH)
     return config, geometry
 
@@ -623,8 +671,9 @@ def test_simulate_run_matches_per_outcome_sampler(run, chunking, seed):
 def test_simulate_run_matches_per_outcome_sampler_over_chunks(kind):
     """Three default-size chunks, the last one partial, with 7 deltas."""
     p = 0.2 if kind in ("weak_coherent", "hbt") else 0.9
+    p_e = {"p_e": p} if kind in ("entangled", "weak_coherent") else {}
     config = SchemeConfig(kind=kind, delta_schedule=tuple(np.linspace(0.0, 6.0, 7)),
-                          p_a=p, p_e=p, detector=_DETECTORS[1])
+                          p_a=p, detector=_DETECTORS[1], **p_e)
     source, base = SourceModel.binary(2.0e-9, 0.7), Baseline(100.0, WAVELENGTH)
     n_slots = 2 * schemes.CHUNK_SLOTS + 3
     log = simulate_run(config, source, base, n_slots, 8)
