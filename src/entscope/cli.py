@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     try:
         counter = eventlog.FringeCounter.from_jsonl(args.log)
-    except (OSError, TypeError, ValueError, KeyError, OverflowError) as exc:
+    except (OSError, TypeError, ValueError, KeyError, OverflowError, RecursionError) as exc:
         raise InputError(f"unreadable event log {args.log}: "
                          f"{type(exc).__name__}: {exc}") from exc
     try:
@@ -127,10 +127,10 @@ def cmd_estimate(args) -> int:
 
 def cmd_repeater(args) -> int:
     parser = cfg.load_config(args.config)
-    segments, links, policy, n_trials, efficiency, bandwidth = cfg.build_chain(parser)
+    segments, link, policy, n_trials, efficiency, bandwidth = cfg.build_chain(parser)
     seed, out_dir, mode, _ = cfg.run_options(parser, args.seed, args.out_dir)
     generator = rng.stream(seed) if mode == "monte-carlo" else None
-    result = repeater.chain_simulate(segments, links, policy, rng=generator,
+    result = repeater.chain_simulate(segments, link, policy, rng=generator,
                                      n_trials=n_trials)
     out_dir = _ensure_out_dir(out_dir)
     merit = repeater.figure_of_merit(result.rate, efficiency, bandwidth)

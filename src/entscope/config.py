@@ -12,8 +12,8 @@ One file can describe a whole scenario; each section feeds one module:
     [reconstruct] grid, pixel_scale
 
 Unknown keys raise ConfigError naming the section and field, so typos do
-not silently fall back to defaults, and so does a [scheme] key that the
-scheme's run does not read (schemes.FIELDS_READ), even at its default.
+not silently fall back to defaults, and so does a [scheme] or [detector] key
+that the scheme's run does not read (schemes.FIELDS_READ), even at its default.
 """
 from __future__ import annotations
 
@@ -42,8 +42,7 @@ _KNOWN_KEYS = {
     "source": lambda: {"kind", "separation", "ratio", "points", "pgm", "pixel_scale"},
     "baseline": lambda: {"vector", "wavelength", "positions"},
     "repeater": lambda: (_names(repeater.LinkModel, repeater.ChainPolicy) - {"with_memory"}
-                         | {"segments", "satellite", "schedule", "n_trials", "efficiency",
-                            "bandwidth_nm"}),
+                         | {"segments", "schedule", "n_trials", "efficiency", "bandwidth_nm"}),
     "sensitivity": lambda: _names(sensitivity.SensitivityBudget) | {"budget"},
     "reconstruct": lambda: {"grid", "pixel_scale"},
 }
@@ -51,12 +50,15 @@ _KNOWN_KEYS = {
 
 def load_config(path) -> configparser.ConfigParser:
     """Parse an INI file, turning parser problems into ConfigError with
-    file/line context and rejecting unknown sections or keys."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    file/line context and rejecting unknown sections or keys.  Values are
+    literal, and the default section is "", which no header spells, so
+    [DEFAULT] is an unknown section too."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
@@ -155,7 +157,14 @@ def build_scheme(parser) -> schemes.SchemeConfig:
             raise ConfigError(f"[scheme] {key}: {why}")
     if parser.has_option("scheme", "deltas"):
         settings["delta_schedule"] = _get(parser, "scheme", "deltas", _deltas)
-    return _build("scheme", schemes.SchemeConfig, detector=build_detector(parser), **settings)
+    scheme = _build("scheme", schemes.SchemeConfig, detector=build_detector(parser), **settings)
+    # [detector] keys set the field detector, refused like [scheme] keys even at
+    # their defaults; SchemeConfig above already refused an off-default detector.
+    keys = list(parser["detector"]) if parser.has_section("detector") else []
+    why = schemes.unread(kind, scheme.bell_complete, scheme.coherence_time, "detector")
+    if keys and why:
+        raise ConfigError(f"[detector] {keys[0]}: {why}")
+    return scheme
 
 
 def build_source(parser, base_dir) -> sky.SourceModel:
@@ -226,35 +235,26 @@ def build_geometry(parser, scheme: schemes.SchemeConfig, source: sky.SourceModel
 
 
 def build_chain(parser):
-    """(segments, links, policy, n_trials, efficiency, bandwidth_nm)."""
+    """(segments, link, policy, n_trials, efficiency, bandwidth_nm), parsed only;
+    the chain's rules, and the link on every segment, are chain_simulate's."""
     if not parser.has_section("repeater"):
         raise ConfigError("missing [repeater] section")
     segments = _get(parser, "repeater", "segments", int, required=True)
-    if segments < 1:
-        raise ConfigError("[repeater] segments: must be >= 1")
-    link = _fields(parser, "repeater", repeater.LinkModel)
-    if _get(parser, "repeater", "satellite", _bool, False):
-        extra = link.get("extra_transmission", repeater.LinkModel.extra_transmission)
-        link["extra_transmission"] = extra * repeater.LinkModel.satellite().extra_transmission
-    link = _build("repeater", repeater.LinkModel, **link)
+    link = _build("repeater", repeater.LinkModel,
+                  **_fields(parser, "repeater", repeater.LinkModel))
     schedule = _get(parser, "repeater", "schedule", str, "memory")
     if schedule not in ("memory", "memoryless"):
         raise ConfigError("[repeater] schedule: expected 'memory' or "
                           "'memoryless'")
-    settings = _fields(parser, "repeater", repeater.ChainPolicy)
-    levels = repeater._depth_of(segments) + 1
-    if len(settings.get("distill_rounds", ())) > levels:
-        raise ConfigError(f"[repeater] distill_rounds: a chain of {segments} segments has "
-                          f"{levels} nesting levels, got {len(settings['distill_rounds'])} entries")
     policy = _build("repeater", repeater.ChainPolicy, with_memory=(schedule == "memory"),
-                    **settings)
+                    **_fields(parser, "repeater", repeater.ChainPolicy))
     n_trials = _get(parser, "repeater", "n_trials", int, 2000)
     if n_trials < 1:
         raise ConfigError("[repeater] n_trials: must be >= 1")
     efficiency = _get(parser, "repeater", "efficiency", float, 0.5)
     bandwidth = _get(parser, "repeater", "bandwidth_nm", float, 0.1)
     _build("repeater", repeater.figure_of_merit, 0.0, efficiency, bandwidth)  # its range checks
-    return segments, [link] * segments, policy, n_trials, efficiency, bandwidth
+    return segments, link, policy, n_trials, efficiency, bandwidth
 
 
 def build_budget(parser) -> sensitivity.SensitivityBudget:

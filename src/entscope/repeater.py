@@ -45,7 +45,7 @@ class LinkModel:
 
     transmission() = 10^(-attenuation_db_per_km * length_km / 10) * extra;
     `extra` covers everything that is not fibre attenuation (coupling,
-    pointing; 0.01 for the satellite preset).  phase_noise_sigma is the
+    pointing; 0.01 for a free-space downlink).  phase_noise_sigma is the
     standard deviation of the relative-phase kick per transit, in radians.
     """
 
@@ -77,12 +77,6 @@ class LinkModel:
     def transmission(self) -> float:
         return 10.0 ** (-self.attenuation_db_per_km * self.length_km / 10.0) \
             * self.extra_transmission
-
-    @classmethod
-    def satellite(cls, phase_noise_sigma: float = 0.0) -> "LinkModel":
-        """Free-space downlink preset: overall transmission 0.01."""
-        return cls(length_km=0.0, attenuation_db_per_km=0.0,
-                   extra_transmission=0.01, phase_noise_sigma=phase_noise_sigma)
 
 
 def pair_family_projection(rho: DensityOperator, atol: float = 1e-9
@@ -314,10 +308,10 @@ class ChainPolicy:
 
     distill_rounds[k] = rounds applied at nesting level k (level 0 = freshly
     generated segment pairs, level k = pairs produced by the k-th swap
-    layer); missing levels default to 0.  with_memory selects the
-    generate-both-halves-then-swap schedule; the memoryless alternative
-    requires everything to succeed in one slot and cannot distill.
-    double_excitation_weight is carried by every generated pair.
+    layer); missing levels default to 0, and chain_simulate refuses surplus
+    ones.  with_memory selects the generate-both-halves-then-swap schedule;
+    the memoryless alternative requires everything to succeed in one slot
+    and cannot distill.  Every generated pair carries double_excitation_weight.
     """
 
     distill_rounds: tuple[int, ...] = ()
@@ -462,7 +456,8 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
     the state and fidelity always come from the analytic ensemble average.
     It raises ConfigError where a geometric it draws from has success
     probability below MC_MIN_PROB; memoryless chains whose per-slot
-    probability underflows to 0 raise in both modes.
+    probability underflows to 0 raise in both modes, and so do policies with
+    more distill_rounds entries than the chain's nesting levels.
 
     The with-memory Monte Carlo draws exactly what a recursive scalar
     sampler would -- one rng.geometric per generation, then one rng.random
@@ -474,11 +469,15 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
         raise ConfigError(f"segments must be >= 1, got {segments}")
     if rng is not None and n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
+    policy = policy or ChainPolicy()
+    levels = _depth_of(segments) + 1
+    if len(policy.distill_rounds) > levels:
+        raise ConfigError(f"distill_rounds: a chain of {segments} segments has {levels} "
+                          f"nesting levels, got {len(policy.distill_rounds)} entries")
     link_list = list(links) if isinstance(links, (list, tuple)) else [links] * segments
     if len(link_list) != segments:
         raise ConfigError(f"need one link per segment ({segments}), "
                           f"got {len(link_list)}")
-    policy = policy or ChainPolicy()
     plan = _chain_plan(link_list, policy)
     root = plan[-1]
     if not policy.with_memory and root.prob_slot == 0.0:

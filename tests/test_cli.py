@@ -222,21 +222,24 @@ def _set_key(tmp_path, base: str, section: str, key: str, value: str) -> Path:
     return ini
 
 
+# The chain's own rules are refused by chain_simulate, which names no section.
 @pytest.mark.parametrize("key, value, message", [
-    ("efficiency", "2", "efficiency must be in [0, 1], got 2.0"),
-    ("efficiency", "-1", "efficiency must be in [0, 1], got -1.0"),
-    ("bandwidth_nm", "-1", "bandwidth_nm must be >= 0, got -1.0"),
-    ("distill_rounds", "-1", "distill_rounds entries must be >= 0"),
-    ("schedule", "memoryless",
-     "distillation requires with_memory=True (schedule = memory): pairs must wait for each other"),
+    ("efficiency", "2", "[repeater] efficiency must be in [0, 1], got 2.0"),
+    ("efficiency", "-1", "[repeater] efficiency must be in [0, 1], got -1.0"),
+    ("bandwidth_nm", "-1", "[repeater] bandwidth_nm must be >= 0, got -1.0"),
+    ("distill_rounds", "-1", "[repeater] distill_rounds entries must be >= 0"),
+    ("schedule", "memoryless", "[repeater] distillation requires with_memory=True "
+                               "(schedule = memory): pairs must wait for each other"),
     ("distill_rounds", "1,0,0,7",
      "distill_rounds: a chain of 4 segments has 3 nesting levels, got 4 entries"),
+    ("segments", "0", "segments must be >= 1, got 0"),
 ], ids=["efficiency-above-1", "efficiency-negative", "bandwidth-negative",
-        "negative-rounds", "memoryless-distillation", "rounds-beyond-levels"])
+        "negative-rounds", "memoryless-distillation", "rounds-beyond-levels",
+        "no-segments"])
 def test_repeater_out_of_range_value_is_config_error(tmp_path, capsys, key, value, message):
     ini = _set_key(tmp_path, "repeater_demo.ini", "repeater", key, value)
     err = _config_error(capsys, "repeater", ini, tmp_path)
-    assert err == f"config error: [repeater] {message}\n"
+    assert err == f"config error: {message}\n"
 
 
 @pytest.mark.parametrize("mode, keys, message", [
@@ -333,11 +336,15 @@ def _header_deltas(deltas: str):
      "unreadable event log .*OverflowError: int too large to convert to float"),
     (lambda t: t.replace("\n", "\r"),
      "unreadable event log .*JSONDecodeError: Extra data: line 1 column"),
+    (lambda t: "[" * 200_000 + t[t.index("\n"):],
+     "unreadable event log .*RecursionError: maximum recursion depth"),
+    (lambda t: t + "[" * 200_000 + "\n",
+     "unreadable event log .*RecursionError: maximum recursion depth"),
 ], ids=["truncated", "corrupt", "bad-schema", "unknown-delta", "one-delta",
         "repeated-delta", "non-ascii", "non-ascii-header", "slot-beyond-int64", "acc-string",
         "delta-boolean", "telescope-negative", "unknown-scheme", "pair-one-telescope",
         "deltas-boolean", "deltas-string", "deltas-string-element", "deltas-beyond-float",
-        "lone-cr"])
+        "lone-cr", "nested-header", "nested-record"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
     assert main(["simulate", "--config", preset("entangled_demo.ini"),
                  "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
@@ -650,6 +657,21 @@ def test_sensitivity_infeasible_exit_code(tmp_path, capsys):
     assert "infeasible budget:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    (b"[sensitivity]\nbudget = def%ault\n",
+     "[sensitivity] budget: unknown preset 'def%ault' (known: default, improved)"),
+    (b"[DEFAULT]\nbudget = improved\n[sensitivity]\n", "{ini}: unknown section [DEFAULT]"),
+    (b"[sensitivity]\nbudget = d\xe9fault\n",
+     "cannot read config {ini}: 'utf-8' codec can't decode byte 0xe9 in position 24: "
+     "invalid continuation byte"),
+], ids=["percent", "default-section", "non-utf8"])
+def test_config_is_read_literally_or_refused(tmp_path, capsys, text, message):
+    ini = tmp_path / "literal.ini"
+    ini.write_bytes(text)
+    assert main(["sensitivity", "--config", str(ini)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {message.format(ini=ini)}\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("aperture_diameter", "1e100"), ("aperture_diameter", "1e150"),
     ("aperture_diameter", "1e153"), ("bandwidth_nm", "1e200"), ("bandwidth_nm", "1e300"),
@@ -860,8 +882,12 @@ def test_ideal_detector_schemes_reject_detector_settings(tmp_path, capsys, edits
     ini.write_text(text)
     err = _config_error(capsys, "simulate", ini, tmp_path)
     assert err == f"config error: [scheme] detector: {label} does not use it\n"
-    # The same scheme runs with the default (ideal) detector.
+    # A [detector] key is refused at its default value too, as in [scheme].
     ini.write_text(text.replace("efficiency = 0.3", "efficiency = 1.0"))
+    err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err == f"config error: [detector] efficiency: {label} does not use it\n"
+    # The same scheme runs with no [detector] section: the ideal detector.
+    ini.write_text(re.sub(r"\[detector\][^[]*", "", text))
     assert main(["simulate", "--config", str(ini), "--n-slots", "40",
                  "--out-dir", str(tmp_path / "run")]) == 0
 

@@ -19,6 +19,9 @@ def parse(tmp_path, text):
 def test_unknown_section_rejected(tmp_path):
     with pytest.raises(ConfigError, match=r"unknown section \[telescope\]"):
         parse(tmp_path, "[telescope]\nkind = point\n")
+    # [DEFAULT] is no section of the format: its keys would reach every section.
+    with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]$"):
+        parse(tmp_path, "[DEFAULT]\nseed = 1\n[run]\nmode = analytic\n")
 
 
 def test_unknown_field_rejected_with_suggestions(tmp_path):
@@ -58,6 +61,24 @@ def test_repeater_n_trials_must_be_positive(tmp_path, n_trials):
     parser = parse(tmp_path, f"[repeater]\nsegments = 2\nn_trials = {n_trials}\n")
     with pytest.raises(ConfigError, match=r"\[repeater\] n_trials: must be >= 1"):
         cfg.build_chain(parser)
+
+
+def test_satellite_key_is_unknown(tmp_path):
+    # A free-space link is extra_transmission = 0.01 with no attenuation.
+    with pytest.raises(ConfigError, match=r"unknown field \[repeater\] satellite"):
+        parse(tmp_path, "[repeater]\nsegments = 1\nsatellite = on\n")
+
+
+def test_build_chain_only_parses(tmp_path):
+    """segments >= 1 and one distill_rounds entry per nesting level are
+    chain_simulate's rules, so the parser passes such values through."""
+    parser = parse(tmp_path, "[repeater]\nsegments = 0\ndistill_rounds = 1, 0, 0, 7\n")
+    assert cfg.build_chain(parser)[:3] == (0, LinkModel(), ChainPolicy((1, 0, 0, 7)))
+
+
+def test_values_are_read_literally(tmp_path):
+    parser = parse(tmp_path, "[run]\nseed = 3\nout_dir = %(seed)s-run%\n")
+    assert cfg.run_options(parser) == (3, "%(seed)s-run%", "monte-carlo", 100_000)
 
 
 def test_mode_validated(tmp_path):
@@ -106,21 +127,21 @@ def test_field_keys_reach_their_dataclasses(tmp_path):
                              "photon_number_resolving = yes\n"
                              "[repeater]\nsegments = 2\nlength_km = 3\n"
                              "attenuation_db_per_km = 0.3\nextra_transmission = 0.5\n"
-                             "satellite = on\nphase_noise_sigma = 0.1\n"
+                             "phase_noise_sigma = 0.1\n"
                              "distill_rounds = 1, 2\ndouble_excitation_weight = 0.05\n")
     detector = DetectorModel(0.5, 0.01, True)
     assert cfg.build_detector(parser) == detector
     assert cfg.build_scheme(parser) == SchemeConfig(
         "entangled", (0.0, 1.0), 0.5, 0.25, detector=detector, double_pair_prob=0.01,
         coherence_time=1e-12, jitter_sigma=2e-12, arrival_offset=3e-12)
-    _, links, policy, *_ = cfg.build_chain(parser)
-    assert links == [LinkModel(3.0, 0.3, 0.5 * 0.01, 0.1)] * 2
+    _, link, policy, *_ = cfg.build_chain(parser)
+    assert link == LinkModel(3.0, 0.3, 0.5, 0.1)
     assert policy == ChainPolicy((1, 2), True, 0.05)
-    assert type(links[0].length_km) is float and type(policy.distill_rounds[0]) is int
+    assert type(link.length_km) is float and type(policy.distill_rounds[0]) is int
     # Absent keys take the dataclass defaults.
     empty = parse(tmp_path, "[scheme]\nkind = direct\n[repeater]\nsegments = 1\n")
     assert cfg.build_scheme(empty) == SchemeConfig("direct")
-    assert cfg.build_chain(empty)[1:3] == ([LinkModel()], ChainPolicy())
+    assert cfg.build_chain(empty)[1:3] == (LinkModel(), ChainPolicy())
 
 
 def test_missing_config_file(tmp_path):
@@ -140,7 +161,7 @@ KNOWN_KEYS = {
     "baseline": "positions, vector, wavelength",
     "repeater": "attenuation_db_per_km, bandwidth_nm, distill_rounds, "
                 "double_excitation_weight, efficiency, extra_transmission, length_km, "
-                "n_trials, phase_noise_sigma, satellite, schedule, segments",
+                "n_trials, phase_noise_sigma, schedule, segments",
     "sensitivity": "aperture_diameter, atmospheric_coherence_time, bandwidth_nm, budget, "
                    "dark_counts_per_s, efficiency, min_events, n_channels, rate, "
                    "timing_fwhm, wavelength, zero_point",

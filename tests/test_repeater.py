@@ -23,7 +23,6 @@ from entscope.repeater import (
     pair_family_projection,
     sscg_distill,
     transmit_pair,
-    _depth_of,
     _expected_max_geometric,
     _geometric_from_uniforms,
     _geometric_search_sums,
@@ -90,7 +89,8 @@ def test_pair_state_from_a_zero_matrix_raises_value_error():
 def test_link_transmission():
     assert LinkModel(length_km=15.0).transmission() == pytest.approx(
         10.0 ** -0.3, abs=1e-15)
-    assert LinkModel.satellite().transmission() == pytest.approx(0.01)
+    assert LinkModel(attenuation_db_per_km=0.0, extra_transmission=0.01).transmission() \
+        == pytest.approx(0.01)
     with pytest.raises(ConfigError):
         LinkModel(length_km=-1.0)
     with pytest.raises(ConfigError):
@@ -378,7 +378,7 @@ def test_chain_memoryless_analytic_vs_monte_carlo():
 
 
 def test_chain_satellite_links():
-    sat = LinkModel.satellite()
+    sat = LinkModel(attenuation_db_per_km=0.0, extra_transmission=0.01)
     result = chain_simulate(1, sat, ChainPolicy(with_memory=False))
     assert result.rate == pytest.approx(0.01, abs=1e-15)
 
@@ -390,9 +390,37 @@ def test_chain_validation():
         chain_simulate(3, [LinkModel(), LinkModel()])
 
 
+@pytest.mark.parametrize("segments, levels", [(1, 1), (4, 3), (16, 5)])
+@pytest.mark.parametrize("seed", [None, 3])
+def test_chain_refuses_distill_levels_it_would_not_read(segments, levels, seed):
+    """A chain of n segments distills at ceil(log2 n) + 1 nesting levels; an
+    entry beyond them is refused in both modes, before anything is drawn."""
+    def fresh():
+        return None if seed is None else stream(seed)
+
+    link = LinkModel(length_km=10.0, phase_noise_sigma=0.35)
+    rng = fresh()
+    surplus = ChainPolicy((1,) + (0,) * (levels - 1) + (7,))
+    with pytest.raises(ConfigError, match=rf"^distill_rounds: a chain of {segments} segments "
+                                          rf"has {levels} nesting levels, got {levels + 1} "
+                                          rf"entries$"):
+        chain_simulate(segments, link, surplus, rng=rng, n_trials=50)
+    if rng is not None:
+        assert rng.random() == stream(seed).random()
+    # One entry per level runs, and trailing zeros are the missing levels.
+    full = ChainPolicy((1,) + (0,) * (levels - 1))
+    assert chain_simulate(segments, link, full, rng=fresh(), n_trials=50) \
+        == chain_simulate(segments, link, ChainPolicy((1,)), rng=fresh(), n_trials=50)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluator against the recursive scalar sampler
 # ---------------------------------------------------------------------------
+
+def _level(n_segments):
+    """Nesting level of a chain of n segments: ceil(log2 n)."""
+    return (n_segments - 1).bit_length()
+
 
 def _reference_chain(links, policy, rng, n_trials):
     """The nested schedule as a recursive closure sampler: one
@@ -425,7 +453,7 @@ def _reference_chain(links, policy, rng, n_trials):
         slots = _expected_max_geometric(left[1], right[1]) / swap.success_probability
         prob_slot = left[3] * right[3] * swap.success_probability
         state, slots, used = distill(swap.output, slots,
-                                     policy.rounds_at(_depth_of(len(segment_links))))
+                                     policy.rounds_at(_level(len(segment_links))))
         return state, slots, left[2] + right[2] + used, prob_slot
 
     def attach_distill(sample, state, rounds):
@@ -466,7 +494,7 @@ def _reference_chain(links, policy, rng, n_trials):
                 t += max(left_sample(), right_sample())
             return t
         return attach_distill(sample, swap.output,
-                              policy.rounds_at(_depth_of(len(segment_links))))
+                              policy.rounds_at(_level(len(segment_links))))
 
     state, slots, used, _ = analytic(links)
     if rng is not None:
@@ -505,7 +533,8 @@ def test_monte_carlo_matches_scalar_sampler(segments, names, pattern, rounds,
     window size down to one uniform."""
     links = [_LINKS[names[((pattern >> i) & 1) % len(names)]]
              for i in range(segments)]
-    policy = ChainPolicy(distill_rounds=tuple(rounds),
+    # The chain refuses more entries than its nesting levels.
+    policy = ChainPolicy(distill_rounds=tuple(rounds[:_level(segments) + 1]),
                          double_excitation_weight=double)
     assert chain_simulate(segments, links, policy) == \
         _reference_chain(links, policy, None, 0)
