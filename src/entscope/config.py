@@ -48,20 +48,35 @@ _KNOWN_KEYS = {
 }
 
 
+# What each error configparser raises on reading means, most specific first.
+_PARSE_PROBLEMS = (
+    (configparser.MissingSectionHeaderError, "line before any [section] header"),
+    (configparser.ParsingError, "not a [section] header, key = value or comment"),
+    (configparser.DuplicateSectionError, "section given twice"),
+    (configparser.DuplicateOptionError, "key given twice in its section"),
+)
+
+
 def load_config(path) -> configparser.ConfigParser:
-    """Parse an INI file, turning parser problems into ConfigError with
-    file/line context and rejecting unknown sections or keys.  Values are
-    literal, and the default section is "", which no header spells, so
-    [DEFAULT] is an unknown section too."""
+    """Parse an INI file, turning parser problems into one-line ConfigErrors
+    naming the file and line, and rejecting unknown sections or keys.  A
+    leading UTF-8 byte-order mark is skipped.  Values are literal, and the
+    default section is "", which no header spells, so [DEFAULT] is an
+    unknown section too."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
                                        interpolation=None, default_section="")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=str(path))
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        parser.read_string(text, source=str(path))
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        lineno = exc.lineno if hasattr(exc, "lineno") else exc.errors[0][0]
+        problem = next(what for kind, what in _PARSE_PROBLEMS if isinstance(exc, kind))
+        line = text.split("\n")[lineno - 1].strip()
+        raise ConfigError(f"{path}: line {lineno}: {problem}: {line!r}") from exc
     for section in parser.sections():
         if section not in _KNOWN_KEYS:
             raise ConfigError(f"{path}: unknown section [{section}]")

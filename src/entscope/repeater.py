@@ -508,8 +508,11 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
 # Uniforms per window of the table evaluator.  Tables are rebuilt per window,
 # so memory is bounded by it, not by trial length.  A node gets tables when
 # TABLE_SPAN of its samples are expected to fit in one window.
-MC_WINDOW = 4096
-TABLE_SPAN = 16
+MC_WINDOW = 6144
+TABLE_SPAN = 24
+
+# Buckets of a leaf's draw table; floor(u * _BUCKETS) is exact for a power of two.
+_BUCKETS = 4096
 
 # numpy's Generator.geometric draws by sequential search, one next_double
 # per sample, at p >= this literal and by inversion of an exponential below.
@@ -539,6 +542,34 @@ def _geometric_search_sums(p: float) -> np.ndarray:
 def _geometric_from_uniforms(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Geometric samples rng.geometric(p) would return for next doubles u."""
     return np.searchsorted(sums, u) + 1
+
+
+class _GeometricTable:
+    """_geometric_from_uniforms for one p, read from a bucket table.
+
+    Bucket b holds the doubles in [b, b + 1) / _BUCKETS.  base[b] - 1
+    counts the running sums below the bucket and thr[b] is the one sum
+    inside it (2.0 if none), so a u in bucket b draws base[b] + (thr[b] < u),
+    the search's count of sums below u plus one.  Every u from the first
+    bucket holding two or more sums on goes through the search itself.
+    """
+
+    def __init__(self, p: float) -> None:
+        self.sums = _geometric_search_sums(p)
+        below = np.searchsorted(self.sums, np.arange(_BUCKETS + 1) / _BUCKETS)
+        inside = np.diff(below)
+        self.base = below[:-1] + 1
+        first_inside = self.sums[np.minimum(below[:-1], len(self.sums) - 1)]
+        self.thr = np.where(inside == 1, first_inside, 2.0)
+        crowded = np.flatnonzero(inside > 1)
+        self.cut = crowded[0] / _BUCKETS if crowded.size else 1.0
+
+    def draw(self, u: np.ndarray, out: np.ndarray) -> None:
+        """Write the draws for next doubles u (all in [0, 1)) into out."""
+        b = (u * _BUCKETS).astype(np.intp)
+        np.add(self.base[b], self.thr[b] < u, out=out)
+        tail = np.flatnonzero(u >= self.cut)
+        out[tail] = _geometric_from_uniforms(self.sums, u[tail])
 
 
 def _expected_reads(plan: list[_PlanNode]) -> list[float]:
@@ -589,8 +620,8 @@ class _BlockDraws:
     def __init__(self, plan: list[_PlanNode], rng: np.random.Generator,
                  width: int) -> None:
         self.plan, self.rng, self.width = plan, rng, width
-        self.sums = {i: _geometric_search_sums(node.p)
-                     for i, node in enumerate(plan) if node.children is None}
+        self.leaves = {i: _GeometricTable(node.p)
+                       for i, node in enumerate(plan) if node.children is None}
         # Leaves always get tables; a node whose samples rarely fit in a
         # window is descended instead.
         self.tabled = [i for i, (node, reads) in enumerate(zip(plan, _expected_reads(plan)))
@@ -612,7 +643,7 @@ class _BlockDraws:
             node = self.plan[idx]
             if node.children is None:
                 val = np.zeros(n, dtype=np.int64)
-                val[:w] = _geometric_from_uniforms(self.sums[idx], self.u[:w])
+                self.leaves[idx].draw(self.u[:w], val[:w])
                 self.end[idx], self.val[idx] = self.step, val
                 continue
             a, b = node.children

@@ -664,12 +664,32 @@ def test_sensitivity_infeasible_exit_code(tmp_path, capsys):
     (b"[sensitivity]\nbudget = d\xe9fault\n",
      "cannot read config {ini}: 'utf-8' codec can't decode byte 0xe9 in position 24: "
      "invalid continuation byte"),
-], ids=["percent", "default-section", "non-utf8"])
+    (b"[sensitivity]\nbudget default\nfoo\n",
+     "{ini}: line 2: not a [section] header, key = value or comment: 'budget default'"),
+    (b"budget = default\n", "{ini}: line 1: line before any [section] header: 'budget = default'"),
+    (b"[sensitivity]\nbudget = default\n[sensitivity]\n",
+     "{ini}: line 3: section given twice: '[sensitivity]'"),
+    (b"[sensitivity]\r\nbudget = default\r\nbudget = improved\r\n",
+     "{ini}: line 3: key given twice in its section: 'budget = improved'"),
+], ids=["percent", "default-section", "non-utf8", "no-equals", "no-header", "section-twice",
+        "key-twice"])
 def test_config_is_read_literally_or_refused(tmp_path, capsys, text, message):
     ini = tmp_path / "literal.ini"
     ini.write_bytes(text)
     assert main(["sensitivity", "--config", str(ini)]) == EXIT_CONFIG
     assert capsys.readouterr().err == f"config error: {message.format(ini=ini)}\n"
+
+
+def test_config_byte_order_mark_is_skipped(tmp_path, capsys):
+    """A config saved with a UTF-8 byte-order mark runs as the plain file does."""
+    text = Path(preset("chara_like.ini")).read_bytes()
+    for name, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        (tmp_path / f"{name}.ini").write_bytes(data)
+        assert main(["sensitivity", "--config", str(tmp_path / f"{name}.ini"),
+                     "--out-dir", str(tmp_path / name)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "bom" / "budget.csv").read_bytes() == \
+        (tmp_path / "plain" / "budget.csv").read_bytes()
 
 
 @pytest.mark.parametrize("key, value", [

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entscope
@@ -24,6 +24,7 @@ from entscope.repeater import (
     sscg_distill,
     transmit_pair,
     _expected_max_geometric,
+    _GeometricTable,
     _geometric_from_uniforms,
     _geometric_search_sums,
 )
@@ -526,6 +527,12 @@ _LINKS = {
     n_trials=st.integers(1, 500),
     window=st.sampled_from([1, 2, 7, 64, repeater.MC_WINDOW]),
 )
+# The benchmark's two chains: tables through the third nesting level and
+# the descent above it, at the full window.
+@example(segments=16, names=["q0.631"], pattern=0, rounds=[1], double=0.0,
+         seed=1, n_trials=500, window=repeater.MC_WINDOW)
+@example(segments=8, names=["q0.631"], pattern=0, rounds=[1, 1], double=0.0,
+         seed=7, n_trials=500, window=repeater.MC_WINDOW)
 def test_monte_carlo_matches_scalar_sampler(segments, names, pattern, rounds,
                                             double, seed, n_trials, window):
     """Same ChainResult and the same next draw as the closure sampler, for
@@ -558,3 +565,18 @@ def test_geometric_table_matches_numpy(q):
     got = _geometric_from_uniforms(sums, twin.random(200_000))
     np.testing.assert_array_equal(got, expected)
     assert rng.random() == twin.random()
+
+
+@pytest.mark.parametrize("q", [0.3333333333333333, 0.4, 0.631, 0.999, 1.0])
+def test_bucket_table_matches_search_at_edges(q):
+    """The bucket table draws what the search draws at every running sum,
+    every bucket edge and both of their neighbouring doubles."""
+    table = _GeometricTable(q)
+    edges = np.arange(repeater._BUCKETS + 1) / repeater._BUCKETS
+    points = np.concatenate([table.sums, edges])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 2.0),
+                        [0.0, 1.0 - 2.0 ** -53]])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = np.zeros(len(u), dtype=np.int64)
+    table.draw(u, got)
+    np.testing.assert_array_equal(got, _geometric_from_uniforms(table.sums, u))
