@@ -86,7 +86,7 @@ def cmd_simulate(args) -> int:
     counter = eventlog.FringeCounter(scheme.kind, scheme.delta_schedule,
                                      scheme.n_telescopes if scheme.kind == "w_state" else None)
     log_path = os.path.join(out_dir, "events.jsonl")
-    with _writing(log_path), open(log_path, "w", encoding="ascii", newline="") as fh:
+    with _writing(log_path), open(log_path, "wb") as fh:
         writer = eventlog.JsonlWriter(fh, **fields)
         for block in blocks:
             writer.write(*block)

@@ -98,7 +98,7 @@ class EventLog:
         return len(np.unique(self.slot[self.accepted]))
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w", encoding="ascii", newline="") as fh:
+        with open(path, "wb") as fh:
             JsonlWriter(fh, self.scheme, self.n_slots, self.deltas, self.meta).write(
                 *self.columns())
 
@@ -130,21 +130,23 @@ def _prefixes(deltas) -> list[str]:
 
 
 class JsonlWriter:
-    """Writes one event log to an open text file: the header line of its
-    fields when made, then the record lines of each block given to write().
-    Lines end in LF: open the file with newline="", so none is translated.
+    """Writes one event log to a file open for binary writing: the header
+    line of its fields when made, then the record lines of each block given
+    to write().  Lines end in LF, which a binary file does not translate.
 
     Every record line is its row of _prefixes(deltas), the slot and
     ',"tel":<id>}' with a newline.  The writer keeps one format fragment
     per (prefix row, telescope id) pair, for the ids it has met: the line
     with '%d' for the slot.  Each run of up to WRITE_BLOCK_RECORDS lines is
-    the "".join of its fragments, formatted by one % over its slots and
-    written at once.
+    the "".join of its fragments, encoded as ASCII, formatted by one bytes %
+    over its slots and written at once.  bytes % formats a run in about
+    half the time of str %; the fragments stay str because b"".join holds
+    one buffer view (80 bytes) per fragment, which raised peak RSS.
     """
 
     def __init__(self, fh, scheme: str, n_slots: int, deltas, meta: dict) -> None:
-        fh.write(_dumps({"schema": SCHEMA, "scheme": scheme, "n_slots": n_slots,
-                         "deltas": list(deltas), "meta": meta}) + "\n")
+        fh.write((_dumps({"schema": SCHEMA, "scheme": scheme, "n_slots": n_slots,
+                          "deltas": list(deltas), "meta": meta}) + "\n").encode("ascii"))
         self.fh, self.deltas = fh, deltas
         # The telescope ids met so far, sorted; fragments[i * 4 * n_deltas +
         # row] are the fragments of ids[i].  The table is all the writer
@@ -171,7 +173,8 @@ class JsonlWriter:
             telescope, (accepted * len(self.deltas) + delta_index) * 2 + detector - 1)
         for start in range(0, len(slot), WRITE_BLOCK_RECORDS):
             block = slice(start, start + WRITE_BLOCK_RECORDS)
-            self.fh.write("".join(fragments[block].tolist()) % tuple(slot[block].tolist()))
+            self.fh.write("".join(fragments[block].tolist()).encode("ascii")
+                          % tuple(slot[block].tolist()))
 
 
 class _Checks:

@@ -611,10 +611,13 @@ class _BlockDraws:
     next unread uniform) and what delivery time it returns.  An end of
     INV = W + 1 marks a sample that runs past the window; offsets W and INV
     are invalid starts.  A leaf reads one uniform; a repeat node chains its
-    attempts, each of which ends at the coin after its two children, and a
-    retry chain is summed by pointer jumping.  Only valid for plans whose
-    leaves all take the search branch (integer slot counts, so the order of
-    additions does not matter).
+    attempts, each of which ends at the coin after its two children.  A
+    node over two leaves has a fixed attempt (leaves at j and j + 1, coin at
+    j + 2), read by slices; any other node gathers through its children's
+    end.  Retry chains are summed by pointer jumping: two rounds over every
+    offset, then rounds over the offsets still running.  Only valid for
+    plans whose leaves all take the search branch (integer slot counts, so
+    the order of additions does not matter).
     """
 
     def __init__(self, plan: list[_PlanNode], rng: np.random.Generator,
@@ -629,7 +632,9 @@ class _BlockDraws:
         n = width + 2
         # Coins read at an invalid offset look successful and end at INV.
         self.u = np.full(n, -1.0)
-        self.step = np.minimum(np.arange(1, n + 1), width + 1)
+        # step[j] = min(j + 1, INV); two entries past n, so that step[1:n + 1]
+        # and step[2:] clamp j + 2 and j + 3 for nodes over two leaves.
+        self.step = np.minimum(np.arange(1, n + 3), width + 1)
         self.end: list[np.ndarray | None] = [None] * len(plan)
         self.val: list[np.ndarray | None] = [None] * len(plan)
         self.pos = width
@@ -642,16 +647,22 @@ class _BlockDraws:
         for idx in self.tabled:
             node = self.plan[idx]
             if node.children is None:
-                val = np.zeros(n, dtype=np.int64)
+                # One entry past n, read as 0 by a node over two leaves.
+                val = np.zeros(n + 1, dtype=np.int64)
                 self.leaves[idx].draw(self.u[:w], val[:w])
-                self.end[idx], self.val[idx] = self.step, val
+                self.end[idx], self.val[idx] = self.step[:n], val
                 continue
             a, b = node.children
-            mid = self.end[a]
-            coin_at = self.end[b][mid]
-            value = np.maximum(self.val[a], self.val[b][mid])
+            if a in self.leaves and b in self.leaves:
+                # Leaf at j, leaf at j + 1, coin at j + 2, next attempt at j + 3.
+                value = np.maximum(self.val[a][:n], self.val[b][1:n + 1])
+                coin_at, after = self.step[1:n + 1], self.step[2:]
+            else:
+                mid = self.end[a]
+                coin_at = self.end[b][mid]
+                value = np.maximum(self.val[a][:n], self.val[b][mid])
+                after = self.step[coin_at]
             ok = self.u[coin_at] < node.p
-            after = self.step[coin_at]
             # An attempt from offset j ends at after[j]; if its coin fails,
             # the node retries from there.  packed = (end << 32) + summed
             # value (a window's values sum far below 2**32), with a zero sink
@@ -661,9 +672,20 @@ class _BlockDraws:
             packed[:n] += value
             nxt = np.full(n + 1, n)
             np.maximum(after, ok * n, out=nxt[:n])
-            while nxt.min() < n:
+            # Two rounds over every offset finish most chains; then only the
+            # offsets still running jump, reading the sums and pointers of
+            # the round before, as a full round would.  The set is not shrunk
+            # round by round: numpy keeps up to 7 freed buffers of each size
+            # below 1 KiB, so ever smaller index arrays raised peak RSS.
+            for _ in range(2):
                 packed += packed[nxt]
                 nxt = nxt[nxt]
+            live = np.flatnonzero(nxt < n)
+            at = nxt[live]
+            while at.min(initial=n) < n:
+                packed[live] += packed[at]
+                at = nxt[at]
+                nxt[live] = at
             self.end[idx] = packed[:n] >> 32
             self.val[idx] = packed[:n] & 0xFFFFFFFF
         self.pos = 0

@@ -359,15 +359,16 @@ def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
 
 
 def test_event_log_is_written_without_newline_translation(tmp_path):
-    """simulate and EventLog.write_jsonl open events.jsonl so that no
-    platform translates its LF line ends, which the sha256 pins record."""
+    """simulate and EventLog.write_jsonl open events.jsonl in binary mode,
+    so that no platform translates its LF line ends, which the sha256 pins
+    record."""
     with mock.patch("builtins.open", side_effect=open) as opened:
         assert main(["simulate", "--config", preset("entangled_demo.ini"),
                      "--n-slots", "40", "--out-dir", str(tmp_path)]) == 0
         EventLog.read_jsonl(tmp_path / "events.jsonl").write_jsonl(tmp_path / "events.jsonl")
-    newlines = [c.kwargs.get("newline") for c in opened.call_args_list
-                if str(c.args[0]).endswith("events.jsonl") and c.args[1:2] == ("w",)]
-    assert newlines == ["", ""]
+    modes = [c.args[1] if len(c.args) > 1 else c.kwargs.get("mode", "r")
+             for c in opened.call_args_list if str(c.args[0]).endswith("events.jsonl")]
+    assert [m for m in modes if set(m) & set("wax+")] == ["wb", "wb"]
 
 
 def test_estimate_missing_log_is_input_error(tmp_path, capsys):

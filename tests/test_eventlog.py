@@ -310,13 +310,13 @@ def test_writer_text_equals_the_f_string_reference(run, block):
     n = max(len(b[0]) for b in blocks)
     size = {"1": 1, "n-1": max(n - 1, 1), "n+1": n + 1,
             "default": eventlog.WRITE_BLOCK_RECORDS}[block]
-    fh = io.StringIO()
+    fh = io.BytesIO()
     with mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", size):
         writer = eventlog.JsonlWriter(fh, **log_fields(log))
         for columns in blocks:
             writer.write(*columns)
-    assert fh.getvalue() == reference_writer_text(log_fields(log), blocks)
-    assert fh.getvalue() == reference_jsonl(log)
+    assert fh.getvalue() == reference_writer_text(log_fields(log), blocks).encode("ascii")
+    assert fh.getvalue() == reference_jsonl(log).encode("ascii")
 
 
 def test_writer_given_no_blocks_leaves_a_header_only_log(tmp_path):
@@ -324,7 +324,7 @@ def test_writer_given_no_blocks_leaves_a_header_only_log(tmp_path):
     records reads back as zero records with the writer's fields."""
     fields = dict(scheme="entangled", n_slots=4, deltas=(0.0, 1.5), meta={"seed": 3})
     path = tmp_path / "events.jsonl"
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "wb") as fh:
         eventlog.JsonlWriter(fh, **fields)
     assert path.read_text() == reference_writer_text(fields, [])
     log = EventLog.read_jsonl(path)

@@ -533,6 +533,24 @@ _LINKS = {
          seed=1, n_trials=500, window=repeater.MC_WINDOW)
 @example(segments=8, names=["q0.631"], pattern=0, rounds=[1, 1], double=0.0,
          seed=7, n_trials=500, window=repeater.MC_WINDOW)
+# Nodes over two leaves of different links: a swap of two single-link
+# segments, and level-0 distillation under a swap, down to one uniform.
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+         seed=3, n_trials=500, window=1)
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+         seed=3, n_trials=500, window=2)
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+         seed=3, n_trials=500, window=3)
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+         seed=3, n_trials=500, window=repeater.MC_WINDOW)
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+         seed=3, n_trials=500, window=1)
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+         seed=3, n_trials=500, window=2)
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+         seed=3, n_trials=500, window=3)
+@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+         seed=3, n_trials=500, window=repeater.MC_WINDOW)
 def test_monte_carlo_matches_scalar_sampler(segments, names, pattern, rounds,
                                             double, seed, n_trials, window):
     """Same ChainResult and the same next draw as the closure sampler, for
@@ -554,6 +572,74 @@ def test_monte_carlo_matches_scalar_sampler(segments, names, pattern, rounds,
         result = chain_simulate(segments, links, policy, rng=rng, n_trials=n_trials)
     assert result == expected
     assert rng.random() == ref_rng.random()
+
+
+def _walk_tables(plan, u):
+    """Per-offset end and delivery time of every plan node over the window
+    u, attempt by attempt in plain Python.  Offsets len(u) and len(u) + 1
+    are invalid starts; a sample that would read past the window ends at
+    len(u) + 1 with no value."""
+    w = len(u)
+    ends, vals = [], []
+    for node in plan:
+        end, val = [w + 1] * (w + 2), [None] * (w + 2)
+        if node.children is None:
+            draws = _geometric_from_uniforms(_geometric_search_sums(node.p), u)
+            for j in range(w):
+                end[j], val[j] = j + 1, int(draws[j])
+        else:
+            a, b = node.children
+            for j in range(w):
+                at, total = j, 0
+                while True:
+                    mid = ends[a][at]
+                    coin = ends[b][mid]
+                    if coin >= w:  # a child or the coin runs past the window
+                        break
+                    total += max(vals[a][at], vals[b][mid])
+                    at = coin + 1
+                    if u[coin] < node.p:
+                        end[j], val[j] = at, total
+                        break
+        ends.append(end)
+        vals.append(val)
+    return ends, vals
+
+
+# Plans over the links of _LINKS: a swap of two leaves of different links,
+# level-0 distillation of one leaf, a swap of two distilled leaves, and a
+# swap of a swap with a leaf.
+_TABLE_PLANS = {
+    "leaf-pair": (["q0.631", "q0.398"], ()),
+    "distill-leaf": (["q0.631"], (1,)),
+    "swap-of-nodes": (["q0.631", "q0.398"], (1,)),
+    "swap-of-node-and-leaf": (["q0.631", "q0.398", "q0.631"], ()),
+}
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 7, 64, repeater.MC_WINDOW])
+@pytest.mark.parametrize("plan_name", sorted(_TABLE_PLANS))
+def test_block_tables_match_a_walk_at_every_offset(plan_name, window):
+    """After one _slide, every node's end[j] equals an attempt-by-attempt
+    walk from offset j over the same uniforms, and so does val[j] wherever
+    end[j] <= W; a sample that runs past the window reads end[j] = W + 1.
+    TABLE_SPAN 0 tables every node at every window, so the offsets near the
+    window's edge, which the sampler seldom reads, are all checked."""
+    names, rounds = _TABLE_PLANS[plan_name]
+    plan = repeater._chain_plan([_LINKS[n] for n in names],
+                                ChainPolicy(distill_rounds=rounds))
+    # Seed 12 has retry chains long enough at the full window that the
+    # rounds over the offsets still running read pointers they wrote.
+    with mock.patch.object(repeater, "TABLE_SPAN", 0):
+        draws = repeater._BlockDraws(plan, stream(12), window)
+    assert draws.tabled == list(range(len(plan)))
+    draws._slide()
+    ends, vals = _walk_tables(plan, draws.u[:window])
+    for idx in draws.tabled:
+        end, val = draws.end[idx], draws.val[idx]
+        assert end.tolist() == ends[idx], idx
+        valid = np.flatnonzero(end <= window)
+        assert val[valid].tolist() == [vals[idx][j] for j in valid], idx
 
 
 @pytest.mark.parametrize("q", [0.3333333333333333, 0.4, 0.631, 0.999])
