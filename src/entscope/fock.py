@@ -209,10 +209,6 @@ class DensityOperator:
         if eigs.min() < -EIG_TOL:
             raise ValueError(f"negative eigenvalue {eigs.min():.3e}")
 
-    def diagonal_probabilities(self) -> dict[Occupation, float]:
-        occs = _basis_array(self.mode_count, self.photon_cutoff).tolist()
-        return dict(zip(map(tuple, occs), np.real(np.diag(self.matrix)).tolist()))
-
     def photon_support(self) -> int:
         """Highest total photon number whose basis row or column holds a
         nonzero entry (0 for the zero matrix)."""

@@ -368,7 +368,9 @@ class _PlanNode:
     repeats an attempt -- sample children[0], then children[1], keep the
     later delivery time -- until a coin with probability p succeeds: a swap,
     or a distillation round (both children the same node).  state, slots,
-    used and prob_slot are the analytic model's values for the node output.
+    used and prob_slot are the analytic model's values for the node output;
+    reads is the mean number of uniforms (leaf draws plus coins) a sample
+    of the node reads.
     """
 
     state: EntangledPairState
@@ -376,17 +378,32 @@ class _PlanNode:
     used: int
     prob_slot: float
     p: float
+    reads: float
     children: tuple[int, int] | None = None
 
 
-def _chain_plan(links: list[LinkModel], policy: ChainPolicy) -> list[_PlanNode]:
-    """The chain's schedule tree with children before parents, root last.
+def _chain_plan(segments: int, link: LinkModel, policy: ChainPolicy) -> list[_PlanNode]:
+    """The schedule tree of a chain of `segments` links, children before
+    parents, root last.
 
-    Identical subtrees (the same links) share one node; the analytic values
-    are computed once per node, in the float order of the nested schedule.
+    Subtrees of the same segment count share one node, so plan[0] is the
+    only leaf, and nesting level k holds the swaps of floor(segments / 2**k)
+    and ceil(segments / 2**k) segments and their distillation rounds.  The
+    levels are built from the leaf up, with no recursion; the analytic
+    values are computed once per node, in the float order of the nested
+    schedule.  A node whose expected delivery time overflows a float raises
+    ConfigError.
     """
     plan: list[_PlanNode] = []
-    built: dict[tuple[LinkModel, ...], int] = {}
+
+    def add(state, slots, used, prob_slot, p, children=None) -> int:
+        if not math.isfinite(slots):
+            raise ConfigError(f"the expected delivery time of a chain of "
+                              f"{segments} segments overflows a float")
+        reads = 1.0 if children is None else \
+            (plan[children[0]].reads + plan[children[1]].reads + 1.0) / p
+        plan.append(_PlanNode(state, slots, used, prob_slot, p, reads, children))
+        return len(plan) - 1
 
     def distill(idx: int, rounds: int) -> int:
         for _ in range(rounds):
@@ -395,45 +412,33 @@ def _chain_plan(links: list[LinkModel], policy: ChainPolicy) -> list[_PlanNode]:
             if step.output is None or step.success_probability <= 0.0:
                 break
             p = step.success_probability
-            plan.append(_PlanNode(
-                step.output, _expected_max_geometric(node.slots, node.slots) / p,
-                node.used + 1, node.prob_slot, p, (idx, idx)))
-            idx = len(plan) - 1
+            idx = add(step.output, _expected_max_geometric(node.slots, node.slots) / p,
+                      node.used + 1, node.prob_slot, p, (idx, idx))
         return idx
 
-    def build(segment_links: tuple[LinkModel, ...]) -> int:
-        if segment_links in built:
-            return built[segment_links]
-        if len(segment_links) == 1:
-            link = segment_links[0]
-            q = link.transmission()
-            plan.append(_PlanNode(
-                heralded_pair_state(link, policy.double_excitation_weight),
-                1.0 / q, 0, q, q))
-            idx = distill(len(plan) - 1, policy.rounds_at(0))
-        else:
-            mid = (len(segment_links) + 1) // 2
-            a, b = build(segment_links[:mid]), build(segment_links[mid:])
+    q = link.transmission()
+    leaf = add(heralded_pair_state(link, policy.double_excitation_weight), 1.0 / q, 0, q, q)
+    built = {1: distill(leaf, policy.rounds_at(0))}
+    for level in reversed(range(_depth_of(segments))):
+        for n in (segments >> level, -(-segments >> level)):
+            if n in built:
+                continue
+            a, b = built[(n + 1) // 2], built[n // 2]
             left, right = plan[a], plan[b]
             swap = entanglement_swap(left.state, right.state)
             if swap.output is None or swap.success_probability <= 0.0:
                 raise ConfigError("chain cannot produce entanglement (swap never succeeds)")
             p = swap.success_probability
-            plan.append(_PlanNode(
-                swap.output, _expected_max_geometric(left.slots, right.slots) / p,
-                left.used + right.used, left.prob_slot * right.prob_slot * p, p,
-                (a, b)))
-            idx = distill(len(plan) - 1,
-                          policy.rounds_at(_depth_of(len(segment_links))))
-        built[segment_links] = idx
-        return idx
-
-    build(tuple(links))
+            idx = add(swap.output, _expected_max_geometric(left.slots, right.slots) / p,
+                      left.used + right.used, left.prob_slot * right.prob_slot * p, p,
+                      (a, b))
+            built[n] = distill(idx, policy.rounds_at(_depth_of(n)))
     return plan
 
 
 def _depth_of(n_segments: int) -> int:
-    return max(math.ceil(math.log2(n_segments)), 0) if n_segments > 1 else 0
+    """Nesting level of a chain of n segments: ceil(log2 n), exact for any int."""
+    return (n_segments - 1).bit_length()
 
 
 # Smallest success probability the Monte Carlo draws a geometric from:
@@ -442,11 +447,11 @@ def _depth_of(n_segments: int) -> int:
 MC_MIN_PROB = 2.0 ** -56
 
 
-def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
+def chain_simulate(segments: int, link: LinkModel,
                    policy: ChainPolicy | None = None,
                    rng: np.random.Generator | None = None,
                    n_trials: int = 1000) -> ChainResult:
-    """End-to-end rate and fidelity of a repeater chain.
+    """End-to-end rate and fidelity of a chain of `segments` equal links.
 
     Analytic mode (rng None): with_memory uses the nested schedule with the
     geometric-composition approximation for expected times (exact for a
@@ -457,7 +462,8 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
     It raises ConfigError where a geometric it draws from has success
     probability below MC_MIN_PROB; memoryless chains whose per-slot
     probability underflows to 0 raise in both modes, and so do policies with
-    more distill_rounds entries than the chain's nesting levels.
+    more distill_rounds entries than the chain's nesting levels and chains
+    whose expected delivery time overflows a float.
 
     The with-memory Monte Carlo draws exactly what a recursive scalar
     sampler would -- one rng.geometric per generation, then one rng.random
@@ -474,19 +480,14 @@ def chain_simulate(segments: int, links: LinkModel | list[LinkModel],
     if len(policy.distill_rounds) > levels:
         raise ConfigError(f"distill_rounds: a chain of {segments} segments has {levels} "
                           f"nesting levels, got {len(policy.distill_rounds)} entries")
-    link_list = list(links) if isinstance(links, (list, tuple)) else [links] * segments
-    if len(link_list) != segments:
-        raise ConfigError(f"need one link per segment ({segments}), "
-                          f"got {len(link_list)}")
-    plan = _chain_plan(link_list, policy)
+    plan = _chain_plan(segments, link, policy)
     root = plan[-1]
     if not policy.with_memory and root.prob_slot == 0.0:
         raise ConfigError("memoryless chain: the per-slot success probability "
                           "underflows to 0")
     slots = root.slots if policy.with_memory else 1.0 / root.prob_slot
     if rng is not None:
-        drawn = min(node.p for node in plan if node.children is None) \
-            if policy.with_memory else root.prob_slot
+        drawn = plan[0].p if policy.with_memory else root.prob_slot
         if drawn < MC_MIN_PROB:
             raise ConfigError(f"monte-carlo: success probability {drawn:.6e} per "
                               f"geometric draw is below 2**-56, where int64 draws "
@@ -539,13 +540,9 @@ def _geometric_search_sums(p: float) -> np.ndarray:
         sums.append(total)
 
 
-def _geometric_from_uniforms(sums: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Geometric samples rng.geometric(p) would return for next doubles u."""
-    return np.searchsorted(sums, u) + 1
-
-
 class _GeometricTable:
-    """_geometric_from_uniforms for one p, read from a bucket table.
+    """The draws rng.geometric(p) would return for next doubles u: the
+    search's first k with u <= sums[k - 1], read from a bucket table.
 
     Bucket b holds the doubles in [b, b + 1) / _BUCKETS.  base[b] - 1
     counts the running sums below the bucket and thr[b] is the one sum
@@ -569,19 +566,7 @@ class _GeometricTable:
         b = (u * _BUCKETS).astype(np.intp)
         np.add(self.base[b], self.thr[b] < u, out=out)
         tail = np.flatnonzero(u >= self.cut)
-        out[tail] = _geometric_from_uniforms(self.sums, u[tail])
-
-
-def _expected_reads(plan: list[_PlanNode]) -> list[float]:
-    """Mean number of uniforms (leaf draws plus coins) per sample of each node."""
-    reads: list[float] = []
-    for node in plan:
-        if node.children is None:
-            reads.append(1.0)
-        else:
-            a, b = node.children
-            reads.append((reads[a] + reads[b] + 1.0) / node.p)
-    return reads
+        out[tail] = np.searchsorted(self.sums, u[tail]) + 1
 
 
 class _ScalarDraws:
@@ -612,28 +597,27 @@ class _BlockDraws:
     INV = W + 1 marks a sample that runs past the window; offsets W and INV
     are invalid starts.  A leaf reads one uniform; a repeat node chains its
     attempts, each of which ends at the coin after its two children.  A
-    node over two leaves has a fixed attempt (leaves at j and j + 1, coin at
-    j + 2), read by slices; any other node gathers through its children's
-    end.  Retry chains are summed by pointer jumping: two rounds over every
-    offset, then rounds over the offsets still running.  Only valid for
-    plans whose leaves all take the search branch (integer slot counts, so
-    the order of additions does not matter).
+    node over the leaf twice has a fixed attempt (leaf draws at j and j + 1,
+    coin at j + 2), read by slices; any other node gathers through its
+    children's end.  Retry chains are summed by pointer jumping: two rounds
+    over every offset, then rounds over the offsets still running.  Only
+    valid for plans whose leaf takes the search branch (integer slot
+    counts, so the order of additions does not matter).
     """
 
     def __init__(self, plan: list[_PlanNode], rng: np.random.Generator,
                  width: int) -> None:
         self.plan, self.rng, self.width = plan, rng, width
-        self.leaves = {i: _GeometricTable(node.p)
-                       for i, node in enumerate(plan) if node.children is None}
-        # Leaves always get tables; a node whose samples rarely fit in a
+        self.leaf = _GeometricTable(plan[0].p)
+        # The leaf always gets tables; a node whose samples rarely fit in a
         # window is descended instead.
-        self.tabled = [i for i, (node, reads) in enumerate(zip(plan, _expected_reads(plan)))
-                       if node.children is None or reads * TABLE_SPAN <= width]
+        self.tabled = [i for i, node in enumerate(plan)
+                       if node.children is None or node.reads * TABLE_SPAN <= width]
         n = width + 2
         # Coins read at an invalid offset look successful and end at INV.
         self.u = np.full(n, -1.0)
         # step[j] = min(j + 1, INV); two entries past n, so that step[1:n + 1]
-        # and step[2:] clamp j + 2 and j + 3 for nodes over two leaves.
+        # and step[2:] clamp j + 2 and j + 3 for nodes over the leaf twice.
         self.step = np.minimum(np.arange(1, n + 3), width + 1)
         self.end: list[np.ndarray | None] = [None] * len(plan)
         self.val: list[np.ndarray | None] = [None] * len(plan)
@@ -647,13 +631,13 @@ class _BlockDraws:
         for idx in self.tabled:
             node = self.plan[idx]
             if node.children is None:
-                # One entry past n, read as 0 by a node over two leaves.
+                # One entry past n, read as 0 by a node over the leaf twice.
                 val = np.zeros(n + 1, dtype=np.int64)
-                self.leaves[idx].draw(self.u[:w], val[:w])
+                self.leaf.draw(self.u[:w], val[:w])
                 self.end[idx], self.val[idx] = self.step[:n], val
                 continue
             a, b = node.children
-            if a in self.leaves and b in self.leaves:
+            if node.children == (0, 0):
                 # Leaf at j, leaf at j + 1, coin at j + 2, next attempt at j + 3.
                 value = np.maximum(self.val[a][:n], self.val[b][1:n + 1])
                 coin_at, after = self.step[1:n + 1], self.step[2:]
@@ -732,13 +716,12 @@ def _mc_total_slots(plan: list[_PlanNode], rng: np.random.Generator,
                     n_trials: int) -> float:
     """Summed delivery time of n_trials root samples.
 
-    Plans whose leaves all draw by numpy's search branch use _BlockDraws:
-    each leaf and coin reads one double, so rng.random(W) holds the doubles
+    Plans whose leaf draws by numpy's search branch use _BlockDraws: each
+    leaf draw and coin reads one double, so rng.random(W) holds the doubles
     the scalar calls would read, and integer sums make the result exact.
     Any other plan draws scalar by scalar.
     """
-    tabulable = all(node.p >= _GEOMETRIC_SEARCH_MIN_P
-                    for node in plan if node.children is None)
+    tabulable = plan[0].p >= _GEOMETRIC_SEARCH_MIN_P
     draws = _BlockDraws(plan, rng, MC_WINDOW) if tabulable else _ScalarDraws(plan, rng)
     root = len(plan) - 1
     total = float(sum(_sample(plan, root, draws) for _ in range(n_trials)))

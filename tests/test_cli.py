@@ -251,14 +251,34 @@ def test_repeater_out_of_range_value_is_config_error(tmp_path, capsys, key, valu
      "2**-56, where int64 draws saturate; use mode = analytic"),
     ("analytic", "segments = 16\nlength_km = 1500\nschedule = memoryless\n",
      "memoryless chain: the per-slot success probability underflows to 0"),
-], ids=["mc-saturated-leaf", "mc-memoryless-sum-wraps", "memoryless-underflow"])
+    ("analytic", "segments = 3\nextra_transmission = 3e-308\n",
+     "the expected delivery time of a chain of 3 segments overflows a float"),
+    ("analytic", f"segments = {10**200}\n",
+     f"the expected delivery time of a chain of {10**200} segments overflows a float"),
+    ("monte-carlo", f"segments = {10**300}\n",
+     f"the expected delivery time of a chain of {10**300} segments overflows a float"),
+], ids=["mc-saturated-leaf", "mc-memoryless-sum-wraps", "memoryless-underflow",
+        "slots-overflow", "201-digit-segments", "301-digit-segments"])
 def test_repeater_rate_beyond_the_draws_is_config_error(tmp_path, capsys, mode, keys, message):
     """Geometric draws saturate at 2**63 - 1, and their int64 sum wraps:
     the Monte Carlo refuses success probabilities below 2**-56 rather than
-    report a rate from such draws."""
+    report a rate from such draws.  A chain whose expected delivery time
+    overflows a float is refused in either mode, at any segment count."""
     ini = tmp_path / "chain.ini"
     ini.write_text(f"[run]\nseed = 1\nmode = {mode}\n[repeater]\nn_trials = 50\n{keys}")
     assert _config_error(capsys, "repeater", ini, tmp_path) == f"config error: {message}\n"
+
+
+def test_repeater_billion_segment_chain_has_a_finite_rate(tmp_path, capsys):
+    """The plan is keyed by segment count, so 10**9 segments build about
+    two nodes per nesting level, not a list of 10**9 links."""
+    ini = tmp_path / "chain.ini"
+    ini.write_text("[run]\nseed = 1\nmode = analytic\n[repeater]\nsegments = 1000000000\n")
+    assert main(["repeater", "--config", str(ini), "--out-dir", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    row = (tmp_path / "run" / "chain.csv").read_text().splitlines()[2].split(",")
+    assert row[0] == "1000000000"
+    assert 0.0 < float(row[2]) < math.inf
 
 
 def test_repeater_mode_flags_override_the_config(tmp_path, capsys):

@@ -21,6 +21,7 @@ from entscope.fock import (
     partial_trace,
     post_select,
     EmptyPostSelectionError,
+    _basis_array,
     _basis_rows,
 )
 from entscope.repeater import EntangledPairState, entanglement_swap, sscg_distill
@@ -40,6 +41,12 @@ def basis_states(mode_count, photon_cutoff):
 def basis_index(mode_count, photon_cutoff):
     """Reference lookup: occupation -> its row in basis_states."""
     return {occ: i for i, occ in enumerate(basis_states(mode_count, photon_cutoff))}
+
+
+def diagonal_probabilities(rho):
+    """Occupation -> probability: the basis rows zipped with the matrix diagonal."""
+    occs = map(tuple, _basis_array(rho.mode_count, rho.photon_cutoff).tolist())
+    return dict(zip(occs, rho.matrix.diagonal().real.tolist()))
 
 
 def _assert_equals_reference(rho, expected, dim):
@@ -66,7 +73,7 @@ def test_single_photon_balanced_splitter():
 
 def test_hom_dip():
     out = apply_beam_splitter(DensityOperator.pure(2, 2, {(1, 1): 1.0}), 0, 1, 0.5)
-    assert out.diagonal_probabilities()[(1, 1)] < 1e-15
+    assert diagonal_probabilities(out)[(1, 1)] < 1e-15
     dist = outcome_distribution(out, DetectorModel(photon_number_resolving=True))
     assert dist[(2, 0)] == pytest.approx(0.5, abs=1e-12)
     assert dist[(0, 2)] == pytest.approx(0.5, abs=1e-12)
@@ -116,7 +123,7 @@ def test_loss_matches_reference(eta):
     out = ref.loss(ref.density(vec), 2, dim, 0, eta)
     expected = ref.occupation_probabilities(out, 2, dim)
 
-    got = {k: v for k, v in lossy.diagonal_probabilities().items() if v > 1e-15}
+    got = {k: v for k, v in diagonal_probabilities(lossy).items() if v > 1e-15}
     assert set(got) == set(expected)
     for key, p in expected.items():
         assert got[key] == pytest.approx(p, abs=1e-12)
@@ -161,7 +168,7 @@ def test_partial_trace_matches_reference():
     expected = ref.trace_last_mode(perm, 3, dim)
     expected_probs = ref.occupation_probabilities(expected, 2, dim)
 
-    got = {k: v for k, v in reduced.diagonal_probabilities().items() if v > 1e-15}
+    got = {k: v for k, v in diagonal_probabilities(reduced).items() if v > 1e-15}
     for key, p in expected_probs.items():
         assert got[key] == pytest.approx(p, abs=1e-12)
 
@@ -171,7 +178,7 @@ def test_condition_on_counts_hand_case():
     rho = DensityOperator.pure(2, 2, {(0, 1): math.sqrt(0.5), (1, 0): math.sqrt(0.5)})
     prob, cond = condition_on_counts(rho, {1: 1})
     assert prob == pytest.approx(0.5, abs=1e-12)
-    assert cond.diagonal_probabilities()[(0,)] == pytest.approx(1.0, abs=1e-12)
+    assert diagonal_probabilities(cond)[(0,)] == pytest.approx(1.0, abs=1e-12)
     prob_zero, _ = condition_on_counts(rho, {0: 2})
     assert prob_zero == 0.0
 
@@ -199,14 +206,14 @@ def test_outcome_distribution_matches_reference_with_loss():
     dist = outcome_distribution(rho, det)
 
     thinned = apply_loss(apply_loss(rho, 0, 0.7), 1, 0.7)
-    expected = thinned.diagonal_probabilities()
+    expected = diagonal_probabilities(thinned)
     for occ, p in expected.items():
         assert dist.get(occ, 0.0) == pytest.approx(p, abs=1e-12)
 
 
 def _reference_outcome_distribution(state, detector):
     """The per-occupation dict expansion outcome_distribution replaced."""
-    diag = state.diagonal_probabilities()
+    diag = diagonal_probabilities(state)
     max_count = state.photon_cutoff + 1
     table = [detector.count_probabilities(n, max_count) for n in range(state.photon_cutoff + 1)]
     dist = {}

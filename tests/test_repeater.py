@@ -25,7 +25,6 @@ from entscope.repeater import (
     transmit_pair,
     _expected_max_geometric,
     _GeometricTable,
-    _geometric_from_uniforms,
     _geometric_search_sums,
 )
 from entscope.rng import stream
@@ -387,8 +386,6 @@ def test_chain_satellite_links():
 def test_chain_validation():
     with pytest.raises(ConfigError):
         chain_simulate(0, LinkModel())
-    with pytest.raises(ConfigError):
-        chain_simulate(3, [LinkModel(), LinkModel()])
 
 
 @pytest.mark.parametrize("segments, levels", [(1, 1), (4, 3), (16, 5)])
@@ -412,6 +409,16 @@ def test_chain_refuses_distill_levels_it_would_not_read(segments, levels, seed):
     full = ChainPolicy((1,) + (0,) * (levels - 1))
     assert chain_simulate(segments, link, full, rng=fresh(), n_trials=50) \
         == chain_simulate(segments, link, ChainPolicy((1,)), rng=fresh(), n_trials=50)
+
+
+def test_nesting_level_is_exact_beside_every_power_of_two():
+    """ceil(log2 n) from the count's bits: a float log2 rounds 2**k + 1
+    down to level k from k = 49 on, and a chain that long is built."""
+    for k in range(2, 1101):
+        assert [repeater._depth_of(2**k + d) for d in (-1, 0, 1)] == [k, k, k + 1], k
+    # One distill_rounds entry per level: 51 levels at 2**49 + 1 segments.
+    policy = ChainPolicy((0,) * 51)
+    assert chain_simulate(2**49 + 1, LinkModel(), policy).rate > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -519,8 +526,7 @@ _LINKS = {
 @settings(max_examples=60, deadline=None)
 @given(
     segments=st.integers(1, 16),
-    names=st.lists(st.sampled_from(sorted(_LINKS)), min_size=1, max_size=2),
-    pattern=st.integers(0, 2**16 - 1),
+    name=st.sampled_from(sorted(_LINKS)),
     rounds=st.lists(st.integers(0, 1), max_size=3),
     double=st.sampled_from([0.0, 0.05]),
     seed=st.integers(0, 2**32 - 1),
@@ -529,49 +535,76 @@ _LINKS = {
 )
 # The benchmark's two chains: tables through the third nesting level and
 # the descent above it, at the full window.
-@example(segments=16, names=["q0.631"], pattern=0, rounds=[1], double=0.0,
+@example(segments=16, name="q0.631", rounds=[1], double=0.0,
          seed=1, n_trials=500, window=repeater.MC_WINDOW)
-@example(segments=8, names=["q0.631"], pattern=0, rounds=[1, 1], double=0.0,
+@example(segments=8, name="q0.631", rounds=[1, 1], double=0.0,
          seed=7, n_trials=500, window=repeater.MC_WINDOW)
-# Nodes over two leaves of different links: a swap of two single-link
-# segments, and level-0 distillation under a swap, down to one uniform.
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+# Nodes over the leaf twice: a swap of two single-link segments, and
+# level-0 distillation under a swap, down to one uniform.
+@example(segments=2, name="q0.398", rounds=[], double=0.0,
          seed=3, n_trials=500, window=1)
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+@example(segments=2, name="q0.398", rounds=[], double=0.0,
          seed=3, n_trials=500, window=2)
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+@example(segments=2, name="q0.398", rounds=[], double=0.0,
          seed=3, n_trials=500, window=3)
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[], double=0.0,
+@example(segments=2, name="q0.398", rounds=[], double=0.0,
          seed=3, n_trials=500, window=repeater.MC_WINDOW)
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+@example(segments=2, name="q0.398", rounds=[1], double=0.0,
          seed=3, n_trials=500, window=1)
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+@example(segments=2, name="q0.398", rounds=[1], double=0.0,
          seed=3, n_trials=500, window=2)
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+@example(segments=2, name="q0.398", rounds=[1], double=0.0,
          seed=3, n_trials=500, window=3)
-@example(segments=2, names=["q0.631", "q0.398"], pattern=0b10, rounds=[1], double=0.0,
+@example(segments=2, name="q0.398", rounds=[1], double=0.0,
          seed=3, n_trials=500, window=repeater.MC_WINDOW)
-def test_monte_carlo_matches_scalar_sampler(segments, names, pattern, rounds,
+def test_monte_carlo_matches_scalar_sampler(segments, name, rounds,
                                             double, seed, n_trials, window):
     """Same ChainResult and the same next draw as the closure sampler, for
-    uneven trees, mixed links, distillation at levels 0-2 and every
-    window size down to one uniform."""
-    links = [_LINKS[names[((pattern >> i) & 1) % len(names)]]
-             for i in range(segments)]
+    uneven trees, links on both sides of numpy's search/inversion switch,
+    distillation at levels 0-2 and every window size down to one uniform."""
+    link = _LINKS[name]
+    links = [link] * segments
     # The chain refuses more entries than its nesting levels.
     policy = ChainPolicy(distill_rounds=tuple(rounds[:_level(segments) + 1]),
                          double_excitation_weight=double)
-    assert chain_simulate(segments, links, policy) == \
+    assert chain_simulate(segments, link, policy) == \
         _reference_chain(links, policy, None, 0)
     # Keep the scalar reference near 2e5 draws per example.
-    reads = repeater._expected_reads(repeater._chain_plan(links, policy))[-1]
+    reads = repeater._chain_plan(segments, link, policy)[-1].reads
     n_trials = max(1, min(n_trials, int(2e5 / reads)))
     ref_rng, rng = stream(seed), stream(seed)
     expected = _reference_chain(links, policy, ref_rng, n_trials)
     with mock.patch.object(repeater, "MC_WINDOW", window):
-        result = chain_simulate(segments, links, policy, rng=rng, n_trials=n_trials)
+        result = chain_simulate(segments, link, policy, rng=rng, n_trials=n_trials)
     assert result == expected
     assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("rounds", [(), (1,), (1, 1)])
+def test_plan_has_one_leaf_and_counts_reads_per_node(rounds):
+    """Subtrees of a segment count share a node: plan[0] is the only leaf,
+    a nesting level holds at most two segment counts, children come before
+    parents, and each node's reads is the mean number of uniforms per
+    sample, 1 at the leaf and (children's + coin) / p above."""
+    for segments in range(1, 65):
+        plan = repeater._chain_plan(segments, _LINKS["q0.631"], ChainPolicy(rounds))
+        assert [i for i, node in enumerate(plan) if node.children is None] == [0]
+        assert len(plan) <= (2 * _level(segments) + 1) * (1 + max(rounds, default=0))
+        reads = []
+        for node in plan:
+            if node.children is None:
+                reads.append(1.0)
+            else:
+                a, b = node.children
+                assert max(a, b) < len(reads)
+                reads.append((reads[a] + reads[b] + 1.0) / node.p)
+        assert [node.reads for node in plan] == reads
+
+
+def _search_draws(sums, u):
+    """numpy's sequential-search geometric for next doubles u: the first k
+    with u <= sums[k - 1]."""
+    return np.searchsorted(sums, u) + 1
 
 
 def _walk_tables(plan, u):
@@ -584,7 +617,7 @@ def _walk_tables(plan, u):
     for node in plan:
         end, val = [w + 1] * (w + 2), [None] * (w + 2)
         if node.children is None:
-            draws = _geometric_from_uniforms(_geometric_search_sums(node.p), u)
+            draws = _search_draws(_geometric_search_sums(node.p), u)
             for j in range(w):
                 end[j], val[j] = j + 1, int(draws[j])
         else:
@@ -606,14 +639,14 @@ def _walk_tables(plan, u):
     return ends, vals
 
 
-# Plans over the links of _LINKS: a swap of two leaves of different links,
-# level-0 distillation of one leaf, a swap of two distilled leaves, and a
-# swap of a swap with a leaf.
+# (link, segments, distill_rounds): a swap of two leaves, level-0
+# distillation of the leaf, a swap of two distilled leaves, and a swap of a
+# swap with the leaf.
 _TABLE_PLANS = {
-    "leaf-pair": (["q0.631", "q0.398"], ()),
-    "distill-leaf": (["q0.631"], (1,)),
-    "swap-of-nodes": (["q0.631", "q0.398"], (1,)),
-    "swap-of-node-and-leaf": (["q0.631", "q0.398", "q0.631"], ()),
+    "leaf-pair": ("q0.398", 2, ()),
+    "distill-leaf": ("q0.631", 1, (1,)),
+    "swap-of-nodes": ("q0.631", 2, (1,)),
+    "swap-of-node-and-leaf": ("q0.631", 3, ()),
 }
 
 
@@ -625,9 +658,8 @@ def test_block_tables_match_a_walk_at_every_offset(plan_name, window):
     end[j] <= W; a sample that runs past the window reads end[j] = W + 1.
     TABLE_SPAN 0 tables every node at every window, so the offsets near the
     window's edge, which the sampler seldom reads, are all checked."""
-    names, rounds = _TABLE_PLANS[plan_name]
-    plan = repeater._chain_plan([_LINKS[n] for n in names],
-                                ChainPolicy(distill_rounds=rounds))
+    name, segments, rounds = _TABLE_PLANS[plan_name]
+    plan = repeater._chain_plan(segments, _LINKS[name], ChainPolicy(distill_rounds=rounds))
     # Seed 12 has retry chains long enough at the full window that the
     # rounds over the offsets still running read pointers they wrote.
     with mock.patch.object(repeater, "TABLE_SPAN", 0):
@@ -644,11 +676,12 @@ def test_block_tables_match_a_walk_at_every_offset(plan_name, window):
 
 @pytest.mark.parametrize("q", [0.3333333333333333, 0.4, 0.631, 0.999])
 def test_geometric_table_matches_numpy(q):
-    sums = _geometric_search_sums(q)
-    assert sums[-1] >= 1.0 - 2.0 ** -53
+    table = _GeometricTable(q)
+    assert table.sums[-1] >= 1.0 - 2.0 ** -53
     rng, twin = stream(5), stream(5)
     expected = rng.geometric(q, size=200_000)
-    got = _geometric_from_uniforms(sums, twin.random(200_000))
+    got = np.zeros(200_000, dtype=np.int64)
+    table.draw(twin.random(200_000), got)
     np.testing.assert_array_equal(got, expected)
     assert rng.random() == twin.random()
 
@@ -665,4 +698,4 @@ def test_bucket_table_matches_search_at_edges(q):
     u = u[(u >= 0.0) & (u < 1.0)]
     got = np.zeros(len(u), dtype=np.int64)
     table.draw(u, got)
-    np.testing.assert_array_equal(got, _geometric_from_uniforms(table.sums, u))
+    np.testing.assert_array_equal(got, _search_draws(table.sums, u))
