@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 SCHEMA = "entscope.eventlog.v1"
 
@@ -216,25 +215,9 @@ class _Checks:
 
 
 _MAX_DIGITS = 18  # a decimal of up to 18 digits always fits in int64
-
-
-def _decimal(windows, stop, count) -> np.ndarray | None:
-    """The numbers whose count[i] digits end before byte stop[i], if each is
-    1 to _MAX_DIGITS digits without a leading zero; else None.  windows are
-    the block's byte windows, at least _MAX_DIGITS wide, and every stop is
-    past a matched line prefix, so at least _MAX_DIGITS."""
-    if not (np.all(count >= 1) and np.all(count <= _MAX_DIGITS)):
-        return None
-    width = int(count.max())
-    digits = windows[stop - width, :width] - np.uint8(ord("0"))  # wraps below "0"
-    used = np.arange(width, 0, -1) <= count[:, None]
-    if np.any((digits > 9) & used) or np.any((windows[stop - count, 0] == ord("0")) & (count > 1)):
-        return None
-    digits *= used
-    value = np.zeros(len(stop), dtype=np.int64)
-    for column in digits.T:
-        value = value * 10 + column
-    return value
+# Words of eight bytes "0" or 0x80, and ',"tel":' in a word's low 7 bytes.
+_ZEROS, _HIGH = (int(byte * 8, 16) for byte in ("30", "80"))
+_TEL = int.from_bytes(b',"tel":', "little")
 
 
 def _typed(obj: dict, key: str, kind: type):
@@ -276,13 +259,13 @@ class _BlockReader:
     columns of each block of whole lines.  A block whose every line is
     byte-identical to one JsonlWriter writes for this header is parsed as a
     numpy byte array over the buffer: each line's prefix must equal a row of
-    the writer's prefix table and its slot and tel must be 1-18 digits
-    without a leading zero, so the columns are those that json.loads gives
-    line by line.  Any other block is decoded as ASCII and goes through the
-    per-line parser, which raises on the first bad line.  A parse error
-    raises where it is met; fields() settles the header fields and the
-    validation checks after the last block, so a log raises the error it
-    raises when parsed whole first.
+    the writer's prefix table, in two 32-byte windows and in length, and its
+    slot and tel must be 1-18 digits without a leading zero, so the columns
+    are those that json.loads gives line by line.  Any other block is
+    decoded as ASCII and goes through the per-line parser, which raises on
+    the first bad line.  A parse error raises where it is met; fields()
+    settles the header fields and the validation checks after the last
+    block, so a log raises the error it raises when parsed whole first.
     """
 
     def __init__(self, fh, path) -> None:
@@ -300,24 +283,26 @@ class _BlockReader:
         self.lookup = {d: i for i, d in enumerate(self.deltas)}
         if len(self.lookup) != len(self.deltas):
             raise ValueError(f"{path}: repeated delta values in {list(self.deltas)}")
-        # The writer's prefix table as byte strings null-padded to whole
-        # uint64 words, sorted by a hash of their words, so that a line's
-        # prefix finds its row by binary search; the row's words must then
-        # equal the prefix.  masks[k] keeps the first k bytes of a row.
+        # The writer's prefix table.  A row is 39-61 bytes long, as a float's
+        # repr is 3-24 characters ("0.0" to "-2.2250738585072014e-308"; "NaN"
+        # and "Infinity" fall between), so its first 32 bytes (its head) and
+        # the 32 that end it (its tail) cover it.  Rows are sorted by a hash
+        # of those eight uint64 words, so that a line's prefix finds its row
+        # by binary search; its words and length must then equal the row's.
         prefixes = [p.encode("ascii") for p in _prefixes(self.deltas)]
-        width = -(-max(map(len, prefixes), default=1) // 8) * 8
-        words = np.array(prefixes, dtype=f"S{width}").view(np.uint64).reshape(-1, width // 8)
-        self.hash = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, width // 8 + 1, dtype=np.uint64)
-        self.rows = np.argsort(words @ self.hash)
-        self.words = words[self.rows]
-        self.hashes = self.words @ self.hash
+        head, tail = (np.array(part, dtype="S32").view(np.uint64).reshape(-1, 4)
+                      for part in ([p[:32] for p in prefixes], [p[-32:] for p in prefixes]))
+        self.hash = np.uint64(0x9E3779B97F4A7C15) ** np.arange(1, 9, dtype=np.uint64).reshape(2, 4)
+        hashes = head @ self.hash[0] + tail @ self.hash[1]
+        self.rows = np.argsort(hashes)
+        self.hashes, self.heads, self.tails = hashes[self.rows], head[self.rows], tail[self.rows]
         self.lengths = np.array([len(p) for p in prefixes], dtype=np.int64)[self.rows]
-        self.masks = np.where(np.arange(width) < np.arange(width + 1)[:, None],
-                              np.uint8(255), np.uint8(0)).view(np.uint64)
-        # Windows of span bytes start at any byte of a block, and one more
-        # byte takes the newline of a last line that has none.
-        self.span = max(width, _MAX_DIGITS)
-        self.pad = self.span + 1
+        # keep[k] keeps a little-endian word's last k bytes; least[k] is the least k-digit decimal.
+        self.keep = np.array([(1 << 64) - (1 << 64 - 8 * k) for k in range(9)], dtype=np.uint64)
+        self.least = np.array([0, 0] + [10 ** k for k in range(1, _MAX_DIGITS)], dtype=np.uint64)
+        # Windows and loads reach 31 bytes past a block, and one more byte
+        # takes the newline of a last line that has none.
+        self.pad = 32
         self.checks = _Checks()
 
     def _fill(self, size: int) -> int:
@@ -361,36 +346,61 @@ class _BlockReader:
         self.checks.add(*columns)
         return columns
 
+    def _decimals(self, loads, stop, count) -> np.ndarray | None:
+        """The numbers whose count[i] digits end before byte stop[i], if each
+        is 1 to _MAX_DIGITS digits without a leading zero; else None.
+        loads[j] is the little-endian uint64 at byte j; every stop is >= 24.
+        A load takes eight digits, back from the last: XOR with "0"s makes a
+        digit its value and, once masked, a byte before the number 0, so each
+        byte must be below 10; three multiply-shift-mask steps fold it."""
+        if not (count.min() >= 1 and count.max() <= _MAX_DIGITS):
+            return None
+        value = np.zeros(len(stop), dtype=np.uint64)
+        for k in range(0, int(count.max()), 8):
+            word = (loads[stop - (k + 8)] ^ _ZEROS) & self.keep[np.clip(count - k, 0, 8)]
+            if ((word + 0x7676767676767676 | word) & _HIGH).any():
+                return None
+            word = word * (10 << 8 | 1) >> 8 & 0x00FF00FF00FF00FF
+            word = word * (100 << 16 | 1) >> 16 & 0x0000FFFF0000FFFF
+            value += (word * (10000 << 32 | 1) >> 32) * 10 ** k
+        return value.view(np.int64) if (value >= self.least[count]).all() else None
+
     def _written_columns(self, cut: int) -> tuple[np.ndarray, ...] | None:
         """The record columns of the first cut bytes of the buffer, if every
         line is one JsonlWriter writes for this header; else None."""
         if not len(self.rows):
             return None
-        width = self.words.shape[1] * 8
-        buf = np.frombuffer(self.buf, np.uint8, cut + self.span)
-        lines = buf[:cut]
-        end = np.flatnonzero(lines == ord("\n"))
-        colon = np.flatnonzero(lines == ord(":"))
-        if not len(end) or len(colon) != 5 * len(end):
+        lines = np.frombuffer(self.buf, np.uint8, cut)
+        # windows[j] is the 32 bytes from byte j on, and loads[j] the
+        # little-endian uint64 at byte j, read unaligned.
+        windows = np.ndarray((cut, 32), np.uint8, self.buf, strides=(1, 1))
+        loads = np.ndarray((cut,), np.uint64, self.buf, strides=(1,))
+        # A written line has five colons and then its newline.  The OR is in
+        # place, as a third block-sized array makes malloc trim and re-fault.
+        marks = lines == ord(":")
+        marks |= lines == ord("\n")
+        marks = np.flatnonzero(marks)
+        colon, comma, end = marks[3::6], marks[4::6] - 6, marks[5::6]
+        if len(marks) % 6 or not (lines[end] == ord("\n")).all():
             return None
-        windows = sliding_window_view(buf, self.span)
         start = np.concatenate(([0], end[:-1] + 1))
-        slot_colon, tel_colon = colon[3::5], colon[4::5]
-        # Prefix: the bytes up to the fourth colon equal a table row.
-        length = slot_colon + 1 - start
-        prefix = windows[start, :width].view(np.uint64) & self.masks[np.clip(length, 0, width)]
-        at = np.minimum(self.hashes.searchsorted(prefix @ self.hash), len(self.rows) - 1)
-        if not ((self.words[at] == prefix).all() and (self.lengths[at] == length).all()):
+        # Prefix: the bytes up to the fourth colon equal a table row, in its
+        # head, in its tail (the 32 bytes that end at the colon) and in length.
+        head = windows[start].view(np.uint64)
+        tail = windows[np.maximum(colon - 31, 0)].view(np.uint64)
+        at = np.minimum(self.hashes.searchsorted(head @ self.hash[0] + tail @ self.hash[1]),
+                        len(self.rows) - 1)
+        if not ((self.heads.take(at, axis=0) == head).all()
+                and (self.tails.take(at, axis=0) == tail).all()
+                and (self.lengths[at] == colon + 1 - start).all()):
             return None
         row = self.rows[at]
-        # Then slot digits, ',"tel":', tel digits, '}' and the newline.
-        comma = tel_colon - 6
-        tel_key = windows[comma, :8].view(np.uint64)[:, 0] & self.masks[7, 0]
-        if not ((tel_key == np.frombuffer(b',"tel":\0', np.uint64)).all()
+        # Then slot digits, ',"tel":', tel digits and '}'.
+        if not ((loads[comma] & 2 ** 56 - 1 == _TEL).all()
                 and (lines[end - 1] == ord("}")).all()):
             return None
-        slot = _decimal(windows, comma, comma - slot_colon - 1)
-        tel = _decimal(windows, end - 1, end - 2 - tel_colon)
+        slot = self._decimals(loads, comma, comma - colon - 1)
+        tel = self._decimals(loads, end - 1, end - comma - 8)
         if slot is None or tel is None:
             return None
         n_deltas = len(self.deltas)

@@ -445,6 +445,11 @@ def _depth_of(n_segments: int) -> int:
 # numpy's int64 geometric stops at 2**63 - 1, which a draw at 2**-56 reaches
 # with probability about e**-128.
 MC_MIN_PROB = 2.0 ** -56
+# Most uniforms a Monte Carlo run may be expected to read, n_trials times the
+# root's reads (one per trial for a memoryless chain).  At about 85 ns a read
+# (seg16_d1's 3,000 x 1,753 reads in 0.45 s on a 2-vCPU Xeon VM) that is
+# about 85 s; the benchmark chains read 5.3e6 and 5.4e6.
+MC_MAX_READS = 1e9
 
 
 def chain_simulate(segments: int, link: LinkModel,
@@ -460,10 +465,11 @@ def chain_simulate(segments: int, link: LinkModel,
     delivery times over n_trials and reports rate = trials / total slots;
     the state and fidelity always come from the analytic ensemble average.
     It raises ConfigError where a geometric it draws from has success
-    probability below MC_MIN_PROB; memoryless chains whose per-slot
-    probability underflows to 0 raise in both modes, and so do policies with
-    more distill_rounds entries than the chain's nesting levels and chains
-    whose expected delivery time overflows a float.
+    probability below MC_MIN_PROB, or where it expects to read more than
+    MC_MAX_READS uniforms; memoryless chains whose per-slot probability
+    underflows to 0 raise in both modes, and so do policies with more
+    distill_rounds entries than the chain's nesting levels and chains whose
+    expected delivery time overflows a float.
 
     The with-memory Monte Carlo draws exactly what a recursive scalar
     sampler would -- one rng.geometric per generation, then one rng.random
@@ -492,6 +498,10 @@ def chain_simulate(segments: int, link: LinkModel,
             raise ConfigError(f"monte-carlo: success probability {drawn:.6e} per "
                               f"geometric draw is below 2**-56, where int64 draws "
                               f"saturate; use mode = analytic")
+        reads = n_trials * (root.reads if policy.with_memory else 1.0)
+        if reads > MC_MAX_READS:
+            raise ConfigError(f"monte-carlo: n_trials = {n_trials} would read about "
+                              f"{reads:.3e} uniforms, above {MC_MAX_READS:.0e}; use mode = analytic")
         if policy.with_memory:
             total = _mc_total_slots(plan, rng, n_trials)
         else:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import entscope
 from entscope import config as cfg
-from entscope import eventlog, schemes
+from entscope import eventlog, repeater, schemes
 from entscope.cli import (
     BUDGET_CSV_SCHEMA,
     CHAIN_CSV_SCHEMA,
@@ -267,6 +267,24 @@ def test_repeater_rate_beyond_the_draws_is_config_error(tmp_path, capsys, mode, 
     ini = tmp_path / "chain.ini"
     ini.write_text(f"[run]\nseed = 1\nmode = {mode}\n[repeater]\nn_trials = 50\n{keys}")
     assert _config_error(capsys, "repeater", ini, tmp_path) == f"config error: {message}\n"
+
+
+def test_repeater_monte_carlo_is_bounded_before_it_starts(tmp_path, capsys):
+    """n_trials times the root's expected reads may reach MC_MAX_READS but
+    not pass it: with the bound patched down to 20 trials of the demo chain,
+    20 trials run and 21 stop with one config error naming the analytic mode."""
+    ini = tmp_path / "chain.ini"
+    demo = Path(preset("repeater_demo.ini")).read_text().replace("mode = analytic",
+                                                                  "mode = monte-carlo")
+    segments, link, policy, *_ = cfg.build_chain(cfg.load_config(preset("repeater_demo.ini")))
+    reads = repeater._chain_plan(segments, link, policy)[-1].reads
+    with mock.patch.object(repeater, "MC_MAX_READS", 20 * reads):
+        ini.write_text(demo.replace("n_trials = 20000", "n_trials = 20"))
+        assert main(["repeater", "--config", str(ini), "--out-dir", str(tmp_path / "ok")]) == 0
+        ini.write_text(demo.replace("n_trials = 20000", "n_trials = 21"))
+        err = _config_error(capsys, "repeater", ini, tmp_path)
+    assert err.startswith("config error: monte-carlo: n_trials = 21 would read about ")
+    assert err.endswith("; use mode = analytic\n")
 
 
 def test_repeater_billion_segment_chain_has_a_finite_rate(tmp_path, capsys):

@@ -383,19 +383,40 @@ def test_crlf_copy_round_trip_reads_the_written_columns(tmp_path_factory, log,
         assert_same_columns(EventLog.joined(reader.fields(), blocks), log)
 
 
+def random_digits_log() -> EventLog:
+    """400 records with slots and telescope ids of 1 to 18 digits."""
+    rng = np.random.default_rng(3)
+    n = 400
+    return EventLog(scheme="entangled", n_slots=10 ** 18,
+                    deltas=(-0.0, 1e-05, math.pi / 2.0, 1e300),
+                    slot=np.sort(rng.integers(0, 10 ** rng.integers(1, 19, n))),
+                    telescope=rng.integers(0, 10 ** rng.integers(1, 19, n)),
+                    detector=rng.integers(1, 3, n), accepted=rng.random(n) < 0.5,
+                    delta_index=rng.integers(0, 4, n))
+
+
+def load_split_log() -> EventLog:
+    """Line prefixes of both extreme lengths: 39 bytes (acc true, delta 0.0)
+    and 61 (acc false and a 24-character float repr).  Slots and telescope
+    ids have 8, 9, 16, 17 and 18 digits, where the byte parser's eight-digit
+    loads split."""
+    digits = (8, 9, 16, 17, 18)
+    return EventLog(scheme="entangled", n_slots=10 ** 18,
+                    deltas=(0.0, -2.2250738585072014e-308),
+                    slot=[10 ** (d - 1) for d in digits],
+                    telescope=[10 ** d - 1 for d in digits[::-1]],
+                    detector=[1, 2, 1, 2, 1], accepted=[True, True, False, False, True],
+                    delta_index=[0, 0, 1, 1, 1])
+
+
 @pytest.mark.parametrize("read_block", [40, 1000, 1 << 18])
-def test_written_log_reads_through_the_byte_parser_alone(tmp_path, read_block):
+@pytest.mark.parametrize("make_log", [random_digits_log, load_split_log],
+                         ids=["random", "load-split"])
+def test_written_log_reads_through_the_byte_parser_alone(tmp_path, make_log, read_block):
     """Every block of a log JsonlWriter wrote takes the byte parser: with
     the per-line parser raising on every call, the log reads back, whether a
     block holds one line, a few or the whole file."""
-    rng = np.random.default_rng(3)
-    n = 400
-    log = EventLog(scheme="entangled", n_slots=10 ** 18,
-                   deltas=(-0.0, 1e-05, math.pi / 2.0, 1e300),
-                   slot=np.sort(rng.integers(0, 10 ** rng.integers(1, 19, n))),
-                   telescope=rng.integers(0, 10 ** rng.integers(1, 19, n)),
-                   detector=rng.integers(1, 3, n), accepted=rng.random(n) < 0.5,
-                   delta_index=rng.integers(0, 4, n))
+    log = make_log()
     path = tmp_path / "events.jsonl"
     log.write_jsonl(path)
     def refuse_lines(lines, lookup):
@@ -416,14 +437,20 @@ def test_read_rejects_repeated_deltas(tmp_path):
             read(path)
 
 
-def test_every_one_byte_edit_reads_like_json_loads(tmp_path):
+def eighteen_digits_log() -> EventLog:
+    return EventLog(scheme="entangled", n_slots=10 ** 18, deltas=(-0.0, 1e-05, 1e300),
+                    slot=[7, 7, 10 ** 18 - 1], telescope=[0, 1, 10 ** 18 - 1],
+                    detector=[1, 2, 1], accepted=[True, True, False], delta_index=[0, 0, 2])
+
+
+@pytest.mark.parametrize("make_log", [eighteen_digits_log, load_split_log],
+                         ids=["eighteen-digits", "load-split"])
+def test_every_one_byte_edit_reads_like_json_loads(tmp_path, make_log):
     """At every byte of the body of a small log with 18-digit numbers, each
     substitution and insertion of a digit or separator, and the deletion,
     reads as the per-line reference reads it, or raises the same type of
     exception."""
-    log = EventLog(scheme="entangled", n_slots=10 ** 18, deltas=(-0.0, 1e-05, 1e300),
-                   slot=[7, 7, 10 ** 18 - 1], telescope=[0, 1, 10 ** 18 - 1],
-                   detector=[1, 2, 1], accepted=[True, True, False], delta_index=[0, 0, 2])
+    log = make_log()
     path = tmp_path / "events.jsonl"
     log.write_jsonl(path)
     text = path.read_text()
@@ -491,6 +518,22 @@ def test_read_raises_on_cut_or_corrupt_bodies(tmp_path, body, error):
     for read in (EventLog.read_jsonl, FringeCounter.from_jsonl):
         with pytest.raises(ValueError if message else error,
                            match=re.escape(error) if message else None):
+            read(path)
+
+
+def test_byte_parser_checks_the_prefix_length(tmp_path):
+    """A 60-byte prefix row with its middle four bytes doubled keeps both of
+    the row's 32-byte windows, the line's first 32 bytes and the 32 that end
+    at its fourth colon, but not its length; json.loads reads another delta,
+    which the header lacks."""
+    path = tmp_path / "events.jsonl"
+    two_slot_log(deltas=(-2.2250738585072014e-308,), delta_index=[0, 0, 0, 0]).write_jsonl(path)
+    header, line = path.read_text().splitlines()[:2]
+    prefix = line[:line.index('"slot":') + 7]
+    assert len(prefix) == 60
+    path.write_text(f'{header}\n{prefix[:32]}{prefix[28:]}0,"tel":0}}\n')
+    for read in (EventLog.read_jsonl, FringeCounter.from_jsonl):
+        with pytest.raises(KeyError):
             read(path)
 
 
