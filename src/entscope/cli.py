@@ -6,9 +6,9 @@ it in the header object, CSV files as a leading '# <schema>' comment line,
 and graymaps as the comment line right after the P2 magic (the magic has to
 come first for the format to stay readable by standard tools).
 
-All randomness flows from the configured master seed through named
-substreams; nothing reads the clock, so equal (config, seed) pairs give
-byte-identical artifacts.
+All randomness flows from the scenario file's master seed through named
+substreams; nothing reads the clock and no flag overrides the file, so
+equal scenario files give byte-identical artifacts.
 """
 from __future__ import annotations
 
@@ -72,17 +72,19 @@ def cmd_simulate(args) -> int:
     parser = cfg.load_config(args.config)
     scheme = cfg.build_scheme(parser)
     source = cfg.build_source(parser, os.path.dirname(os.path.abspath(args.config)))
-    geometry = cfg.build_geometry(parser, scheme, source)
-    seed, out_dir, mode, n_slots = cfg.run_options(parser, args.seed, args.out_dir)
+    seed, out_dir, mode, n_slots = cfg.run_options(parser, args.out_dir)
     if mode != "monte-carlo":
         raise ConfigError(f"[run] mode: simulate samples events; {mode!r} "
                           f"applies to repeater only")
-    if args.n_slots is not None:
-        n_slots = args.n_slots
-    if n_slots <= 0:
-        raise ConfigError(f"n_slots: must be positive, got {n_slots}")
+    if not 0 < n_slots < 2**63:  # the event log's slots are int64
+        raise ConfigError(f"n_slots: must be in [1, 2**63 - 1], got {n_slots}")
+    try:
+        geometry = cfg.build_geometry(parser, scheme, source)
+        fields, blocks = schemes.simulate_chunks(scheme, source, geometry, n_slots, seed)
+    except MemoryError as exc:  # numpy's request for a pair-sized array was refused
+        raise ConfigError(f"[scheme] n_telescopes: {scheme.n_telescopes} telescopes are too "
+                          f"many to simulate: {exc}") from exc
     out_dir = _ensure_out_dir(out_dir)
-    fields, blocks = schemes.simulate_chunks(scheme, source, geometry, n_slots, seed)
     counter = eventlog.FringeCounter(scheme.kind, scheme.delta_schedule,
                                      scheme.n_telescopes if scheme.kind == "w_state" else None)
     log_path = os.path.join(out_dir, "events.jsonl")
@@ -128,7 +130,7 @@ def cmd_estimate(args) -> int:
 def cmd_repeater(args) -> int:
     parser = cfg.load_config(args.config)
     segments, link, policy, n_trials, efficiency, bandwidth = cfg.build_chain(parser)
-    seed, out_dir, mode, _ = cfg.run_options(parser, args.seed, args.out_dir)
+    seed, out_dir, mode, _ = cfg.run_options(parser, args.out_dir)
     generator = rng.stream(seed) if mode == "monte-carlo" else None
     result = repeater.chain_simulate(segments, link, policy, rng=generator,
                                      n_trials=n_trials)
@@ -166,16 +168,9 @@ def _budget_rows(budget) -> list[list[str]]:
 
 
 def cmd_sensitivity(args) -> int:
-    if args.config and args.budget is not None:
-        raise ConfigError("--budget: a config picks its preset with [sensitivity] budget; "
-                          "pass one of --config and --budget")
-    if args.config:
-        parser = cfg.load_config(args.config)
-        budget = cfg.build_budget(parser)
-        out_dir = cfg.out_dir(parser, args.out_dir, None)
-    else:
-        budget = cfg.budget_preset("default" if args.budget is None else args.budget)
-        out_dir = args.out_dir
+    parser = cfg.load_config(args.config)
+    budget = cfg.build_budget(parser)
+    out_dir = cfg.out_dir(parser, args.out_dir, None)
     rows = _budget_rows(budget)
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
@@ -230,12 +225,11 @@ def cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub):
+def _add_common(sub, func):
     sub.add_argument("--config", required=True, help="INI scenario file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="master seed (overrides [run] seed)")
     sub.add_argument("--out-dir", default=None,
                      help="artifact directory (overrides [run] out_dir)")
+    sub.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,35 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "repeater chains, sensitivity budgets, imaging.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sim = subs.add_parser("simulate", help="run a measurement scheme, write "
-                                           "event log + per-delta summary")
-    _add_common(sim)
-    sim.add_argument("--n-slots", type=int, default=None,
-                     help="override [run] n_slots")
-    sim.set_defaults(func=cmd_simulate)
+    _add_common(subs.add_parser("simulate", help="run a measurement scheme, write "
+                                                 "event log + per-delta summary"), cmd_simulate)
 
     est = subs.add_parser("estimate", help="fit a visibility from an event log")
     est.add_argument("--log", required=True, help="events.jsonl from simulate")
     est.add_argument("--out-dir", default=None)
     est.set_defaults(func=cmd_estimate)
 
-    rep = subs.add_parser("repeater", help="chain rate/fidelity + figure of merit")
-    _add_common(rep)
-    rep.set_defaults(func=cmd_repeater)
-
-    sen = subs.add_parser("sensitivity", help="detection budget table")
-    sen.add_argument("--config", default=None, help="INI file with [sensitivity]")
-    sen.add_argument("--budget", default=None,
-                     help="preset name when no config is given: default (the default) "
-                          "or improved")
-    sen.add_argument("--out-dir", default=None)
-    sen.set_defaults(func=cmd_sensitivity)
-
-    rec = subs.add_parser("reconstruct", help="forward-model visibilities on a "
-                                              "full grid and invert to an image")
-    rec.add_argument("--config", required=True)
-    rec.add_argument("--out-dir", default=None)
-    rec.set_defaults(func=cmd_reconstruct)
+    _add_common(subs.add_parser("repeater", help="chain rate/fidelity + figure of merit"),
+                cmd_repeater)
+    _add_common(subs.add_parser("sensitivity", help="detection budget table"), cmd_sensitivity)
+    _add_common(subs.add_parser("reconstruct", help="forward-model visibilities on a full "
+                                                    "grid and invert to an image"),
+                cmd_reconstruct)
 
     orc = subs.add_parser("oracle-check", help="run analytic-vs-circuit "
                                                "verification grids")

@@ -232,7 +232,6 @@ def build_geometry(parser, scheme: schemes.SchemeConfig, source: sky.SourceModel
             raise ConfigError(f"[baseline] positions: pairwise differences must be finite, "
                               f"got {max(positions)!r} - {min(positions)!r}")
         geometry, two_d = (positions, wavelength), False
-        vectors = [a - b for a in positions for b in positions]
     else:
         key = "vector"
         vector = _get(parser, "baseline", key, _float_list, required=True)
@@ -240,11 +239,12 @@ def build_geometry(parser, scheme: schemes.SchemeConfig, source: sky.SourceModel
             raise ConfigError("[baseline] vector: expected one or two components")
         two_d = len(vector) == 2
         geometry = sky.Baseline(tuple(vector) if two_d else vector[0], wavelength)
-        vectors = [geometry.vector]
     if source is not None:
         if source.two_d != two_d:
             dims = "2-D" if source.two_d else "1-D"
             raise ConfigError(f"[baseline] {key}: a {dims} source needs {dims} baselines")
+        # The telescope pairs i < j, in one array, as simulate samples them.
+        vectors = schemes.pair_baselines(positions)[2] if key == "positions" else [geometry.vector]
         _build("baseline", sky.visibilities, source, vectors, wavelength)
     return geometry
 
@@ -317,18 +317,16 @@ def out_dir(parser, override=None, default="out"):
     return override or _get(parser, "run", "out_dir", str, default)
 
 
-def run_options(parser, seed_override=None, out_dir_override=None):
-    """(seed, out_dir, mode, n_slots); the seed must come from the config or
-    the command line, never from the clock."""
-    seed = seed_override
+def run_options(parser, out_dir_override=None):
+    """(seed, out_dir, mode, n_slots); the seed is a 64-bit [run] seed, never
+    the clock, and each seed keys its own Philox stream."""
+    seed = _get(parser, "run", "seed", int)
     if seed is None:
-        seed = _get(parser, "run", "seed", int)
-    if seed is None:
-        raise ConfigError("[run] seed: required (pass it in the config or "
-                          "with --seed; runs are never clock-seeded)")
+        raise ConfigError("[run] seed: required (runs are never clock-seeded)")
+    if not 0 <= seed < 2**64:  # rng.stream keys Philox with the seed's low 64 bits
+        raise ConfigError(f"[run] seed: must be in [0, 2**64 - 1], got {seed}")
     mode = _get(parser, "run", "mode", str, "monte-carlo")
     if mode not in ("monte-carlo", "analytic"):
         raise ConfigError("[run] mode: expected 'monte-carlo' or 'analytic'")
     n_slots = _get(parser, "run", "n_slots", int, 100_000)
     return seed, out_dir(parser, out_dir_override), mode, n_slots
-

@@ -273,7 +273,12 @@ def check_field_of_view(source, grid: int, pixel_scale: float) -> None:
 def full_grid_samples(source, grid: int, pixel_scale: float, wavelength: float) -> np.ndarray:
     """The source's visibilities on every baseline of the grid, laid out for
     `dirty_image`; the baselines and visibilities are dropped on return.
-    Raises `sky.visibilities`' ValueError where a phase overflows."""
+    Raises `sky.visibilities`' ValueError where a phase overflows, and
+    MemoryError where the complex samples would pass numpy's array size
+    limit, which numpy reports as a ValueError or, in `np.arange`, not at all."""
+    samples = grid ** (2 if source.two_d else 1)
+    if samples * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{samples} complex samples pass numpy's array size limit")
     unit = wavelength / (grid * pixel_scale)
     axis = np.arange(-(grid // 2), grid - grid // 2) * unit
     vectors = axis

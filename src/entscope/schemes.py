@@ -519,12 +519,18 @@ def _w_state_outcomes(config: SchemeConfig, vis: dict[tuple[int, int], complex]
     return outcomes
 
 
+def pair_baselines(positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, positions[i] - positions[j]) over the telescope pairs i < j."""
+    positions = np.asarray(positions, dtype=float)
+    i, j = np.triu_indices(len(positions), 1)
+    return i, j, positions[i] - positions[j]
+
+
 def _pairwise_visibilities(source: SourceModel, positions,
                            wavelength: float) -> dict[tuple[int, int], complex]:
     """{(i, j): V} over the telescope pairs i < j, baseline positions[i] - positions[j]."""
-    positions = np.asarray(positions, dtype=float)
-    i, j = np.triu_indices(len(positions), 1)
-    vis = visibilities(source, positions[i] - positions[j], wavelength)
+    i, j, vectors = pair_baselines(positions)
+    vis = visibilities(source, vectors, wavelength)
     return dict(zip(zip(i.tolist(), j.tolist()), vis.tolist()))
 
 

@@ -44,6 +44,19 @@ def preset(name: str) -> str:
     return str(PRESETS / name)
 
 
+def with_run(tmp_path, base: str = "entangled_demo.ini", **keys) -> str:
+    """A copy of base (a preset name or INI text) with [run] keys set, such as
+    n_slots = 40 or a seed, as the path a --config takes."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read_string(base if "\n" in base else Path(preset(base)).read_text())
+    for key, value in keys.items():
+        parser.set("run", key, str(value))
+    ini = tmp_path / ("run_" + "_".join(f"{key}{value}" for key, value in keys.items()) + ".ini")
+    with open(ini, "w") as fh:
+        parser.write(fh)
+    return str(ini)
+
+
 def first_line(path: Path) -> str:
     return path.read_text().splitlines()[0]
 
@@ -65,8 +78,8 @@ def test_every_bundled_preset_runs(tmp_path, capsys, name):
 def test_simulate_is_byte_deterministic(tmp_path, capsys):
     dirs = [tmp_path / "a", tmp_path / "b"]
     for d in dirs:
-        code = main(["simulate", "--config", preset("entangled_demo.ini"),
-                     "--n-slots", "2000", "--out-dir", str(d)])
+        code = main(["simulate", "--config", with_run(tmp_path, n_slots=2000),
+                     "--out-dir", str(d)])
         assert code == 0
     out = capsys.readouterr().out
     assert "simulated 2000 slots (entangled)" in out
@@ -166,20 +179,54 @@ def test_estimate_w_state_log_is_input_error(tmp_path, capsys):
 
 
 def test_simulate_zero_slots_is_config_error(tmp_path, capsys):
-    code = main(["simulate", "--config", preset("entangled_demo.ini"),
-                 "--n-slots", "0", "--out-dir", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    err = capsys.readouterr().err
+    err = _config_error(capsys, "simulate", with_run(tmp_path, n_slots=0), tmp_path)
     assert err.startswith("config error: n_slots")
-    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_slots", [2**63, 10**30])
+def test_simulate_slots_beyond_int64_is_config_error(tmp_path, capsys, n_slots):
+    """The log's slots are int64, so a larger n_slots stops before anything
+    is written, instead of writing a log whose header no reader takes."""
+    err = _config_error(capsys, "simulate", with_run(tmp_path, n_slots=n_slots), tmp_path)
+    assert err == f"config error: n_slots: must be in [1, 2**63 - 1], got {n_slots}\n"
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+@pytest.mark.parametrize("command", ["simulate", "repeater"])
+def test_seed_beyond_64_bits_is_config_error(tmp_path, capsys, command, seed):
+    """Philox takes a seed's low 64 bits, so -1 and 2**64 + 1 would replay
+    the runs of 2**64 - 1 and 1; they stop before anything is written."""
+    base = {"simulate": "entangled_demo.ini", "repeater": "repeater_demo.ini"}[command]
+    err = _config_error(capsys, command, with_run(tmp_path, base, seed=seed), tmp_path)
+    assert err == f"config error: [run] seed: must be in [0, 2**64 - 1], got {seed}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", preset("entangled_demo.ini"), "--seed", "1"],
+    ["simulate", "--config", preset("entangled_demo.ini"), "--n-slots", "40"],
+    ["repeater", "--config", preset("repeater_demo.ini"), "--seed", "1"],
+    ["sensitivity", "--config", preset("chara_like.ini"), "--budget", "improved"],
+    ["sensitivity", "--budget", "improved"],
+    ["sensitivity"],
+], ids=["simulate-seed", "simulate-n-slots", "repeater-seed", "sensitivity-budget",
+        "sensitivity-budget-alone", "sensitivity-no-config"])
+def test_scenario_file_is_the_only_run_setting(tmp_path, capsys, argv):
+    """The seed, the slot count and the budget preset come from the scenario
+    file; argparse refuses a flag that would override one, and sensitivity
+    without --config, before anything runs."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path / "run")])
+    assert exc.value.code == EXIT_CONFIG
+    assert re.search("unrecognized arguments|required: --config", capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flags", [["--threads", "2"], ["--analytic"],
                                    ["--monte-carlo"]])
 def test_simulate_rejects_run_knobs_it_has_no_use_for(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--config", preset("entangled_demo.ini"),
-              "--n-slots", "40", "--out-dir", str(tmp_path)] + flags)
+        main(["simulate", "--config", with_run(tmp_path, n_slots=40),
+              "--out-dir", str(tmp_path)] + flags)
     assert exc.value.code == EXIT_CONFIG
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "events.jsonl").exists()
@@ -189,7 +236,7 @@ def test_simulate_analytic_mode_is_config_error(tmp_path, capsys):
     ini = tmp_path / "analytic.ini"
     ini.write_text(Path(preset("entangled_demo.ini")).read_text()
                    .replace("mode = monte-carlo", "mode = analytic"))
-    code = main(["simulate", "--config", str(ini), "--n-slots", "40",
+    code = main(["simulate", "--config", with_run(tmp_path, ini.read_text(), n_slots=40),
                  "--out-dir", str(tmp_path / "run")])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -384,8 +431,8 @@ def _header_deltas(deltas: str):
         "deltas-boolean", "deltas-string", "deltas-string-element", "deltas-beyond-float",
         "lone-cr", "nested-header", "nested-record"])
 def test_estimate_bad_log_is_input_error(tmp_path, capsys, edit, message):
-    assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                 "--n-slots", "2000", "--out-dir", str(tmp_path)]) == 0
+    assert main(["simulate", "--config", with_run(tmp_path, n_slots=2000),
+                 "--out-dir", str(tmp_path)]) == 0
     log = tmp_path / "events.jsonl"
     log.write_text(edit(log.read_text()), encoding="utf-8")
     capsys.readouterr()
@@ -400,9 +447,9 @@ def test_event_log_is_written_without_newline_translation(tmp_path):
     """simulate and EventLog.write_jsonl open events.jsonl in binary mode,
     so that no platform translates its LF line ends, which the sha256 pins
     record."""
+    ini = with_run(tmp_path, n_slots=40)
     with mock.patch("builtins.open", side_effect=open) as opened:
-        assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                     "--n-slots", "40", "--out-dir", str(tmp_path)]) == 0
+        assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path)]) == 0
         EventLog.read_jsonl(tmp_path / "events.jsonl").write_jsonl(tmp_path / "events.jsonl")
     modes = [c.args[1] if len(c.args) > 1 else c.kwargs.get("mode", "r")
              for c in opened.call_args_list if str(c.args[0]).endswith("events.jsonl")]
@@ -422,14 +469,14 @@ def test_estimate_missing_log_is_input_error(tmp_path, capsys):
 def test_out_dir_naming_a_file_is_input_error(tmp_path, capsys, command, under):
     """--out-dir naming a file, or a path under one, stops before writing."""
     log = tmp_path / "run" / "events.jsonl"
-    assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                 "--n-slots", "2000", "--out-dir", str(log.parent)]) == 0
+    assert main(["simulate", "--config", with_run(tmp_path, n_slots=2000),
+                 "--out-dir", str(log.parent)]) == 0
     taken = tmp_path / "taken"
     taken.write_text("a file\n")
-    args = {"simulate": ["--config", preset("entangled_demo.ini"), "--n-slots", "40"],
+    args = {"simulate": ["--config", with_run(tmp_path, n_slots=40)],
             "estimate": ["--log", str(log)],
             "repeater": ["--config", preset("repeater_demo.ini")],
-            "sensitivity": ["--budget", "default"],
+            "sensitivity": ["--config", preset("chara_like.ini")],
             "reconstruct": ["--config", preset("reconstruct_demo.ini")]}[command]
     capsys.readouterr()
     assert main([command, *args, "--out-dir", str(taken / under)]) == EXIT_CONFIG
@@ -447,12 +494,12 @@ def test_artifact_path_that_is_a_directory_is_input_error(tmp_path, capsys,
                                                           command, artifact):
     """A directory where an artifact goes stops the run with one line."""
     log = tmp_path / "run" / "events.jsonl"
-    assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                 "--n-slots", "2000", "--out-dir", str(log.parent)]) == 0
-    args = {"simulate": ["--config", preset("entangled_demo.ini"), "--n-slots", "40"],
+    assert main(["simulate", "--config", with_run(tmp_path, n_slots=2000),
+                 "--out-dir", str(log.parent)]) == 0
+    args = {"simulate": ["--config", with_run(tmp_path, n_slots=40)],
             "estimate": ["--log", str(log)],
             "repeater": ["--config", preset("repeater_demo.ini")],
-            "sensitivity": ["--budget", "default"],
+            "sensitivity": ["--config", preset("chara_like.ini")],
             "reconstruct": ["--config", preset("reconstruct_demo.ini")]}[command]
     out = tmp_path / "out"
     (out / artifact).mkdir(parents=True)
@@ -466,9 +513,8 @@ def test_artifact_path_that_is_a_directory_is_input_error(tmp_path, capsys,
 
 def test_simulate_seed_changes_the_log(tmp_path):
     dirs = [tmp_path / "a", tmp_path / "b"]
-    for d, seed in zip(dirs, ("1", "2")):
-        assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                     "--n-slots", "2000", "--seed", seed,
+    for d, seed in zip(dirs, (1, 2)):
+        assert main(["simulate", "--config", with_run(tmp_path, n_slots=2000, seed=seed),
                      "--out-dir", str(d)]) == 0
     assert (dirs[0] / "events.jsonl").read_bytes() != \
         (dirs[1] / "events.jsonl").read_bytes()
@@ -476,8 +522,8 @@ def test_simulate_seed_changes_the_log(tmp_path):
 
 def test_simulate_then_estimate_recovers_fringe(tmp_path, capsys):
     run_dir = tmp_path / "run"
-    assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                 "--n-slots", "20000", "--out-dir", str(run_dir)]) == 0
+    assert main(["simulate", "--config", with_run(tmp_path, n_slots=20000),
+                 "--out-dir", str(run_dir)]) == 0
     assert main(["estimate", "--log", str(run_dir / "events.jsonl"),
                  "--out-dir", str(run_dir)]) == 0
     out = capsys.readouterr().out
@@ -492,8 +538,8 @@ def test_simulate_then_estimate_recovers_fringe(tmp_path, capsys):
 
 def test_estimate_low_statistics_exit_code(tmp_path, capsys):
     run_dir = tmp_path / "run"
-    assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                 "--n-slots", "40", "--out-dir", str(run_dir)]) == 0
+    assert main(["simulate", "--config", with_run(tmp_path, n_slots=40),
+                 "--out-dir", str(run_dir)]) == 0
     code = main(["estimate", "--log", str(run_dir / "events.jsonl"),
                  "--out-dir", str(run_dir)])
     assert code == EXIT_LOW_STATISTICS
@@ -570,12 +616,12 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, command, base
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.read_string(base if base.startswith("[") else Path(preset(base)).read_text())
     parser.set(section, key, value)
+    if command == "simulate":
+        parser.set("run", "n_slots", "40")
     config = tmp_path / "bad.ini"
     with open(config, "w") as fh:
         parser.write(fh)
-    args = ["--n-slots", "40"] if command == "simulate" else []
-    if command != "sensitivity":
-        args += ["--out-dir", str(tmp_path / "run")]
+    args = [] if command == "sensitivity" else ["--out-dir", str(tmp_path / "run")]
     assert main([command, "--config", str(config), *args]) == EXIT_CONFIG
     err = capsys.readouterr().err
     expected = message or f"[{section}] {key}: must be finite, got {value!r}"
@@ -627,8 +673,8 @@ def test_underflowing_config_value_is_config_error(tmp_path, capsys, command, ba
 def test_repeated_deltas_are_config_error(tmp_path, capsys, deltas):
     config = tmp_path / "repeated.ini"
     config.write_text(Path(preset("entangled_demo.ini")).read_text().replace(
-        "deltas = 8", f"deltas = {deltas}"))
-    assert main(["simulate", "--config", str(config), "--n-slots", "100",
+        "deltas = 8", f"deltas = {deltas}").replace("n_slots = 200000", "n_slots = 100"))
+    assert main(["simulate", "--config", str(config),
                  "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert re.match(r"config error: \[scheme\] delta_schedule entries must be distinct", err)
@@ -682,7 +728,7 @@ def test_sensitivity_presets(tmp_path, capsys):
     assert re.search(r"merit_nm\s+0\.025", out)
     assert first_line(tmp_path / "budget.csv") == f"# {BUDGET_CSV_SCHEMA}"
 
-    assert main(["sensitivity", "--budget", "improved"]) == 0
+    assert main(["sensitivity", "--config", preset("improved.ini")]) == 0
     out = capsys.readouterr().out
     assert re.search(r"limiting_magnitude\s+12\.02", out)
     assert re.search(r"merit_nm\s+1\.69883", out)
@@ -752,21 +798,11 @@ def test_sensitivity_config_without_section_is_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("budget", ["miracle", ""])
-def test_sensitivity_unknown_preset_is_config_error(capsys, budget):
-    assert main(["sensitivity", "--budget", budget]) == EXIT_CONFIG
+def test_sensitivity_unknown_preset_is_config_error(tmp_path, capsys, budget):
+    config = tmp_path / "unknown.ini"
+    config.write_text(f"[sensitivity]\nbudget = {budget}\n")
+    assert main(["sensitivity", "--config", str(config)]) == EXIT_CONFIG
     assert "unknown preset" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("budget", ["improved", ""])
-def test_sensitivity_config_with_budget_is_config_error(tmp_path, capsys, budget):
-    """A config picks its preset with [sensitivity] budget; --budget with it
-    would be ignored, so the pair stops with one line and writes nothing."""
-    assert main(["sensitivity", "--config", preset("chara_like.ini"), "--budget", budget,
-                 "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error: --budget: ") and captured.err.count("\n") == 1
-    assert not (tmp_path / "run").exists()
 
 
 # What each command may execute besides the CLI: a module counts once its
@@ -789,7 +825,6 @@ _OUT = ("--out-dir", "{out}")
 
 
 @pytest.mark.parametrize("command, args, only, never", [
-    ("sensitivity", ["--budget", "default", *_OUT], {"config", "errors", "sensitivity"}, None),
     # A config file's key check reads the dataclasses of its own sections only.
     ("sensitivity", ["--config", preset("chara_like.ini"), *_OUT],
      {"config", "errors", "sensitivity"}, None),
@@ -804,8 +839,8 @@ _OUT = ("--out-dir", "{out}")
 def test_each_command_executes_only_its_layers(tmp_path, capsys, command, args, only, never):
     log = tmp_path / "run" / "events.jsonl"
     if command == "estimate":
-        assert main(["simulate", "--config", preset("entangled_demo.ini"),
-                     "--n-slots", "2000", "--out-dir", str(log.parent)]) == 0
+        assert main(["simulate", "--config", with_run(tmp_path, n_slots=2000),
+                     "--out-dir", str(log.parent)]) == 0
     argv = [command, *(a.format(log=log, out=tmp_path / "out") for a in args)]
     src = str(Path(entscope.__file__).resolve().parents[1])
     # -W error: runpy warns, as `python -m entscope.cli` would, if the CLI
@@ -888,11 +923,8 @@ def _config_with(tmp_path, command: str, source: str, baseline: str = "") -> Pat
     return ini
 
 
-def _config_error(capsys, command: str, ini: Path, tmp_path) -> str:
-    args = [command, "--config", str(ini), "--out-dir", str(tmp_path / "run")]
-    if command == "simulate":
-        args += ["--n-slots", "40"]
-    assert main(args) == EXIT_CONFIG
+def _config_error(capsys, command: str, ini: Path | str, tmp_path) -> str:
+    assert main([command, "--config", str(ini), "--out-dir", str(tmp_path / "run")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "run").exists()
@@ -946,9 +978,8 @@ def test_ideal_detector_schemes_reject_detector_settings(tmp_path, capsys, edits
     err = _config_error(capsys, "simulate", ini, tmp_path)
     assert err == f"config error: [detector] efficiency: {label} does not use it\n"
     # The same scheme runs with no [detector] section: the ideal detector.
-    ini.write_text(re.sub(r"\[detector\][^[]*", "", text))
-    assert main(["simulate", "--config", str(ini), "--n-slots", "40",
-                 "--out-dir", str(tmp_path / "run")]) == 0
+    ini = with_run(tmp_path, re.sub(r"\[detector\][^[]*", "", text), n_slots=40)
+    assert main(["simulate", "--config", ini, "--out-dir", str(tmp_path / "run")]) == 0
 
 
 @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
@@ -1015,16 +1046,37 @@ def _address_space_headroom(extra: int):
         resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
-@pytest.mark.parametrize("grid, size", [(1_000_000, "7.28 TiB"), (10_000_000_000, "74.5 GiB")])
+@pytest.mark.parametrize("grid, size", [(1_000_000, "7.28 TiB"), (10_000_000_000, "74.5 GiB"),
+                                        (2**62, None), (2**63 - 1, None), (2**63, None),
+                                        (10**20, None)])
 def test_reconstruct_grid_too_large_to_allocate_is_config_error(tmp_path, capsys, grid, size):
     """numpy's first request for a grid-sized array is refused whole, so no
-    memory is touched; reconstruct stops with one config error line."""
+    memory is touched; reconstruct stops with one config error line.  Grids
+    whose samples pass numpy's array size limit (size None), where numpy
+    would raise a ValueError or make an empty array, are refused before
+    numpy is asked."""
     ini = _config_with(tmp_path, "reconstruct", "kind = point")
     ini.write_text(ini.read_text().replace("grid = 8", f"grid = {grid}"))
     with _address_space_headroom(1 << 30):
         err = _config_error(capsys, "reconstruct", ini, tmp_path)
+    reason = (f"Unable to allocate {size} " if size else
+              f"{grid} complex samples pass numpy's array size limit\n")
     assert err.startswith(f"config error: [reconstruct] grid: {grid} is too large to image: "
-                          f"Unable to allocate {size} "), err
+                          f"{reason}"), err
+
+
+def test_telescope_array_too_large_to_allocate_is_config_error(tmp_path, capsys):
+    """The check of the telescope pairs i < j first asks numpy for an n x n
+    mask, which is refused whole at 40,000 telescopes, so no memory is
+    touched; simulate stops with one config error line, not a traceback."""
+    n = 40_000
+    ini = tmp_path / "array.ini"
+    ini.write_text(f"[run]\nseed = 1\nn_slots = 10\n[scheme]\nkind = w_state\n"
+                   f"n_telescopes = {n}\n[baseline]\npositions = {' '.join(map(str, range(n)))}\n")
+    with _address_space_headroom(1 << 30):
+        err = _config_error(capsys, "simulate", ini, tmp_path)
+    assert err.startswith(f"config error: [scheme] n_telescopes: {n} telescopes are too many "
+                          f"to simulate: Unable to allocate "), err
 
 
 # Per kind, a [scheme] body and its [baseline] that simulate runs as they are.
@@ -1078,7 +1130,7 @@ def test_timing_key_without_coherence_time_is_config_error(tmp_path, capsys, key
     assert err == (f"config error: [scheme] {key}: kind=entangled does not use it "
                    f"unless coherence_time > 0\n")
     ini = _set_key(tmp_path, ini.read_text(), "scheme", "coherence_time", "1e-9")
-    assert main(["simulate", "--config", str(ini), "--n-slots", "40",
+    assert main(["simulate", "--config", with_run(tmp_path, ini.read_text(), n_slots=40),
                  "--out-dir", str(tmp_path / "run")]) == 0
 
 
@@ -1120,10 +1172,11 @@ _STREAM_SCHEMES = {
 }
 
 
-def _stream_ini(path: Path, kind: str, n: int) -> Path:
+def _stream_ini(path: Path, kind: str, n: int, n_slots: int, seed: int) -> Path:
     scheme = _STREAM_SCHEMES[kind].format(
         n=n, positions=", ".join(str(40.0 * i * i) for i in range(n)))
-    path.write_text(f"[run]\nseed = 11\n[scheme]\n{scheme}wavelength = 800e-9\n"
+    path.write_text(f"[run]\nseed = {seed}\nn_slots = {n_slots}\n[scheme]\n{scheme}"
+                    "wavelength = 800e-9\n"
                     "[source]\nkind = binary\nseparation = 2.5e-9\nratio = 0.7\n")
     return path
 
@@ -1147,13 +1200,12 @@ def test_streamed_simulate_equals_the_whole_log(tmp_path_factory, run, write_blo
     size."""
     kind, n, chunk, piece, n_slots = run
     tmp = tmp_path_factory.mktemp("stream")
-    ini = _stream_ini(tmp / "run.ini", kind, n)
+    ini = _stream_ini(tmp / "run.ini", kind, n, n_slots, seed)
     with mock.patch.object(schemes, "CHUNK_SLOTS", chunk), \
             mock.patch.object(schemes, "PIECE_SLOTS", piece), \
             mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", write_block), \
             mock.patch.object(eventlog, "READ_BLOCK_CHARS", read_block):
-        assert main(["simulate", "--config", str(ini), "--n-slots", str(n_slots),
-                     "--seed", str(seed), "--out-dir", str(tmp / "run")]) == 0
+        assert main(["simulate", "--config", str(ini), "--out-dir", str(tmp / "run")]) == 0
         parser = cfg.load_config(ini)
         scheme = cfg.build_scheme(parser)
         source = cfg.build_source(parser, str(tmp))
@@ -1191,15 +1243,14 @@ def test_simulate_memory_is_set_by_the_piece_not_the_chunk(tmp_path, capsys):
     """At the default CHUNK_SLOTS a chunk's draws span many pieces; simulate's
     traced peak stays within 1.5x of its peak when each chunk is one piece,
     at the same slot count, so a piece, not an RNG chunk, sets the memory."""
-    args = ["simulate", "--config", preset("entangled_demo.ini"),
-            "--out-dir", str(tmp_path / "run")]
-    n_slots, peaks = str(2 * schemes.CHUNK_SLOTS), {}
+    out, peaks = ["--out-dir", str(tmp_path / "run")], {}
+    ini = with_run(tmp_path, n_slots=2 * schemes.CHUNK_SLOTS)
     # Fill the outcome-table caches and import numpy.random first.
-    assert main([*args, "--n-slots", "2000"]) == 0
+    assert main(["simulate", "--config", with_run(tmp_path, n_slots=2000), *out]) == 0
     for chunk in (schemes.CHUNK_SLOTS, schemes.PIECE_SLOTS):
         with mock.patch.object(schemes, "CHUNK_SLOTS", chunk):
             gc.collect()
-            peaks[chunk] = _traced_peak(lambda: main([*args, "--n-slots", n_slots]))
+            peaks[chunk] = _traced_peak(lambda: main(["simulate", "--config", ini, *out]))
     capsys.readouterr()
     assert peaks[schemes.CHUNK_SLOTS] < 1.5 * peaks[schemes.PIECE_SLOTS], peaks
 
@@ -1233,14 +1284,14 @@ from unittest import mock
 from entscope import eventlog, schemes
 from entscope.cli import main
 
-ini, root = sys.argv[1:]
+root, inis = sys.argv[1], sys.argv[2:]
 peaks, sites = {}, {}
 with mock.patch.object(schemes, "CHUNK_SLOTS", 1 << 12), \\
         mock.patch.object(eventlog, "WRITE_BLOCK_RECORDS", 1 << 10), \\
         mock.patch.object(eventlog, "READ_BLOCK_CHARS", 1 << 14):
-    for n_slots in (2_000, 10_000, 100_000):
+    for n_slots, ini in zip((2_000, 10_000, 100_000), inis):
         out = f"{root}/{n_slots}"
-        for command, args in (("simulate", ["--config", ini, "--n-slots", str(n_slots)]),
+        for command, args in (("simulate", ["--config", ini]),
                               ("estimate", ["--log", f"{out}/events.jsonl"])):
             tracemalloc.start()
             assert main([command, *args, "--out-dir", out]) == 0
@@ -1257,8 +1308,9 @@ def test_simulate_and_estimate_memory_is_flat_in_slot_count(tmp_path):
     block, not by the slot count.  The runs are made in a fresh interpreter,
     so no earlier test's state enters a peak."""
     src = str(Path(entscope.__file__).resolve().parents[1])
-    child = subprocess.run([sys.executable, "-c", _FLAT_IN_SLOTS, preset("entangled_demo.ini"),
-                            str(tmp_path)], check=True, capture_output=True, text=True,
+    inis = [with_run(tmp_path, n_slots=n_slots) for n_slots in (2_000, 10_000, 100_000)]
+    child = subprocess.run([sys.executable, "-c", _FLAT_IN_SLOTS, str(tmp_path), *inis],
+                           check=True, capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": src})
     report = json.loads(child.stdout.splitlines()[-1])
     peaks = report["peaks"]

@@ -36,19 +36,23 @@ def test_unparseable_value_names_the_field(tmp_path):
 
 
 def test_seed_must_be_explicit(tmp_path):
-    parser = parse(tmp_path, "[run]\nout_dir = out\n")
-    with pytest.raises(ConfigError, match="never clock-seeded"):
-        cfg.run_options(parser)
-    assert cfg.run_options(parser, 99) == (99, "out", "monte-carlo", 100_000)
-    assert cfg.run_options(parse(tmp_path, "[scheme]\nkind = direct\n"), 99) == \
+    for text in ("[run]\nout_dir = out\n", "[scheme]\nkind = direct\n"):
+        with pytest.raises(ConfigError, match="never clock-seeded"):
+            cfg.run_options(parse(tmp_path, text))
+    assert cfg.run_options(parse(tmp_path, "[run]\nseed = 99\n")) == \
         (99, "out", "monte-carlo", 100_000)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_spans_64_bits(tmp_path, seed):
+    assert cfg.run_options(parse(tmp_path, f"[run]\nseed = {seed}\n"))[0] == seed
 
 
 def test_overrides_beat_config_values(tmp_path):
     parser = parse(tmp_path, "[run]\nseed = 1\nout_dir = a\n"
                              "mode = analytic\nn_slots = 5\n")
     assert cfg.run_options(parser) == (1, "a", "analytic", 5)
-    assert cfg.run_options(parser, 7, "b") == (7, "b", "analytic", 5)
+    assert cfg.run_options(parser, "b") == (1, "b", "analytic", 5)
 
 
 def test_threads_key_is_unknown(tmp_path):
